@@ -2,8 +2,8 @@
 
 ``kummer-lab`` exposes the library's decisions as subcommands that print
 deterministic JSON (default) or plain text.  Exit codes: 0 for success,
-1 for a mathematical check that fails (a verification mismatch), 2 for
-usage or parse errors.
+1 for a mathematical check that fails (a verification mismatch, or a
+result that fails its own re-check), 2 for usage or parse errors.
 
 Element grammar: a ring element is a sum of terms ``p/q`` and ``p/q*z``
 where ``z`` denotes the ring's distinguished root of unity (``i`` for the
@@ -37,6 +37,7 @@ from .lefschetz import (
     lefschetz_kummer,
     lefschetz_torus,
 )
+from .linalg import SelfCheckError
 from .rings import FieldElem, RingElem, RingId
 from .search import run_search
 from .torus import (
@@ -594,6 +595,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SelfCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MATH
     print(render_json(payload) if spec.fmt == "json" else render_text(payload))
     return code
 

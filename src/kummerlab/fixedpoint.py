@@ -44,7 +44,6 @@ from .torus import (
     TorusAuto,
     TorusPoint,
     induced_h1_matrix,
-    orbit_sum_data,
 )
 
 
@@ -154,6 +153,29 @@ class FreenessReport:
         return self.free
 
 
+def _length_tables(
+    matrix: IntMatrix, length: int, cache: dict
+) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """``(M^l - I, P_l, Q_l)`` for the induced matrix ``M`` and ``l = length``.
+
+    ``P_l = sum_{j<l} M^j`` maps the translation ``a`` to the translation
+    part ``t_l = P_l a`` of the ``l``-th iterate, and ``Q_l = sum_{k<l} P_k``
+    maps it to the sum ``t_0 + ... + t_(l-1)``, the orbit-sum constant.
+    """
+    key = (matrix, length)
+    tables = cache.get(key)
+    if tables is None:
+        power = IntMatrix.identity(4)
+        partial = IntMatrix.zeros(4, 4)
+        total = IntMatrix.zeros(4, 4)
+        for _ in range(length):
+            total = total + partial
+            partial = partial + power
+            power = power @ matrix
+        tables = cache[key] = (power - IntMatrix.identity(4), partial, total)
+    return tables
+
+
 def orbit_system(
     auto: TorusAuto,
     orbit_type: OrbitType,
@@ -165,55 +187,38 @@ def orbit_system(
     the orbit-closure condition ``(M^l - I) z = -t_l`` with ``t_l`` the
     translation part of the ``l``-th iterate; then four rows for the
     multiplicity-weighted zero-sum condition built from the orbit-sum data.
-    Passing the same ``cache`` dict across calls for one automorphism
-    reuses the per-length expansions instead of recomputing them.
+
+    The matrix depends only on the linear part and the orbit type, the
+    constants alone on the translation; they are integer vectors over the
+    translation's torsion level until the final division.  Passing the
+    same ``cache`` dict across calls, for any translations, computes the
+    power tables of each linear part and length once.
     """
     if cache is None:
         cache = {}
-    m4 = cache.get("induced")
-    if m4 is None:
-        m4 = cache["induced"] = induced_h1_matrix(auto)
-    identity = IntMatrix.identity(4)
+    matrix = induced_h1_matrix(auto)
+    tables = {l: _length_tables(matrix, l, cache) for l, _ in orbit_type.parts}
     zero4 = IntMatrix.zeros(4, 4)
     k = len(orbit_type.parts)
-
-    closure_blocks: dict[int, IntMatrix] = {}
-    sum_matrices: dict[int, IntMatrix] = {}
-    iterate_translations: dict[int, tuple[Fraction, ...]] = {}
-    orbit_constants: dict[int, tuple[Fraction, ...]] = {}
-    for l, _ in orbit_type.parts:
-        if l in sum_matrices:
-            continue
-        entry = cache.get(l)
-        if entry is None:
-            l_endo, c_point = orbit_sum_data(auto, l)
-            entry = (
-                m4**l - identity,
-                l_endo.induced_matrix(),
-                (auto**l).translation.coords(),
-                c_point.coords(),
-            )
-            cache[l] = entry
-        closure_blocks[l], sum_matrices[l] = entry[0], entry[1]
-        iterate_translations[l], orbit_constants[l] = entry[2], entry[3]
-
     block_rows: list[list[IntMatrix]] = []
-    constants: list[Fraction] = []
     for i, (l, _) in enumerate(orbit_type.parts):
         row = [zero4] * k
-        row[i] = closure_blocks[l]
+        row[i] = tables[l][0]
         block_rows.append(row)
-        constants.extend(-v for v in iterate_translations[l])
-    sum_row = [
-        sum_matrices[l].scale(mult) for l, mult in orbit_type.parts
-    ]
-    block_rows.append(sum_row)
-    weighted = [Fraction(0)] * 4
+    block_rows.append([tables[l][1].scale(mult) for l, mult in orbit_type.parts])
+    system = IntMatrix.block(block_rows)
+
+    level = auto.translation.torsion_level()
+    a = auto.translation.vector()
+    numerators: list[int] = []
+    weighted = [0] * 4
     for l, mult in orbit_type.parts:
-        for j in range(4):
-            weighted[j] += mult * orbit_constants[l][j]
-    constants.extend(-v for v in weighted)
-    return IntMatrix.block(block_rows), tuple(constants)
+        _, partial, total = tables[l]
+        numerators.extend(-(x % level) for x in partial.apply_int(a))
+        for j, x in enumerate(total.apply_int(a)):
+            weighted[j] -= mult * (x % level)
+    numerators.extend(weighted)
+    return system, tuple(Fraction(x, level) for x in numerators)
 
 
 def _require_descends(auto: TorusAuto, n: int) -> None:
@@ -230,6 +235,7 @@ def has_fixed_point(
     n: int,
     element_power: int = 1,
     stop_at_first: bool = False,
+    cache: dict | None = None,
 ) -> FixedPointReport:
     """Decide whether the induced automorphism fixes some configuration.
 
@@ -238,15 +244,19 @@ def has_fixed_point(
     certificates when the map under test is a power of another one.  With
     ``stop_at_first`` the scan stops at the first solvable type, so a
     positive report may carry fewer certificates than there are types; a
-    negative one always carries all of them.
+    negative one always carries all of them.  ``cache`` is handed to
+    :func:`orbit_system` and :func:`torus_system_solvable`: one dict shared
+    across maps with the same linear part keeps the systems' Smith normal
+    forms, which never depend on the translation.  Without it only the
+    small power tables are kept, and only for this call.
     """
     _require_descends(auto, n)
+    tables: dict = {} if cache is None else cache
     order = auto.order()
     certificates: list[FreenessCertificate] = []
-    cache: dict = {}
     for orbit_type in orbit_types(n, order):
-        system, constants = orbit_system(auto, orbit_type, cache)
-        result: SolvabilityResult = torus_system_solvable(system, constants)
+        system, constants = orbit_system(auto, orbit_type, tables)
+        result: SolvabilityResult = torus_system_solvable(system, constants, cache)
         if result.solvable:
             coords = result.witness
             points = tuple(
@@ -294,7 +304,10 @@ def _prime_factors(m: int) -> list[int]:
 
 
 def group_acts_freely(
-    auto: TorusAuto, n: int, stop_at_first: bool = False
+    auto: TorusAuto,
+    n: int,
+    stop_at_first: bool = False,
+    cache: dict | None = None,
 ) -> FreenessReport:
     """Decide freeness of the cyclic group generated by the induced map.
 
@@ -303,7 +316,10 @@ def group_acts_freely(
     test the powers ``auto**(order/p)`` for the primes ``p`` dividing the
     order.  The trivial group acts freely vacuously.  ``stop_at_first``
     abandons the sweep as soon as one power is caught fixing a
-    configuration, leaving later powers untested in the report.
+    configuration, leaving later powers untested in the report.  A
+    ``cache`` dict is handed to :func:`has_fixed_point`; it may be shared
+    across calls whose maps have the same linear part, whatever their
+    translations.
     """
     _require_descends(auto, n)
     order = auto.order()
@@ -312,7 +328,11 @@ def group_acts_freely(
     for p in _prime_factors(order):
         power = order // p
         report = has_fixed_point(
-            auto**power, n, element_power=power, stop_at_first=stop_at_first
+            auto**power,
+            n,
+            element_power=power,
+            stop_at_first=stop_at_first,
+            cache=cache,
         )
         tested.append(PowerTest(power, report))
         if report.found:
@@ -369,9 +389,7 @@ def brute_force_fixed_point(auto: TorusAuto, n: int, level: int) -> bool:
     modulus = lcm(level, auto.translation.torsion_level())
     scale = modulus // level
     matrix = induced_h1_matrix(auto).entries
-    shift = tuple(
-        int(v * modulus) % modulus for v in auto.translation.coords()
-    )
+    shift = auto.translation.vector(modulus)
 
     def step(v: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
         return tuple(

@@ -13,7 +13,11 @@ integer lattice?  The decision comes with a checkable artifact either way:
 
 Because the constants are rational, a solvable system always has a rational
 (torsion) witness: denominators can be cleared through the Smith normal form
-of ``T``.
+of ``T``.  The arithmetic runs on integer vectors: the constants are scaled
+once by their common denominator ``q``, so ``c`` becomes an integer vector
+mod ``q`` and both the decision and the re-checks of witness and
+obstruction are integer congruences.  Rationals appear only in the
+arguments and in the returned certificate.
 
 :func:`solvable_by_enumeration` re-decides the same question by finite
 enumeration alone and exists to cross-validate the normal-form route.
@@ -24,8 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .linalg import IntMatrix, elementary_divisors_via_minors, smith_normal_form
+from .linalg import (
+    IntMatrix,
+    SelfCheckError,
+    elementary_divisors_via_minors,
+    smith_normal_form,
+)
 
 
 class DimensionMismatchError(ValueError):
@@ -53,56 +63,76 @@ def _as_fractions(c) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in c)
 
 
-def torus_system_solvable(system: IntMatrix, constants) -> SolvabilityResult:
+def _over_common_denominator(*vectors) -> tuple[int, list[tuple[int, ...]]]:
+    """Clear denominators: ``(q, [q * v for v in vectors])`` with integer entries."""
+    q = lcm(1, *(x.denominator for v in vectors for x in v))
+    return q, [tuple(x.numerator * (q // x.denominator) for x in v) for v in vectors]
+
+
+def torus_system_solvable(
+    system: IntMatrix, constants, cache: dict | None = None
+) -> SolvabilityResult:
     """Decide ``system @ z = constants`` modulo the integer lattice.
 
     The Smith normal form ``U @ system @ V = D`` turns the question into a
     diagonal one: the transformed constants ``U @ c`` must be integral on
-    every row outside the diagonal rank.  Witness and obstruction both fall
-    out of the transform data and are re-checked before returning.
+    every row outside the diagonal rank.  The constants are scaled once to
+    integers over their common denominator ``q``, so the test reads
+    ``(U @ qc)_i = 0 mod q``.  Witness and obstruction both fall out of the
+    transform data and are re-checked before returning; a failed re-check
+    raises :class:`SelfCheckError`.  Passing the same ``cache`` dict across
+    calls computes the normal form of each distinct system once.
     """
     c = _as_fractions(constants)
     if len(c) != system.rows:
         raise DimensionMismatchError(
             f"system has {system.rows} rows but {len(c)} constants were given"
         )
-    u, d, v = smith_normal_form(system)
-    uc = u.apply(c)
-    rank = sum(
-        1 for i in range(min(system.rows, system.cols)) if d[i][i] != 0
-    )
+    normal_form = None if cache is None else cache.get(system)
+    if normal_form is None:
+        normal_form = smith_normal_form(system)
+        if cache is not None:
+            cache[system] = normal_form
+    u, d, v = normal_form
+    diagonal = [d[i][i] for i in range(min(system.rows, system.cols))]
+    rank = sum(1 for x in diagonal if x != 0)
+    q, (qc,) = _over_common_denominator(c)
+    uc = u.apply_int(qc)
     for i in range(rank, system.rows):
-        if uc[i].denominator != 1:
+        if uc[i] % q:
             functional = u[i]
-            assert verify_obstruction(system, c, functional)
-            return SolvabilityResult(False, None, (functional, uc[i]))
-    w = [uc[i] / d[i][i] for i in range(rank)]
-    w += [Fraction(0)] * (system.cols - rank)
-    z = tuple(x % 1 for x in v.apply(w))
-    assert verify_witness(system, c, z)
+            if not verify_obstruction(system, c, functional):
+                raise SelfCheckError("obstruction failed its re-check")
+            return SolvabilityResult(False, None, (functional, Fraction(uc[i], q)))
+    # w_i = uc_i / (q d_i) over the common denominator q * lcm(d_i).
+    scale = lcm(1, *diagonal[:rank])
+    w = [uc[i] * (scale // diagonal[i]) for i in range(rank)]
+    w += [0] * (system.cols - rank)
+    denominator = q * scale
+    z = tuple(Fraction(x % denominator, denominator) for x in v.apply_int(w))
+    if not verify_witness(system, c, z):
+        raise SelfCheckError("witness failed its re-check")
     return SolvabilityResult(True, z, None)
 
 
 def verify_witness(system: IntMatrix, constants, witness) -> bool:
     """Check that ``system @ witness - constants`` is an integer vector."""
-    c = _as_fractions(constants)
-    z = _as_fractions(witness)
-    image = system.apply(z)
-    return all((a - b).denominator == 1 for a, b in zip(image, c))
+    q, (qc, qz) = _over_common_denominator(
+        _as_fractions(constants), _as_fractions(witness)
+    )
+    image = system.apply_int(qz)
+    return all((a - b) % q == 0 for a, b in zip(image, qc))
 
 
 def verify_obstruction(system: IntMatrix, constants, functional) -> bool:
     """Check that ``functional`` kills the column span but not ``constants``."""
-    c = _as_fractions(constants)
     f = tuple(int(e) for e in functional)
     if len(f) != system.rows:
         return False
-    killed = all(
-        sum(f[i] * system[i][j] for i in range(system.rows)) == 0
-        for j in range(system.cols)
-    )
-    pairing = sum((fi * ci for fi, ci in zip(f, c)), Fraction(0))
-    return killed and pairing.denominator != 1
+    if any(sum(map(mul, f, column)) for column in zip(*system.entries)):
+        return False
+    q, (qc,) = _over_common_denominator(_as_fractions(constants))
+    return sum(map(mul, f, qc)) % q != 0
 
 
 def solvable_by_enumeration(system: IntMatrix, constants) -> bool:

@@ -3,8 +3,9 @@
 Everything here is plain arbitrary-precision integer arithmetic.  The two
 workhorses are :func:`smith_normal_form`, which returns the full transform
 data ``U * A * V = D`` with unimodular ``U`` and ``V``, and the fraction-free
-Bareiss determinant.  Both re-verify their own output with assertions, so a
-test build cannot silently return a wrong normal form.
+Bareiss determinant.  The normal forms re-verify their own output and raise
+:class:`SelfCheckError` on a mismatch; the checks are not ``assert``
+statements, so they also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
+
+
+class SelfCheckError(ArithmeticError):
+    """A computed result failed its own independent re-check."""
 
 
 class IntMatrix:
@@ -124,6 +130,12 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(sum((a * v for a, v in zip(row, vec)), Fraction(0)) for row in self._rows)
+
+    def apply_int(self, vector) -> tuple[int, ...]:
+        """Multiply by an integer column vector, exactly."""
+        if len(vector) != self.cols:
+            raise ValueError("vector length does not match column count")
+        return tuple(sum(map(mul, row, vector)) for row in self._rows)
 
     def det(self) -> int:
         """Exact determinant by fraction-free Bareiss elimination."""
@@ -259,11 +271,14 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     mu = IntMatrix(u)
     md = IntMatrix(d)
     mv = IntMatrix(v)
-    assert mu @ a @ mv == md, "normal form transform check failed"
-    assert abs(mu.det()) == 1 and abs(mv.det()) == 1
+    if mu @ a @ mv != md:
+        raise SelfCheckError("Smith normal form transform check failed")
+    if abs(mu.det()) != 1 or abs(mv.det()) != 1:
+        raise SelfCheckError("Smith normal form transforms are not unimodular")
     diag = [md[i][i] for i in range(min(rows, cols))]
     for x, y in zip(diag, diag[1:]):
-        assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
+        if not ((x == 0 and y == 0) or (x != 0 and y % x == 0)):
+            raise SelfCheckError("Smith normal form diagonal is not a divisor chain")
     return mu, md, mv
 
 
@@ -307,8 +322,10 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             break
     mu = IntMatrix(u)
     mh = IntMatrix(h)
-    assert mu @ a == mh
-    assert abs(mu.det()) == 1
+    if mu @ a != mh:
+        raise SelfCheckError("Hermite normal form transform check failed")
+    if abs(mu.det()) != 1:
+        raise SelfCheckError("Hermite normal form transform is not unimodular")
     return mu, mh
 
 

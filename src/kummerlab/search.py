@@ -7,7 +7,11 @@ differ by conjugation with a translation ``t_b`` induce conjugate maps on
 the fibre ``K_n``, so freeness only depends on the orbit of ``a`` under
 ``a -> a + (I - h) b`` with ``b`` ranging over the ``n``-torsion subgroup.
 The search reports one representative per orbit (the first one in scan
-order) and skips the rest.
+order) and skips the rest.  The scan runs on integer vectors mod ``n``:
+the translation ``a`` is ``vector / n`` and the orbit is the coset of the
+subgroup ``(I - M) (Z/n)^4`` with ``M`` the induced 4x4 integer matrix.
+All translations of one linear part share one cache of orbit systems and
+their Smith normal forms, which never depend on the translation.
 
 Two sound screens keep the sweep fast.  A nontrivial power with trivial
 symplectic multiplier fixes points, so a free pair needs the determinant
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .enriques import QuotientClassification, classify_free_quotient
 from .fixedpoint import FreenessReport, group_acts_freely
@@ -31,7 +34,6 @@ from .torus import (
     TorusEndo,
     TorusPoint,
     UnsupportedAutomorphismError,
-    symplectic_multiplier,
 )
 
 MAX_NORM_CAP = 4
@@ -115,16 +117,8 @@ def torsion_points(ring: RingId, level: int) -> list[TorusPoint]:
         raise ValueError("level must be positive")
     seen = set()
     points = []
-    for i1, i2, i3, i4 in itertools.product(range(level), repeat=4):
-        p = TorusPoint.from_vector(
-            ring,
-            (
-                Fraction(i1, level),
-                Fraction(i2, level),
-                Fraction(i3, level),
-                Fraction(i4, level),
-            ),
-        )
+    for vector in itertools.product(range(level), repeat=4):
+        p = TorusPoint.from_integers(ring, level, vector)
         if p in seen:
             continue
         seen.add(p)
@@ -132,16 +126,8 @@ def torsion_points(ring: RingId, level: int) -> list[TorusPoint]:
     return points
 
 
-def _conjugacy_class(
-    linear: TorusEndo, a: TorusPoint, torsion: list[TorusPoint]
-) -> set[TorusPoint]:
-    """Orbit of ``a`` under ``a -> a + (I - h) b`` over the torsion group."""
-    shift = TorusEndo.identity(linear.ring) - linear
-    return {a + shift.apply(b) for b in torsion}
-
-
-def _conjugacy_deltas(linear: TorusEndo, level: int) -> list[TorusPoint]:
-    """The subgroup ``(I - h) E[level]`` as a list of translation offsets.
+def _shift_subgroup(linear: TorusEndo, level: int) -> set[tuple[int, ...]]:
+    """The subgroup ``(I - h) E[level]`` as integer vectors mod ``level``.
 
     Built by closing the images of the four coordinate generators under
     addition, which touches each subgroup element a handful of times
@@ -149,22 +135,21 @@ def _conjugacy_deltas(linear: TorusEndo, level: int) -> list[TorusPoint]:
     """
     ring = linear.ring
     shift = TorusEndo.identity(ring) - linear
-    unit = Fraction(1, level)
     generators = [
         shift.apply(
-            TorusPoint.from_vector(
-                ring, tuple(unit if j == i else Fraction(0) for j in range(4))
-            )
-        )
+            TorusPoint.from_integers(ring, level, [int(i == j) for j in range(4)])
+        ).vector(level)
         for i in range(4)
     ]
-    group = {TorusPoint.origin(ring)}
+    group = {(0, 0, 0, 0)}
     for g in generators:
         frontier = group
         while frontier:
-            frontier = {p + g for p in frontier} - group
+            frontier = {
+                tuple((x + y) % level for x, y in zip(p, g)) for p in frontier
+            } - group
             group |= frontier
-    return list(group)
+    return group
 
 
 def _unit_order(unit: RingElem, bound: int = LINEAR_ORDER_BOUND) -> int:
@@ -175,13 +160,6 @@ def _unit_order(unit: RingElem, bound: int = LINEAR_ORDER_BOUND) -> int:
             return k
         power = power * unit
     raise AssertionError("unit order must be bounded by the linear order cap")
-
-
-def _multiplier_order(auto: TorusAuto) -> int:
-    order = _unit_order(symplectic_multiplier(auto))
-    if auto.order() % order != 0:
-        raise AssertionError("multiplier order must divide the group order")
-    return order
 
 
 def run_search(
@@ -220,9 +198,8 @@ def run_search(
                     "linear part must have unit determinant"
                 )
             endo.multiplicative_order(LINEAR_ORDER_BOUND)
-    torsion = torsion_points(ring, n)
-    candidates = torsion if level == n else torsion_points(ring, level)
-    identity = TorusEndo.identity(ring)
+    candidates = torsion_points(ring, level)
+    vectors = [a.vector(n) for a in candidates]
     results = []
     for linear in linears:
         order = linear.multiplicative_order()
@@ -234,28 +211,28 @@ def run_search(
             # translations cannot repair that, so no pair with this
             # linear part acts freely.
             continue
-        deltas = _conjugacy_deltas(linear, n)
-        summed = TorusEndo.zero(ring)
-        power = identity
-        for _ in range(order):
-            summed = summed + power
-            power = power @ linear
-        seen: set[TorusPoint] = set()
-        for a in candidates:
-            if a in seen:
+        deltas = _shift_subgroup(linear, n)
+        # Orbit systems and their normal forms depend on the linear part
+        # only, so every translation of this linear part shares them.
+        cache: dict = {}
+        seen: set[tuple[int, ...]] = set()
+        for a, vector in zip(candidates, vectors):
+            if vector in seen:
                 continue
-            seen.update(a + d for d in deltas)
+            seen.update(
+                tuple((x + y) % n for x, y in zip(vector, d)) for d in deltas
+            )
             if a.is_origin():
                 # The class of pure linear maps: these fix the zero
                 # configuration (the origin taken n times), so they are
                 # never free.
                 continue
-            if not summed.apply(a).is_origin():
+            auto = TorusAuto(linear, a)
+            if auto.order() != order:
                 # The translation raises the order past the linear part,
                 # so the multiplier screen rejects the pair.
                 continue
-            auto = TorusAuto(linear, a)
-            report = group_acts_freely(auto, n, stop_at_first=True)
+            report = group_acts_freely(auto, n, stop_at_first=True, cache=cache)
             if not report.free:
                 continue
             results.append(

@@ -2,16 +2,20 @@
 
 The surface under study is ``A = E x E`` where ``E`` is the complex torus
 with period lattice spanned by ``{1, zeta}``.  A point of ``A`` therefore
-has four rational coordinates (two per factor, in the ``{1, zeta}`` basis),
-each reduced into ``[0, 1)``.  The automorphisms handled here are the
-natural ones, a lattice-linear map with unit determinant followed by a
-torsion translation.
+has four coordinates (two per factor, in the ``{1, zeta}`` basis), taken
+mod 1.  Only torsion points occur, and each is stored as an integer
+4-vector mod its torsion level ``N``.  The automorphisms handled here are
+the natural ones, a lattice-linear map with unit determinant followed by a
+torsion translation; the linear part acts on point vectors through its
+induced 4x4 integer matrix on first homology, so point arithmetic, orbits
+and orders are plain integer arithmetic mod ``N``.  ``Fraction`` appears
+only where points enter or leave as rational coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import IntMatrix
 from .rings import FieldElem, RingElem, RingId, _check_same_ring
@@ -26,23 +30,56 @@ class UnsupportedAutomorphismError(ValueError):
 
 
 class TorusPoint:
-    """A point of ``E x E`` with both factor coordinates reduced mod lattice."""
+    """A torsion point of ``E x E``, stored as an integer vector mod its level.
 
-    __slots__ = ("_ring", "_first", "_second")
+    The coordinates ``(x1, y1, x2, y2)`` are ``vector / level`` with every
+    entry in ``[0, level)`` and ``level`` the exact torsion level, so the
+    stored pair is canonical: points given over different denominators
+    compare and hash equal.  The rational-integer ring folds the ``zeta``
+    coordinate of each factor into the rational one (``zeta = 1``).
+    """
+
+    __slots__ = ("_ring", "_level", "_vector")
 
     def __init__(self, first: FieldElem, second: FieldElem) -> None:
         _check_same_ring(first, second)
-        self._ring = first.ring
-        self._first = first.mod_lattice()
-        self._second = second.mod_lattice()
-        if self.torsion_level() > TORSION_LEVEL_CAP:
+        coords = (first.x, first.y, second.x, second.y)
+        level = lcm(*(c.denominator for c in coords))
+        self._set(
+            first.ring,
+            level,
+            tuple(c.numerator * (level // c.denominator) for c in coords),
+        )
+
+    def _set(self, ring: RingId, level: int, vector) -> None:
+        if ring is RingId.RATIONAL_INT:
+            vector = (vector[0] + vector[1], 0, vector[2] + vector[3], 0)
+        vector = tuple(v % level for v in vector)
+        common = gcd(level, *vector)
+        if common > 1:
+            level //= common
+            vector = tuple(v // common for v in vector)
+        if level > TORSION_LEVEL_CAP:
             raise ValueError(
                 f"torsion level exceeds the supported cap {TORSION_LEVEL_CAP}"
             )
+        self._ring = ring
+        self._level = level
+        self._vector = vector
+
+    @classmethod
+    def from_integers(cls, ring: RingId, level: int, vector) -> "TorusPoint":
+        """The point ``vector / level`` for an integer 4-vector."""
+        vector = tuple(vector)
+        if level < 1 or len(vector) != 4:
+            raise ValueError("a point needs a positive level and four coordinates")
+        point = cls.__new__(cls)
+        point._set(ring, level, vector)
+        return point
 
     @classmethod
     def origin(cls, ring: RingId) -> "TorusPoint":
-        return cls(FieldElem.zero(ring), FieldElem.zero(ring))
+        return cls.from_integers(ring, 1, (0, 0, 0, 0))
 
     @classmethod
     def from_vector(cls, ring: RingId, vector) -> "TorusPoint":
@@ -55,54 +92,78 @@ class TorusPoint:
 
     @property
     def first(self) -> FieldElem:
-        return self._first
+        return FieldElem(self._ring, *self.coords()[:2])
 
     @property
     def second(self) -> FieldElem:
-        return self._second
+        return FieldElem(self._ring, *self.coords()[2:])
 
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self._first.x, self._first.y, self._second.x, self._second.y)
+        return tuple(Fraction(v, self._level) for v in self._vector)
+
+    def vector(self, level: int | None = None) -> tuple[int, int, int, int]:
+        """Integer coordinates over ``level`` (default: the torsion level).
+
+        ``level`` must be a multiple of the torsion level.
+        """
+        if level is None:
+            return self._vector
+        if level % self._level:
+            raise ValueError(f"point is not {level}-torsion")
+        factor = level // self._level
+        return tuple(v * factor for v in self._vector)
 
     def torsion_level(self) -> int:
         """Smallest ``N >= 1`` with ``N * p`` equal to the origin."""
-        return lcm(*(v.denominator for v in self.coords()))
+        return self._level
 
     def is_torsion_of_level(self, level: int) -> bool:
         if level < 1:
             raise ValueError("torsion level must be positive")
-        return all((v * level).denominator == 1 for v in self.coords())
+        return level % self._level == 0
 
     def scale(self, k: int) -> "TorusPoint":
-        return TorusPoint(self._first.scale(k), self._second.scale(k))
+        return TorusPoint.from_integers(
+            self._ring, self._level, tuple(k * v for v in self._vector)
+        )
+
+    def _combine(self, other: "TorusPoint", sign: int) -> "TorusPoint":
+        _check_same_ring(self, other)
+        level = lcm(self._level, other._level)
+        f, g = level // self._level, sign * (level // other._level)
+        return TorusPoint.from_integers(
+            self._ring,
+            level,
+            tuple(f * a + g * b for a, b in zip(self._vector, other._vector)),
+        )
 
     def __add__(self, other: "TorusPoint") -> "TorusPoint":
         if not isinstance(other, TorusPoint):
             return NotImplemented
-        return TorusPoint(self._first + other._first, self._second + other._second)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TorusPoint") -> "TorusPoint":
         if not isinstance(other, TorusPoint):
             return NotImplemented
-        return TorusPoint(self._first - other._first, self._second - other._second)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "TorusPoint":
-        return TorusPoint(-self._first, -self._second)
+        return self.scale(-1)
 
     def is_origin(self) -> bool:
-        return self._first.is_zero() and self._second.is_zero()
+        return self._level == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusPoint):
             return NotImplemented
         return (
             self._ring is other._ring
-            and self._first == other._first
-            and self._second == other._second
+            and self._level == other._level
+            and self._vector == other._vector
         )
 
     def __hash__(self) -> int:
-        return hash((self._ring, self._first, self._second))
+        return hash((self._ring, self._level, self._vector))
 
     def __repr__(self) -> str:
         return f"TorusPoint{self.coords()!r}"
@@ -111,7 +172,7 @@ class TorusPoint:
 class TorusEndo:
     """A 2x2 matrix over the ring, acting factor-wise on ``E x E``."""
 
-    __slots__ = ("_ring", "_entries", "_order_cache")
+    __slots__ = ("_ring", "_entries", "_order_cache", "_induced")
 
     def __init__(self, entries) -> None:
         rows = tuple(tuple(row) for row in entries)
@@ -125,6 +186,7 @@ class TorusEndo:
         self._ring = flat[0].ring
         self._entries = rows
         self._order_cache: int | None = None
+        self._induced: IntMatrix | None = None
 
     @classmethod
     def identity(cls, ring: RingId) -> "TorusEndo":
@@ -210,12 +272,12 @@ class TorusEndo:
         )
 
     def apply(self, point: TorusPoint) -> TorusPoint:
+        """Image of a point, through the induced matrix on its integer vector."""
         _check_same_ring(self, point)
-        p1, p2 = point.first, point.second
-        rows = self._entries
-        return TorusPoint(
-            rows[0][0].to_field() * p1 + rows[0][1].to_field() * p2,
-            rows[1][0].to_field() * p1 + rows[1][1].to_field() * p2,
+        return TorusPoint.from_integers(
+            self._ring,
+            point.torsion_level(),
+            self.induced_matrix().apply_int(point.vector()),
         )
 
     def induced_matrix(self) -> IntMatrix:
@@ -223,16 +285,18 @@ class TorusEndo:
 
         Each ring entry is replaced by its 2x2 regular representation on the
         basis ``{1, zeta}``, so composition of endomorphisms corresponds to
-        products of induced matrices.
+        products of induced matrices.  The matrix is built once per map.
         """
-        blocks = [
-            [
-                IntMatrix(self._entries[i][j].regular_representation())
-                for j in range(2)
+        if self._induced is None:
+            blocks = [
+                [
+                    IntMatrix(self._entries[i][j].regular_representation())
+                    for j in range(2)
+                ]
+                for i in range(2)
             ]
-            for i in range(2)
-        ]
-        return IntMatrix.block(blocks)
+            self._induced = IntMatrix.block(blocks)
+        return self._induced
 
     def multiplicative_order(self, bound: int = LINEAR_ORDER_BOUND) -> int:
         if self._order_cache is not None and self._order_cache <= bound:
@@ -298,6 +362,24 @@ class TorusAuto:
     def apply(self, point: TorusPoint) -> TorusPoint:
         return self._linear.apply(point) + self._translation
 
+    def _translation_iterates(self, count: int) -> list[tuple[int, ...]]:
+        """Translation parts of ``self**k`` for ``k = 0..count``.
+
+        They follow ``t_0 = 0`` and ``t_(k+1) = M t_k + a`` with ``M`` the
+        induced matrix, as integer vectors over the torsion level of ``a``.
+        """
+        matrix = self._linear.induced_matrix()
+        level = self._translation.torsion_level()
+        shift = self._translation.vector()
+        current = (0, 0, 0, 0)
+        out = [current]
+        for _ in range(count):
+            current = tuple(
+                (x + s) % level for x, s in zip(matrix.apply_int(current), shift)
+            )
+            out.append(current)
+        return out
+
     def __mul__(self, other: "TorusAuto") -> "TorusAuto":
         """Composition, ``(self * other)(p) == self(other(p))``."""
         if not isinstance(other, TorusAuto):
@@ -313,12 +395,18 @@ class TorusAuto:
             raise ValueError("negative automorphism powers are not supported")
         if exponent == 0:
             return TorusAuto.identity(self.ring)
-        total = self._translation
-        image = self._translation
-        for _ in range(exponent - 1):
-            image = self._linear.apply(image)
-            total = total + image
-        return TorusAuto(self._linear**exponent, total)
+        # A power of a valid map is valid, and h**e has order m0/gcd(m0, e),
+        # so the constructor's checks are skipped.
+        power = TorusAuto.__new__(TorusAuto)
+        power._linear = self._linear**exponent
+        power._translation = TorusPoint.from_integers(
+            self.ring,
+            self._translation.torsion_level(),
+            self._translation_iterates(exponent)[-1],
+        )
+        power._linear_order = self._linear_order // gcd(self._linear_order, exponent)
+        power._order_cache = None
+        return power
 
     def order(self) -> int:
         """Order as a group element.
@@ -331,13 +419,9 @@ class TorusAuto:
         if self._order_cache is not None:
             return self._order_cache
         m0 = self._linear_order
-        s = TorusEndo.zero(self.ring)
-        power = TorusEndo.identity(self.ring)
-        for _ in range(m0):
-            s = s + power
-            power = power @ self._linear
-        residue = s.apply(self._translation)
-        self._order_cache = m0 * residue.torsion_level()
+        level = self._translation.torsion_level()
+        residue = self._translation_iterates(m0)[-1]
+        self._order_cache = m0 * (level // gcd(level, *residue))
         return self._order_cache
 
     def __eq__(self, other: object) -> bool:
@@ -370,12 +454,15 @@ def orbit_sum_data(auto: TorusAuto, length: int) -> tuple[TorusEndo, TorusPoint]
         raise ValueError("orbit length must be positive")
     ring = auto.ring
     l_sum = TorusEndo.zero(ring)
-    c_sum = TorusPoint.origin(ring)
-    power = TorusAuto.identity(ring)
+    power = TorusEndo.identity(ring)
     for _ in range(length):
-        l_sum = l_sum + power.linear
-        c_sum = c_sum + power.translation
-        power = auto * power
+        l_sum = l_sum + power
+        power = power @ auto.linear
+    c_sum = TorusPoint.from_integers(
+        ring,
+        auto.translation.torsion_level(),
+        tuple(map(sum, zip(*auto._translation_iterates(length - 1)))),
+    )
     return l_sum, c_sum
 
 

@@ -1,16 +1,16 @@
 """Acceptance panel: twelve exact checks covering the full pipeline.
 
 Every check recomputes its values through the public API and compares with
-zero tolerance.  The panel is evaluated once per session; each criterion
-prints a single PASS/FAIL line (visible under ``pytest -s`` or in captured
-output) and the whole module is budgeted to finish in well under ten
-seconds.
+zero tolerance.  The panel is evaluated once per session (the
+``panel_run`` fixture in ``conftest.py``, shared with the CLI tests); each
+criterion prints a single PASS/FAIL line (visible under ``pytest -s`` or in
+captured output) and the whole module is budgeted to finish in well under
+ten seconds.
 """
 
 from __future__ import annotations
 
 import inspect
-import time
 
 import pytest
 
@@ -27,12 +27,9 @@ from kummerlab.verify import (
 
 
 @pytest.fixture(scope="module")
-def panel() -> dict[str, CheckResult]:
-    start = time.monotonic()
-    results = run_panel()
-    elapsed = time.monotonic() - start
-    by_name = {result.name: result for result in results}
-    by_name["__elapsed__"] = elapsed
+def panel(panel_run) -> dict[str, CheckResult]:
+    by_name = {result.name: result for result in panel_run.results}
+    by_name["__elapsed__"] = panel_run.elapsed
     return by_name
 
 
@@ -181,12 +178,18 @@ def test_panel_is_complete_and_fast(panel) -> None:
     assert panel["__elapsed__"] < 10.0
 
 
-def test_negative_control_detects_tampering(capsys, monkeypatch) -> None:
+def test_negative_control_detects_tampering(panel_run, capsys, monkeypatch) -> None:
     # Sanity check on the harness itself: a corrupted expectation must
-    # fail the panel and flip the command-line exit code.
+    # fail the panel and flip the command-line exit code.  The checks
+    # replay the session's computed values instead of recomputing them.
     items = build_panel()
+    actual = {result.name: result.actual for result in panel_run.results}
     broken = [
-        PanelItem(item.name, [0] if item.name == "kummer_series_order5" else item.expected, item.compute)
+        PanelItem(
+            item.name,
+            [0] if item.name == "kummer_series_order5" else item.expected,
+            lambda value=actual[item.name]: value,
+        )
         for item in items
     ]
     results = run_panel(broken)

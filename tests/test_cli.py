@@ -349,7 +349,9 @@ def test_usage_errors_exit_two(capsys) -> None:
     capsys.readouterr()
 
 
-def test_verify_paper_passes(capsys) -> None:
+def test_verify_paper_passes(panel_run, capsys, monkeypatch) -> None:
+    # The panel itself is computed once per session (conftest.py).
+    monkeypatch.setattr(cli, "run_panel", lambda: panel_run.results)
     code, payload = run_json(capsys, ["verify-paper"])
     assert code == EXIT_OK
     assert payload["passed"] is True

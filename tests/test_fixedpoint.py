@@ -22,8 +22,10 @@ from kummerlab.fixedpoint import (
     verify_certificate,
 )
 from kummerlab.lattice import torus_system_solvable
+from kummerlab.linalg import IntMatrix
 from kummerlab.rings import FieldElem, RingElem, RingId, zeta6
-from kummerlab.torus import TorusAuto, TorusEndo, TorusPoint
+from kummerlab.search import torsion_points
+from kummerlab.torus import TorusAuto, TorusEndo, TorusPoint, orbit_sum_data
 
 
 def diagonal_auto(ring, d1, d2, coords) -> TorusAuto:
@@ -300,3 +302,49 @@ def test_translation_must_be_fibre_torsion() -> None:
         group_acts_freely(psi, 3)
     with pytest.raises(ValueError):
         has_fixed_point(psi_order3(), 1)
+
+
+def test_shared_linear_cache_changes_no_report() -> None:
+    # Orbit systems and their normal forms depend on the linear part only,
+    # so one cache serves every translation class of that linear part.
+    ring = RingId.EISENSTEIN
+    linear = TorusEndo.diagonal(RingElem.zeta(ring), RingElem.one(ring))
+    shared: dict = {}
+    decided = 0
+    for a in torsion_points(ring, 3):
+        auto = TorusAuto(linear, a)
+        for stop_at_first in (True, False):
+            fresh = group_acts_freely(auto, 3, stop_at_first=stop_at_first, cache={})
+            reused = group_acts_freely(
+                auto, 3, stop_at_first=stop_at_first, cache=shared
+            )
+            assert reused == fresh
+        decided += 1
+    assert decided == 81
+    assert shared, "the shared cache holds the systems and their normal forms"
+
+
+def test_orbit_system_matches_point_level_definitions() -> None:
+    # Dual route: blocks and constants rebuilt from iterates and orbit sums
+    # of the map itself.  The constants are pinned as representatives, not
+    # only mod 1, because obstruction pairings print them.
+    for psi in (psi_order3(), psi_order3_shifted(), psi_order4()):
+        m = psi.linear.induced_matrix()
+        for n in (3, 4):
+            for orbit_type in orbit_types(n, psi.order()):
+                system, constants = orbit_system(psi, orbit_type)
+                k = len(orbit_type.parts)
+                expected: list[Fraction] = []
+                weighted = [Fraction(0)] * 4
+                for i, (l, mult) in enumerate(orbit_type.parts):
+                    closure = m**l - IntMatrix.identity(4)
+                    summed, constant = orbit_sum_data(psi, l)
+                    for r in range(4):
+                        assert system[4 * i + r][4 * i : 4 * i + 4] == closure[r]
+                        row = system[4 * k + r][4 * i : 4 * i + 4]
+                        assert row == summed.induced_matrix().scale(mult)[r]
+                    expected.extend(-v for v in (psi**l).translation.coords())
+                    for j, v in enumerate(constant.coords()):
+                        weighted[j] += mult * v
+                expected.extend(-v for v in weighted)
+                assert constants == tuple(expected)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -112,3 +116,45 @@ def test_certificate_checkers_reject_nonsense() -> None:
     assert not verify_witness(system, constants, (Fraction(1, 4), Fraction(1, 4)))
     assert not verify_obstruction(system, constants, (1, 0))
     assert not verify_obstruction(system, [Fraction(1, 2), Fraction(1, 2)], (1, -1))
+
+
+_SELF_CHECK_SCRIPT = """
+import contextlib, io, sys
+from fractions import Fraction
+import kummerlab.cli as cli
+import kummerlab.lattice as lattice
+from kummerlab.linalg import IntMatrix, SelfCheckError
+
+assert not __debug__, "run under python -O"
+lattice.verify_witness = lambda *args: False
+try:
+    lattice.torus_system_solvable(IntMatrix([[2, 1], [1, 1]]), [Fraction(1, 3), 0])
+except SelfCheckError:
+    pass
+else:
+    sys.exit("the witness re-check did not raise")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["freeness", "--ring", "eisenstein", "--h", "[[z,0],[0,1]]",
+                     "--a", "(0,0)", "--n", "3"])
+sys.exit(0 if code == cli.EXIT_MATH else f"exit code {code}")
+"""
+
+
+def test_self_checks_survive_optimized_mode() -> None:
+    # Under ``python -O`` an ``assert`` vanishes; the re-checks must not.
+    # A witness rejected by its re-check raises SelfCheckError, and the
+    # command line reports it on an error line with exit code 1.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _SELF_CHECK_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from kummerlab.cli import format_matrix, format_point
 from kummerlab.enriques import QuotientVerdict
 from kummerlab.fixedpoint import group_acts_freely
 from kummerlab.rings import RingElem, RingId, zeta6
@@ -165,9 +168,23 @@ def test_order6_linear_admits_no_free_pair_on_sixth_fibre() -> None:
     assert results == []
 
 
+# sha256 of the ordered "h a order verdict" rows of the full Eisenstein
+# n=3 sweep: pins the class representatives and their order.
+EISENSTEIN_ORDER3_DIGEST = (
+    "4ce4c40fe5a586d7c3f78d36faad404a73bafe5bb9351e85c907f47e3ee18f20"
+)
+
+
 def test_full_sweep_eisenstein_order3_fibre() -> None:
     results = run_search(3, RingId.EISENSTEIN)
     assert len(results) == 64
+    rows = [
+        f"{format_matrix(r.linear)} {format_point(r.translation)} "
+        f"{r.order} {r.classification.verdict.value}"
+        for r in results
+    ]
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == EISENSTEIN_ORDER3_DIGEST
     verify_results(results, 3)
     assert {r.order for r in results} == {3}
     linear_parts = {r.linear for r in results}

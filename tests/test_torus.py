@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from kummerlab.rings import FieldElem, RingElem, RingId
+from kummerlab.search import linear_candidates, torsion_points
 from kummerlab.torus import (
     LINEAR_ORDER_BOUND,
     TorusAuto,
@@ -238,3 +239,91 @@ def test_induced_h1_matrix_has_finite_order() -> None:
         order = auto.linear.multiplicative_order()
         assert m**order == m**0
         assert LINEAR_ORDER_BOUND % order == 0
+
+
+# ---------------------------------------------------------------------------
+# The integer-vector kernel
+
+
+def test_point_identity_is_canonical_across_denominators() -> None:
+    ring = RingId.GAUSSIAN
+    quarter = TorusPoint.from_vector(ring, ("2/4", "0", "3/6", "4/8"))
+    half = TorusPoint.from_vector(ring, ("1/2", "0", "1/2", "1/2"))
+    assert quarter == half
+    assert hash(quarter) == hash(half)
+    assert quarter.torsion_level() == 2
+    assert quarter.vector() == (1, 0, 1, 1)
+    assert quarter.vector(6) == (3, 0, 3, 3)
+    assert TorusPoint.from_integers(ring, 8, (4, 8, 12, 20)) == half
+    assert TorusPoint.from_vector(ring, ("5/4", "-1", "-3/2", "1/2")) == (
+        TorusPoint.from_vector(ring, ("1/4", "0", "1/2", "1/2"))
+    )
+    with pytest.raises(ValueError):
+        half.vector(3)
+
+
+def test_integer_ring_folds_the_generator_coordinate() -> None:
+    ring = RingId.RATIONAL_INT
+    p = TorusPoint.from_vector(ring, ("1/4", "1/4", "1/3", "0"))
+    assert p.coords() == (Fraction(1, 2), 0, Fraction(1, 3), 0)
+    assert TorusPoint.from_vector(ring, ("1/2", "1/2", "0", "0")).is_origin()
+    assert len(torsion_points(ring, 2)) == 4
+    for point in torsion_points(ring, 6):
+        assert point.vector()[1::2] == (0, 0)
+
+
+def sampled_autos(ring: RingId, count: int, seed: int) -> list[TorusAuto]:
+    rng = random.Random(seed)
+    catalog = linear_candidates(ring, 1)
+    return [
+        TorusAuto(
+            rng.choice(catalog), random_point(rng, ring, rng.choice((2, 3, 4, 6)))
+        )
+        for _ in range(count)
+    ]
+
+
+def probe_points(ring: RingId) -> list[TorusPoint]:
+    """Origin and the level-97 coordinate points: they pin down an affine map."""
+    units = [
+        TorusPoint.from_integers(ring, 97, [int(i == j) for j in range(4)])
+        for i in range(4)
+    ]
+    return [TorusPoint.origin(ring), *units]
+
+
+def iterate(auto: TorusAuto, point: TorusPoint, times: int) -> TorusPoint:
+    for _ in range(times):
+        point = auto.apply(point)
+    return point
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_power_and_order_agree_with_repeated_apply(ring: RingId) -> None:
+    rng = random.Random(1212)
+    probes = probe_points(ring)
+    for auto in sampled_autos(ring, 12, 3434):
+        points = probes + [random_point(rng, ring) for _ in range(3)]
+        for k in range(0, 8):
+            power = auto**k
+            assert all(power.apply(p) == iterate(auto, p, k) for p in points)
+        order = auto.order()
+        moved = [
+            k for k in range(1, order + 1)
+            if any(iterate(auto, p, k) != p for p in probes)
+        ]
+        assert moved == list(range(1, order)), "order is the first return"
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_orbit_sum_data_agrees_with_repeated_apply(ring: RingId) -> None:
+    rng = random.Random(5656)
+    for auto in sampled_autos(ring, 8, 7878):
+        for length in range(1, 7):
+            summed, constant = orbit_sum_data(auto, length)
+            for _ in range(3):
+                p = random_point(rng, ring)
+                total = TorusPoint.origin(ring)
+                for k in range(length):
+                    total = total + iterate(auto, p, k)
+                assert total == summed.apply(p) + constant
