@@ -21,7 +21,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enriques import classify_free_quotient, decomposition_search
+from .enriques import (
+    all_single_factor,
+    classify_free_quotient,
+    decomposition_search,
+)
 from .fixedpoint import (
     CertificateOutcome,
     NotNTorsionError,
@@ -476,8 +480,7 @@ def _run_decompose(spec: CommandSpec) -> tuple[dict, int]:
         "chi": spec.chi,
         "count": len(decompositions),
         "decompositions": [decomposition_labels(d) for d in decompositions],
-        "irreducible_only": bool(decompositions)
-        and all(len(d.factors) == 1 for d in decompositions),
+        "irreducible_only": all_single_factor(decompositions),
     }
     return payload, EXIT_OK
 

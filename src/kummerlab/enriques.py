@@ -79,6 +79,10 @@ class FactorKind(Enum):
     CY_EVEN = "cy_even"
 
 
+def _factor_chi(kind: FactorKind, dim: int) -> int:
+    return holomorphic_euler_ihs(dim) if kind is FactorKind.IHS else 2
+
+
 @dataclass(frozen=True)
 class FactorDecomposition:
     """A multiset of factors, stored sorted (largest dimension first)."""
@@ -91,12 +95,8 @@ class FactorDecomposition:
     def chi(self) -> int:
         out = 1
         for kind, dim in self.factors:
-            out *= holomorphic_euler_ihs(dim) if kind is FactorKind.IHS else 2
+            out *= _factor_chi(kind, dim)
         return out
-
-
-def _factor_chi(kind: FactorKind, dim: int) -> int:
-    return holomorphic_euler_ihs(dim) if kind is FactorKind.IHS else 2
 
 
 def decomposition_search(dimension: int, chi: int) -> list[FactorDecomposition]:
@@ -139,9 +139,13 @@ def decomposition_search(dimension: int, chi: int) -> list[FactorDecomposition]:
     return found
 
 
-def is_irreducible_feasible(dimension: int, chi: int) -> bool:
-    """True when every admissible decomposition consists of a single factor."""
-    decompositions = decomposition_search(dimension, chi)
+def all_single_factor(decompositions: list[FactorDecomposition]) -> bool:
+    """True when the list is nonempty and each decomposition has one factor."""
     return bool(decompositions) and all(
         len(dec.factors) == 1 for dec in decompositions
     )
+
+
+def is_irreducible_feasible(dimension: int, chi: int) -> bool:
+    """True when every admissible decomposition consists of a single factor."""
+    return all_single_factor(decomposition_search(dimension, chi))

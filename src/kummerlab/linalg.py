@@ -1,11 +1,12 @@
 """Integer matrices with exact normal forms.
 
-Everything here is plain arbitrary-precision integer arithmetic.  The two
-workhorses are :func:`smith_normal_form`, which returns the full transform
-data ``U * A * V = D`` with unimodular ``U`` and ``V``, and the fraction-free
-Bareiss determinant.  The normal forms re-verify their own output and raise
-:class:`SelfCheckError` on a mismatch; the checks are not ``assert``
-statements, so they also run under ``python -O``.
+Everything here is plain arbitrary-precision integer arithmetic.  The
+workhorse is :func:`smith_normal_form`, which returns the full transform
+data ``U * A * V = D`` with unimodular ``U`` and ``V``; the fraction-free
+Bareiss determinant serves the Lefschetz numbers and the cross-checks.
+
+A Smith form certifies itself exactly, with a zero-skipping product and an
+inverse pair in place of determinants; :func:`smith_normal_form` says how.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 
 class SelfCheckError(ArithmeticError):
@@ -35,8 +36,17 @@ class IntMatrix:
         self._rows = rows
 
     @classmethod
+    def _of(cls, rows) -> "IntMatrix":
+        """Wrap rows that are already integer sequences of equal length."""
+        matrix = cls.__new__(cls)
+        matrix._rows = tuple(map(tuple, rows))
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrix dimensions must be positive")
+        return cls._of(_identity_rows(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -94,14 +104,31 @@ class IntMatrix:
         return IntMatrix([[k * a for a in row] for row in self._rows])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Exact product that skips zero entries.
+
+        Each row of the result is accumulated as a combination of the rows
+        of ``other``, weighted by the nonzero entries of the matching row of
+        ``self``, so sparse factors cost in proportion to their nonzeros.
+        Weights of ``+-1``, the common case in unimodular transforms, add or
+        subtract a row without multiplying.
+        """
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = tuple(zip(*other._rows))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows]
-        )
+        zero = (0,) * other.cols
+        out = []
+        for row in self._rows:
+            acc = zero
+            for a, other_row in zip(row, other._rows):
+                if a == 1:
+                    acc = list(map(add, acc, other_row))
+                elif a == -1:
+                    acc = list(map(sub, acc, other_row))
+                elif a:
+                    acc = list(map(add, acc, map(a.__mul__, other_row)))
+            out.append(tuple(acc))
+        return IntMatrix._of(out)
 
     def __pow__(self, exponent: int) -> "IntMatrix":
         if self.rows != self.cols:
@@ -119,7 +146,7 @@ class IntMatrix:
         return result
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self._rows)))
+        return IntMatrix._of(zip(*self._rows))
 
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self._rows)
@@ -177,45 +204,52 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self._rows]!r})"
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms.
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
-    Args:
-        a: any integer matrix.
 
-    Returns:
-        ``(U, D, V)`` with ``U @ a @ V == D``, ``U`` and ``V`` unimodular and
-        ``D`` diagonal with non-negative entries ``d1 | d2 | ...`` followed by
-        zeros.
+def _smith_elimination(a: IntMatrix):
+    """Diagonalize ``a`` by elementary operations, tracking the inverses.
 
-    The pivot at each stage is the nonzero entry of minimal absolute value in
-    the remaining block, ties broken in row-major order, which makes the
-    output deterministic.
+    Returns ``(u, d, v, u_inv_t, v_inv)`` as lists of rows, with
+    ``u @ a @ v == d``.  Every row operation on ``u`` is mirrored by the
+    inverse column operation on ``u^-1`` and every column operation on
+    ``v`` by the inverse row operation on ``v^-1``.  ``u^-1`` is kept
+    transposed, so that its column operations are row operations too.
     """
     rows, cols = a.rows, a.cols
     d = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    u = _identity_rows(rows)
+    u_inv_t = _identity_rows(rows)
+    v = _identity_rows(cols)
+    v_inv = _identity_rows(cols)
 
     def swap_rows(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
+        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
 
     def swap_cols(i: int, j: int) -> None:
         for row in d:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src: int, dst: int, k: int) -> None:
         d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
         u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+        u_inv_t[src] = [x - k * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
 
     def add_col(src: int, dst: int, k: int) -> None:
         for row in d:
             row[dst] += k * row[src]
         for row in v:
             row[dst] += k * row[src]
+        v_inv[src] = [x - k * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     def find_pivot(t: int) -> tuple[int, int] | None:
         best = None
@@ -267,66 +301,54 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
+            u_inv_t[t] = [-x for x in u_inv_t[t]]
+    return u, d, v, u_inv_t, v_inv
 
-    mu = IntMatrix(u)
-    md = IntMatrix(d)
-    mv = IntMatrix(v)
+
+def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form with transforms.
+
+    Args:
+        a: any integer matrix.
+
+    Returns:
+        ``(U, D, V)`` with ``U @ a @ V == D``, ``U`` and ``V`` unimodular and
+        ``D`` diagonal with non-negative entries ``d1 | d2 | ...`` followed by
+        zeros.
+
+    The pivot at each stage is the nonzero entry of minimal absolute value in
+    the remaining block, ties broken in row-major order, which makes the
+    output deterministic.
+
+    The output certifies itself before it is returned, exactly and at about
+    the cost of the elimination, and raises :class:`SelfCheckError` on a
+    mismatch.  The checks are not ``assert`` statements, so they also run
+    under ``python -O``:
+
+    * ``U @ a @ V == D`` is checked with the matrix product, which skips
+      zero entries, so the sparse orbit systems and their transforms are
+      cheap to multiply;
+    * unimodularity is checked without determinants: the elimination also
+      builds ``U^-1`` and ``V^-1`` by the inverse elementary operations, and
+      ``U @ U^-1 == I`` and ``V @ V^-1 == I`` are checked with the same
+      product.  Integer matrices ``X`` and ``Y`` with ``X @ Y == I`` both
+      have determinant ``+-1``, so this is an exact proof;
+    * the diagonal must be a divisor chain.
+    """
+    u, d, v, u_inv_t, v_inv = _smith_elimination(a)
+    mu, md, mv = IntMatrix._of(u), IntMatrix._of(d), IntMatrix._of(v)
     if mu @ a @ mv != md:
         raise SelfCheckError("Smith normal form transform check failed")
-    if abs(mu.det()) != 1 or abs(mv.det()) != 1:
+    # U @ U^-1 == I is checked in its transposed form U^-T @ U^T == I.
+    if IntMatrix._of(u_inv_t) @ mu.transpose() != IntMatrix.identity(a.rows) or (
+        mv @ IntMatrix._of(v_inv) != IntMatrix.identity(a.cols)
+    ):
         raise SelfCheckError("Smith normal form transforms are not unimodular")
-    diag = [md[i][i] for i in range(min(rows, cols))]
+    diag = [md[i][i] for i in range(min(a.rows, a.cols))]
     for x, y in zip(diag, diag[1:]):
         if not ((x == 0 and y == 0) or (x != 0 and y % x == 0)):
             raise SelfCheckError("Smith normal form diagonal is not a divisor chain")
     return mu, md, mv
-
-
-def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form ``U @ a == H`` with unimodular ``U``.
-
-    Pivots are positive, entries above a pivot are reduced into ``[0, pivot)``
-    and zero rows sink to the bottom.
-    """
-    rows, cols = a.rows, a.cols
-    h = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    r = 0
-    for c in range(cols):
-        # euclidean elimination in column c below row r
-        while True:
-            nz = [i for i in range(r, rows) if h[i][c] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(h[i][c]))
-            small, other = nz[0], nz[1]
-            q = h[other][c] // h[small][c]
-            h[other] = [x - q * y for x, y in zip(h[other], h[small])]
-            u[other] = [x - q * y for x, y in zip(u[other], u[small])]
-        nz = [i for i in range(r, rows) if h[i][c] != 0]
-        if not nz:
-            continue
-        i = nz[0]
-        h[r], h[i] = h[i], h[r]
-        u[r], u[i] = u[i], u[r]
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = h[i][c] // h[r][c]
-            if q:
-                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        r += 1
-        if r == rows:
-            break
-    mu = IntMatrix(u)
-    mh = IntMatrix(h)
-    if mu @ a != mh:
-        raise SelfCheckError("Hermite normal form transform check failed")
-    if abs(mu.det()) != 1:
-        raise SelfCheckError("Hermite normal form transform is not unimodular")
-    return mu, mh
 
 
 def elementary_divisors_via_minors(a: IntMatrix) -> list[int]:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .enriques import QuotientClassification, classify_free_quotient
 from .fixedpoint import FreenessReport, group_acts_freely
+from .linalg import SelfCheckError
 from .rings import RingElem, RingId
 from .torus import (
     LINEAR_ORDER_BOUND,
@@ -73,22 +74,6 @@ def ring_elements_up_to_norm(ring: RingId, bound: int) -> list[RingElem]:
     return found
 
 
-def _has_finite_order(endo: TorusEndo) -> bool:
-    """Whether the matrix is torsion in the matrix group.
-
-    Eigenvalues of a finite-order matrix are roots of unity of degree at
-    most four over the rationals that live in a quadratic extension of the
-    scalar field, so every achievable order divides 24 and torsion is
-    equivalent to the 24th power being the identity (five squarings
-    instead of a stepwise order hunt).
-    """
-    p2 = endo @ endo
-    p3 = p2 @ endo
-    p6 = p3 @ p3
-    p12 = p6 @ p6
-    return p12 @ p12 == TorusEndo.identity(endo.ring)
-
-
 def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     """Finite-order linear automorphisms with entries of norm <= max_norm.
 
@@ -104,9 +89,10 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
         if not det.is_unit():
             continue
         endo = TorusEndo(((p, q), (r, s)))
-        if not _has_finite_order(endo):
+        try:
+            endo.multiplicative_order()
+        except UnsupportedAutomorphismError:
             continue
-        endo.multiplicative_order(LINEAR_ORDER_BOUND)
         accepted.append(endo)
     return accepted
 
@@ -159,7 +145,7 @@ def _unit_order(unit: RingElem, bound: int = LINEAR_ORDER_BOUND) -> int:
         if power == one:
             return k
         power = power * unit
-    raise AssertionError("unit order must be bounded by the linear order cap")
+    raise SelfCheckError("unit order must be bounded by the linear order cap")
 
 
 def run_search(

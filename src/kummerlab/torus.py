@@ -299,17 +299,23 @@ class TorusEndo:
         return self._induced
 
     def multiplicative_order(self, bound: int = LINEAR_ORDER_BOUND) -> int:
-        if self._order_cache is not None and self._order_cache <= bound:
-            return self._order_cache
-        power = self
-        for k in range(1, bound + 1):
-            if power == TorusEndo.identity(self._ring):
-                self._order_cache = k
-                return k
-            power = power @ self
-        raise UnsupportedAutomorphismError(
-            f"linear part has no multiplicative order up to {bound}"
-        )
+        """The order of the map; computed once, on the induced matrix.
+
+        A finite-order 2x2 matrix over these rings has eigenvalues that are
+        roots of unity of degree at most two over the scalar field, so its
+        order divides 24.  The map is therefore torsion exactly when the
+        24th power of the induced matrix is the identity, and its order is
+        the least divisor of 24 whose power is.  Raises
+        :class:`UnsupportedAutomorphismError` for infinite order or an order
+        above ``bound``.
+        """
+        if self._order_cache is None:
+            self._order_cache = _order_dividing_24(self.induced_matrix())
+        if not 0 < self._order_cache <= bound:
+            raise UnsupportedAutomorphismError(
+                f"linear part has no multiplicative order up to {bound}"
+            )
+        return self._order_cache
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusEndo):
@@ -321,6 +327,20 @@ class TorusEndo:
 
     def __repr__(self) -> str:
         return f"TorusEndo({[[e for e in row] for row in self._entries]!r})"
+
+
+def _order_dividing_24(m: IntMatrix) -> int:
+    """The order of ``m`` if it divides 24, else 0, in at most seven products."""
+    p2 = m @ m
+    p3 = p2 @ m
+    p6 = p3 @ p3
+    p12 = p6 @ p6
+    identity = IntMatrix.identity(m.rows)
+    if p12 @ p12 != identity:
+        return 0
+    p4 = p2 @ p2
+    powers = ((1, m), (2, p2), (3, p3), (4, p4), (6, p6), (8, p4 @ p4), (12, p12))
+    return next((k for k, power in powers if power == identity), 24)
 
 
 class TorusAuto:

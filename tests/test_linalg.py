@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kummerlab.cli as cli
+import kummerlab.lattice as lattice
 from kummerlab.linalg import (
     IntMatrix,
     elementary_divisors_via_minors,
-    hermite_normal_form,
     smith_normal_form,
 )
 
@@ -32,29 +38,182 @@ def test_smith_form_frozen_example() -> None:
     assert elementary_divisors_via_minors(a) == [2, 2, 156]
 
 
+def dense_product(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """The textbook row-by-column product, kept as the reference."""
+    columns = list(zip(*y.entries))
+    return IntMatrix(
+        [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in x.entries]
+    )
+
+
+def sparse_matrix(rng: random.Random, rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(
+        [
+            [rng.randint(-5, 5) if rng.random() < 0.2 else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+    )
+
+
+def test_sparse_product_matches_dense_reference() -> None:
+    rng = random.Random(313)
+    for _ in range(40):
+        rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
+        make = rng.choice([random_matrix, sparse_matrix])
+        x = make(rng, rows, inner)
+        y = make(rng, inner, cols)
+        assert x @ y == dense_product(x, y)
+    assert IntMatrix.zeros(2, 3) @ IntMatrix.zeros(3, 4) == IntMatrix.zeros(2, 4)
+    with pytest.raises(ValueError):
+        IntMatrix.zeros(2, 3) @ IntMatrix.zeros(2, 3)
+
+
 def test_smith_form_random_properties() -> None:
+    # Dense, sparse and rank-deficient inputs, square, wide and tall.  The
+    # transforms are re-checked with the dense reference product and with
+    # determinants, the diagonal against gcds of minors.
     rng = random.Random(707)
-    for _ in range(25):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        a = random_matrix(rng, rows, cols)
+    shapes = set()
+    deficient = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        kind = rng.choice(["dense", "sparse", "low_rank"])
+        if kind == "dense":
+            a = random_matrix(rng, rows, cols)
+        elif kind == "sparse":
+            a = sparse_matrix(rng, rows, cols)
+        else:
+            inner = rng.randint(1, max(1, min(rows, cols) - 1))
+            a = dense_product(
+                random_matrix(rng, rows, inner, 3), random_matrix(rng, inner, cols, 3)
+            )
         u, d, v = smith_normal_form(a)
-        assert u @ a @ v == d
+        assert dense_product(dense_product(u, a), v) == d
         assert abs(u.det()) == 1
         assert abs(v.det()) == 1
         diagonal = [d[i][i] for i in range(min(rows, cols))]
-        assert all(x >= 0 for x in diagonal)
-        for first, second in zip(diagonal, diagonal[1:]):
-            if first:
-                assert second % first == 0
-            else:
-                assert second == 0
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert d[i][j] == 0
+        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
         nonzero = [x for x in diagonal if x]
+        assert diagonal == nonzero + [0] * (len(diagonal) - len(nonzero))
+        assert all(x > 0 and y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
         assert elementary_divisors_via_minors(a) == nonzero
+        deficient += len(nonzero) < min(rows, cols)
+        shapes.add((rows > cols) - (rows < cols))
+    assert shapes == {-1, 0, 1}
+    assert deficient >= 10
+
+
+# Every Smith form computed for ``freeness`` on the Eisenstein n=12 anchor,
+# in call order: their count and the sha256 of their reprs, one per line.
+ANCHOR_ARGV = [
+    "freeness", "--ring", "eisenstein", "--h", "[[z,0],[0,1]]",
+    "--a", "(1/3,1/3)", "--n", "12",
+]
+ANCHOR_SMITH_FORMS = 143
+ANCHOR_SMITH_DIGEST = "b5bc736c3dc075f7e5531638aece5f8dd5c1bcb0c5662885c988cae978f12c1b"
+
+
+def test_smith_forms_of_the_eisenstein_anchor_are_pinned(monkeypatch, capsys) -> None:
+    forms = []
+
+    def recording(a: IntMatrix):
+        form = smith_normal_form(a)
+        forms.append(form)
+        return form
+
+    monkeypatch.setattr(lattice, "smith_normal_form", recording)
+    assert cli.main(ANCHOR_ARGV) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(forms) == ANCHOR_SMITH_FORMS
+    digest = hashlib.sha256("\n".join(map(repr, forms)).encode()).hexdigest()
+    assert digest == ANCHOR_SMITH_DIGEST
+
+
+_MUTATION_SCRIPT = """
+import sys
+import kummerlab.linalg as linalg
+from kummerlab.linalg import IntMatrix, SelfCheckError, smith_normal_form
+
+elimination = linalg._smith_elimination
+
+
+def corrupt_u_inverse(u, d, v, u_inv_t, v_inv):
+    u_inv_t[0][-1] += 1
+
+
+def corrupt_v_inverse(u, d, v, u_inv_t, v_inv):
+    v_inv[-1][0] -= 1
+
+
+def scale_u_row(u, d, v, u_inv_t, v_inv):
+    # U @ A @ V == D still holds and the diagonal is still a divisor
+    # chain, but det U is now +-2.
+    u[-1] = [2 * x for x in u[-1]]
+    d[-1] = [2 * x for x in d[-1]]
+
+
+def scale_v_column(u, d, v, u_inv_t, v_inv):
+    for row in v:
+        row[-1] *= 2
+    for row in d:
+        row[-1] *= 2
+
+
+def corrupt_d(u, d, v, u_inv_t, v_inv):
+    # Transforms and inverses stay consistent, D no longer matches them.
+    d[-1][-1] += d[0][0]
+
+
+matrices = [
+    IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]),
+    IntMatrix([[1, 2, 3], [2, 4, 6]]),
+    IntMatrix([[0, 3], [1, 1], [2, 2], [1, 0]]),
+]
+corruptions = [
+    (corrupt_u_inverse, "not unimodular"),
+    (corrupt_v_inverse, "not unimodular"),
+    (scale_u_row, "not unimodular"),
+    (scale_v_column, "not unimodular"),
+    (corrupt_d, "transform check failed"),
+]
+for corrupt, expected in corruptions:
+    for a in matrices:
+        def patched(a, corrupt=corrupt):
+            out = elimination(a)
+            corrupt(*out)
+            return out
+
+        linalg._smith_elimination = patched
+        try:
+            smith_normal_form(a)
+        except SelfCheckError as exc:
+            if expected not in str(exc):
+                sys.exit(f"{corrupt.__name__}: caught by the wrong check: {exc}")
+        else:
+            sys.exit(f"{corrupt.__name__} went unnoticed on {a!r}")
+        linalg._smith_elimination = elimination
+        smith_normal_form(a)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_corrupted_transforms_raise_self_check_error(flags) -> None:
+    # A wrong tracked inverse, and a transform scaled by 2 together with D
+    # so that U @ A @ V == D still holds, must both fail the unimodularity
+    # check; a wrong D must fail the transform check.  Both hold also when
+    # ``python -O`` strips the asserts.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _MUTATION_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_smith_form_zero_matrix() -> None:
@@ -63,39 +222,6 @@ def test_smith_form_zero_matrix() -> None:
     assert u @ a @ v == d
     assert d.is_zero()
     assert elementary_divisors_via_minors(a) == []
-
-
-def test_hermite_form_random_properties() -> None:
-    rng = random.Random(808)
-    for _ in range(25):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        a = random_matrix(rng, rows, cols)
-        u, h = hermite_normal_form(a)
-        assert u @ a == h
-        assert abs(u.det()) == 1
-        pivot_cols = []
-        for i in range(rows):
-            row = [h[i][j] for j in range(cols)]
-            nonzero = [j for j, x in enumerate(row) if x]
-            if not nonzero:
-                # Zero rows sink to the bottom.
-                for k in range(i, rows):
-                    assert all(h[k][j] == 0 for j in range(cols))
-                break
-            pivot = nonzero[0]
-            pivot_cols.append(pivot)
-            assert h[i][pivot] > 0
-            for k in range(i):
-                assert 0 <= h[k][pivot] < h[i][pivot]
-        assert pivot_cols == sorted(pivot_cols)
-
-
-def test_hermite_form_frozen_example() -> None:
-    a = IntMatrix([[2, 3, 6], [4, 4, 8], [6, 5, 10]])
-    u, h = hermite_normal_form(a)
-    assert u @ a == h
-    assert h == IntMatrix([[2, 1, 2], [0, 2, 4], [0, 0, 0]])
 
 
 def test_determinant_matches_cofactor_expansion() -> None:

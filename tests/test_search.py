@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -10,9 +11,11 @@ from kummerlab.cli import format_matrix, format_point
 from kummerlab.enriques import QuotientVerdict
 from kummerlab.fixedpoint import group_acts_freely
 from kummerlab.rings import RingElem, RingId, zeta6
+from kummerlab.linalg import SelfCheckError
 from kummerlab.search import (
     MAX_NORM_CAP,
     SearchResult,
+    _unit_order,
     linear_candidates,
     ring_elements_up_to_norm,
     run_search,
@@ -86,6 +89,64 @@ def test_linear_candidates_are_finite_order_units() -> None:
             assert endo.det().is_unit()
             order = endo.multiplicative_order()
             assert endo**order == TorusEndo.identity(ring)
+
+
+# Catalog size and sha256 of the catalog's repr per (ring, max_norm), as
+# produced when finite order was decided by products in the ring.
+CATALOG_PINS = {
+    (RingId.RATIONAL_INT, 1): (24, "08d534113d4642ececc684abfc8e405f37a89480d397b34a05efe8cc9bc1542b"),
+    (RingId.RATIONAL_INT, 2): (24, "08d534113d4642ececc684abfc8e405f37a89480d397b34a05efe8cc9bc1542b"),
+    (RingId.GAUSSIAN, 1): (160, "ef3ba8700dd08931c40a3af800affab5b062201238a528dcabb92ba1c8d643b0"),
+    (RingId.GAUSSIAN, 2): (448, "0f8ea5aa8c7119d9e30811896bb9ff02cd5f0bf5bc1fb49f028b34ca54a5a260"),
+    (RingId.EISENSTEIN, 1): (576, "345055609695db927c5cf114ef50aea43150172f530eb678e75527784e5c07df"),
+    (RingId.EISENSTEIN, 2): (576, "345055609695db927c5cf114ef50aea43150172f530eb678e75527784e5c07df"),
+}
+
+
+@pytest.mark.parametrize("ring, max_norm", sorted(CATALOG_PINS, key=str))
+def test_linear_catalog_is_pinned(ring: RingId, max_norm: int) -> None:
+    catalog = linear_candidates(ring, max_norm)
+    count, digest = CATALOG_PINS[ring, max_norm]
+    assert len(catalog) == count
+    assert hashlib.sha256(repr(catalog).encode()).hexdigest() == digest
+
+
+def stepwise_order(endo: TorusEndo, bound: int = 24) -> int | None:
+    """Reference order by repeated products in the ring."""
+    identity = TorusEndo.identity(endo.ring)
+    power = endo
+    for k in range(1, bound + 1):
+        if power == identity:
+            return k
+        power = power @ endo
+    return None
+
+
+@pytest.mark.parametrize("ring", [RingId.RATIONAL_INT, RingId.GAUSSIAN, RingId.EISENSTEIN])
+def test_catalog_orders_match_ring_products(ring: RingId) -> None:
+    # Every unit-determinant matrix at norm one is accepted exactly when it
+    # has an order up to 24 in the ring, and with that order.
+    entries = ring_elements_up_to_norm(ring, 1)
+    catalog = set(linear_candidates(ring, 1))
+    for p, q, r, s in itertools.product(entries, repeat=4):
+        endo = TorusEndo(((p, q), (r, s)))
+        if not endo.det().is_unit():
+            continue
+        order = stepwise_order(endo)
+        assert (endo in catalog) == (order is not None)
+        if order is None:
+            with pytest.raises(UnsupportedAutomorphismError):
+                endo.multiplicative_order()
+        else:
+            assert endo.multiplicative_order() == order
+
+
+def test_unbounded_unit_order_is_a_self_check_error() -> None:
+    # The multiplier screen relies on unit orders within the linear order
+    # cap; a violation surfaces as SelfCheckError, which the command line
+    # maps to exit code 1, not as an AssertionError.
+    with pytest.raises(SelfCheckError):
+        _unit_order(RingElem(RingId.GAUSSIAN, 1, 1), bound=24)
 
 
 def test_torsion_point_counts() -> None:
