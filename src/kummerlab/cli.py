@@ -42,15 +42,9 @@ from .lefschetz import (
     lefschetz_torus,
 )
 from .linalg import SelfCheckError
-from .rings import FieldElem, RingElem, RingId
+from .rings import RingElem, RingId
 from .search import run_search
-from .torus import (
-    TorusAuto,
-    TorusEndo,
-    TorusPoint,
-    UnsupportedAutomorphismError,
-    induced_h1_matrix,
-)
+from .torus import TorusAuto, TorusEndo, TorusPoint, UnsupportedAutomorphismError
 from .verify import classification_payload, decomposition_labels, run_panel
 
 EXIT_OK = 0
@@ -66,7 +60,8 @@ _TERM = re.compile(r"([+-]?)([^+-]+)")
 _TERM_SHAPE = re.compile(r"[+-]?[^+-]+(?:[+-][^+-]+)*")
 
 
-def parse_element(text: str, ring: RingId) -> FieldElem:
+def parse_element(text: str, ring: RingId) -> tuple[Fraction, Fraction]:
+    """The coordinates ``(x, y)`` of ``x + y*z``; the integer ring folds ``z = 1``."""
     s = text.replace(" ", "")
     if not s or not _TERM_SHAPE.fullmatch(s):
         raise GrammarError(f"cannot parse element {text!r}")
@@ -83,11 +78,13 @@ def parse_element(text: str, ring: RingId) -> FieldElem:
                 x += sign * Fraction(body)
         except (ValueError, ZeroDivisionError) as exc:
             raise GrammarError(f"cannot parse element {text!r}") from exc
-    return FieldElem(ring, x, y)
+    if ring is RingId.RATIONAL_INT:
+        return x + y, Fraction(0)
+    return x, y
 
 
-def format_element(element: FieldElem) -> str:
-    x, y = element.x, element.y
+def format_element(element: tuple[Fraction, Fraction]) -> str:
+    x, y = element
     if y == 0:
         return str(x)
     if y == 1:
@@ -132,11 +129,14 @@ def parse_point(text: str, ring: RingId) -> TorusPoint:
     parts = _split_top(s[1:-1], "(", ")")
     if len(parts) != 2:
         raise GrammarError(f"point must have two coordinates, got {text!r}")
-    return TorusPoint(parse_element(parts[0], ring), parse_element(parts[1], ring))
+    return TorusPoint.from_vector(
+        ring, (*parse_element(parts[0], ring), *parse_element(parts[1], ring))
+    )
 
 
 def format_point(point: TorusPoint) -> str:
-    return f"({format_element(point.first)},{format_element(point.second)})"
+    coords = point.coords()
+    return f"({format_element(coords[:2])},{format_element(coords[2:])})"
 
 
 def parse_matrix(text: str, ring: RingId) -> TorusEndo:
@@ -155,17 +155,17 @@ def parse_matrix(text: str, ring: RingId) -> TorusEndo:
             raise GrammarError(f"matrix rows must have two entries, got {text!r}")
         row = []
         for cell in cells:
-            element = parse_element(cell, ring)
-            if not element.is_integral():
+            x, y = parse_element(cell, ring)
+            if x.denominator != 1 or y.denominator != 1:
                 raise GrammarError(f"matrix entry {cell!r} is not a ring integer")
-            row.append(RingElem(ring, int(element.x), int(element.y)))
+            row.append(RingElem(ring, int(x), int(y)))
         rows.append(row)
     return TorusEndo(rows)
 
 
 def format_matrix(endo: TorusEndo) -> str:
     rows = [
-        ",".join(format_element(e.to_field()) for e in row) for row in endo.entries
+        ",".join(format_element((e.x, e.y)) for e in row) for row in endo.entries
     ]
     return "[" + ",".join(f"[{row}]" for row in rows) + "]"
 
@@ -370,7 +370,7 @@ def _run_lefschetz(spec: CommandSpec) -> tuple[dict, int]:
     auto = parse_automorphism(spec.ring, spec.h_text, spec.a_text)
     if spec.n < 2:
         raise GrammarError("--n must be at least 2")
-    matrix = induced_h1_matrix(auto)
+    matrix = auto.linear.induced_matrix()
     payload = _auto_payload(spec, auto)
     payload["command"] = "lefschetz"
     payload["induced_matrix"] = [list(row) for row in matrix.entries]
@@ -450,7 +450,7 @@ def _run_characters(spec: CommandSpec) -> tuple[dict, int]:
     auto = parse_automorphism(spec.ring, spec.h_text, spec.a_text)
     if spec.n < 1:
         raise GrammarError("--n must be positive")
-    counts = invariant_character_counts(induced_h1_matrix(auto), spec.n)
+    counts = invariant_character_counts(auto.linear.induced_matrix(), spec.n)
     payload = _auto_payload(spec, auto)
     payload["command"] = "characters"
     payload["modulus"] = counts.modulus

@@ -39,12 +39,7 @@ from .lattice import (
     verify_obstruction,
 )
 from .linalg import IntMatrix
-from .torus import (
-    TORSION_LEVEL_CAP,
-    TorusAuto,
-    TorusPoint,
-    induced_h1_matrix,
-)
+from .torus import TORSION_LEVEL_CAP, TorusAuto, TorusPoint
 
 
 class NotNTorsionError(ValueError):
@@ -196,7 +191,7 @@ def orbit_system(
     """
     if cache is None:
         cache = {}
-    matrix = induced_h1_matrix(auto)
+    matrix = auto.linear.induced_matrix()
     tables = {l: _length_tables(matrix, l, cache) for l, _ in orbit_type.parts}
     zero4 = IntMatrix.zeros(4, 4)
     k = len(orbit_type.parts)
@@ -388,7 +383,7 @@ def brute_force_fixed_point(auto: TorusAuto, n: int, level: int) -> bool:
         raise ValueError(f"level must lie in 1..{TORSION_LEVEL_CAP}")
     modulus = lcm(level, auto.translation.torsion_level())
     scale = modulus // level
-    matrix = induced_h1_matrix(auto).entries
+    matrix = auto.linear.induced_matrix().entries
     shift = auto.translation.vector(modulus)
 
     def step(v: tuple[int, int, int, int]) -> tuple[int, int, int, int]:

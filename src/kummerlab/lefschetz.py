@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import IntMatrix
+from .linalg import IntMatrix, SelfCheckError
 from .series import TruncatedSeries
 
 MATRIX_ORDER_BOUND = 24
@@ -81,7 +81,7 @@ def kummer_series(m: IntMatrix, truncation: int) -> TruncatedSeries:
 
     Expands ``prod_{nu>=1} exp(sum_{s>=1} det(I - M^s)/s * t^(nu*s))`` to the
     requested truncation.  The coefficients are always non-negative integers;
-    integrality is asserted before returning.
+    a result that is not raises :class:`SelfCheckError`.
     """
     matrix_order(m)
     if truncation < 0:
@@ -92,8 +92,10 @@ def kummer_series(m: IntMatrix, truncation: int) -> TruncatedSeries:
         for s in range(1, truncation // nu + 1):
             exponent[nu * s] += Fraction(dets[s], s)
     result = TruncatedSeries(exponent).exp()
-    assert result.is_integral(), "series coefficients must be integers"
-    assert all(c >= 0 for c in result.coefficients)
+    if not result.is_integral():
+        raise SelfCheckError("series coefficients must be integers")
+    if any(c < 0 for c in result.coefficients):
+        raise SelfCheckError("series coefficients must be non-negative")
     return result
 
 
@@ -169,8 +171,10 @@ def invariant_character_counts(m: IntMatrix, n: int) -> CharacterCounts:
         exact = sum(_mobius(div // e) * dividing(e) for e in _divisors(div))
         counts.append((div, exact))
     result = CharacterCounts(n, tuple(counts))
-    assert result[1] == 1
-    assert result.total() == dividing(n)
+    if result[1] != 1:
+        raise SelfCheckError("the trivial character must be counted once")
+    if result.total() != dividing(n):
+        raise SelfCheckError("exact-order counts must sum to the invariant total")
     return result
 
 

@@ -7,16 +7,17 @@ integers, a primitive cube root of unity for the Eisenstein integers, and
 configurations.  The primitive sixth root of unity is not a separate ring;
 it lives inside the Eisenstein ring as ``1 + zeta``.
 
-Ring elements (:class:`RingElem`) carry integer coordinates, field elements
-(:class:`FieldElem`) carry rational coordinates.  Both canonicalise the
-degenerate ring by folding the ``zeta`` coordinate into the rational one,
-so structural equality is semantic equality in all three rings.
+A ring element (:class:`RingElem`) carries integer coordinates and
+canonicalises the degenerate ring by folding the ``zeta`` coordinate into
+the rational one, so structural equality is semantic equality in all
+three rings.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
+
+from .linalg import SelfCheckError
 
 
 class RingMismatchError(ValueError):
@@ -156,7 +157,8 @@ class RingElem:
     def norm(self) -> int:
         """The field norm ``e * conj(e)``, a non-negative rational integer."""
         prod = self * self.conj()
-        assert prod._y == 0
+        if prod._y != 0:
+            raise SelfCheckError(f"norm of {self!r} is not a rational integer")
         return prod._x
 
     def is_unit(self) -> bool:
@@ -175,9 +177,6 @@ class RingElem:
         # e*zeta = x*zeta + y*zeta^2 = s*y + (x + t*y)*zeta
         return ((self._x, s * self._y), (self._y, self._x + t * self._y))
 
-    def to_field(self) -> "FieldElem":
-        return FieldElem(self._ring, Fraction(self._x), Fraction(self._y))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElem):
             return NotImplemented
@@ -192,105 +191,6 @@ class RingElem:
 
     def __repr__(self) -> str:
         return f"RingElem({self._ring.name}, {self._x}, {self._y})"
-
-
-class FieldElem:
-    """An element of the fraction field, ``x + y*zeta`` with rational x, y."""
-
-    __slots__ = ("_ring", "_x", "_y")
-
-    def __init__(self, ring: RingId, x, y=0) -> None:
-        x = Fraction(x)
-        y = Fraction(y)
-        if ring is RingId.RATIONAL_INT:
-            x, y = x + y, Fraction(0)
-        self._ring = ring
-        self._x = x
-        self._y = y
-
-    @classmethod
-    def zero(cls, ring: RingId) -> "FieldElem":
-        return cls(ring, 0, 0)
-
-    @property
-    def ring(self) -> RingId:
-        return self._ring
-
-    @property
-    def x(self) -> Fraction:
-        return self._x
-
-    @property
-    def y(self) -> Fraction:
-        return self._y
-
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        _check_same_ring(self, other)
-        return FieldElem(self._ring, self._x + other._x, self._y + other._y)
-
-    def __sub__(self, other: "FieldElem") -> "FieldElem":
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        _check_same_ring(self, other)
-        return FieldElem(self._ring, self._x - other._x, self._y - other._y)
-
-    def __neg__(self) -> "FieldElem":
-        return FieldElem(self._ring, -self._x, -self._y)
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        _check_same_ring(self, other)
-        s, t = self._ring.zeta_square
-        a, b, c, d = self._x, self._y, other._x, other._y
-        return FieldElem(self._ring, a * c + s * b * d, a * d + b * c + t * b * d)
-
-    def scale(self, k) -> "FieldElem":
-        k = Fraction(k)
-        return FieldElem(self._ring, self._x * k, self._y * k)
-
-    def conj(self) -> "FieldElem":
-        u, v = self._ring.zeta_conj
-        return FieldElem(self._ring, self._x + self._y * u, self._y * v)
-
-    def norm(self) -> Fraction:
-        prod = self * self.conj()
-        assert prod._y == 0
-        return prod._x
-
-    def inverse(self) -> "FieldElem":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self.conj().scale(Fraction(1, 1) / n)
-
-    def is_zero(self) -> bool:
-        return self._x == 0 and self._y == 0
-
-    def is_integral(self) -> bool:
-        """True when the element lies in the ring of integers."""
-        return self._x.denominator == 1 and self._y.denominator == 1
-
-    def mod_lattice(self) -> "FieldElem":
-        """Reduce both coordinates into ``[0, 1)``."""
-        return FieldElem(self._ring, self._x % 1, self._y % 1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        return (
-            self._ring is other._ring
-            and self._x == other._x
-            and self._y == other._y
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._ring, self._x, self._y))
-
-    def __repr__(self) -> str:
-        return f"FieldElem({self._ring.name}, {self._x!r}, {self._y!r})"
 
 
 def units(ring: RingId) -> list[RingElem]:

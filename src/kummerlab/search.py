@@ -115,17 +115,17 @@ def torsion_points(ring: RingId, level: int) -> list[TorusPoint]:
 def _shift_subgroup(linear: TorusEndo, level: int) -> set[tuple[int, ...]]:
     """The subgroup ``(I - h) E[level]`` as integer vectors mod ``level``.
 
-    Built by closing the images of the four coordinate generators under
-    addition, which touches each subgroup element a handful of times
-    instead of applying the matrix to every torsion point.
+    Generated by the columns of ``I - M`` with ``M`` the induced matrix,
+    each taken as a point so that the integer ring folds it like every
+    candidate.  Closing them under addition touches each subgroup element a
+    handful of times instead of applying the matrix to every torsion point.
     """
-    ring = linear.ring
-    shift = TorusEndo.identity(ring) - linear
+    m = linear.induced_matrix()
     generators = [
-        shift.apply(
-            TorusPoint.from_integers(ring, level, [int(i == j) for j in range(4)])
+        TorusPoint.from_integers(
+            linear.ring, level, [int(i == j) - m[i][j] for i in range(4)]
         ).vector(level)
-        for i in range(4)
+        for j in range(4)
     ]
     group = {(0, 0, 0, 0)}
     for g in generators:

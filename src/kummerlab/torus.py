@@ -9,7 +9,8 @@ the natural ones, a lattice-linear map with unit determinant followed by a
 torsion translation; the linear part acts on point vectors through its
 induced 4x4 integer matrix on first homology, so point arithmetic, orbits
 and orders are plain integer arithmetic mod ``N``.  ``Fraction`` appears
-only where points enter or leave as rational coordinates.
+only where points enter or leave as rational coordinates:
+:meth:`TorusPoint.from_vector` and :meth:`TorusPoint.coords`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .linalg import IntMatrix
-from .rings import FieldElem, RingElem, RingId, _check_same_ring
+from .rings import RingElem, RingId, _check_same_ring
 
 TORSION_LEVEL_CAP = 1000
 LINEAR_ORDER_BOUND = 24
@@ -41,17 +42,12 @@ class TorusPoint:
 
     __slots__ = ("_ring", "_level", "_vector")
 
-    def __init__(self, first: FieldElem, second: FieldElem) -> None:
-        _check_same_ring(first, second)
-        coords = (first.x, first.y, second.x, second.y)
-        level = lcm(*(c.denominator for c in coords))
-        self._set(
-            first.ring,
-            level,
-            tuple(c.numerator * (level // c.denominator) for c in coords),
-        )
-
-    def _set(self, ring: RingId, level: int, vector) -> None:
+    @classmethod
+    def from_integers(cls, ring: RingId, level: int, vector) -> "TorusPoint":
+        """The point ``vector / level`` for an integer 4-vector."""
+        vector = tuple(vector)
+        if level < 1 or len(vector) != 4:
+            raise ValueError("a point needs a positive level and four coordinates")
         if ring is RingId.RATIONAL_INT:
             vector = (vector[0] + vector[1], 0, vector[2] + vector[3], 0)
         vector = tuple(v % level for v in vector)
@@ -63,40 +59,28 @@ class TorusPoint:
             raise ValueError(
                 f"torsion level exceeds the supported cap {TORSION_LEVEL_CAP}"
             )
-        self._ring = ring
-        self._level = level
-        self._vector = vector
+        point = cls.__new__(cls)
+        point._ring = ring
+        point._level = level
+        point._vector = vector
+        return point
 
     @classmethod
-    def from_integers(cls, ring: RingId, level: int, vector) -> "TorusPoint":
-        """The point ``vector / level`` for an integer 4-vector."""
-        vector = tuple(vector)
-        if level < 1 or len(vector) != 4:
-            raise ValueError("a point needs a positive level and four coordinates")
-        point = cls.__new__(cls)
-        point._set(ring, level, vector)
-        return point
+    def from_vector(cls, ring: RingId, coords) -> "TorusPoint":
+        """The point with rational coordinates ``(x1, y1, x2, y2)``."""
+        coords = tuple(Fraction(c) for c in coords)
+        level = lcm(*(c.denominator for c in coords))
+        return cls.from_integers(
+            ring, level, (c.numerator * (level // c.denominator) for c in coords)
+        )
 
     @classmethod
     def origin(cls, ring: RingId) -> "TorusPoint":
         return cls.from_integers(ring, 1, (0, 0, 0, 0))
 
-    @classmethod
-    def from_vector(cls, ring: RingId, vector) -> "TorusPoint":
-        x1, y1, x2, y2 = (Fraction(v) for v in vector)
-        return cls(FieldElem(ring, x1, y1), FieldElem(ring, x2, y2))
-
     @property
     def ring(self) -> RingId:
         return self._ring
-
-    @property
-    def first(self) -> FieldElem:
-        return FieldElem(self._ring, *self.coords()[:2])
-
-    @property
-    def second(self) -> FieldElem:
-        return FieldElem(self._ring, *self.coords()[2:])
 
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return tuple(Fraction(v, self._level) for v in self._vector)
@@ -459,10 +443,6 @@ class TorusAuto:
         return f"TorusAuto({self._linear!r}, {self._translation!r})"
 
 
-def automorphism_order(auto: TorusAuto) -> int:
-    return auto.order()
-
-
 def orbit_sum_data(auto: TorusAuto, length: int) -> tuple[TorusEndo, TorusPoint]:
     """Linear map and constant of the length-``length`` orbit sum.
 
@@ -485,13 +465,3 @@ def orbit_sum_data(auto: TorusAuto, length: int) -> tuple[TorusEndo, TorusPoint]
     )
     return l_sum, c_sum
 
-
-def induced_h1_matrix(auto: TorusAuto) -> IntMatrix:
-    """Action of the linear part on the rank-four first homology lattice."""
-    return auto.linear.induced_matrix()
-
-
-def symplectic_multiplier(auto: TorusAuto) -> RingElem:
-    """Determinant of the linear part over the ring; the factor by which the
-    automorphism rescales the holomorphic symplectic form."""
-    return auto.linear.det()

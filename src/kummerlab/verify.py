@@ -33,7 +33,7 @@ from .lefschetz import (
     lefschetz_torus,
     supertrace_sym_series,
 )
-from .linalg import IntMatrix, elementary_divisors_via_minors
+from .linalg import IntMatrix, SelfCheckError, elementary_divisors_via_minors
 from .rings import RingElem, RingId, zeta6
 from .series import TruncatedSeries
 from .torus import TorusAuto, TorusEndo, TorusPoint
@@ -205,7 +205,8 @@ def closed_form_order5(truncation: int = 5) -> list[int]:
         result = result * denominator.inverse() ** 5
         if 5 * nu <= truncation:
             result = result * (one - TruncatedSeries.monomial(5 * nu, truncation))
-    assert result.is_integral()
+    if not result.is_integral():
+        raise SelfCheckError("the order-5 product form is not integral")
     return [int(c) for c in result.coefficients]
 
 

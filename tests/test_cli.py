@@ -24,7 +24,7 @@ from kummerlab.cli import (
     parse_matrix,
     parse_point,
 )
-from kummerlab.rings import FieldElem, RingId
+from kummerlab.rings import RingId
 from kummerlab.verify import CheckResult
 
 ALL_RINGS = [RingId.RATIONAL_INT, RingId.GAUSSIAN, RingId.EISENSTEIN]
@@ -54,20 +54,18 @@ def test_element_known_forms() -> None:
     assert format_element(parse_element("1/2", RingId.RATIONAL_INT)) == "1/2"
     assert format_element(parse_element("2-z", ring)) == "2-z"
     # Terms accumulate regardless of order or repetition.
-    assert parse_element("z+1/2+z", ring) == FieldElem(
-        ring, Fraction(1, 2), Fraction(2)
-    )
+    assert parse_element("z+1/2+z", ring) == (Fraction(1, 2), Fraction(2))
+    # The integer ring folds z = 1 into the rational coordinate.
+    assert parse_element("1/3+1/2*z", RingId.RATIONAL_INT) == (Fraction(5, 6), 0)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_element_round_trip_random(ring: RingId) -> None:
     rng = random.Random(424242)
     for _ in range(40):
-        element = FieldElem(
-            ring,
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        )
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        y = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        element = (x + y, Fraction(0)) if ring is RingId.RATIONAL_INT else (x, y)
         assert parse_element(format_element(element), ring) == element
 
 
@@ -83,6 +81,16 @@ def test_point_and_matrix_round_trip(ring: RingId) -> None:
         assert parse_point(format_point(point), ring) == point
     matrix = parse_matrix("[[z,1],[-1,0]]", ring)
     assert parse_matrix(format_matrix(matrix), ring) == matrix
+
+
+def test_integer_ring_folds_before_the_integrality_test() -> None:
+    # ``1/2 + 1/2*z`` is the ring integer 1 once z = 1 is folded in, so it
+    # is accepted as a matrix entry; points fold the same way.
+    ring = RingId.RATIONAL_INT
+    assert format_matrix(parse_matrix("[[1/2+1/2*z,0],[0,1]]", ring)) == "[[1,0],[0,1]]"
+    assert format_point(parse_point("(1/3+1/3*z,1/2*z)", ring)) == "(2/3,1/2)"
+    with pytest.raises(GrammarError):
+        parse_matrix("[[1/2+1/2*z,0],[0,1]]", RingId.EISENSTEIN)
 
 
 def test_grammar_rejections() -> None:

@@ -23,18 +23,14 @@ from kummerlab.fixedpoint import (
 )
 from kummerlab.lattice import torus_system_solvable
 from kummerlab.linalg import IntMatrix
-from kummerlab.rings import FieldElem, RingElem, RingId, zeta6
+from kummerlab.rings import RingElem, RingId, zeta6
 from kummerlab.search import torsion_points
 from kummerlab.torus import TorusAuto, TorusEndo, TorusPoint, orbit_sum_data
 
 
 def diagonal_auto(ring, d1, d2, coords) -> TorusAuto:
     linear = TorusEndo.diagonal(d1, d2)
-    translation = TorusPoint(
-        FieldElem(ring, Fraction(coords[0]), Fraction(coords[1])),
-        FieldElem(ring, Fraction(coords[2]), Fraction(coords[3])),
-    )
-    return TorusAuto(linear, translation)
+    return TorusAuto(linear, TorusPoint.from_vector(ring, coords))
 
 
 def psi_order3() -> TorusAuto:
@@ -237,10 +233,7 @@ def test_certificate_tampering_is_rejected() -> None:
     # Shifting the second factor by a half-point moves the orbit sum off
     # the origin (three copies of 1/2), unlike a shift in the rotated
     # factor which the eigenvalue sum would cancel.
-    half = TorusPoint(
-        FieldElem(psi.ring, Fraction(0), Fraction(0)),
-        FieldElem(psi.ring, Fraction(1, 2), Fraction(0)),
-    )
+    half = TorusPoint.from_vector(psi.ring, (0, 0, Fraction(1, 2), 0))
     moved = FreenessCertificate(
         cert.element_power,
         cert.orbit_type,

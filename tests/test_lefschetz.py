@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kummerlab.lefschetz as lefschetz
 from kummerlab.lefschetz import (
     CharacterCounts,
     DegenerateActionError,
@@ -20,7 +25,7 @@ from kummerlab.lefschetz import (
     matrix_order,
     supertrace_sym_series,
 )
-from kummerlab.linalg import IntMatrix
+from kummerlab.linalg import IntMatrix, SelfCheckError
 from kummerlab.series import TruncatedSeries
 
 NEGATIVE_IDENTITY = IntMatrix.identity(4).scale(-1)
@@ -208,3 +213,61 @@ def test_supertrace_matches_direct_symmetric_powers() -> None:
             for k in range(5)
         ]
         assert list(result.coefficients) == direct
+
+
+def test_character_count_self_check_rejects_broken_inversion(monkeypatch) -> None:
+    # A Moebius function of constant 1 turns exact-order counts into
+    # cumulative ones, so they no longer sum to the invariant total.
+    monkeypatch.setattr(lefschetz, "_mobius", lambda n: 1)
+    with pytest.raises(SelfCheckError):
+        invariant_character_counts(ROTATION_ORDER_3, 3)
+
+
+_SERIES_CHECK_SCRIPT = """
+import contextlib, io, sys
+from fractions import Fraction
+import kummerlab.cli as cli
+from kummerlab.lefschetz import kummer_series
+from kummerlab.linalg import IntMatrix, SelfCheckError
+from kummerlab.series import TruncatedSeries
+
+exp = TruncatedSeries.exp
+matrix = IntMatrix.identity(4).scale(-1)
+corruptions = {
+    "non-integral": lambda s: TruncatedSeries([c + Fraction(1, 2) for c in s.coefficients]),
+    "negative": lambda s: TruncatedSeries([-c for c in s.coefficients]),
+}
+for name, corrupt in corruptions.items():
+    TruncatedSeries.exp = lambda self, corrupt=corrupt: corrupt(exp(self))
+    try:
+        kummer_series(matrix, 4)
+    except SelfCheckError:
+        pass
+    else:
+        sys.exit(f"a {name} series went unnoticed")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["lefschetz", "--ring", "eisenstein", "--h", "[[z,0],[0,1]]",
+                     "--a", "(0,0)", "--n", "3"])
+sys.exit(0 if code == cli.EXIT_MATH else f"exit code {code}")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_series_self_checks_survive_optimized_mode(flags) -> None:
+    # A non-integral or negative series from ``exp`` raises SelfCheckError
+    # in kummer_series, and ``lefschetz`` exits 1 on an error line with no
+    # traceback, also when ``python -O`` strips the asserts.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _SERIES_CHECK_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr

@@ -7,27 +7,22 @@ from fractions import Fraction
 
 import pytest
 
+import kummerlab.rings as rings
+from kummerlab.linalg import SelfCheckError
 from kummerlab.rings import (
-    FieldElem,
     RingElem,
     RingId,
     RingMismatchError,
     units,
     zeta6,
 )
+from kummerlab.torus import TorusPoint
 
 ALL_RINGS = [RingId.RATIONAL_INT, RingId.GAUSSIAN, RingId.EISENSTEIN]
 
 
 def random_elem(rng: random.Random, ring: RingId, bound: int = 9) -> RingElem:
     return RingElem(ring, rng.randint(-bound, bound), rng.randint(-bound, bound))
-
-
-def random_field(rng: random.Random, ring: RingId, bound: int = 6) -> FieldElem:
-    def coord() -> Fraction:
-        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-    return FieldElem(ring, coord(), coord())
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
@@ -132,34 +127,28 @@ def test_rational_ring_folds_generator() -> None:
     assert RingElem(ring, 0, 1) == RingElem.one(ring)
     assert RingElem(ring, 2, 3) == RingElem(ring, 5, 0)
     assert RingElem(ring, 2, 3).y == 0
-    folded = FieldElem(ring, Fraction(1, 2), Fraction(1, 3))
-    assert folded.y == 0
-    assert folded.x == Fraction(5, 6)
 
 
-@pytest.mark.parametrize("ring", ALL_RINGS)
-def test_field_inverse_and_integrality(ring: RingId) -> None:
-    rng = random.Random(505)
-    one = FieldElem(ring, Fraction(1), Fraction(0))
-    for _ in range(40):
-        a = random_field(rng, ring)
-        if a.x == 0 and a.y == 0:
-            continue
-        assert a * a.inverse() == one
-        assert a.scale(Fraction(6)) == a + a + a + a + a + a
-    assert FieldElem(ring, Fraction(2), Fraction(-1)).is_integral()
-    assert not FieldElem(ring, Fraction(1, 2), Fraction(0)).is_integral()
+def test_norm_self_check_rejects_a_wrong_conjugation(monkeypatch) -> None:
+    # With conj(zeta) = zeta the product e * conj(e) leaves the rational
+    # integers; the norm re-check must raise, also under ``python -O``.
+    monkeypatch.setitem(rings._ZETA_CONJ, RingId.EISENSTEIN, (0, 1))
+    with pytest.raises(SelfCheckError):
+        RingElem.zeta(RingId.EISENSTEIN).norm()
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_mod_lattice_reduces_into_unit_box(ring: RingId) -> None:
+    # Rational coordinates enter at the point boundary and are reduced
+    # mod the lattice into [0, 1); the integer ring first folds z = 1.
     rng = random.Random(606)
     for _ in range(40):
-        a = random_field(rng, ring)
-        r = a.mod_lattice()
-        assert 0 <= r.x < 1
-        assert 0 <= r.y < 1
-        assert (a - r).is_integral()
+        coords = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(4)]
+        if ring is RingId.RATIONAL_INT:
+            coords = [coords[0] + coords[1], 0, coords[2] + coords[3], 0]
+        reduced = TorusPoint.from_vector(ring, coords).coords()
+        assert all(0 <= r < 1 for r in reduced)
+        assert all((c - r).denominator == 1 for c, r in zip(coords, reduced))
 
 
 def test_mixed_ring_arithmetic_is_rejected() -> None:

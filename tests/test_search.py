@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from kummerlab.linalg import SelfCheckError
 from kummerlab.search import (
     MAX_NORM_CAP,
     SearchResult,
+    _shift_subgroup,
     _unit_order,
     linear_candidates,
     ring_elements_up_to_norm,
@@ -26,7 +28,6 @@ from kummerlab.torus import (
     TorusEndo,
     TorusPoint,
     UnsupportedAutomorphismError,
-    symplectic_multiplier,
 )
 
 
@@ -48,7 +49,7 @@ def verify_results(results: list[SearchResult], n: int) -> None:
         assert group_acts_freely(auto, n).free
         assert result.report.free
         # Freeness forces the multiplier order to exhaust the group.
-        multiplier = symplectic_multiplier(auto)
+        multiplier = auto.linear.det()
         power = RingElem.one(auto.ring)
         for _ in range(result.order - 1):
             power = power * multiplier
@@ -147,6 +148,24 @@ def test_unbounded_unit_order_is_a_self_check_error() -> None:
     # maps to exit code 1, not as an AssertionError.
     with pytest.raises(SelfCheckError):
         _unit_order(RingElem(RingId.GAUSSIAN, 1, 1), bound=24)
+
+
+@pytest.mark.parametrize(
+    "ring, level",
+    [(RingId.RATIONAL_INT, 2), (RingId.RATIONAL_INT, 6), (RingId.GAUSSIAN, 4),
+     (RingId.EISENSTEIN, 3), (RingId.EISENSTEIN, 6)],
+)
+def test_shift_subgroup_matches_pointwise_images(ring: RingId, level: int) -> None:
+    # The subgroup closed from the columns of I - M equals the set of
+    # images (I - h) p over every level-torsion point p, taken as canonical
+    # vectors; the integer ring folds both sides the same way.
+    catalog = linear_candidates(ring, 1)
+    for linear in random.Random(2468).sample(catalog, min(len(catalog), 24)):
+        shift = TorusEndo.identity(ring) - linear
+        expected = {
+            shift.apply(p).vector(level) for p in torsion_points(ring, level)
+        }
+        assert _shift_subgroup(linear, level) == expected
 
 
 def test_torsion_point_counts() -> None:
