@@ -393,7 +393,7 @@ def _run_lefschetz(spec: CommandSpec) -> tuple[dict, int]:
 def _certificate_payload(cert) -> dict:
     data: dict = {
         "element_power": cert.element_power,
-        "orbit_type": [[l, mult] for l, mult in cert.orbit_type.parts],
+        "orbit_type": list(cert.orbit_type),
         "outcome": cert.outcome.value,
     }
     if cert.witness is not None:

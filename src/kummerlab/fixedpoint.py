@@ -3,15 +3,16 @@
 A natural automorphism of the abelian surface induces an automorphism of
 the generalized Kummer variety, the fiber over zero of the summation map on
 length-``n`` configurations.  A fixed point of the induced map is modeled by
-an invariant weighted configuration: a multiset of full orbits of the map,
-each carried with a multiplicity, whose total length is ``n`` and whose
-multiplicity-weighted sum of points is the origin.  Existence of such a
-configuration is taken as the defining criterion throughout this module.
+an invariant configuration: a multiset of full orbits of the map whose
+lengths add up to ``n`` and whose points sum to the origin.  Existence of
+such a configuration is taken as the defining criterion throughout this
+module.
 
-Every shape such a configuration can have is an *orbit type*: a multiset of
-pairs ``(l, mult)`` with ``l`` dividing the order of the map and
-``sum(l * mult) == n``.  Each type produces a linear system over the torus
-(orbit closure of each base point, plus the weighted zero-sum condition);
+Every shape such a configuration can have is an *orbit type*: a descending
+tuple of orbit lengths, each dividing the order of the map, that sum to
+``n``.  An orbit taken twice is two equal lengths with equal base points,
+so types carry no multiplicities.  Each type produces a linear system over
+the torus (orbit closure of each base point, plus the zero-sum condition);
 the type admits a configuration exactly when the system is solvable modulo
 the period lattice.  The closure constraint only forces the orbit length to
 divide ``l``, which is deliberate: a degenerate solution is still a genuine
@@ -46,55 +47,29 @@ class NotNTorsionError(ValueError):
     """The translation part is not ``n``-torsion, so the map does not descend."""
 
 
-@dataclass(frozen=True)
-class OrbitType:
-    """A multiset of ``(orbit length, multiplicity)`` parts, sorted descending."""
-
-    parts: tuple[tuple[int, int], ...]
-
-    def total_length(self) -> int:
-        return sum(l * m for l, m in self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-
-def orbit_types(n: int, m: int) -> list[OrbitType]:
+def orbit_types(n: int, m: int) -> list[tuple[int, ...]]:
     """All orbit types of total length ``n`` for a map of order ``m``.
 
-    Parts ``(l, mult)`` range over divisors ``l`` of ``m`` and positive
-    multiplicities; two parts with equal ``(l, mult)`` describe distinct
-    orbits of the same shape.  Types are emitted exactly once each, in
-    descending lexicographic order of their sorted part lists.
+    These are the partitions of ``n`` into divisors of ``m``, each written
+    as a descending tuple, in descending lexicographic order.
     """
     if n < 1:
         raise ValueError("total length must be positive")
     if m < 1:
         raise ValueError("the order must be positive")
-    lengths = [l for l in range(1, m + 1) if m % l == 0]
-    parts = sorted(
-        (
-            (l, mult)
-            for l in lengths
-            for mult in range(1, n // l + 1)
-        ),
-        reverse=True,
-    )
-    found: list[OrbitType] = []
+    lengths = [l for l in range(m, 0, -1) if m % l == 0]
+    found: list[tuple[int, ...]] = []
 
-    def recurse(start: int, remaining: int, acc: list[tuple[int, int]]) -> None:
+    def recurse(start: int, remaining: int, acc: list[int]) -> None:
         if remaining == 0:
-            found.append(OrbitType(tuple(acc)))
+            found.append(tuple(acc))
             return
-        for index in range(start, len(parts)):
-            l, mult = parts[index]
-            if l * mult > remaining:
+        for index in range(start, len(lengths)):
+            l = lengths[index]
+            if l > remaining:
                 continue
-            acc.append((l, mult))
-            recurse(index, remaining - l * mult, acc)
+            acc.append(l)
+            recurse(index, remaining - l, acc)
             acc.pop()
 
     recurse(0, n, [])
@@ -111,7 +86,7 @@ class FreenessCertificate:
     """Re-checkable evidence for one orbit type of one tested power."""
 
     element_power: int
-    orbit_type: OrbitType
+    orbit_type: tuple[int, ...]
     outcome: CertificateOutcome
     witness: tuple[TorusPoint, ...] | None = None
     obstruction: tuple[tuple[int, ...], Fraction] | None = None
@@ -173,7 +148,7 @@ def _length_tables(
 
 def orbit_system(
     auto: TorusAuto,
-    orbit_type: OrbitType,
+    orbit_type: tuple[int, ...],
     cache: dict | None = None,
 ) -> tuple[IntMatrix, tuple[Fraction, ...]]:
     """Assemble the integer system deciding the given orbit type.
@@ -181,7 +156,7 @@ def orbit_system(
     One unknown point (four coordinates) per part.  Rows: for each part,
     the orbit-closure condition ``(M^l - I) z = -t_l`` with ``t_l`` the
     translation part of the ``l``-th iterate; then four rows for the
-    multiplicity-weighted zero-sum condition built from the orbit-sum data.
+    zero-sum condition built from the orbit-sum data.
 
     The matrix depends only on the linear part and the orbit type, the
     constants alone on the translation; they are integer vectors over the
@@ -192,27 +167,25 @@ def orbit_system(
     if cache is None:
         cache = {}
     matrix = auto.linear.induced_matrix()
-    tables = {l: _length_tables(matrix, l, cache) for l, _ in orbit_type.parts}
+    parts = [_length_tables(matrix, l, cache) for l in orbit_type]
     zero4 = IntMatrix.zeros(4, 4)
-    k = len(orbit_type.parts)
     block_rows: list[list[IntMatrix]] = []
-    for i, (l, _) in enumerate(orbit_type.parts):
-        row = [zero4] * k
-        row[i] = tables[l][0]
+    for i, (closure, _, _) in enumerate(parts):
+        row = [zero4] * len(parts)
+        row[i] = closure
         block_rows.append(row)
-    block_rows.append([tables[l][1].scale(mult) for l, mult in orbit_type.parts])
+    block_rows.append([partial for _, partial, _ in parts])
     system = IntMatrix.block(block_rows)
 
     level = auto.translation.torsion_level()
     a = auto.translation.vector()
     numerators: list[int] = []
-    weighted = [0] * 4
-    for l, mult in orbit_type.parts:
-        _, partial, total = tables[l]
+    summed = [0] * 4
+    for _, partial, total in parts:
         numerators.extend(-(x % level) for x in partial.apply_int(a))
         for j, x in enumerate(total.apply_int(a)):
-            weighted[j] -= mult * (x % level)
-    numerators.extend(weighted)
+            summed[j] -= x % level
+    numerators.extend(summed)
     return system, tuple(Fraction(x, level) for x in numerators)
 
 
@@ -256,7 +229,7 @@ def has_fixed_point(
             coords = result.witness
             points = tuple(
                 TorusPoint.from_vector(auto.ring, coords[4 * i : 4 * i + 4])
-                for i in range(len(orbit_type.parts))
+                for i in range(len(orbit_type))
             )
             certificates.append(
                 FreenessCertificate(
@@ -344,28 +317,25 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
     obstructions by re-assembling the system and pairing the functional.
     """
     element = auto**certificate.element_power
-    if certificate.orbit_type.total_length() != n:
+    lengths = certificate.orbit_type
+    if sum(lengths) != n or any(l < 1 for l in lengths):
         return False
     if certificate.outcome is CertificateOutcome.FIXED_POINT:
-        if certificate.witness is None or len(certificate.witness) != len(
-            certificate.orbit_type.parts
-        ):
+        if certificate.witness is None or len(certificate.witness) != len(lengths):
             return False
         total = TorusPoint.origin(auto.ring)
-        for (l, mult), base in zip(certificate.orbit_type.parts, certificate.witness):
+        for l, base in zip(lengths, certificate.witness):
             point = base
-            orbit_sum = TorusPoint.origin(auto.ring)
             for _ in range(l):
-                orbit_sum = orbit_sum + point
+                total = total + point
                 point = element.apply(point)
             if point != base:
                 return False
-            total = total + orbit_sum.scale(mult)
         return total.is_origin()
     if certificate.obstruction is None:
         return False
     functional, _ = certificate.obstruction
-    system, constants = orbit_system(element, certificate.orbit_type)
+    system, constants = orbit_system(element, lengths)
     return verify_obstruction(system, constants, functional)
 
 

@@ -37,17 +37,17 @@ class NonIntegralLefschetzError(ArithmeticError):
     """The exact-divisibility postcondition failed; indicates a bug."""
 
 
-def matrix_order(m: IntMatrix, bound: int = MATRIX_ORDER_BOUND) -> int:
-    """Multiplicative order of an integer matrix, checked up to ``bound``."""
+def matrix_order(m: IntMatrix) -> int:
+    """Multiplicative order of an integer matrix, at most ``MATRIX_ORDER_BOUND``."""
     if m.rows != m.cols:
         raise ValueError("order is defined for square matrices only")
     identity = IntMatrix.identity(m.rows)
     power = m
-    for k in range(1, bound + 1):
+    for k in range(1, MATRIX_ORDER_BOUND + 1):
         if power == identity:
             return k
         power = power @ m
-    raise ValueError(f"matrix has no multiplicative order up to {bound}")
+    raise ValueError(f"matrix has no multiplicative order up to {MATRIX_ORDER_BOUND}")
 
 
 def companion_matrix(tail_coefficients) -> IntMatrix:
@@ -86,11 +86,14 @@ def kummer_series(m: IntMatrix, truncation: int) -> TruncatedSeries:
     matrix_order(m)
     if truncation < 0:
         raise ValueError("truncation order must be non-negative")
-    dets = {s: det_one_minus_power(m, s) for s in range(1, truncation + 1)}
+    identity = IntMatrix.identity(m.rows)
+    power = identity
     exponent = [Fraction(0)] * (truncation + 1)
-    for nu in range(1, truncation + 1):
-        for s in range(1, truncation // nu + 1):
-            exponent[nu * s] += Fraction(dets[s], s)
+    for s in range(1, truncation + 1):
+        power = power @ m
+        term = Fraction((identity - power).det(), s)
+        for nu in range(1, truncation // s + 1):
+            exponent[nu * s] += term
     result = TruncatedSeries(exponent).exp()
     if not result.is_integral():
         raise SelfCheckError("series coefficients must be integers")
@@ -219,12 +222,12 @@ def _as_rational_rows(matrix) -> list[list[Fraction]]:
     return rows
 
 
-def _trace_power(rows: list[list[Fraction]], s: int) -> Fraction:
+def _power_traces(rows: list[list[Fraction]], truncation: int) -> list[Fraction]:
+    """``tr(A^s)`` for ``s = 1..truncation``."""
     size = len(rows)
-    if size == 0:
-        return Fraction(0)
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(size)] for i in range(size)]
-    for _ in range(s):
+    power = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    traces = []
+    for _ in range(truncation):
         power = [
             [
                 sum((power[i][k] * rows[k][j] for k in range(size)), Fraction(0))
@@ -232,7 +235,8 @@ def _trace_power(rows: list[list[Fraction]], s: int) -> Fraction:
             ]
             for i in range(size)
         ]
-    return sum((power[i][i] for i in range(size)), Fraction(0))
+        traces.append(sum((power[i][i] for i in range(size)), Fraction(0)))
+    return traces
 
 
 def supertrace_sym_series(even, odd, truncation: int) -> TruncatedSeries:
@@ -248,10 +252,9 @@ def supertrace_sym_series(even, odd, truncation: int) -> TruncatedSeries:
     """
     if truncation < 0:
         raise ValueError("truncation order must be non-negative")
-    even_rows = _as_rational_rows(even)
-    odd_rows = _as_rational_rows(odd)
+    even_traces = _power_traces(_as_rational_rows(even), truncation)
+    odd_traces = _power_traces(_as_rational_rows(odd), truncation)
     exponent = [Fraction(0)]
-    for s in range(1, truncation + 1):
-        sup = _trace_power(even_rows, s) - _trace_power(odd_rows, s)
-        exponent.append(sup / s)
+    for s, (e, o) in enumerate(zip(even_traces, odd_traces), 1):
+        exponent.append((e - o) / s)
     return TruncatedSeries(exponent, truncation).exp()

@@ -252,14 +252,20 @@ def _smith_elimination(a: IntMatrix):
         v_inv[src] = [x - k * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     def find_pivot(t: int) -> tuple[int, int] | None:
+        # The first entry of least absolute value in row-major order; no
+        # entry beats a unit, so the scan stops at the first one.
         best = None
-        best_abs = None
+        best_abs = 0
         for i in range(t, rows):
+            row = d[i]
+            if not any(row[t:]):
+                continue
             for j in range(t, cols):
-                e = d[i][j]
-                if e != 0 and (best_abs is None or abs(e) < best_abs):
-                    best = (i, j)
-                    best_abs = abs(e)
+                e = row[j]
+                if e and (not best_abs or abs(e) < best_abs):
+                    best, best_abs = (i, j), abs(e)
+                    if best_abs == 1:
+                        return best
         return best
 
     for t in range(min(rows, cols)):

@@ -30,7 +30,6 @@ from .fixedpoint import FreenessReport, group_acts_freely
 from .linalg import SelfCheckError
 from .rings import RingElem, RingId
 from .torus import (
-    LINEAR_ORDER_BOUND,
     TorusAuto,
     TorusEndo,
     TorusPoint,
@@ -138,14 +137,15 @@ def _shift_subgroup(linear: TorusEndo, level: int) -> set[tuple[int, ...]]:
     return group
 
 
-def _unit_order(unit: RingElem, bound: int = LINEAR_ORDER_BOUND) -> int:
+def _unit_order(unit: RingElem) -> int:
+    """The order of a unit, which divides the order of the unit group."""
     one = RingElem.one(unit.ring)
     power = unit
-    for k in range(1, bound + 1):
+    for k in range(1, unit.ring.unit_count + 1):
         if power == one:
             return k
         power = power * unit
-    raise SelfCheckError("unit order must be bounded by the linear order cap")
+    raise SelfCheckError("a unit's order must divide the order of the unit group")
 
 
 def run_search(
@@ -183,7 +183,7 @@ def run_search(
                 raise UnsupportedAutomorphismError(
                     "linear part must have unit determinant"
                 )
-            endo.multiplicative_order(LINEAR_ORDER_BOUND)
+            endo.multiplicative_order()
     candidates = torsion_points(ring, level)
     vectors = [a.vector(n) for a in candidates]
     results = []

@@ -22,7 +22,6 @@ from .linalg import IntMatrix
 from .rings import RingElem, RingId, _check_same_ring
 
 TORSION_LEVEL_CAP = 1000
-LINEAR_ORDER_BOUND = 24
 
 
 class UnsupportedAutomorphismError(ValueError):
@@ -282,7 +281,7 @@ class TorusEndo:
             self._induced = IntMatrix.block(blocks)
         return self._induced
 
-    def multiplicative_order(self, bound: int = LINEAR_ORDER_BOUND) -> int:
+    def multiplicative_order(self) -> int:
         """The order of the map; computed once, on the induced matrix.
 
         A finite-order 2x2 matrix over these rings has eigenvalues that are
@@ -290,15 +289,12 @@ class TorusEndo:
         order divides 24.  The map is therefore torsion exactly when the
         24th power of the induced matrix is the identity, and its order is
         the least divisor of 24 whose power is.  Raises
-        :class:`UnsupportedAutomorphismError` for infinite order or an order
-        above ``bound``.
+        :class:`UnsupportedAutomorphismError` for infinite order.
         """
         if self._order_cache is None:
             self._order_cache = _order_dividing_24(self.induced_matrix())
-        if not 0 < self._order_cache <= bound:
-            raise UnsupportedAutomorphismError(
-                f"linear part has no multiplicative order up to {bound}"
-            )
+        if self._order_cache == 0:
+            raise UnsupportedAutomorphismError("linear part has infinite order")
         return self._order_cache
 
     def __eq__(self, other: object) -> bool:

@@ -13,7 +13,6 @@ from kummerlab.fixedpoint import (
     CertificateOutcome,
     FreenessCertificate,
     NotNTorsionError,
-    OrbitType,
     brute_force_fixed_point,
     group_acts_freely,
     has_fixed_point,
@@ -24,7 +23,7 @@ from kummerlab.fixedpoint import (
 from kummerlab.lattice import torus_system_solvable
 from kummerlab.linalg import IntMatrix
 from kummerlab.rings import RingElem, RingId, zeta6
-from kummerlab.search import torsion_points
+from kummerlab.search import linear_candidates, run_search, torsion_points
 from kummerlab.torus import TorusAuto, TorusEndo, TorusPoint, orbit_sum_data
 
 
@@ -69,40 +68,36 @@ def psi_order6() -> TorusAuto:
 
 
 def test_orbit_types_frozen_lists() -> None:
-    two_two = [t.parts for t in orbit_types(2, 2)]
-    assert two_two == [((2, 1),), ((1, 2),), ((1, 1), (1, 1))]
-    assert len(orbit_types(3, 3)) == 4
-    assert len(orbit_types(4, 2)) == 9
-    assert [t.parts for t in orbit_types(2, 1)] == [((1, 2),), ((1, 1), (1, 1))]
-
-
-def test_orbit_types_against_multiset_oracle() -> None:
-    for n in range(1, 6):
-        for m in range(1, 7):
-            produced = [tuple(sorted(t.parts, reverse=True)) for t in orbit_types(n, m)]
-            assert len(set(produced)) == len(produced), "no duplicates"
-            assert produced == sorted(produced, reverse=True), "descending order"
-            lengths = [l for l in range(1, m + 1) if m % l == 0]
-            pool = [
-                (l, mult) for l in lengths for mult in range(1, n // l + 1)
-            ]
-            oracle = set()
-            for count in range(1, n + 1):
-                for combo in itertools.combinations_with_replacement(pool, count):
-                    if sum(l * mult for l, mult in combo) == n:
-                        oracle.add(tuple(sorted(combo, reverse=True)))
-            assert set(produced) == oracle
-
-
-def test_orbit_type_container() -> None:
-    t = OrbitType(((2, 1), (1, 2)))
-    assert t.total_length() == 4
-    assert len(t) == 2
-    assert list(t) == [(2, 1), (1, 2)]
+    assert orbit_types(2, 2) == [(2,), (1, 1)]
+    assert orbit_types(4, 2) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert orbit_types(2, 1) == [(1, 1)]
     with pytest.raises(ValueError):
         orbit_types(0, 2)
     with pytest.raises(ValueError):
         orbit_types(2, 0)
+
+
+def test_orbit_types_against_partition_oracle() -> None:
+    for n in range(1, 7):
+        for m in range(1, 9):
+            produced = orbit_types(n, m)
+            assert produced == sorted(set(produced), reverse=True)
+            lengths = [l for l in range(1, m + 1) if m % l == 0]
+            oracle = {
+                tuple(sorted(combo, reverse=True))
+                for count in range(1, n + 1)
+                for combo in itertools.combinations_with_replacement(lengths, count)
+                if sum(combo) == n
+            }
+            assert set(produced) == oracle
+
+
+def test_orbit_type_counts() -> None:
+    # Partitions of 12 into divisors of 3 and of 6, and of 24 into
+    # divisors of 24.
+    assert len(orbit_types(12, 3)) == 5
+    assert len(orbit_types(12, 6)) == 27
+    assert len(orbit_types(24, 24)) == 458
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +128,12 @@ def test_shifted_order3_action_has_fixed_configuration() -> None:
     points = cert.witness
     # Re-run the orbit expansion here as an independent check.
     total = TorusPoint.origin(psi.ring)
-    for (length, mult), base in zip(cert.orbit_type.parts, points):
+    for length, base in zip(cert.orbit_type, points):
         current = base
-        partial = TorusPoint.origin(psi.ring)
         for _ in range(length):
-            partial = partial + current
+            total = total + current
             current = psi.apply(current)
         assert current == base
-        total = total + partial.scale(mult)
     assert total.is_origin()
 
 
@@ -226,6 +219,28 @@ def test_agreement_with_brute_force_enumeration() -> None:
     assert seen_free > 0
 
 
+def test_grid_fixed_points_are_found_by_the_decision() -> None:
+    # The free representatives of the Eisenstein n=3 sweep, then seeded
+    # pairs.  The level-n grid misses configurations through points of
+    # higher level, so only the sound direction is asserted: a grid hit
+    # must be found by the decision, a grid miss proves nothing.
+    pairs = [(r.linear, r.translation, 3) for r in run_search(3, RingId.EISENSTEIN)]
+    assert len(pairs) == 64
+    rng = random.Random(50917)
+    for ring, n in ((RingId.EISENSTEIN, 3), (RingId.GAUSSIAN, 4), (RingId.RATIONAL_INT, 4)):
+        linears = linear_candidates(ring, 1)
+        points = torsion_points(ring, n)
+        pairs += [(rng.choice(linears), rng.choice(points), n) for _ in range(110)]
+    grid_hits = 0
+    for linear, a, n in pairs:
+        auto = TorusAuto(linear, a)
+        for test in group_acts_freely(auto, n).tested:
+            if brute_force_fixed_point(auto**test.power, n, n):
+                grid_hits += 1
+                assert has_fixed_point(auto**test.power, n).found
+    assert grid_hits > 100
+
+
 def test_certificate_tampering_is_rejected() -> None:
     psi = psi_order3_shifted()
     cert = has_fixed_point(psi, 3).first_witness()
@@ -243,11 +258,19 @@ def test_certificate_tampering_is_rejected() -> None:
     assert not verify_certificate(psi, 3, moved)
     wrong_type = FreenessCertificate(
         cert.element_power,
-        OrbitType(((1, 1),)),
+        (1,),
         cert.outcome,
         witness=cert.witness[:1],
     )
     assert not verify_certificate(psi, 3, wrong_type)
+    # Lengths must be positive: a negative part would let a longer
+    # configuration, here the origin taken four times, pass for length 3.
+    linear = TorusAuto(psi.linear, TorusPoint.origin(psi.ring))
+    origin = TorusPoint.origin(psi.ring)
+    longer = FreenessCertificate(
+        1, (4, -1), CertificateOutcome.FIXED_POINT, witness=(origin, origin)
+    )
+    assert not verify_certificate(linear, 3, longer)
     missing = FreenessCertificate(
         cert.element_power, cert.orbit_type, cert.outcome, witness=None
     )
@@ -326,18 +349,18 @@ def test_orbit_system_matches_point_level_definitions() -> None:
         for n in (3, 4):
             for orbit_type in orbit_types(n, psi.order()):
                 system, constants = orbit_system(psi, orbit_type)
-                k = len(orbit_type.parts)
+                k = len(orbit_type)
                 expected: list[Fraction] = []
-                weighted = [Fraction(0)] * 4
-                for i, (l, mult) in enumerate(orbit_type.parts):
+                total = [Fraction(0)] * 4
+                for i, l in enumerate(orbit_type):
                     closure = m**l - IntMatrix.identity(4)
                     summed, constant = orbit_sum_data(psi, l)
                     for r in range(4):
                         assert system[4 * i + r][4 * i : 4 * i + 4] == closure[r]
                         row = system[4 * k + r][4 * i : 4 * i + 4]
-                        assert row == summed.induced_matrix().scale(mult)[r]
+                        assert row == summed.induced_matrix()[r]
                     expected.extend(-v for v in (psi**l).translation.coords())
                     for j, v in enumerate(constant.coords()):
-                        weighted[j] += mult * v
-                expected.extend(-v for v in weighted)
+                        total[j] += v
+                expected.extend(-v for v in total)
                 assert constants == tuple(expected)

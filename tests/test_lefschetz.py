@@ -69,6 +69,23 @@ def test_det_one_minus_power_order_five() -> None:
         assert det_one_minus_power(m, s) == 0
 
 
+def test_series_builds_each_power_once(monkeypatch) -> None:
+    # Four products find the order 5, then one running product per
+    # exponent.
+    m = companion_matrix((1, 1, 1, 1))
+    products = 0
+    matmul = IntMatrix.__matmul__
+
+    def counting(self, other):
+        nonlocal products
+        products += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+    kummer_series(m, 24)
+    assert products == 4 + 24
+
+
 def test_torus_count_is_first_determinant() -> None:
     m = companion_matrix((1, 1, 1, 1))
     assert lefschetz_torus(m) == 5

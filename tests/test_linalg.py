@@ -12,13 +12,14 @@ from pathlib import Path
 
 import pytest
 
-import kummerlab.cli as cli
 import kummerlab.lattice as lattice
 from kummerlab.linalg import (
     IntMatrix,
     elementary_divisors_via_minors,
     smith_normal_form,
 )
+from kummerlab.rings import RingId
+from kummerlab.search import run_search
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 7) -> IntMatrix:
@@ -103,17 +104,15 @@ def test_smith_form_random_properties() -> None:
     assert deficient >= 10
 
 
-# Every Smith form computed for ``freeness`` on the Eisenstein n=12 anchor,
-# in call order: their count and the sha256 of their reprs, one per line.
-ANCHOR_ARGV = [
-    "freeness", "--ring", "eisenstein", "--h", "[[z,0],[0,1]]",
-    "--a", "(1/3,1/3)", "--n", "12",
-]
-ANCHOR_SMITH_FORMS = 143
-ANCHOR_SMITH_DIGEST = "b5bc736c3dc075f7e5531638aece5f8dd5c1bcb0c5662885c988cae978f12c1b"
+# Every Smith form computed by the full Eisenstein n=3 sweep, in call
+# order: their count and the sha256 of their reprs, one per line.  The
+# digest is that of a pivot search that scans every row to the end, so it
+# holds the early-stopping search to the same transforms.
+SWEEP_SMITH_FORMS = 252
+SWEEP_SMITH_DIGEST = "13d00b15aa3ec24be56c2c8a1f17d4ffd77b96f03c1d1e3e4db6ff58b9283048"
 
 
-def test_smith_forms_of_the_eisenstein_anchor_are_pinned(monkeypatch, capsys) -> None:
+def test_smith_forms_of_the_eisenstein_sweep_are_pinned(monkeypatch) -> None:
     forms = []
 
     def recording(a: IntMatrix):
@@ -122,11 +121,10 @@ def test_smith_forms_of_the_eisenstein_anchor_are_pinned(monkeypatch, capsys) ->
         return form
 
     monkeypatch.setattr(lattice, "smith_normal_form", recording)
-    assert cli.main(ANCHOR_ARGV) == cli.EXIT_OK
-    capsys.readouterr()
-    assert len(forms) == ANCHOR_SMITH_FORMS
+    assert len(run_search(3, RingId.EISENSTEIN)) == 64
+    assert len(forms) == SWEEP_SMITH_FORMS
     digest = hashlib.sha256("\n".join(map(repr, forms)).encode()).hexdigest()
-    assert digest == ANCHOR_SMITH_DIGEST
+    assert digest == SWEEP_SMITH_DIGEST
 
 
 _MUTATION_SCRIPT = """

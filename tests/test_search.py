@@ -143,11 +143,11 @@ def test_catalog_orders_match_ring_products(ring: RingId) -> None:
 
 
 def test_unbounded_unit_order_is_a_self_check_error() -> None:
-    # The multiplier screen relies on unit orders within the linear order
-    # cap; a violation surfaces as SelfCheckError, which the command line
-    # maps to exit code 1, not as an AssertionError.
+    # The multiplier screen relies on unit orders dividing the order of
+    # the unit group; a violation surfaces as SelfCheckError, which the
+    # command line maps to exit code 1, not as an AssertionError.
     with pytest.raises(SelfCheckError):
-        _unit_order(RingElem(RingId.GAUSSIAN, 1, 1), bound=24)
+        _unit_order(RingElem(RingId.GAUSSIAN, 1, 1))
 
 
 @pytest.mark.parametrize(

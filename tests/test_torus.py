@@ -10,7 +10,6 @@ import pytest
 from kummerlab.rings import RingElem, RingId
 from kummerlab.search import linear_candidates, torsion_points
 from kummerlab.torus import (
-    LINEAR_ORDER_BOUND,
     TorusAuto,
     TorusEndo,
     TorusPoint,
@@ -207,7 +206,7 @@ def test_induced_h1_matrix_has_finite_order() -> None:
         m = auto.linear.induced_matrix()
         order = auto.linear.multiplicative_order()
         assert m**order == m**0
-        assert LINEAR_ORDER_BOUND % order == 0
+        assert 24 % order == 0
 
 
 # ---------------------------------------------------------------------------
