@@ -27,6 +27,7 @@ from .enriques import (
     decomposition_search,
 )
 from .fixedpoint import (
+    GRID_LEVEL_CAP,
     CertificateOutcome,
     NotNTorsionError,
     brute_force_fixed_point,
@@ -410,6 +411,8 @@ def _certificate_payload(cert) -> dict:
 
 
 def _run_freeness(spec: CommandSpec) -> tuple[dict, int]:
+    if spec.level is not None and not 1 <= spec.level <= GRID_LEVEL_CAP:
+        raise GrammarError(f"--level must lie in 1..{GRID_LEVEL_CAP}")
     auto = parse_automorphism(spec.ring, spec.h_text, spec.a_text)
     report = group_acts_freely(auto, spec.n)
     payload = _auto_payload(spec, auto)

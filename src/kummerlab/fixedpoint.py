@@ -40,7 +40,10 @@ from .lattice import (
     verify_obstruction,
 )
 from .linalg import IntMatrix
-from .torus import TORSION_LEVEL_CAP, TorusAuto, TorusPoint
+from .torus import TorusAuto, TorusPoint
+
+# The grid oracle walks level**4 starts; this is the search sweep's level cap.
+GRID_LEVEL_CAP = 24
 
 
 class NotNTorsionError(ValueError):
@@ -342,40 +345,46 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
 def brute_force_fixed_point(auto: TorusAuto, n: int, level: int) -> bool:
     """Search configurations supported on level-``level`` torsion directly.
 
-    Enumerates every orbit of the map through the level grid, deduplicates
-    by (orbit length, orbit sum) and runs an unbounded-knapsack reachability
-    over total lengths up to ``n``.  True iff some multiset of orbits with
-    multiplicities reaches total length ``n`` with sum at the origin.  This
-    shares no code with the normal-form decision and serves as its oracle.
+    Walks every orbit of the map through the level grid, scaled into
+    integer vectors mod ``lcm(level, torsion level of the translation)``,
+    stepping each point with the unpacked induced matrix and shift and
+    keeping the orbit sum as it goes.  Orbits are deduplicated by (orbit
+    length, orbit sum) and an unbounded-knapsack reachability runs over
+    total lengths up to ``n``.  True iff some multiset of orbits reaches
+    total length ``n`` with sum at the origin.  The grid has ``level**4``
+    starts, so ``level`` is capped at :data:`GRID_LEVEL_CAP`.  This shares
+    no code with the normal-form decision and serves as its oracle.
     """
     _require_descends(auto, n)
-    if level < 1 or level > TORSION_LEVEL_CAP:
-        raise ValueError(f"level must lie in 1..{TORSION_LEVEL_CAP}")
+    if level < 1 or level > GRID_LEVEL_CAP:
+        raise ValueError(f"grid level must lie in 1..{GRID_LEVEL_CAP}")
     modulus = lcm(level, auto.translation.torsion_level())
-    scale = modulus // level
-    matrix = auto.linear.induced_matrix().entries
-    shift = auto.translation.vector(modulus)
-
-    def step(v: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-        return tuple(
-            (sum(matrix[i][j] * v[j] for j in range(4)) + shift[i]) % modulus
-            for i in range(4)
-        )
+    (
+        (m00, m01, m02, m03),
+        (m10, m11, m12, m13),
+        (m20, m21, m22, m23),
+        (m30, m31, m32, m33),
+    ) = auto.linear.induced_matrix().entries
+    s0, s1, s2, s3 = auto.translation.vector(modulus)
 
     seen: set[tuple[int, int, int, int]] = set()
     coins: set[tuple[int, tuple[int, int, int, int]]] = set()
-    for idx in product(range(level), repeat=4):
-        start = tuple(x * scale for x in idx)
+    for start in product(range(0, modulus, modulus // level), repeat=4):
         if start in seen:
             continue
-        orbit = [start]
-        current = step(start)
-        while current != start:
-            orbit.append(current)
-            current = step(current)
-        seen.update(orbit)
-        orbit_sum = tuple(sum(col) % modulus for col in zip(*orbit))
-        coins.add((len(orbit), orbit_sum))
+        a, b, c, d = point = start
+        t0 = t1 = t2 = t3 = length = 0
+        # The map is a bijection, so the walk first meets a seen point at start.
+        while point not in seen:
+            seen.add(point)
+            t0, t1, t2, t3, length = t0 + a, t1 + b, t2 + c, t3 + d, length + 1
+            point = a, b, c, d = (
+                (m00 * a + m01 * b + m02 * c + m03 * d + s0) % modulus,
+                (m10 * a + m11 * b + m12 * c + m13 * d + s1) % modulus,
+                (m20 * a + m21 * b + m22 * c + m23 * d + s2) % modulus,
+                (m30 * a + m31 * b + m32 * c + m33 * d + s3) % modulus,
+            )
+        coins.add((length, (t0 % modulus, t1 % modulus, t2 % modulus, t3 % modulus)))
 
     zero = (0, 0, 0, 0)
     reachable: list[set[tuple[int, int, int, int]]] = [set() for _ in range(n + 1)]

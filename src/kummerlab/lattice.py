@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .linalg import (
@@ -38,8 +38,16 @@ from .linalg import (
 )
 
 
+# Largest subgroup :func:`solvable_by_enumeration` will build.
+ENUMERATION_CAP = 20000
+
+
 class DimensionMismatchError(ValueError):
     """Raised when a constant vector does not match the system's row count."""
+
+
+class EnumerationTooLargeError(ValueError):
+    """The subgroup to enumerate would exceed ``ENUMERATION_CAP`` elements."""
 
 
 @dataclass(frozen=True)
@@ -142,8 +150,10 @@ def solvable_by_enumeration(system: IntMatrix, constants) -> bool:
     ``q = lcm(denominators of c) * (largest elementary divisor of T)``, so
     solvability is equivalent to ``q*c mod q`` lying in the subgroup of
     ``(Z/q)^rows`` generated by the columns of ``T``.  The elementary
-    divisor comes from gcds of minors, not from the Smith normal form under
-    test.
+    divisors come from gcds of minors, not from the Smith normal form under
+    test.  That subgroup has ``prod q / gcd(d_i, q)`` elements; above
+    ``ENUMERATION_CAP`` the call raises :class:`EnumerationTooLargeError`
+    before building it.
     """
     c = _as_fractions(constants)
     if len(c) != system.rows:
@@ -157,6 +167,11 @@ def solvable_by_enumeration(system: IntMatrix, constants) -> bool:
     q = lcm(1, *(v.denominator for v in c))
     if divisors:
         q *= divisors[-1]
+    size = prod(q // gcd(d, q) for d in divisors)
+    if size > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(
+            f"subgroup of {size} elements exceeds the cap {ENUMERATION_CAP}"
+        )
     target = tuple(int(v * q) % q for v in c)
     group = {(0,) * system.rows}
     if target in group:

@@ -371,7 +371,7 @@ def elementary_divisors_via_minors(a: IntMatrix) -> list[int]:
         g = 0
         for rows_sel in combinations(range(a.rows), k):
             for cols_sel in combinations(range(a.cols), k):
-                sub = IntMatrix([[a[i][j] for j in cols_sel] for i in rows_sel])
+                sub = IntMatrix._of([[a[i][j] for j in cols_sel] for i in rows_sel])
                 g = gcd(g, sub.det())
                 if g == 1:
                     break

@@ -24,6 +24,7 @@ from kummerlab.cli import (
     parse_matrix,
     parse_point,
 )
+from kummerlab.fixedpoint import GRID_LEVEL_CAP
 from kummerlab.rings import RingId
 from kummerlab.verify import CheckResult
 
@@ -251,6 +252,22 @@ def test_freeness_command_with_grid_oracle(capsys) -> None:
         if c["outcome"] == "fixed_point"
     ]
     assert witnesses and "witness" in witnesses[0]
+
+
+def test_freeness_grid_level_above_cap_exits_two(capsys, monkeypatch) -> None:
+    # The grid walks level**4 starts, so the cap is enforced up front,
+    # before the decision runs.
+    def decide(*args, **kwargs):
+        raise AssertionError("the decision ran before --level was checked")
+
+    monkeypatch.setattr(cli, "group_acts_freely", decide)
+    base = ["freeness", "--ring", "eisenstein", "--h", "[[z,0],[0,1]]",
+            "--a", "(1/3,1/3)", "--n", "3", "--level"]
+    for level in (str(GRID_LEVEL_CAP + 1), "900", "0"):
+        assert main(base + [level]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --level must lie in 1..24")
 
 
 def test_characters_command(capsys) -> None:

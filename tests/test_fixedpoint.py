@@ -10,6 +10,7 @@ from math import lcm
 import pytest
 
 from kummerlab.fixedpoint import (
+    GRID_LEVEL_CAP,
     CertificateOutcome,
     FreenessCertificate,
     NotNTorsionError,
@@ -25,6 +26,7 @@ from kummerlab.linalg import IntMatrix
 from kummerlab.rings import RingElem, RingId, zeta6
 from kummerlab.search import linear_candidates, run_search, torsion_points
 from kummerlab.torus import TorusAuto, TorusEndo, TorusPoint, orbit_sum_data
+from kummerlab.verify import freeness_instances
 
 
 def diagonal_auto(ring, d1, d2, coords) -> TorusAuto:
@@ -217,6 +219,85 @@ def test_agreement_with_brute_force_enumeration() -> None:
             assert not brute_force_fixed_point(psi, 3, 6)
     assert seen_found > 0
     assert seen_free > 0
+
+
+def naive_grid_fixed_point(auto: TorusAuto, n: int, level: int) -> bool:
+    # Reference grid walk: one generic matrix-vector step per point and the
+    # orbit sum taken column by column afterwards.
+    modulus = lcm(level, auto.translation.torsion_level())
+    scale = modulus // level
+    matrix = auto.linear.induced_matrix().entries
+    shift = auto.translation.vector(modulus)
+
+    def step(v):
+        return tuple(
+            (sum(matrix[i][j] * v[j] for j in range(4)) + shift[i]) % modulus
+            for i in range(4)
+        )
+
+    seen = set()
+    coins = set()
+    for idx in itertools.product(range(level), repeat=4):
+        start = tuple(x * scale for x in idx)
+        if start in seen:
+            continue
+        orbit = [start]
+        current = step(start)
+        while current != start:
+            orbit.append(current)
+            current = step(current)
+        seen.update(orbit)
+        coins.add((len(orbit), tuple(sum(col) % modulus for col in zip(*orbit))))
+    zero = (0, 0, 0, 0)
+    reachable = [set() for _ in range(n + 1)]
+    reachable[0].add(zero)
+    for length, orbit_sum in sorted(coins):
+        for total in range(length, n + 1):
+            reachable[total] |= {
+                tuple((x + y) % modulus for x, y in zip(elem, orbit_sum))
+                for elem in reachable[total - length]
+            }
+    return zero in reachable[n]
+
+
+def test_grid_walk_matches_naive_reference() -> None:
+    cases = [
+        (auto, n, level)
+        for _, auto, n in freeness_instances()
+        for level in (2, 3, 4, 6)
+    ]
+    # The Gaussian n=12 anchor at level 6: its translation has level 4, so
+    # the grid is walked mod 12 with every start scaled by 2.
+    ring = RingId.GAUSSIAN
+    anchor = diagonal_auto(
+        ring, RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 4), 0, Fraction(1, 4), 0)
+    )
+    cases += [(anchor**power, 12, 6) for power in (1, 2)]
+    # Seeded pairs whose translations move every coordinate.
+    rng = random.Random(60221)
+    for ring, n in ((RingId.EISENSTEIN, 3), (RingId.GAUSSIAN, 4), (RingId.EISENSTEIN, 6)):
+        linears = linear_candidates(ring, 1)
+        points = torsion_points(ring, n)
+        for _ in range(16):
+            auto = TorusAuto(rng.choice(linears), rng.choice(points))
+            cases.append((auto, n, rng.choice((2, 3, 4, 6))))
+    scaled = 0
+    outcomes = set()
+    for auto, n, level in cases:
+        scaled += level % auto.translation.torsion_level() != 0
+        expected = naive_grid_fixed_point(auto, n, level)
+        assert brute_force_fixed_point(auto, n, level) == expected
+        outcomes.add(expected)
+    assert scaled >= 10
+    assert outcomes == {True, False}
+
+
+def test_grid_level_is_capped() -> None:
+    psi = psi_order3()
+    assert GRID_LEVEL_CAP == 24
+    for level in (0, GRID_LEVEL_CAP + 1, 900):
+        with pytest.raises(ValueError):
+            brute_force_fixed_point(psi, 3, level)
 
 
 def test_grid_fixed_points_are_found_by_the_decision() -> None:

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from kummerlab.lattice import (
+    ENUMERATION_CAP,
     DimensionMismatchError,
+    EnumerationTooLargeError,
     solvable_by_enumeration,
     torus_system_solvable,
     verify_obstruction,
@@ -88,6 +90,19 @@ def test_agreement_with_enumeration() -> None:
         unsolvable_seen += not fast
     assert solvable_seen > 0
     assert unsolvable_seen > 0
+
+
+def test_enumeration_is_capped() -> None:
+    # One free row and a constant of denominator q: the subgroup to build
+    # has exactly q elements, so the cap is hit one past it.
+    system = IntMatrix([[1], [0]])
+    assert ENUMERATION_CAP == 20000
+    at_cap = [Fraction(0), Fraction(1, ENUMERATION_CAP)]
+    assert solvable_by_enumeration(system, at_cap) is False
+    assert not torus_system_solvable(system, at_cap)
+    with pytest.raises(EnumerationTooLargeError):
+        solvable_by_enumeration(system, [Fraction(0), Fraction(1, ENUMERATION_CAP + 1)])
+    assert issubclass(EnumerationTooLargeError, ValueError)
 
 
 def test_constants_matter_only_modulo_integers() -> None:

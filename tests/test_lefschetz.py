@@ -27,6 +27,7 @@ from kummerlab.lefschetz import (
 )
 from kummerlab.linalg import IntMatrix, SelfCheckError
 from kummerlab.series import TruncatedSeries
+from kummerlab.verify import supertrace_by_expansion
 
 NEGATIVE_IDENTITY = IntMatrix.identity(4).scale(-1)
 
@@ -230,6 +231,24 @@ def test_supertrace_matches_direct_symmetric_powers() -> None:
             for k in range(5)
         ]
         assert list(result.coefficients) == direct
+
+
+def test_supertrace_expansion_is_integral_and_matches_series() -> None:
+    # The expansion oracle works on plain integers: every coefficient is an
+    # int, equal to the series built from power traces and exp.
+    assert supertrace_by_expansion([[2]], [], 6) == [1, 2, 4, 8, 16, 32, 64]
+    assert supertrace_by_expansion([], [[3]], 6) == [1, -3, 0, 0, 0, 0, 0]
+    pinned = [
+        ([[0, -1], [1, -1]], [[2, 1], [1, 1]]),
+        ([[-2, 1], [1, 2]], [[1, 2], [3, 4]]),
+        ([[1, 2, 0], [0, -1, 1], [2, 0, 1]], [[0, 1], [-1, 0]]),
+        ([[1, -1], [2, 0]], [[2, 0, 1], [1, -1, 0], [0, 1, 1]]),
+    ]
+    for even, odd in pinned:
+        expansion = supertrace_by_expansion(even, odd, 6)
+        assert all(type(c) is int for c in expansion)
+        series = supertrace_sym_series(even, odd, 6)
+        assert expansion == list(series.coefficients)
 
 
 def test_character_count_self_check_rejects_broken_inversion(monkeypatch) -> None:
