@@ -37,6 +37,7 @@ from .fixedpoint import (
 from .lefschetz import (
     DegenerateActionError,
     NonIntegralLefschetzError,
+    absorbs_translation,
     invariant_character_counts,
     kummer_series,
     lefschetz_kummer,
@@ -371,11 +372,20 @@ def _run_lefschetz(spec: CommandSpec) -> tuple[dict, int]:
     auto = parse_automorphism(spec.ring, spec.h_text, spec.a_text)
     if spec.n < 2:
         raise GrammarError("--n must be at least 2")
+    if not auto.translation.is_torsion_of_level(spec.n):
+        raise GrammarError(f"--a is not {spec.n}-torsion")
     matrix = auto.linear.induced_matrix()
+    torus = lefschetz_torus(matrix)
+    vector = auto.translation.vector(spec.n)
+    if torus and not absorbs_translation(matrix, vector, spec.n):
+        # The number computed is h's.  It is (h, a)'s too when a = (I - h)b
+        # with b in E[n]: translation by b keeps the fibre and conjugates h
+        # to (h, a).
+        raise GrammarError(f"--a is not in (I - h)E[{spec.n}]")
     payload = _auto_payload(spec, auto)
     payload["command"] = "lefschetz"
     payload["induced_matrix"] = [list(row) for row in matrix.entries]
-    payload["torus_lefschetz"] = lefschetz_torus(matrix)
+    payload["torus_lefschetz"] = torus
     payload["series"] = [int(c) for c in kummer_series(matrix, spec.n).coefficients]
     try:
         payload["kummer_lefschetz"] = lefschetz_kummer(matrix, spec.n)

@@ -18,6 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+# The slowest chi measured at dimension 64 enumerates in about 1 s (Python
+# 3.11, one core of a 2-vCPU Xeon), and each 8 dimensions more cost about
+# three times as much.
+DECOMPOSITION_DIM_CAP = 64
+
 
 class QuotientVerdict(Enum):
     ENRIQUES = "enriques"
@@ -109,6 +114,8 @@ def decomposition_search(dimension: int, chi: int) -> list[FactorDecomposition]:
     """
     if dimension < 2 or dimension % 2 != 0:
         raise ValueError("total dimension must be even and at least 2")
+    if dimension > DECOMPOSITION_DIM_CAP:
+        raise ValueError(f"total dimension is capped at {DECOMPOSITION_DIM_CAP}")
     if chi < 1:
         raise ValueError("the Euler characteristic must be positive")
     candidates: list[tuple[FactorKind, int]] = []

@@ -39,10 +39,11 @@ from .lattice import (
     torus_system_solvable,
     verify_obstruction,
 )
-from .linalg import IntMatrix
+from .linalg import IntMatrix, divisors, factorize
 from .torus import TorusAuto, TorusPoint
 
-# The grid oracle walks level**4 starts; this is the search sweep's level cap.
+# The grid oracle and the search sweep both walk level**4 points; one cap
+# bounds the level of either.
 GRID_LEVEL_CAP = 24
 
 
@@ -60,7 +61,7 @@ def orbit_types(n: int, m: int) -> list[tuple[int, ...]]:
         raise ValueError("total length must be positive")
     if m < 1:
         raise ValueError("the order must be positive")
-    lengths = [l for l in range(m, 0, -1) if m % l == 0]
+    lengths = divisors(m)[::-1]
     found: list[tuple[int, ...]] = []
 
     def recurse(start: int, remaining: int, acc: list[int]) -> None:
@@ -259,21 +260,6 @@ def has_fixed_point(
     return FixedPointReport(found, tuple(certificates))
 
 
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        else:
-            p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def group_acts_freely(
     auto: TorusAuto,
     n: int,
@@ -296,7 +282,7 @@ def group_acts_freely(
     order = auto.order()
     tested: list[PowerTest] = []
     free = True
-    for p in _prime_factors(order):
+    for p, _ in factorize(order):
         power = order // p
         report = has_fixed_point(
             auto**power,

@@ -21,12 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .linalg import IntMatrix, SelfCheckError
+from .linalg import (
+    IntMatrix,
+    SelfCheckError,
+    divisors,
+    factorize,
+    matrix_order,
+    smith_normal_form,
+)
 from .series import TruncatedSeries
-
-MATRIX_ORDER_BOUND = 24
 
 
 class DegenerateActionError(ValueError):
@@ -35,19 +40,6 @@ class DegenerateActionError(ValueError):
 
 class NonIntegralLefschetzError(ArithmeticError):
     """The exact-divisibility postcondition failed; indicates a bug."""
-
-
-def matrix_order(m: IntMatrix) -> int:
-    """Multiplicative order of an integer matrix, at most ``MATRIX_ORDER_BOUND``."""
-    if m.rows != m.cols:
-        raise ValueError("order is defined for square matrices only")
-    identity = IntMatrix.identity(m.rows)
-    power = m
-    for k in range(1, MATRIX_ORDER_BOUND + 1):
-        if power == identity:
-            return k
-        power = power @ m
-    raise ValueError(f"matrix has no multiplicative order up to {MATRIX_ORDER_BOUND}")
 
 
 def companion_matrix(tail_coefficients) -> IntMatrix:
@@ -102,24 +94,9 @@ def kummer_series(m: IntMatrix, truncation: int) -> TruncatedSeries:
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def _mobius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        else:
-            p += 1
-    if n > 1:
-        result = -result
-    return result
+    factors = factorize(n)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 @dataclass(frozen=True)
@@ -157,8 +134,6 @@ def invariant_character_counts(m: IntMatrix, n: int) -> CharacterCounts:
         raise ValueError("the torsion modulus must be positive")
     if m.rows != m.cols or m.rows != 4:
         raise ValueError("a 4x4 homology action is required")
-    from .linalg import smith_normal_form
-
     k = m.transpose() - IntMatrix.identity(4)
     _, d, _ = smith_normal_form(k)
     diag = [d[i][i] for i in range(4)]
@@ -170,8 +145,8 @@ def invariant_character_counts(m: IntMatrix, n: int) -> CharacterCounts:
         return out
 
     counts = []
-    for div in _divisors(n):
-        exact = sum(_mobius(div // e) * dividing(e) for e in _divisors(div))
+    for div in divisors(n):
+        exact = sum(_mobius(div // e) * dividing(e) for e in divisors(div))
         counts.append((div, exact))
     result = CharacterCounts(n, tuple(counts))
     if result[1] != 1:
@@ -186,6 +161,18 @@ def lefschetz_torus(m: IntMatrix) -> int:
     if m.rows != m.cols or m.rows != 4:
         raise ValueError("a 4x4 homology action is required")
     return det_one_minus_power(m, 1)
+
+
+def absorbs_translation(m: IntMatrix, vector, n: int) -> bool:
+    """Whether the point ``vector / n`` lies in ``(I - M) E[n]``.
+
+    With ``U (I - M) V = D`` in Smith form, ``(I - M) w = vector`` has a
+    solution mod ``n`` exactly when ``gcd(d_i, n)`` divides ``(U vector)_i``
+    for every ``i``.  Then conjugation by the ``n``-torsion translation
+    ``w / n``, which preserves the fibre, takes the map to its linear part.
+    """
+    u, d, _ = smith_normal_form(IntMatrix.identity(m.rows) - m)
+    return all(x % gcd(d[i][i], n) == 0 for i, x in enumerate(u.apply_int(vector)))
 
 
 def lefschetz_kummer(m: IntMatrix, n: int) -> int:
@@ -213,29 +200,19 @@ def lefschetz_kummer(m: IntMatrix, n: int) -> int:
     return weighted // base
 
 
-def _as_rational_rows(matrix) -> list[list[Fraction]]:
-    if matrix is None:
-        return []
-    rows = [[Fraction(e) for e in row] for row in matrix]
+def _power_traces(matrix, truncation: int) -> list[Fraction]:
+    """``tr(A^s)`` for ``s = 1..truncation``, from powers of the integer ``q A``."""
+    rows = [[Fraction(e) for e in row] for row in matrix or []]
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("square matrix required")
-    return rows
-
-
-def _power_traces(rows: list[list[Fraction]], truncation: int) -> list[Fraction]:
-    """``tr(A^s)`` for ``s = 1..truncation``."""
-    size = len(rows)
-    power = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    if not rows:
+        return [Fraction(0)] * truncation
+    q = lcm(*(e.denominator for row in rows for e in row))
+    scaled = power = IntMatrix([[e * q for e in row] for row in rows])
     traces = []
-    for _ in range(truncation):
-        power = [
-            [
-                sum((power[i][k] * rows[k][j] for k in range(size)), Fraction(0))
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
-        traces.append(sum((power[i][i] for i in range(size)), Fraction(0)))
+    for s in range(1, truncation + 1):
+        traces.append(Fraction(sum(power[i][i] for i in range(power.rows)), q**s))
+        power = power @ scaled
     return traces
 
 
@@ -252,8 +229,8 @@ def supertrace_sym_series(even, odd, truncation: int) -> TruncatedSeries:
     """
     if truncation < 0:
         raise ValueError("truncation order must be non-negative")
-    even_traces = _power_traces(_as_rational_rows(even), truncation)
-    odd_traces = _power_traces(_as_rational_rows(odd), truncation)
+    even_traces = _power_traces(even, truncation)
+    odd_traces = _power_traces(odd, truncation)
     exponent = [Fraction(0)]
     for s, (e, o) in enumerate(zip(even_traces, odd_traces), 1):
         exponent.append((e - o) / s)

@@ -4,6 +4,8 @@ Everything here is plain arbitrary-precision integer arithmetic.  The
 workhorse is :func:`smith_normal_form`, which returns the full transform
 data ``U * A * V = D`` with unimodular ``U`` and ``V``; the fraction-free
 Bareiss determinant serves the Lefschetz numbers and the cross-checks.
+The package's one binary power, factorisation and multiplicative order
+live here too.
 
 A Smith form certifies itself exactly, with a zero-skipping product and an
 inverse pair in place of determinants; :func:`smith_normal_form` says how.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import add, mul, sub
+from operator import add, matmul, mul, sub
 
 
 class SelfCheckError(ArithmeticError):
@@ -79,23 +81,16 @@ class IntMatrix:
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self._rows[i]
 
+    def _entrywise(self, other: "IntMatrix", op) -> "IntMatrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("matrix shapes disagree")
+        return IntMatrix._of(map(op, ra, rb) for ra, rb in zip(self._rows, other._rows))
+
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_shape(other)
-        return IntMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
-        )
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_shape(other)
-        return IntMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
-        )
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-a for a in row] for row in self._rows])
@@ -133,17 +128,7 @@ class IntMatrix:
     def __pow__(self, exponent: int) -> "IntMatrix":
         if self.rows != self.cols:
             raise ValueError("powers need a square matrix")
-        if exponent < 0:
-            raise ValueError("negative matrix powers are not supported")
-        result = IntMatrix.identity(self.rows)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
+        return binary_power(self, exponent, IntMatrix.identity(self.rows))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of(zip(*self._rows))
@@ -188,10 +173,6 @@ class IntMatrix:
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def _check_shape(self, other: "IntMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shapes disagree")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -202,6 +183,77 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self._rows]!r})"
+
+
+def binary_power(base, exponent: int, one, product=matmul):
+    """``base ** exponent`` by repeated squaring, from the neutral ``one``."""
+    if exponent < 0:
+        raise ValueError("negative powers are not supported")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = product(result, base)
+        exponent >>= 1
+        if exponent:
+            base = product(base, base)
+    return result
+
+
+def matrix_order(m: IntMatrix) -> int:
+    """Multiplicative order of a square integer matrix of size at most 4.
+
+    A finite order of such a matrix is 1, 2, 3, 4, 5, 6, 8, 10 or 12: its
+    eigenvalues are roots of unity whose Galois orbits fill at most four
+    places.  So ``m`` has finite order only if ``m^24 == I`` or, for
+    orders 5 and 10, ``m^12 == m^2``; each order returned is the least
+    power found equal to ``I``.  Raises ``ValueError`` for a matrix that
+    is not square, is larger than 4x4, or has infinite order.
+    """
+    if m.rows != m.cols or m.rows > 4:
+        raise ValueError("orders are decided for square matrices up to 4x4")
+    identity = IntMatrix.identity(m.rows)
+    p2 = m @ m
+    p3 = p2 @ m
+    p6 = p3 @ p3
+    p12 = p6 @ p6
+    if p12 @ p12 == identity:
+        p4 = p2 @ p2
+        ladder = ((1, m), (2, p2), (3, p3), (4, p4), (6, p6), (12, p12), (8, p4 @ p4))
+        return next((k for k, power in ladder if power == identity), 24)
+    if p12 == p2:
+        p5 = p3 @ p2
+        if p5 == identity:
+            return 5
+        if p5 @ p5 == identity:
+            return 10
+    raise ValueError("matrix has infinite multiplicative order")
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorisation of ``n >= 1`` as ``(p, e)`` pairs, ``p`` ascending."""
+    if n < 1:
+        raise ValueError("only positive integers are factorised")
+    out = []
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of ``n >= 1``, ascending."""
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def _identity_rows(n: int) -> list[list[int]]:

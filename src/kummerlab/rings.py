@@ -16,8 +16,9 @@ three rings.
 from __future__ import annotations
 
 from enum import Enum
+from operator import mul
 
-from .linalg import SelfCheckError
+from .linalg import SelfCheckError, binary_power
 
 
 class RingMismatchError(ValueError):
@@ -138,17 +139,7 @@ class RingElem:
         return RingElem(self._ring, a * c + s * b * d, a * d + b * c + t * b * d)
 
     def __pow__(self, exponent: int) -> "RingElem":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined in the ring")
-        result = RingElem.one(self._ring)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, exponent, RingElem.one(self._ring), mul)
 
     def conj(self) -> "RingElem":
         u, v = self._ring.zeta_conj

@@ -26,8 +26,8 @@ import itertools
 from dataclasses import dataclass
 
 from .enriques import QuotientClassification, classify_free_quotient
-from .fixedpoint import FreenessReport, group_acts_freely
-from .linalg import SelfCheckError
+from .fixedpoint import GRID_LEVEL_CAP, FreenessReport, group_acts_freely
+from .linalg import IntMatrix, SelfCheckError, matrix_order
 from .rings import RingElem, RingId
 from .torus import (
     TorusAuto,
@@ -37,7 +37,6 @@ from .torus import (
 )
 
 MAX_NORM_CAP = 4
-LEVEL_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -138,14 +137,11 @@ def _shift_subgroup(linear: TorusEndo, level: int) -> set[tuple[int, ...]]:
 
 
 def _unit_order(unit: RingElem) -> int:
-    """The order of a unit, which divides the order of the unit group."""
-    one = RingElem.one(unit.ring)
-    power = unit
-    for k in range(1, unit.ring.unit_count + 1):
-        if power == one:
-            return k
-        power = power * unit
-    raise SelfCheckError("a unit's order must divide the order of the unit group")
+    """The order of a unit: :func:`matrix_order` of its regular representation."""
+    try:
+        return matrix_order(IntMatrix(unit.regular_representation()))
+    except ValueError:
+        raise SelfCheckError(f"{unit!r} is not a unit of finite order") from None
 
 
 def run_search(
@@ -169,8 +165,8 @@ def run_search(
         raise ValueError("n must be at least 2")
     if level is None:
         level = n
-    if level > LEVEL_CAP:
-        raise ValueError(f"level is capped at {LEVEL_CAP}")
+    if not 1 <= level <= GRID_LEVEL_CAP:
+        raise ValueError(f"level must lie in 1..{GRID_LEVEL_CAP}")
     if n % level != 0:
         raise ValueError("level must divide n")
     if linears is None:

@@ -9,6 +9,9 @@ constant terms (0 and 1 respectively).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
+
+from .linalg import binary_power
 
 
 class TruncatedSeries:
@@ -92,17 +95,7 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise ValueError("negative series powers are not supported")
-        result = TruncatedSeries.one(self.truncation)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, exponent, TruncatedSeries.one(self.truncation), mul)
 
     def inverse(self) -> "TruncatedSeries":
         if self._coeffs[0] == 0:

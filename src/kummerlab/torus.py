@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import IntMatrix
+from .linalg import IntMatrix, binary_power, matrix_order
 from .rings import RingElem, RingId, _check_same_ring
 
 TORSION_LEVEL_CAP = 1000
@@ -236,17 +236,7 @@ class TorusEndo:
         )
 
     def __pow__(self, exponent: int) -> "TorusEndo":
-        if exponent < 0:
-            raise ValueError("negative endomorphism powers are not supported")
-        result = TorusEndo.identity(self._ring)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
+        return binary_power(self, exponent, TorusEndo.identity(self._ring))
 
     def det(self) -> RingElem:
         return (
@@ -282,17 +272,16 @@ class TorusEndo:
         return self._induced
 
     def multiplicative_order(self) -> int:
-        """The order of the map; computed once, on the induced matrix.
+        """The order of the map: :func:`matrix_order` of the induced matrix.
 
-        A finite-order 2x2 matrix over these rings has eigenvalues that are
-        roots of unity of degree at most two over the scalar field, so its
-        order divides 24.  The map is therefore torsion exactly when the
-        24th power of the induced matrix is the identity, and its order is
-        the least divisor of 24 whose power is.  Raises
+        Computed once per map.  Raises
         :class:`UnsupportedAutomorphismError` for infinite order.
         """
         if self._order_cache is None:
-            self._order_cache = _order_dividing_24(self.induced_matrix())
+            try:
+                self._order_cache = matrix_order(self.induced_matrix())
+            except ValueError:
+                self._order_cache = 0
         if self._order_cache == 0:
             raise UnsupportedAutomorphismError("linear part has infinite order")
         return self._order_cache
@@ -307,20 +296,6 @@ class TorusEndo:
 
     def __repr__(self) -> str:
         return f"TorusEndo({[[e for e in row] for row in self._entries]!r})"
-
-
-def _order_dividing_24(m: IntMatrix) -> int:
-    """The order of ``m`` if it divides 24, else 0, in at most seven products."""
-    p2 = m @ m
-    p3 = p2 @ m
-    p6 = p3 @ p3
-    p12 = p6 @ p6
-    identity = IntMatrix.identity(m.rows)
-    if p12 @ p12 != identity:
-        return 0
-    p4 = p2 @ p2
-    powers = ((1, m), (2, p2), (3, p3), (4, p4), (6, p6), (8, p4 @ p4), (12, p12))
-    return next((k for k, power in powers if power == identity), 24)
 
 
 class TorusAuto:

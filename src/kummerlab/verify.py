@@ -29,12 +29,13 @@ from .lattice import (
     torus_system_solvable,
 )
 from .lefschetz import (
+    DegenerateActionError,
+    NonIntegralLefschetzError,
     companion_matrix,
     det_one_minus_power,
     invariant_character_counts,
     kummer_series,
     lefschetz_kummer,
-    lefschetz_torus,
     supertrace_sym_series,
 )
 from .linalg import IntMatrix, SelfCheckError
@@ -347,20 +348,16 @@ def sampled_supertrace_mismatches(
 
 
 def integrality_failures(max_n: int = 8) -> int:
-    """Check exact divisibility of the weighted coefficient sum throughout
-    the catalog; returns the number of (matrix, n) pairs that fail."""
+    """Count the (matrix, n) pairs of the catalog whose Lefschetz number
+    fails its exact division; degenerate matrices are skipped."""
     failures = 0
     for _, matrix in matrix_catalog():
-        base = lefschetz_torus(matrix)
-        if base == 0:
-            continue
         for n in range(2, max_n + 1):
-            series = kummer_series(matrix, n)
-            census = invariant_character_counts(matrix, n)
-            weighted = sum(
-                count * int(series[n // d]) for d, count in census.counts
-            )
-            if weighted % base != 0:
+            try:
+                lefschetz_kummer(matrix, n)
+            except DegenerateActionError:
+                break
+            except NonIntegralLefschetzError:
                 failures += 1
     return failures
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import kummerlab.cli as cli
+from kummerlab.enriques import DECOMPOSITION_DIM_CAP
 from kummerlab.cli import (
     EXIT_MATH,
     EXIT_OK,
@@ -203,6 +204,34 @@ def test_lefschetz_command_degenerate_is_reported_not_fatal(capsys) -> None:
     assert payload["torus_lefschetz"] == 0
 
 
+def lefschetz_argv(ring: str, h: str, a: str, n: int) -> list[str]:
+    return ["lefschetz", "--ring", ring, "--h", h, "--a", a, "--n", str(n)]
+
+
+@pytest.mark.parametrize(
+    "ring, a, n",
+    [("eisenstein", "(1/3,0)", 3), ("gaussian", "(1/4,0)", 4),
+     ("gaussian", "(1/8,0)", 4)],
+)
+def test_lefschetz_refuses_translations_not_conjugated_away(capsys, ring, a, n) -> None:
+    # (1/3, 0) and (1/4, 0) are n-torsion but outside (I - h)E[n], so the
+    # linear part's number would be wrong; (1/8, 0) is not n-torsion.
+    assert main(lefschetz_argv(ring, "[[z,0],[0,z]]", a, n)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --a is not")
+
+
+def test_lefschetz_accepts_translations_conjugated_away(capsys) -> None:
+    # (1 + i)/4 = (1 - i) * i/4, so (I - h)b with b = (i/4, 0) absorbs it.
+    for a in ("(1/4+1/4*z,0)", "(0,0)"):
+        code, payload = run_json(
+            capsys, lefschetz_argv("gaussian", "[[z,0],[0,z]]", a, 4)
+        )
+        assert code == EXIT_OK
+        assert payload["kummer_lefschetz"] == 68
+
+
 def test_freeness_command_free_instance(capsys) -> None:
     argv = [
         "freeness",
@@ -300,6 +329,23 @@ def test_classify_command(capsys) -> None:
     assert code == EXIT_OK
     assert payload["verdict"] == "invalid"
     assert "does not divide" in payload["reason"]
+
+
+def test_decompose_above_dimension_cap_exits_two(capsys) -> None:
+    for dim in (DECOMPOSITION_DIM_CAP + 2, 120):
+        assert main(["decompose", "--dim", str(dim), "--chi", "1048576"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: total dimension is capped at 64")
+
+
+@pytest.mark.parametrize("level", ["0", "-3", "25"])
+def test_search_level_outside_cap_exits_two(capsys, level) -> None:
+    argv = ["search", "--ring", "eisenstein", "--n", "3", "--level", level]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: level must lie in 1..24")
 
 
 def test_decompose_command(capsys) -> None:

@@ -21,11 +21,11 @@ from kummerlab.lefschetz import (
     invariant_character_counts,
     kummer_series,
     lefschetz_kummer,
+    absorbs_translation,
     lefschetz_torus,
-    matrix_order,
     supertrace_sym_series,
 )
-from kummerlab.linalg import IntMatrix, SelfCheckError
+from kummerlab.linalg import IntMatrix, SelfCheckError, matrix_order
 from kummerlab.series import TruncatedSeries
 from kummerlab.verify import supertrace_by_expansion
 
@@ -57,9 +57,17 @@ def test_companion_matrix_orders() -> None:
 
 
 def test_infinite_order_is_rejected() -> None:
-    shear = IntMatrix([[1, 1], [0, 1]])
-    with pytest.raises(ValueError):
-        matrix_order(shear)
+    # Infinite order, a singular matrix with m^12 == m^2, a non-square
+    # matrix and one larger than the 4x4 the order rule covers.
+    for bad in (
+        IntMatrix([[1, 1], [0, 1]]),
+        IntMatrix([[2, 0], [0, 1]]),
+        IntMatrix.zeros(2, 2),
+        IntMatrix([[1, 0, 0]]),
+        IntMatrix.identity(5),
+    ):
+        with pytest.raises(ValueError):
+            matrix_order(bad)
 
 
 def test_det_one_minus_power_order_five() -> None:
@@ -71,8 +79,8 @@ def test_det_one_minus_power_order_five() -> None:
 
 
 def test_series_builds_each_power_once(monkeypatch) -> None:
-    # Four products find the order 5, then one running product per
-    # exponent.
+    # The order ladder takes five products to m^24 and sees m^12 == m^2,
+    # one more confirms m^5 == I; then one running product per exponent.
     m = companion_matrix((1, 1, 1, 1))
     products = 0
     matmul = IntMatrix.__matmul__
@@ -84,7 +92,7 @@ def test_series_builds_each_power_once(monkeypatch) -> None:
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counting)
     kummer_series(m, 24)
-    assert products == 4 + 24
+    assert products == 6 + 24
 
 
 def test_torus_count_is_first_determinant() -> None:
@@ -249,6 +257,21 @@ def test_supertrace_expansion_is_integral_and_matches_series() -> None:
         assert all(type(c) is int for c in expansion)
         series = supertrace_sym_series(even, odd, 6)
         assert expansion == list(series.coefficients)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_absorbed_translations_match_the_image_of_i_minus_m(n: int) -> None:
+    # The Smith-form test against the set (I - M)(Z/n)^4 built pointwise.
+    matrices = [NEGATIVE_IDENTITY, ROTATION_ORDER_3, companion_matrix((1, 1, 1, 1)),
+                companion_matrix((1, 0, -1, 0)), companion_matrix((1, 0, 0, 0))]
+    for m in matrices:
+        shift = IntMatrix.identity(4) - m
+        image = {
+            tuple(x % n for x in shift.apply_int(w))
+            for w in itertools.product(range(n), repeat=4)
+        }
+        for v in itertools.product(range(n), repeat=4):
+            assert absorbs_translation(m, v, n) == (v in image)
 
 
 def test_character_count_self_check_rejects_broken_inversion(monkeypatch) -> None:

@@ -15,11 +15,16 @@ import pytest
 import kummerlab.lattice as lattice
 from kummerlab.linalg import (
     IntMatrix,
+    binary_power,
+    divisors,
     elementary_divisors_via_minors,
+    factorize,
+    matrix_order,
     smith_normal_form,
 )
-from kummerlab.rings import RingId
+from kummerlab.rings import RingElem, RingId, units
 from kummerlab.search import run_search
+from kummerlab.verify import matrix_catalog
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 7) -> IntMatrix:
@@ -274,3 +279,86 @@ def test_apply_returns_exact_rationals() -> None:
     a = IntMatrix([[2, 1], [0, 3]])
     image = a.apply([Fraction(1, 2), Fraction(1, 3)])
     assert image == (Fraction(4, 3), Fraction(1))
+
+
+# The orders the catalog's names promise, each a least power equal to I.
+CATALOG_ORDERS = {
+    "companion_order5": 5,
+    "companion_order8": 8,
+    "companion_order10": 10,
+    "companion_order12": 12,
+    "minus_identity": 2,
+    "eisenstein_diag_zeta_one": 3,
+    "eisenstein_diag_zeta_zeta": 3,
+    "eisenstein_diag_sixth": 6,
+    "gaussian_diag_i_one": 4,
+    "gaussian_diag_i_minus_i": 4,
+    "gaussian_rotation": 4,
+    "integer_rotation": 4,
+}
+
+
+def least_power_to_identity(m: IntMatrix, bound: int = 24) -> int | None:
+    power = m
+    for k in range(1, bound + 1):
+        if power == IntMatrix.identity(m.rows):
+            return k
+        power = power @ m
+    return None
+
+
+def test_matrix_order_on_the_catalog() -> None:
+    catalog = dict(matrix_catalog())
+    assert set(catalog) == set(CATALOG_ORDERS)
+    for name, m in catalog.items():
+        assert matrix_order(m) == CATALOG_ORDERS[name] == least_power_to_identity(m)
+
+
+def test_matrix_order_of_units_matches_ring_powers() -> None:
+    for ring in (RingId.RATIONAL_INT, RingId.GAUSSIAN, RingId.EISENSTEIN):
+        one = RingElem.one(ring)
+        for u in units(ring):
+            order = next(k for k in range(1, 7) if u**k == one)
+            assert matrix_order(IntMatrix(u.regular_representation())) == order
+
+
+def test_matrix_order_matches_least_power_on_random_matrices() -> None:
+    rng = random.Random(55)
+    for _ in range(300):
+        size = rng.randint(1, 4)
+        m = random_matrix(rng, size, size, 1)
+        expected = least_power_to_identity(m)
+        if expected is None:
+            with pytest.raises(ValueError):
+                matrix_order(m)
+        else:
+            assert matrix_order(m) == expected
+
+
+def test_factorisation_and_divisors() -> None:
+    for n in range(1, 400):
+        pairs = factorize(n)
+        product = 1
+        for p, e in pairs:
+            assert all(p % q for q in range(2, p))
+            product *= p**e
+        assert product == n
+        assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_binary_power_counts_products() -> None:
+    calls = []
+
+    def product(x, y):
+        calls.append((x, y))
+        return x * y
+
+    assert binary_power(3, 13, 1, product) == 3**13
+    # 13 = 0b1101: three multiplications into the result, three squarings.
+    assert len(calls) == 6
+    assert binary_power(3, 0, 1, product) == 1
+    with pytest.raises(ValueError):
+        binary_power(3, -1, 1, product)

@@ -123,12 +123,21 @@ def stepwise_order(endo: TorusEndo, bound: int = 24) -> int | None:
     return None
 
 
-@pytest.mark.parametrize("ring", [RingId.RATIONAL_INT, RingId.GAUSSIAN, RingId.EISENSTEIN])
-def test_catalog_orders_match_ring_products(ring: RingId) -> None:
-    # Every unit-determinant matrix at norm one is accepted exactly when it
-    # has an order up to 24 in the ring, and with that order.
-    entries = ring_elements_up_to_norm(ring, 1)
-    catalog = set(linear_candidates(ring, 1))
+@pytest.mark.parametrize(
+    "ring, max_norm",
+    [
+        pytest.param(RingId.RATIONAL_INT, 1, id="RingId.RATIONAL_INT"),
+        pytest.param(RingId.GAUSSIAN, 1, id="RingId.GAUSSIAN"),
+        pytest.param(RingId.EISENSTEIN, 1, id="RingId.EISENSTEIN"),
+        pytest.param(RingId.GAUSSIAN, 2, id="RingId.GAUSSIAN-2"),
+    ],
+)
+def test_catalog_orders_match_ring_products(ring: RingId, max_norm: int) -> None:
+    # Every unit-determinant matrix with entries of norm at most max_norm
+    # is accepted exactly when it has an order up to 24 in the ring, and
+    # with that order.
+    entries = ring_elements_up_to_norm(ring, max_norm)
+    catalog = set(linear_candidates(ring, max_norm))
     for p, q, r, s in itertools.product(entries, repeat=4):
         endo = TorusEndo(((p, q), (r, s)))
         if not endo.det().is_unit():
