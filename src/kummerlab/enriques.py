@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-# The slowest chi measured at dimension 64 enumerates in about 1 s (Python
-# 3.11, one core of a 2-vCPU Xeon), and each 8 dimensions more cost about
-# three times as much.
+# Set from the slowest chi measured at dimension 64 without the reach prune
+# in ``decomposition_search`` (about 1 s, Python 3.11, one core of a 2-vCPU
+# Xeon).  The prune answers that input at once; the cap stays until a new
+# worst case is measured.
 DECOMPOSITION_DIM_CAP = 64
 
 
@@ -127,6 +128,10 @@ def decomposition_search(dimension: int, chi: int) -> list[FactorDecomposition]:
     found: list[FactorDecomposition] = []
 
     def recurse(start: int, dim_left: int, chi_left: int, acc: list[tuple[FactorKind, int]]) -> None:
+        # A factor of dimension d gives at most 2^(d/2) (d/2 + 1 or 2), so
+        # factors filling dim_left reach at most 2^(dim_left/2).
+        if chi_left > 2 ** (dim_left // 2):
+            return
         if dim_left == 0:
             if chi_left == 1:
                 found.append(FactorDecomposition(tuple(acc)))

@@ -19,8 +19,10 @@ mod ``q`` and both the decision and the re-checks of witness and
 obstruction are integer congruences.  Rationals appear only in the
 arguments and in the returned certificate.
 
-:func:`solvable_by_enumeration` re-decides the same question by finite
-enumeration alone and exists to cross-validate the normal-form route.
+:func:`translation_classes` keys the classes of ``(Z/n)^r`` modulo
+``(I - M)(Z/n)^r`` from one Smith form.  :func:`solvable_by_enumeration`
+re-decides solvability by finite enumeration alone and exists to
+cross-validate the normal-form route.
 """
 
 from __future__ import annotations
@@ -121,6 +123,25 @@ def torus_system_solvable(
     if not verify_witness(system, c, z):
         raise SelfCheckError("witness failed its re-check")
     return SolvabilityResult(True, z, None)
+
+
+def translation_classes(m: IntMatrix, n: int):
+    """``(key, moduli)`` for the classes of ``(Z/n)^r`` mod ``(I - M)(Z/n)^r``.
+
+    With ``U (I - M) V = D`` in Smith form, ``U`` maps the subgroup onto the
+    product of the ``g_i (Z/n)``, ``moduli = (g_i) = (gcd(d_i, n))``.  So
+    ``key(v) = ((U v)_i mod g_i)_i`` (entries with ``g_i = 1`` left out)
+    agrees on two vectors exactly when they share a class, there are
+    ``prod g_i`` classes, and the subgroup is the class of key zero.
+    """
+    u, d, _ = smith_normal_form(IntMatrix.identity(m.rows) - m)
+    moduli = tuple(gcd(d[i][i], n) for i in range(m.rows))
+    rows = tuple((row, g) for row, g in zip(u.entries, moduli) if g > 1)
+
+    def key(vector) -> tuple[int, ...]:
+        return tuple(sum(map(mul, row, vector)) % g for row, g in rows)
+
+    return key, moduli
 
 
 def verify_witness(system: IntMatrix, constants, witness) -> bool:

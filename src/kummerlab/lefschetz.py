@@ -21,17 +21,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .linalg import (
-    IntMatrix,
-    SelfCheckError,
-    divisors,
-    factorize,
-    matrix_order,
-    smith_normal_form,
-)
+from .lattice import translation_classes
+from .linalg import IntMatrix, SelfCheckError, divisors, factorize, matrix_order
 from .series import TruncatedSeries
+
+
+# Largest n (series truncation, character modulus) accepted.  The
+# ``lefschetz`` command at n = 360, which expands the series twice, took
+# 0.95-1.19 s raw over five catalog matrices (Python 3.11, one core of a
+# 2-vCPU Xeon), and the cost grows about as n^2.
+KUMMER_N_CAP = 360
+
+
+def _check_n_cap(n: int) -> None:
+    if n > KUMMER_N_CAP:
+        raise ValueError(f"n is capped at {KUMMER_N_CAP}")
 
 
 class DegenerateActionError(ValueError):
@@ -78,6 +84,7 @@ def kummer_series(m: IntMatrix, truncation: int) -> TruncatedSeries:
     matrix_order(m)
     if truncation < 0:
         raise ValueError("truncation order must be non-negative")
+    _check_n_cap(truncation)
     identity = IntMatrix.identity(m.rows)
     power = identity
     exponent = [Fraction(0)] * (truncation + 1)
@@ -125,24 +132,20 @@ def invariant_character_counts(m: IntMatrix, n: int) -> CharacterCounts:
     """Census of ``n``-torsion characters fixed by the transposed action.
 
     A character ``chi`` in ``(Z/n)^4`` is invariant when
-    ``(M^T - I) chi == 0 (mod n)``.  With the Smith normal form of
-    ``M^T - I`` in hand, the number of invariant characters of order
-    dividing ``e`` is a product of gcds, and exact-order counts follow by
-    Moebius inversion over the divisors of ``n``.
+    ``(M^T - I) chi == 0 (mod n)``.  ``M^T - I`` has the Smith diagonal of
+    ``I - M``, so ``prod gcd(g_i, e)`` characters, over the moduli ``g_i``
+    of :func:`translation_classes`, have order dividing ``e``, and
+    exact-order counts follow by Moebius inversion over the divisors of ``n``.
     """
     if n < 1:
         raise ValueError("the torsion modulus must be positive")
+    _check_n_cap(n)
     if m.rows != m.cols or m.rows != 4:
         raise ValueError("a 4x4 homology action is required")
-    k = m.transpose() - IntMatrix.identity(4)
-    _, d, _ = smith_normal_form(k)
-    diag = [d[i][i] for i in range(4)]
+    _, moduli = translation_classes(m, n)
 
     def dividing(e: int) -> int:
-        out = 1
-        for di in diag:
-            out *= gcd(di, e) if di != 0 else e
-        return out
+        return prod(gcd(g, e) for g in moduli)
 
     counts = []
     for div in divisors(n):
@@ -166,13 +169,13 @@ def lefschetz_torus(m: IntMatrix) -> int:
 def absorbs_translation(m: IntMatrix, vector, n: int) -> bool:
     """Whether the point ``vector / n`` lies in ``(I - M) E[n]``.
 
-    With ``U (I - M) V = D`` in Smith form, ``(I - M) w = vector`` has a
-    solution mod ``n`` exactly when ``gcd(d_i, n)`` divides ``(U vector)_i``
-    for every ``i``.  Then conjugation by the ``n``-torsion translation
-    ``w / n``, which preserves the fibre, takes the map to its linear part.
+    ``(I - M) w = vector`` has a solution mod ``n`` exactly when the key of
+    :func:`translation_classes` is zero.  Then conjugation by the
+    ``n``-torsion translation ``w / n``, which preserves the fibre, takes
+    the map to its linear part.
     """
-    u, d, _ = smith_normal_form(IntMatrix.identity(m.rows) - m)
-    return all(x % gcd(d[i][i], n) == 0 for i, x in enumerate(u.apply_int(vector)))
+    key, _ = translation_classes(m, n)
+    return not any(key(vector))
 
 
 def lefschetz_kummer(m: IntMatrix, n: int) -> int:

@@ -10,8 +10,12 @@ The search reports one representative per orbit (the first one in scan
 order) and skips the rest.  The scan runs on integer vectors mod ``n``:
 the translation ``a`` is ``vector / n`` and the orbit is the coset of the
 subgroup ``(I - M) (Z/n)^4`` with ``M`` the induced 4x4 integer matrix.
-All translations of one linear part share one cache of orbit systems and
-their Smith normal forms, which never depend on the translation.
+One Smith form of ``I - M`` keys the cosets (:func:`translation_classes`);
+the scan keeps the keys it has met and stops once it has met every class
+its candidates reach.  The rational-integer ring's folded candidates meet
+the subgroup in exactly the folded images ``(I - h) p``, so the keys serve
+it too.  All translations of one linear part share one cache of orbit
+systems and their Smith normal forms, which never depend on the translation.
 
 Two sound screens keep the sweep fast.  A nontrivial power with trivial
 symplectic multiplier fixes points, so a free pair needs the determinant
@@ -24,9 +28,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd, prod
 
 from .enriques import QuotientClassification, classify_free_quotient
 from .fixedpoint import GRID_LEVEL_CAP, FreenessReport, group_acts_freely
+from .lattice import translation_classes
 from .linalg import IntMatrix, SelfCheckError, matrix_order
 from .rings import RingElem, RingId
 from .torus import (
@@ -110,32 +116,6 @@ def torsion_points(ring: RingId, level: int) -> list[TorusPoint]:
     return points
 
 
-def _shift_subgroup(linear: TorusEndo, level: int) -> set[tuple[int, ...]]:
-    """The subgroup ``(I - h) E[level]`` as integer vectors mod ``level``.
-
-    Generated by the columns of ``I - M`` with ``M`` the induced matrix,
-    each taken as a point so that the integer ring folds it like every
-    candidate.  Closing them under addition touches each subgroup element a
-    handful of times instead of applying the matrix to every torsion point.
-    """
-    m = linear.induced_matrix()
-    generators = [
-        TorusPoint.from_integers(
-            linear.ring, level, [int(i == j) - m[i][j] for i in range(4)]
-        ).vector(level)
-        for j in range(4)
-    ]
-    group = {(0, 0, 0, 0)}
-    for g in generators:
-        frontier = group
-        while frontier:
-            frontier = {
-                tuple((x + y) % level for x, y in zip(p, g)) for p in frontier
-            } - group
-            group |= frontier
-    return group
-
-
 def _unit_order(unit: RingElem) -> int:
     """The order of a unit: :func:`matrix_order` of its regular representation."""
     try:
@@ -193,17 +173,21 @@ def run_search(
             # translations cannot repair that, so no pair with this
             # linear part acts freely.
             continue
-        deltas = _shift_subgroup(linear, n)
+        key, moduli = translation_classes(linear.induced_matrix(), n)
+        # Candidates are multiples of n // level, so they reach this many
+        # of the prod(moduli) classes.
+        reachable = prod(g // gcd(g, n // level) for g in moduli)
         # Orbit systems and their normal forms depend on the linear part
         # only, so every translation of this linear part shares them.
         cache: dict = {}
         seen: set[tuple[int, ...]] = set()
         for a, vector in zip(candidates, vectors):
-            if vector in seen:
+            if len(seen) == reachable:
+                break
+            k = key(vector)
+            if k in seen:
                 continue
-            seen.update(
-                tuple((x + y) % n for x, y in zip(vector, d)) for d in deltas
-            )
+            seen.add(k)
             if a.is_origin():
                 # The class of pure linear maps: these fix the zero
                 # configuration (the origin taken n times), so they are

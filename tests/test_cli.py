@@ -26,6 +26,7 @@ from kummerlab.cli import (
     parse_point,
 )
 from kummerlab.fixedpoint import GRID_LEVEL_CAP
+from kummerlab.lefschetz import KUMMER_N_CAP
 from kummerlab.rings import RingId
 from kummerlab.verify import CheckResult
 
@@ -337,6 +338,28 @@ def test_decompose_above_dimension_cap_exits_two(capsys) -> None:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: total dimension is capped at 64")
+
+
+@pytest.mark.parametrize("command", ["lefschetz", "characters"])
+@pytest.mark.parametrize(
+    "n", [KUMMER_N_CAP + 1, 3200, 1000000000000000000000000000057]
+)
+def test_lefschetz_and_characters_above_n_cap_exit_two(capsys, command, n) -> None:
+    # Unbounded, n = 3200 expands series for over 20 s and the 31-digit
+    # prime spends over 20 s in factorize.
+    argv = [command, "--ring", "eisenstein", "--h", "[[z,0],[0,z]]",
+            "--a", "(0,0)", "--n", str(n)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: n is capped at {KUMMER_N_CAP}")
+
+
+def test_characters_at_n_cap_runs(capsys) -> None:
+    argv = ["characters", "--ring", "eisenstein", "--h", "[[z,0],[0,z]]",
+            "--a", "(0,0)", "--n", str(KUMMER_N_CAP)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == KUMMER_N_CAP
 
 
 @pytest.mark.parametrize("level", ["0", "-3", "25"])

@@ -6,10 +6,12 @@ import itertools
 
 import pytest
 
+import kummerlab.enriques as enriques
 from kummerlab.enriques import (
     FactorDecomposition,
     FactorKind,
     QuotientVerdict,
+    _factor_chi,
     classify_free_quotient,
     decomposition_search,
     holomorphic_euler_ihs,
@@ -114,6 +116,55 @@ def test_search_agrees_with_brute_force(dimension: int, chi: int) -> None:
     for dec in results:
         assert dec.dimension() == dimension
         assert dec.chi() == chi
+
+
+def unpruned_decompositions(dimension: int, chi: int) -> list[FactorDecomposition]:
+    """The decomposition search without the reach prune, in the same order."""
+    candidates = []
+    for dim in range(dimension, 1, -2):
+        candidates.append((FactorKind.IHS, dim))
+        if dim >= 4:
+            candidates.append((FactorKind.CY_EVEN, dim))
+    found = []
+
+    def recurse(start: int, dim_left: int, chi_left: int, acc: list) -> None:
+        if dim_left == 0:
+            if chi_left == 1:
+                found.append(FactorDecomposition(tuple(acc)))
+            return
+        for index in range(start, len(candidates)):
+            kind, dim = candidates[index]
+            if dim > dim_left or chi_left % _factor_chi(kind, dim):
+                continue
+            acc.append((kind, dim))
+            recurse(index, dim_left - dim, chi_left // _factor_chi(kind, dim), acc)
+            acc.pop()
+
+    recurse(0, dimension, chi, [])
+    return found
+
+
+def test_reach_prune_keeps_every_decomposition() -> None:
+    # A factor of dimension d gives at most 2^(d/2), so the prune only cuts
+    # branches that find nothing: the lists, and their order, are unchanged.
+    nonempty = 0
+    for dimension in range(2, 33, 2):
+        for chi in range(1, 417):
+            expected = unpruned_decompositions(dimension, chi)
+            assert decomposition_search(dimension, chi) == expected
+            nonempty += bool(expected)
+    assert nonempty == 640
+
+
+def test_unreachable_chi_is_pruned_at_the_root(monkeypatch) -> None:
+    # chi = 2^24 3^6 5^3 7^2 exceeds 2^32, the most that 64 dimensions of
+    # factors can give, so no factor is tried; unpruned this takes about 1 s.
+    calls = []
+    monkeypatch.setattr(
+        enriques, "_factor_chi", lambda kind, dim: calls.append(dim) or 2
+    )
+    assert decomposition_search(64, 74912366592000) == []
+    assert calls == []
 
 
 def test_known_decomposition_lists() -> None:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from kummerlab.lattice import (
     EnumerationTooLargeError,
     solvable_by_enumeration,
     torus_system_solvable,
+    translation_classes,
     verify_obstruction,
     verify_witness,
 )
@@ -90,6 +93,40 @@ def test_agreement_with_enumeration() -> None:
         unsolvable_seen += not fast
     assert solvable_seen > 0
     assert unsolvable_seen > 0
+
+
+def test_translation_classes_match_the_closed_subgroup() -> None:
+    # Random 2x2 and 3x3 matrices, singular ones included: two vectors share
+    # a key exactly when their difference lies in the subgroup closed from
+    # the columns of I - M mod n, and there are prod(moduli) keys.
+    rng = random.Random(1357)
+    for _ in range(60):
+        r = rng.choice((2, 3))
+        n = rng.randint(2, 6)
+        m = IntMatrix([[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)])
+        columns = [
+            tuple((int(i == j) - m[i][j]) % n for i in range(r)) for j in range(r)
+        ]
+        group = {(0,) * r}
+        for column in columns:
+            frontier = group
+            while frontier:
+                frontier = {
+                    tuple((x + y) % n for x, y in zip(p, column)) for p in frontier
+                } - group
+                group |= frontier
+        key, moduli = translation_classes(m, n)
+        assert len(moduli) == r
+        vectors = list(itertools.product(range(n), repeat=r))
+        keys = {v: key(v) for v in vectors}
+        assert len(set(keys.values())) * len(group) == n**r
+        assert len(set(keys.values())) == prod(moduli)
+        for v in vectors:
+            assert (not any(keys[v])) == (v in group)
+        w = vectors[rng.randrange(len(vectors))]
+        for v in vectors:
+            delta = tuple((x - y) % n for x, y in zip(v, w))
+            assert (keys[v] == keys[w]) == (delta in group)
 
 
 def test_enumeration_is_capped() -> None:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import kummerlab.lattice as lattice
+import kummerlab.search as search
 from kummerlab.linalg import (
     IntMatrix,
     binary_power,
@@ -109,27 +110,42 @@ def test_smith_form_random_properties() -> None:
     assert deficient >= 10
 
 
-# Every Smith form computed by the full Eisenstein n=3 sweep, in call
-# order: their count and the sha256 of their reprs, one per line.  The
-# digest is that of a pivot search that scans every row to the end, so it
-# holds the early-stopping search to the same transforms.
+# Every Smith form of an orbit system computed by the full Eisenstein n=3
+# sweep, in call order: their count and the sha256 of their reprs, one per
+# line.  The digest is that of a pivot search that scans every row to the
+# end, so it holds the early-stopping search to the same transforms.  The
+# sweep also takes one form of I - M per linear part that passes both
+# screens, for its translation classes; those are counted apart.
 SWEEP_SMITH_FORMS = 252
 SWEEP_SMITH_DIGEST = "13d00b15aa3ec24be56c2c8a1f17d4ffd77b96f03c1d1e3e4db6ff58b9283048"
+SWEEP_CLASS_FORMS = 278
 
 
 def test_smith_forms_of_the_eisenstein_sweep_are_pinned(monkeypatch) -> None:
     forms = []
+    class_forms = []
+    target = forms
 
     def recording(a: IntMatrix):
         form = smith_normal_form(a)
-        forms.append(form)
+        target.append(form)
         return form
 
+    def classes(m: IntMatrix, n: int):
+        nonlocal target
+        target = class_forms
+        try:
+            return lattice.translation_classes(m, n)
+        finally:
+            target = forms
+
     monkeypatch.setattr(lattice, "smith_normal_form", recording)
+    monkeypatch.setattr(search, "translation_classes", classes)
     assert len(run_search(3, RingId.EISENSTEIN)) == 64
     assert len(forms) == SWEEP_SMITH_FORMS
     digest = hashlib.sha256("\n".join(map(repr, forms)).encode()).hexdigest()
     assert digest == SWEEP_SMITH_DIGEST
+    assert len(class_forms) == SWEEP_CLASS_FORMS
 
 
 _MUTATION_SCRIPT = """

@@ -5,18 +5,19 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from math import prod
 
 import pytest
 
 from kummerlab.cli import format_matrix, format_point
 from kummerlab.enriques import QuotientVerdict
 from kummerlab.fixedpoint import group_acts_freely
+from kummerlab.lattice import translation_classes
 from kummerlab.rings import RingElem, RingId, zeta6
 from kummerlab.linalg import SelfCheckError
 from kummerlab.search import (
     MAX_NORM_CAP,
     SearchResult,
-    _shift_subgroup,
     _unit_order,
     linear_candidates,
     ring_elements_up_to_norm,
@@ -164,17 +165,33 @@ def test_unbounded_unit_order_is_a_self_check_error() -> None:
     [(RingId.RATIONAL_INT, 2), (RingId.RATIONAL_INT, 6), (RingId.GAUSSIAN, 4),
      (RingId.EISENSTEIN, 3), (RingId.EISENSTEIN, 6)],
 )
-def test_shift_subgroup_matches_pointwise_images(ring: RingId, level: int) -> None:
-    # The subgroup closed from the columns of I - M equals the set of
-    # images (I - h) p over every level-torsion point p, taken as canonical
-    # vectors; the integer ring folds both sides the same way.
+def test_translation_classes_match_pointwise_cosets(ring: RingId, level: int) -> None:
+    # Keying the candidate vectors by translation_classes partitions them
+    # exactly as the pointwise cosets a + (I - h)p over every level-torsion
+    # p.  The integer ring's folded candidates meet (I - M)(Z/level)^4 in
+    # the folded images, so the same keys serve it.
     catalog = linear_candidates(ring, 1)
+    points = torsion_points(ring, level)
+    vectors = [p.vector(level) for p in points]
     for linear in random.Random(2468).sample(catalog, min(len(catalog), 24)):
         shift = TorusEndo.identity(ring) - linear
-        expected = {
-            shift.apply(p).vector(level) for p in torsion_points(ring, level)
-        }
-        assert _shift_subgroup(linear, level) == expected
+        images = {shift.apply(p).vector(level) for p in points}
+        cosets: set[frozenset] = set()
+        covered: set[tuple[int, ...]] = set()
+        for v in vectors:
+            if v not in covered:
+                coset = frozenset(
+                    tuple((x + y) % level for x, y in zip(v, d)) for d in images
+                )
+                cosets.add(coset)
+                covered |= coset
+        key, moduli = translation_classes(linear.induced_matrix(), level)
+        by_key: dict[tuple[int, ...], set] = {}
+        for v in vectors:
+            by_key.setdefault(key(v), set()).add(v)
+        assert {frozenset(c) for c in by_key.values()} == cosets
+        if ring is not RingId.RATIONAL_INT:
+            assert len(cosets) == prod(moduli)
 
 
 def test_torsion_point_counts() -> None:
@@ -264,16 +281,19 @@ EISENSTEIN_ORDER3_DIGEST = (
 )
 
 
-def test_full_sweep_eisenstein_order3_fibre() -> None:
-    results = run_search(3, RingId.EISENSTEIN)
-    assert len(results) == 64
+def row_digest(results: list[SearchResult]) -> str:
     rows = [
         f"{format_matrix(r.linear)} {format_point(r.translation)} "
         f"{r.order} {r.classification.verdict.value}"
         for r in results
     ]
-    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-    assert digest == EISENSTEIN_ORDER3_DIGEST
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def test_full_sweep_eisenstein_order3_fibre() -> None:
+    results = run_search(3, RingId.EISENSTEIN)
+    assert len(results) == 64
+    assert row_digest(results) == EISENSTEIN_ORDER3_DIGEST
     verify_results(results, 3)
     assert {r.order for r in results} == {3}
     linear_parts = {r.linear for r in results}
@@ -290,6 +310,34 @@ def test_full_sweep_eisenstein_order3_fibre() -> None:
     for linear in expected:
         count = sum(1 for r in results if r.linear == linear)
         assert count == 16
+
+
+# Row digests, in the format of EISENSTEIN_ORDER3_DIGEST, of sweeps that
+# exercise the scan's early stop, translations of level below n and the
+# integer ring's folded candidates.
+@pytest.mark.parametrize(
+    "n, ring, level, count, digest",
+    [
+        pytest.param(8, RingId.GAUSSIAN, None, 66,
+                     "88b3b30b8680cb145ce27a73255575d8f330f6847bc5bc162a1722548ecb1040",
+                     id="gaussian-8"),
+        pytest.param(6, RingId.EISENSTEIN, 3, 64,
+                     "1f89b3d9f558a6186c0bdb05f092c083f2a56d9d8bd987e042444aa4eb995b63",
+                     id="eisenstein-6-level-3"),
+        pytest.param(4, RingId.RATIONAL_INT, None, 2,
+                     "9aa598eeec20e9ef37a9557754cffae11831133d260ef57dc0feb630547e6109",
+                     id="integer-4"),
+        pytest.param(6, RingId.RATIONAL_INT, None, 2,
+                     "867fa355d4b23b62c0a798040c05c43bec60ddd1b6dd380e5c65d82411324f58",
+                     id="integer-6"),
+    ],
+)
+def test_sweep_rows_are_pinned(
+    n: int, ring: RingId, level: int | None, count: int, digest: str
+) -> None:
+    results = run_search(n, ring, level=level)
+    assert len(results) == count
+    assert row_digest(results) == digest
 
 
 # ---------------------------------------------------------------------------
