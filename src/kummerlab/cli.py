@@ -34,13 +34,13 @@ from .fixedpoint import (
     group_acts_freely,
     verify_certificate,
 )
+from .lattice import translation_classes
 from .lefschetz import (
-    DegenerateActionError,
     NonIntegralLefschetzError,
-    absorbs_translation,
+    character_census,
     invariant_character_counts,
     kummer_series,
-    lefschetz_kummer,
+    lefschetz_from_census,
     lefschetz_torus,
 )
 from .linalg import SelfCheckError
@@ -364,10 +364,6 @@ def _auto_payload(spec: CommandSpec, auto: TorusAuto) -> dict:
     }
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def _run_lefschetz(spec: CommandSpec) -> tuple[dict, int]:
     auto = parse_automorphism(spec.ring, spec.h_text, spec.a_text)
     if spec.n < 2:
@@ -376,23 +372,27 @@ def _run_lefschetz(spec: CommandSpec) -> tuple[dict, int]:
         raise GrammarError(f"--a is not {spec.n}-torsion")
     matrix = auto.linear.induced_matrix()
     torus = lefschetz_torus(matrix)
-    vector = auto.translation.vector(spec.n)
-    if torus and not absorbs_translation(matrix, vector, spec.n):
+    if torus:
         # The number computed is h's.  It is (h, a)'s too when a = (I - h)b
-        # with b in E[n]: translation by b keeps the fibre and conjugates h
-        # to (h, a).
-        raise GrammarError(f"--a is not in (I - h)E[{spec.n}]")
+        # with b in E[n], that is when a has key zero: translation by b
+        # keeps the fibre and conjugates h to (h, a).
+        key, moduli = translation_classes(matrix, spec.n)
+        if any(key(auto.translation.vector(spec.n))):
+            raise GrammarError(f"--a is not in (I - h)E[{spec.n}]")
+    series = kummer_series(matrix, spec.n)
     payload = _auto_payload(spec, auto)
     payload["command"] = "lefschetz"
     payload["induced_matrix"] = [list(row) for row in matrix.entries]
     payload["torus_lefschetz"] = torus
-    payload["series"] = [int(c) for c in kummer_series(matrix, spec.n).coefficients]
-    try:
-        payload["kummer_lefschetz"] = lefschetz_kummer(matrix, spec.n)
-        payload["status"] = "ok"
-    except DegenerateActionError:
+    payload["series"] = [int(c) for c in series.coefficients]
+    if not torus:
         payload["kummer_lefschetz"] = None
         payload["status"] = "degenerate"
+        return payload, EXIT_OK
+    try:
+        census = character_census(moduli, spec.n)
+        payload["kummer_lefschetz"] = lefschetz_from_census(series, census, torus)
+        payload["status"] = "ok"
     except NonIntegralLefschetzError as exc:
         payload["kummer_lefschetz"] = None
         payload["status"] = "non_integral"
@@ -409,13 +409,13 @@ def _certificate_payload(cert) -> dict:
     }
     if cert.witness is not None:
         data["witness"] = [
-            [_fraction_str(v) for v in point.coords()] for point in cert.witness
+            [str(v) for v in point.coords()] for point in cert.witness
         ]
     if cert.obstruction is not None:
         functional, pairing = cert.obstruction
         data["obstruction"] = {
             "functional": list(functional),
-            "pairing": _fraction_str(pairing),
+            "pairing": str(pairing),
         }
     return data
 
@@ -507,7 +507,7 @@ def _run_search(spec: CommandSpec) -> tuple[dict, int]:
         spec.n,
         ring,
         level=spec.level,
-        max_norm=spec.max_norm or 1,
+        max_norm=spec.max_norm,
         linears=linears,
     )
     payload = {
@@ -515,7 +515,7 @@ def _run_search(spec: CommandSpec) -> tuple[dict, int]:
         "ring": spec.ring,
         "n": spec.n,
         "level": spec.level if spec.level is not None else spec.n,
-        "max_norm": spec.max_norm or 1,
+        "max_norm": spec.max_norm,
         "restricted_to": spec.h_text,
         "count": len(results),
         "results": [

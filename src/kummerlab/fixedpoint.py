@@ -34,11 +34,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .lattice import (
-    SolvabilityResult,
-    torus_system_solvable,
-    verify_obstruction,
-)
+from .lattice import torus_system_solvable, verify_obstruction
 from .linalg import IntMatrix, divisors, factorize
 from .torus import TorusAuto, TorusPoint
 
@@ -154,8 +150,8 @@ def orbit_system(
     auto: TorusAuto,
     orbit_type: tuple[int, ...],
     cache: dict | None = None,
-) -> tuple[IntMatrix, tuple[Fraction, ...]]:
-    """Assemble the integer system deciding the given orbit type.
+) -> tuple[IntMatrix, tuple[int, ...], int]:
+    """``(T, b, q)``: the integer system ``T z = b / q`` deciding the orbit type.
 
     One unknown point (four coordinates) per part.  Rows: for each part,
     the orbit-closure condition ``(M^l - I) z = -t_l`` with ``t_l`` the
@@ -163,10 +159,10 @@ def orbit_system(
     zero-sum condition built from the orbit-sum data.
 
     The matrix depends only on the linear part and the orbit type, the
-    constants alone on the translation; they are integer vectors over the
-    translation's torsion level until the final division.  Passing the
-    same ``cache`` dict across calls, for any translations, computes the
-    power tables of each linear part and length once.
+    constants alone on the translation: ``q`` is the translation's torsion
+    level and ``b`` the numerators over it.  Passing the same ``cache`` dict
+    across calls, for any translations, computes the power tables of each
+    linear part and length once.
     """
     if cache is None:
         cache = {}
@@ -190,7 +186,7 @@ def orbit_system(
         for j, x in enumerate(total.apply_int(a)):
             summed[j] -= x % level
     numerators.extend(summed)
-    return system, tuple(Fraction(x, level) for x in numerators)
+    return system, tuple(numerators), level
 
 
 def _require_descends(auto: TorusAuto, n: int) -> None:
@@ -227,12 +223,12 @@ def has_fixed_point(
     order = auto.order()
     certificates: list[FreenessCertificate] = []
     for orbit_type in orbit_types(n, order):
-        system, constants = orbit_system(auto, orbit_type, tables)
-        result: SolvabilityResult = torus_system_solvable(system, constants, cache)
+        system, constants, level = orbit_system(auto, orbit_type, tables)
+        result = torus_system_solvable(system, constants, level, cache)
         if result.solvable:
-            coords = result.witness
+            w, denominator = result.witness
             points = tuple(
-                TorusPoint.from_vector(auto.ring, coords[4 * i : 4 * i + 4])
+                TorusPoint.from_integers(auto.ring, denominator, w[4 * i : 4 * i + 4])
                 for i in range(len(orbit_type))
             )
             certificates.append(
@@ -246,12 +242,13 @@ def has_fixed_point(
             if stop_at_first:
                 break
         else:
+            functional, pairing = result.obstruction
             certificates.append(
                 FreenessCertificate(
                     element_power,
                     orbit_type,
                     CertificateOutcome.OBSTRUCTED,
-                    obstruction=result.obstruction,
+                    obstruction=(functional, Fraction(pairing, level)),
                 )
             )
     found = any(
@@ -324,8 +321,8 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
     if certificate.obstruction is None:
         return False
     functional, _ = certificate.obstruction
-    system, constants = orbit_system(element, lengths)
-    return verify_obstruction(system, constants, functional)
+    system, constants, level = orbit_system(element, lengths)
+    return verify_obstruction(system, constants, level, functional)
 
 
 def brute_force_fixed_point(auto: TorusAuto, n: int, level: int) -> bool:

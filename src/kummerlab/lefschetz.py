@@ -29,9 +29,9 @@ from .series import TruncatedSeries
 
 
 # Largest n (series truncation, character modulus) accepted.  The
-# ``lefschetz`` command at n = 360, which expands the series twice, took
-# 0.95-1.19 s raw over five catalog matrices (Python 3.11, one core of a
-# 2-vCPU Xeon), and the cost grows about as n^2.
+# ``lefschetz`` command at n = 360 took 0.32-0.52 s raw over five
+# Eisenstein matrices of orders 3 to 6 (Python 3.11, one core of a 2-vCPU
+# Xeon), and the cost grows about as n^2.
 KUMMER_N_CAP = 360
 
 
@@ -133,16 +133,24 @@ def invariant_character_counts(m: IntMatrix, n: int) -> CharacterCounts:
 
     A character ``chi`` in ``(Z/n)^4`` is invariant when
     ``(M^T - I) chi == 0 (mod n)``.  ``M^T - I`` has the Smith diagonal of
-    ``I - M``, so ``prod gcd(g_i, e)`` characters, over the moduli ``g_i``
-    of :func:`translation_classes`, have order dividing ``e``, and
-    exact-order counts follow by Moebius inversion over the divisors of ``n``.
+    ``I - M``, so the census is :func:`character_census` of the moduli of
+    :func:`translation_classes`.
+    """
+    if m.rows != m.cols or m.rows != 4:
+        raise ValueError("a 4x4 homology action is required")
+    _, moduli = translation_classes(m, n)
+    return character_census(moduli, n)
+
+
+def character_census(moduli, n: int) -> CharacterCounts:
+    """Exact-order counts of the elements of ``prod Z/g_i``, each ``g_i | n``.
+
+    ``prod gcd(g_i, e)`` elements have order dividing ``e``, and exact-order
+    counts follow by Moebius inversion over the divisors of ``n``.
     """
     if n < 1:
         raise ValueError("the torsion modulus must be positive")
     _check_n_cap(n)
-    if m.rows != m.cols or m.rows != 4:
-        raise ValueError("a 4x4 homology action is required")
-    _, moduli = translation_classes(m, n)
 
     def dividing(e: int) -> int:
         return prod(gcd(g, e) for g in moduli)
@@ -166,18 +174,6 @@ def lefschetz_torus(m: IntMatrix) -> int:
     return det_one_minus_power(m, 1)
 
 
-def absorbs_translation(m: IntMatrix, vector, n: int) -> bool:
-    """Whether the point ``vector / n`` lies in ``(I - M) E[n]``.
-
-    ``(I - M) w = vector`` has a solution mod ``n`` exactly when the key of
-    :func:`translation_classes` is zero.  Then conjugation by the
-    ``n``-torsion translation ``w / n``, which preserves the fibre, takes
-    the map to its linear part.
-    """
-    key, _ = translation_classes(m, n)
-    return not any(key(vector))
-
-
 def lefschetz_kummer(m: IntMatrix, n: int) -> int:
     """Topological Lefschetz number on the generalized Kummer variety.
 
@@ -191,8 +187,19 @@ def lefschetz_kummer(m: IntMatrix, n: int) -> int:
         raise DegenerateActionError(
             "torus Lefschetz number is zero; the quotient formula does not apply"
         )
-    series = kummer_series(m, n)
-    census = invariant_character_counts(m, n)
+    return lefschetz_from_census(
+        kummer_series(m, n), invariant_character_counts(m, n), base
+    )
+
+
+def lefschetz_from_census(
+    series: TruncatedSeries, census: CharacterCounts, base: int
+) -> int:
+    """``sum N_d * [t^(n/d)] F`` over the census, divided by ``base != 0``.
+
+    ``n`` is the census modulus; the division must be exact.
+    """
+    n = census.modulus
     weighted = 0
     for divisor, count in census.counts:
         weighted += count * int(series[n // divisor])

@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable
 
 from .enriques import FactorDecomposition, classify_free_quotient, decomposition_search
@@ -233,10 +233,11 @@ def counts_by_enumeration(m: IntMatrix, n: int) -> dict[int, int]:
 def sampled_solvability_mismatches(cases: int = 1000, seed: int = 31415) -> int:
     """Compare the normal-form decision against subgroup enumeration.
 
-    Systems are up to 4x8 with entries in [-3, 3] and constant denominators
-    at most 6.  Draws whose enumeration subgroup would exceed
-    ``ENUMERATION_CAP`` are redrawn (the sample stays within the stated
-    bounds either way).
+    Systems are up to 4x8 with entries in [-3, 3] and rational constants
+    with denominators at most 6, put over the lcm of their reduced
+    denominators as the modulus.  Draws whose enumeration subgroup would
+    exceed ``ENUMERATION_CAP`` are redrawn (the sample stays within the
+    stated bounds either way).
     """
     rng = random.Random(seed)
     mismatches = 0
@@ -247,15 +248,15 @@ def sampled_solvability_mismatches(cases: int = 1000, seed: int = 31415) -> int:
         system = IntMatrix(
             [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         )
-        constants = tuple(
-            Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rows)
-        )
+        draws = [(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rows)]
+        modulus = lcm(*(d // gcd(x, d) for x, d in draws))
+        constants = tuple(x * modulus // d for x, d in draws)
         try:
-            slow = solvable_by_enumeration(system, constants)
+            slow = solvable_by_enumeration(system, constants, modulus)
         except EnumerationTooLargeError:
             continue
         produced += 1
-        if bool(torus_system_solvable(system, constants)) != slow:
+        if bool(torus_system_solvable(system, constants, modulus)) != slow:
             mismatches += 1
     return mismatches
 

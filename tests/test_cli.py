@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import kummerlab.cli as cli
+import kummerlab.lattice as lattice
+import kummerlab.lefschetz as lefschetz
 from kummerlab.enriques import DECOMPOSITION_DIM_CAP
 from kummerlab.cli import (
     EXIT_MATH,
@@ -233,6 +237,57 @@ def test_lefschetz_accepts_translations_conjugated_away(capsys) -> None:
         assert payload["kummer_lefschetz"] == 68
 
 
+def test_lefschetz_computes_each_part_once(capsys, monkeypatch) -> None:
+    # One request expands the series once, takes one Smith form of I - M
+    # (for the translation check and the character census) and one torus
+    # Lefschetz number.
+    calls: Counter = Counter()
+    for home, name in (
+        (lefschetz, "kummer_series"),
+        (lefschetz, "lefschetz_torus"),
+        (lattice, "translation_classes"),
+    ):
+        def counted(*args, original=getattr(home, name), name=name, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for module in (cli, lefschetz, lattice):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    code, payload = run_json(
+        capsys, lefschetz_argv("eisenstein", "[[z,0],[0,z]]", "(0,0)", 6)
+    )
+    assert code == EXIT_OK
+    assert payload["kummer_lefschetz"] == 1350
+    assert calls == {"kummer_series": 1, "lefschetz_torus": 1, "translation_classes": 1}
+
+
+# sha256 of the default (JSON) ``freeness`` output, pinned so that witness
+# points and obstruction pairings keep their bytes.
+FREENESS_DIGESTS = [
+    ("eisenstein", "[[z,0],[0,1]]", "(1/3,1/3)", 12,
+     "597fdd044a5a3332c23fc4e68f408e5088f58de54476eadc156a97c9095370b7"),
+    ("gaussian", "[[z,0],[0,1]]", "(1/4,1/4)", 12,
+     "1d4a68bc6ada0ae19439e2e355b5ece4ce63ebacb70346c214b6d199e0344e9e"),
+    ("eisenstein", "[[1+z,0],[0,1]]", "(1/6,1/6)", 6,
+     "dbaa36234211e56775360d4d0d61036a1763a4dffd1927afa410af971e83a7b3"),
+    ("gaussian", "[[z,0],[0,1]]", "(1/2,1/4)", 4,
+     "27fa4aa31ebb39cd2928dd16313930762dd523a2aeea80676180b5e94bbd25a1"),
+]
+
+
+@pytest.mark.parametrize(
+    "ring, h, a, n, digest",
+    FREENESS_DIGESTS,
+    ids=["eisenstein-12", "gaussian-12", "eisenstein-6-not-free", "gaussian-4-not-free"],
+)
+def test_freeness_certificate_bytes_are_pinned(capsys, ring, h, a, n, digest) -> None:
+    argv = ["freeness", "--ring", ring, "--h", h, "--a", a, "--n", str(n)]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_freeness_command_free_instance(capsys) -> None:
     argv = [
         "freeness",
@@ -399,6 +454,17 @@ def test_search_command_restricted(capsys) -> None:
     for result in payload["results"]:
         assert result["order"] == 3
         assert result["classification"]["verdict"] == "enriques"
+
+
+def test_search_max_norm_zero_finds_nothing(capsys) -> None:
+    # Only 0 has norm 0, so no matrix has a unit determinant.
+    code, payload = run_json(
+        capsys, ["search", "--ring", "eisenstein", "--n", "3", "--max-norm", "0"]
+    )
+    assert code == EXIT_OK
+    assert payload["max_norm"] == 0
+    assert payload["count"] == 0
+    assert payload["results"] == []
 
 
 def test_json_output_is_deterministic(capsys) -> None:

@@ -382,9 +382,9 @@ def test_decision_aggregates_per_type_solvability() -> None:
     for psi in (psi_order3(), psi_order3_shifted()):
         verdicts = []
         for orbit_type in orbit_types(3, psi.order()):
-            system, constants = orbit_system(psi, orbit_type)
+            system, constants, level = orbit_system(psi, orbit_type)
             assert system.rows == len(constants)
-            verdicts.append(bool(torus_system_solvable(system, constants)))
+            verdicts.append(bool(torus_system_solvable(system, constants, level)))
         assert has_fixed_point(psi, 3).found == any(verdicts)
 
 
@@ -429,7 +429,7 @@ def test_orbit_system_matches_point_level_definitions() -> None:
         m = psi.linear.induced_matrix()
         for n in (3, 4):
             for orbit_type in orbit_types(n, psi.order()):
-                system, constants = orbit_system(psi, orbit_type)
+                system, constants, level = orbit_system(psi, orbit_type)
                 k = len(orbit_type)
                 expected: list[Fraction] = []
                 total = [Fraction(0)] * 4
@@ -444,4 +444,4 @@ def test_orbit_system_matches_point_level_definitions() -> None:
                     for j, v in enumerate(constant.coords()):
                         total[j] += v
                 expected.extend(-v for v in total)
-                assert constants == tuple(expected)
+                assert tuple(Fraction(b, level) for b in constants) == tuple(expected)

@@ -8,7 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -26,39 +26,47 @@ from kummerlab.lattice import (
 from kummerlab.linalg import IntMatrix
 
 
+def over_modulus(values) -> tuple[tuple[int, ...], int]:
+    """``(b, q)`` with ``b / q`` the given rationals, ``q`` their least common denominator."""
+    values = [Fraction(v) for v in values]
+    q = lcm(1, *(v.denominator for v in values))
+    return tuple(v.numerator * (q // v.denominator) for v in values), q
+
+
 def test_full_rank_system_is_always_solvable() -> None:
+    # Constants (1/3, 1/7) over 21.
     system = IntMatrix([[2, 1], [1, 1]])
-    result = torus_system_solvable(system, [Fraction(1, 3), Fraction(1, 7)])
+    result = torus_system_solvable(system, (7, 3), 21)
     assert result
     assert result.obstruction is None
-    assert verify_witness(system, [Fraction(1, 3), Fraction(1, 7)], result.witness)
+    assert verify_witness(system, (7, 3), 21, result.witness)
 
 
 def test_singular_system_with_obstruction() -> None:
     # Both rows of the image have equal fractional part, so a constant
     # vector with distinct denominators cannot be hit.
     system = IntMatrix([[1, 1], [1, 1]])
-    constants = [Fraction(1, 2), Fraction(0)]
-    result = torus_system_solvable(system, constants)
+    constants = (1, 0)
+    result = torus_system_solvable(system, constants, 2)
     assert not result
     assert result.witness is None
     functional, pairing = result.obstruction
-    assert verify_obstruction(system, constants, functional)
-    assert pairing.denominator != 1
+    assert verify_obstruction(system, constants, 2, functional)
+    assert pairing % 2 != 0
 
 
 def test_singular_system_still_solvable_on_diagonal_constants() -> None:
     system = IntMatrix([[1, 1], [1, 1]])
-    constants = [Fraction(1, 2), Fraction(1, 2)]
-    result = torus_system_solvable(system, constants)
+    constants = (1, 1)
+    result = torus_system_solvable(system, constants, 2)
     assert result
-    assert verify_witness(system, constants, result.witness)
+    assert verify_witness(system, constants, 2, result.witness)
 
 
 def test_zero_system_detects_integrality_only() -> None:
     system = IntMatrix.zeros(2, 2)
-    assert torus_system_solvable(system, [Fraction(3), Fraction(-2)])
-    assert not torus_system_solvable(system, [Fraction(3), Fraction(1, 5)])
+    assert torus_system_solvable(system, (3, -2), 1)
+    assert not torus_system_solvable(system, (15, 1), 5)
 
 
 def test_witness_lives_in_unit_box() -> None:
@@ -67,10 +75,13 @@ def test_witness_lives_in_unit_box() -> None:
         system = IntMatrix(
             [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
         )
-        constants = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(3)]
-        result = torus_system_solvable(system, constants)
+        constants, q = over_modulus(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(3)
+        )
+        result = torus_system_solvable(system, constants, q)
         if result:
-            assert all(0 <= w < 1 for w in result.witness)
+            w, denominator = result.witness
+            assert all(0 <= x < denominator for x in w)
 
 
 def test_agreement_with_enumeration() -> None:
@@ -83,11 +94,11 @@ def test_agreement_with_enumeration() -> None:
         system = IntMatrix(
             [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         )
-        constants = [
+        constants, q = over_modulus(
             Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 4])) for _ in range(rows)
-        ]
-        fast = bool(torus_system_solvable(system, constants))
-        slow = solvable_by_enumeration(system, constants)
+        )
+        fast = bool(torus_system_solvable(system, constants, q))
+        slow = solvable_by_enumeration(system, constants, q)
         assert fast == slow
         solvable_seen += fast
         unsolvable_seen += not fast
@@ -134,11 +145,10 @@ def test_enumeration_is_capped() -> None:
     # has exactly q elements, so the cap is hit one past it.
     system = IntMatrix([[1], [0]])
     assert ENUMERATION_CAP == 20000
-    at_cap = [Fraction(0), Fraction(1, ENUMERATION_CAP)]
-    assert solvable_by_enumeration(system, at_cap) is False
-    assert not torus_system_solvable(system, at_cap)
+    assert solvable_by_enumeration(system, (0, 1), ENUMERATION_CAP) is False
+    assert not torus_system_solvable(system, (0, 1), ENUMERATION_CAP)
     with pytest.raises(EnumerationTooLargeError):
-        solvable_by_enumeration(system, [Fraction(0), Fraction(1, ENUMERATION_CAP + 1)])
+        solvable_by_enumeration(system, (0, 1), ENUMERATION_CAP + 1)
     assert issubclass(EnumerationTooLargeError, ValueError)
 
 
@@ -148,31 +158,40 @@ def test_constants_matter_only_modulo_integers() -> None:
         system = IntMatrix(
             [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
         )
-        constants = [Fraction(rng.randint(-4, 4), 3) for _ in range(2)]
-        shifted = [c + rng.randint(-2, 2) for c in constants]
-        assert bool(torus_system_solvable(system, constants)) == bool(
-            torus_system_solvable(system, shifted)
+        # Numerators over 3; an integer shift of a constant adds 3 to it.
+        constants = [rng.randint(-4, 4) for _ in range(2)]
+        shifted = [b + 3 * rng.randint(-2, 2) for b in constants]
+        assert bool(torus_system_solvable(system, constants, 3)) == bool(
+            torus_system_solvable(system, shifted, 3)
         )
 
 
 def test_dimension_mismatch_raises() -> None:
     with pytest.raises(DimensionMismatchError):
-        torus_system_solvable(IntMatrix([[1, 0], [0, 1]]), [Fraction(1, 2)])
+        torus_system_solvable(IntMatrix([[1, 0], [0, 1]]), (1,), 2)
+
+
+def test_modulus_must_be_positive() -> None:
+    system = IntMatrix([[1], [0]])
+    for modulus in (0, -3):
+        with pytest.raises(ValueError):
+            torus_system_solvable(system, (0, 1), modulus)
+        with pytest.raises(ValueError):
+            solvable_by_enumeration(system, (0, 1), modulus)
 
 
 def test_certificate_checkers_reject_nonsense() -> None:
     system = IntMatrix([[1, 1], [1, 1]])
-    constants = [Fraction(1, 2), Fraction(0)]
+    constants = (1, 0)
     # A witness for an unsolvable system and a functional that does not
     # annihilate the columns should both be rejected.
-    assert not verify_witness(system, constants, (Fraction(1, 4), Fraction(1, 4)))
-    assert not verify_obstruction(system, constants, (1, 0))
-    assert not verify_obstruction(system, [Fraction(1, 2), Fraction(1, 2)], (1, -1))
+    assert not verify_witness(system, constants, 2, ((1, 1), 4))
+    assert not verify_obstruction(system, constants, 2, (1, 0))
+    assert not verify_obstruction(system, (1, 1), 2, (1, -1))
 
 
 _SELF_CHECK_SCRIPT = """
 import contextlib, io, sys
-from fractions import Fraction
 import kummerlab.cli as cli
 import kummerlab.lattice as lattice
 from kummerlab.linalg import IntMatrix, SelfCheckError
@@ -180,7 +199,7 @@ from kummerlab.linalg import IntMatrix, SelfCheckError
 assert not __debug__, "run under python -O"
 lattice.verify_witness = lambda *args: False
 try:
-    lattice.torus_system_solvable(IntMatrix([[2, 1], [1, 1]]), [Fraction(1, 3), 0])
+    lattice.torus_system_solvable(IntMatrix([[2, 1], [1, 1]]), (1, 0), 3)
 except SelfCheckError:
     pass
 else:
