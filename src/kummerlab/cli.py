@@ -131,9 +131,11 @@ def parse_point(text: str, ring: RingId) -> TorusPoint:
     parts = _split_top(s[1:-1], "(", ")")
     if len(parts) != 2:
         raise GrammarError(f"point must have two coordinates, got {text!r}")
-    return TorusPoint.from_vector(
-        ring, (*parse_element(parts[0], ring), *parse_element(parts[1], ring))
-    )
+    coords = (*parse_element(parts[0], ring), *parse_element(parts[1], ring))
+    try:
+        return TorusPoint.from_vector(ring, coords)
+    except ValueError as exc:
+        raise GrammarError(f"point {text!r}: {exc}") from exc
 
 
 def format_point(point: TorusPoint) -> str:

@@ -36,7 +36,7 @@ from math import lcm
 
 from .lattice import torus_system_solvable, verify_obstruction
 from .linalg import IntMatrix, divisors, factorize
-from .torus import TorusAuto, TorusPoint
+from .torus import TorusAuto, TorusPoint, power_sums
 
 # The grid oracle and the search sweep both walk level**4 points; one cap
 # bounds the level of either.
@@ -123,29 +123,6 @@ class FreenessReport:
         return self.free
 
 
-def _length_tables(
-    matrix: IntMatrix, length: int, cache: dict
-) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """``(M^l - I, P_l, Q_l)`` for the induced matrix ``M`` and ``l = length``.
-
-    ``P_l = sum_{j<l} M^j`` maps the translation ``a`` to the translation
-    part ``t_l = P_l a`` of the ``l``-th iterate, and ``Q_l = sum_{k<l} P_k``
-    maps it to the sum ``t_0 + ... + t_(l-1)``, the orbit-sum constant.
-    """
-    key = (matrix, length)
-    tables = cache.get(key)
-    if tables is None:
-        power = IntMatrix.identity(4)
-        partial = IntMatrix.zeros(4, 4)
-        total = IntMatrix.zeros(4, 4)
-        for _ in range(length):
-            total = total + partial
-            partial = partial + power
-            power = power @ matrix
-        tables = cache[key] = (power - IntMatrix.identity(4), partial, total)
-    return tables
-
-
 def orbit_system(
     auto: TorusAuto,
     orbit_type: tuple[int, ...],
@@ -160,14 +137,23 @@ def orbit_system(
 
     The matrix depends only on the linear part and the orbit type, the
     constants alone on the translation: ``q`` is the translation's torsion
-    level and ``b`` the numerators over it.  Passing the same ``cache`` dict
-    across calls, for any translations, computes the power tables of each
-    linear part and length once.
+    level and ``b`` the numerators over it.  The blocks come from
+    :func:`power_sums`: ``M^l - I`` for closure, ``P_l`` for the zero-sum
+    rows, and ``P_l a`` and ``Q_l a`` for the constants.  Passing the same
+    ``cache`` dict across calls, for any translations, computes the tables
+    of each linear part and length once, keyed by ``(M, l)``.
     """
     if cache is None:
         cache = {}
     matrix = auto.linear.induced_matrix()
-    parts = [_length_tables(matrix, l, cache) for l in orbit_type]
+    parts = []
+    for l in orbit_type:
+        tables = cache.get((matrix, l))
+        if tables is None:
+            power, partial, total = power_sums(matrix, l)
+            tables = (power - IntMatrix.identity(4), partial, total)
+            cache[matrix, l] = tables
+        parts.append(tables)
     zero4 = IntMatrix.zeros(4, 4)
     block_rows: list[list[IntMatrix]] = []
     for i, (closure, _, _) in enumerate(parts):
@@ -215,8 +201,9 @@ def has_fixed_point(
     negative one always carries all of them.  ``cache`` is handed to
     :func:`orbit_system` and :func:`torus_system_solvable`: one dict shared
     across maps with the same linear part keeps the systems' Smith normal
-    forms, which never depend on the translation.  Without it only the
-    small power tables are kept, and only for this call.
+    forms, which never depend on the translation, and the
+    :func:`power_sums` tables of each orbit length.  Without it those
+    tables are kept only for this call.
     """
     _require_descends(auto, n)
     tables: dict = {} if cache is None else cache

@@ -6,10 +6,11 @@ has four coordinates (two per factor, in the ``{1, zeta}`` basis), taken
 mod 1.  Only torsion points occur, and each is stored as an integer
 4-vector mod its torsion level ``N``.  The automorphisms handled here are
 the natural ones, a lattice-linear map with unit determinant followed by a
-torsion translation; the linear part acts on point vectors through its
-induced 4x4 integer matrix on first homology, so point arithmetic, orbits
-and orders are plain integer arithmetic mod ``N``.  ``Fraction`` appears
-only where points enter or leave as rational coordinates:
+torsion translation.  A linear part is stored only as its induced 4x4
+integer matrix on first homology, so its products, powers and orbit sums
+(:func:`power_sums`) are integer-matrix products, and point arithmetic,
+orbits and orders are plain integer arithmetic mod ``N``.  ``Fraction``
+appears only where points enter or leave as rational coordinates:
 :meth:`TorusPoint.from_vector` and :meth:`TorusPoint.coords`.
 """
 
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, matmul, sub
 
-from .linalg import IntMatrix, binary_power, matrix_order
+from .linalg import IntMatrix, matrix_order
 from .rings import RingElem, RingId, _check_same_ring
 
 TORSION_LEVEL_CAP = 1000
@@ -153,9 +155,15 @@ class TorusPoint:
 
 
 class TorusEndo:
-    """A 2x2 matrix over the ring, acting factor-wise on ``E x E``."""
+    """A 2x2 matrix over the ring, acting factor-wise on ``E x E``.
 
-    __slots__ = ("_ring", "_entries", "_order_cache", "_induced")
+    Stored only as its induced 4x4 integer matrix on first homology, each
+    entry replaced by its regular representation on ``{1, zeta}``, so sums,
+    products and powers are integer-matrix ones.  Entry ``(i, j)`` reads
+    back from the first column of its block: the coordinates of ``e * 1``.
+    """
+
+    __slots__ = ("_ring", "_matrix", "_order_cache")
 
     def __init__(self, entries) -> None:
         rows = tuple(tuple(row) for row in entries)
@@ -167,19 +175,23 @@ class TorusEndo:
         for e in flat[1:]:
             _check_same_ring(flat[0], e)
         self._ring = flat[0].ring
-        self._entries = rows
+        self._matrix = IntMatrix.block(
+            [[IntMatrix(e.regular_representation()) for e in row] for row in rows]
+        )
         self._order_cache: int | None = None
-        self._induced: IntMatrix | None = None
+
+    @classmethod
+    def _of(cls, ring: RingId, matrix: IntMatrix) -> "TorusEndo":
+        """Wrap an induced matrix that is already a block matrix of entries."""
+        endo = cls.__new__(cls)
+        endo._ring = ring
+        endo._matrix = matrix
+        endo._order_cache = None
+        return endo
 
     @classmethod
     def identity(cls, ring: RingId) -> "TorusEndo":
-        one, zero = RingElem.one(ring), RingElem.zero(ring)
-        return cls([[one, zero], [zero, one]])
-
-    @classmethod
-    def zero(cls, ring: RingId) -> "TorusEndo":
-        z = RingElem.zero(ring)
-        return cls([[z, z], [z, z]])
+        return cls._of(ring, IntMatrix.identity(4))
 
     @classmethod
     def diagonal(cls, d1: RingElem, d2: RingElem) -> "TorusEndo":
@@ -193,83 +205,47 @@ class TorusEndo:
 
     @property
     def entries(self) -> tuple[tuple[RingElem, ...], ...]:
-        return self._entries
+        m = self._matrix
+        return tuple(
+            tuple(RingElem(self._ring, m[i][j], m[i + 1][j]) for j in (0, 2))
+            for i in (0, 2)
+        )
 
     def __getitem__(self, i: int) -> tuple[RingElem, ...]:
-        return self._entries[i]
+        return self.entries[i]
+
+    def _combine(self, other: "TorusEndo", op) -> "TorusEndo":
+        if not isinstance(other, TorusEndo):
+            return NotImplemented
+        _check_same_ring(self, other)
+        return TorusEndo._of(self._ring, op(self._matrix, other._matrix))
 
     def __add__(self, other: "TorusEndo") -> "TorusEndo":
-        if not isinstance(other, TorusEndo):
-            return NotImplemented
-        _check_same_ring(self, other)
-        return TorusEndo(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._entries, other._entries)
-            ]
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other: "TorusEndo") -> "TorusEndo":
-        if not isinstance(other, TorusEndo):
-            return NotImplemented
-        _check_same_ring(self, other)
-        return TorusEndo(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._entries, other._entries)
-            ]
-        )
+        return self._combine(other, sub)
 
     def __matmul__(self, other: "TorusEndo") -> "TorusEndo":
-        if not isinstance(other, TorusEndo):
-            return NotImplemented
-        _check_same_ring(self, other)
-        a, b = self._entries, other._entries
-        return TorusEndo(
-            [
-                [
-                    a[i][0] * b[0][j] + a[i][1] * b[1][j]
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-        )
+        return self._combine(other, matmul)
 
     def __pow__(self, exponent: int) -> "TorusEndo":
-        return binary_power(self, exponent, TorusEndo.identity(self._ring))
+        return TorusEndo._of(self._ring, self._matrix**exponent)
 
     def det(self) -> RingElem:
-        return (
-            self._entries[0][0] * self._entries[1][1]
-            - self._entries[0][1] * self._entries[1][0]
-        )
+        (a, b), (c, d) = self.entries
+        return a * d - b * c
 
     def apply(self, point: TorusPoint) -> TorusPoint:
         """Image of a point, through the induced matrix on its integer vector."""
         _check_same_ring(self, point)
         return TorusPoint.from_integers(
-            self._ring,
-            point.torsion_level(),
-            self.induced_matrix().apply_int(point.vector()),
+            self._ring, point.torsion_level(), self._matrix.apply_int(point.vector())
         )
 
     def induced_matrix(self) -> IntMatrix:
-        """The 4x4 integer matrix on first homology.
-
-        Each ring entry is replaced by its 2x2 regular representation on the
-        basis ``{1, zeta}``, so composition of endomorphisms corresponds to
-        products of induced matrices.  The matrix is built once per map.
-        """
-        if self._induced is None:
-            blocks = [
-                [
-                    IntMatrix(self._entries[i][j].regular_representation())
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-            self._induced = IntMatrix.block(blocks)
-        return self._induced
+        """The 4x4 integer matrix on first homology, the stored form of the map."""
+        return self._matrix
 
     def multiplicative_order(self) -> int:
         """The order of the map: :func:`matrix_order` of the induced matrix.
@@ -279,7 +255,7 @@ class TorusEndo:
         """
         if self._order_cache is None:
             try:
-                self._order_cache = matrix_order(self.induced_matrix())
+                self._order_cache = matrix_order(self._matrix)
             except ValueError:
                 self._order_cache = 0
         if self._order_cache == 0:
@@ -289,13 +265,13 @@ class TorusEndo:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusEndo):
             return NotImplemented
-        return self._ring is other._ring and self._entries == other._entries
+        return self._ring is other._ring and self._matrix == other._matrix
 
     def __hash__(self) -> int:
-        return hash((self._ring, self._entries))
+        return hash((self._ring, self._matrix))
 
     def __repr__(self) -> str:
-        return f"TorusEndo({[[e for e in row] for row in self._entries]!r})"
+        return f"TorusEndo({[list(row) for row in self.entries]!r})"
 
 
 class TorusAuto:
@@ -414,25 +390,42 @@ class TorusAuto:
         return f"TorusAuto({self._linear!r}, {self._translation!r})"
 
 
+def power_sums(
+    matrix: IntMatrix, length: int
+) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """``(M^l, P_l, Q_l)`` for a square integer matrix ``M`` and ``l = length``.
+
+    ``P_l = sum_{j<l} M^j`` and ``Q_l = sum_{k<l} P_k``.  For the induced
+    matrix of a linear part and a translation ``a``, ``P_l a`` is the
+    translation part ``t_l`` of the ``l``-th iterate and ``Q_l a`` is the
+    sum ``t_0 + ... + t_(l-1)``; ``P_l`` is also the linear part of the
+    length-``l`` orbit sum.
+    """
+    size = matrix.rows
+    power = IntMatrix.identity(size)
+    partial = total = IntMatrix.zeros(size, size)
+    for _ in range(length):
+        total = total + partial
+        partial = partial + power
+        power = power @ matrix
+    return power, partial, total
+
+
 def orbit_sum_data(auto: TorusAuto, length: int) -> tuple[TorusEndo, TorusPoint]:
     """Linear map and constant of the length-``length`` orbit sum.
 
     For every point ``p`` the sum of the first ``length`` iterates satisfies
-    ``sum_j auto^j(p) = L(p) + c`` where ``L`` sums the powers of the linear
-    part and ``c`` sums the translation parts of the iterates.
+    ``sum_j auto^j(p) = L(p) + c`` where ``L = P_l`` sums the powers of the
+    linear part and ``c = Q_l a`` sums the translation parts of the
+    iterates, both from :func:`power_sums`.
     """
     if length < 1:
         raise ValueError("orbit length must be positive")
     ring = auto.ring
-    l_sum = TorusEndo.zero(ring)
-    power = TorusEndo.identity(ring)
-    for _ in range(length):
-        l_sum = l_sum + power
-        power = power @ auto.linear
-    c_sum = TorusPoint.from_integers(
+    _, partial, total = power_sums(auto.linear.induced_matrix(), length)
+    constant = TorusPoint.from_integers(
         ring,
         auto.translation.torsion_level(),
-        tuple(map(sum, zip(*auto._translation_iterates(length - 1)))),
+        total.apply_int(auto.translation.vector()),
     )
-    return l_sum, c_sum
-
+    return TorusEndo._of(ring, partial), constant

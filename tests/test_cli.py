@@ -32,6 +32,7 @@ from kummerlab.cli import (
 from kummerlab.fixedpoint import GRID_LEVEL_CAP
 from kummerlab.lefschetz import KUMMER_N_CAP
 from kummerlab.rings import RingId
+from kummerlab.torus import TORSION_LEVEL_CAP
 from kummerlab.verify import CheckResult
 
 ALL_RINGS = [RingId.RATIONAL_INT, RingId.GAUSSIAN, RingId.EISENSTEIN]
@@ -408,6 +409,19 @@ def test_lefschetz_and_characters_above_n_cap_exit_two(capsys, command, n) -> No
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: n is capped at {KUMMER_N_CAP}")
+
+
+@pytest.mark.parametrize("command", ["freeness", "lefschetz", "characters"])
+def test_translation_above_torsion_level_cap_exits_two(capsys, command) -> None:
+    level = TORSION_LEVEL_CAP + 1
+    argv = [command, "--ring", "eisenstein", "--h", "[[z,0],[0,1]]",
+            "--a", f"(1/{level},0)", "--n", str(level)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"cap {TORSION_LEVEL_CAP}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_characters_at_n_cap_runs(capsys) -> None:
