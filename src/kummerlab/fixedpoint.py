@@ -140,38 +140,35 @@ def orbit_system(
     level and ``b`` the numerators over it.  The blocks come from
     :func:`power_sums`: ``M^l - I`` for closure, ``P_l`` for the zero-sum
     rows, and ``P_l a`` and ``Q_l a`` for the constants.  Passing the same
-    ``cache`` dict across calls, for any translations, computes the tables
-    of each linear part and length once, keyed by ``(M, l)``.
+    ``cache`` dict across calls, for any translations, keeps the tables of
+    each linear part and length under ``(M, l)`` and the assembled ``T``
+    under ``(M, orbit_type)``, so a repeated call builds only ``b``.
     """
     if cache is None:
         cache = {}
     matrix = auto.linear.induced_matrix()
-    parts = []
-    for l in orbit_type:
-        tables = cache.get((matrix, l))
-        if tables is None:
-            power, partial, total = power_sums(matrix, l)
-            tables = (power - IntMatrix.identity(4), partial, total)
-            cache[matrix, l] = tables
-        parts.append(tables)
-    zero4 = IntMatrix.zeros(4, 4)
-    block_rows: list[list[IntMatrix]] = []
-    for i, (closure, _, _) in enumerate(parts):
-        row = [zero4] * len(parts)
-        row[i] = closure
-        block_rows.append(row)
-    block_rows.append([partial for _, partial, _ in parts])
-    system = IntMatrix.block(block_rows)
-
     level = auto.translation.torsion_level()
     a = auto.translation.vector()
-    numerators: list[int] = []
-    summed = [0] * 4
-    for _, partial, total in parts:
-        numerators.extend(-(x % level) for x in partial.apply_int(a))
-        for j, x in enumerate(total.apply_int(a)):
-            summed[j] -= x % level
-    numerators.extend(summed)
+    closures, sums = {}, {}
+    for l in set(orbit_type):
+        _, partial, total = power_sums(matrix, l, cache)
+        closures[l] = [-(x % level) for x in partial.apply_int(a)]
+        sums[l] = [x % level for x in total.apply_int(a)]
+    numerators = [x for l in orbit_type for x in closures[l]]
+    numerators += [-sum(column) for column in zip(*(sums[l] for l in orbit_type))]
+
+    system = cache.get((matrix, orbit_type))
+    if system is None:
+        identity, zero4 = IntMatrix.identity(4), IntMatrix.zeros(4, 4)
+        parts = [power_sums(matrix, l, cache) for l in orbit_type]
+        block_rows: list[list[IntMatrix]] = []
+        for i, (power, _, _) in enumerate(parts):
+            row = [zero4] * len(parts)
+            row[i] = power - identity
+            block_rows.append(row)
+        block_rows.append([partial for _, partial, _ in parts])
+        system = IntMatrix.block(block_rows)
+        cache[matrix, orbit_type] = system
     return system, tuple(numerators), level
 
 
@@ -200,10 +197,11 @@ def has_fixed_point(
     positive report may carry fewer certificates than there are types; a
     negative one always carries all of them.  ``cache`` is handed to
     :func:`orbit_system` and :func:`torus_system_solvable`: one dict shared
-    across maps with the same linear part keeps the systems' Smith normal
-    forms, which never depend on the translation, and the
-    :func:`power_sums` tables of each orbit length.  Without it those
-    tables are kept only for this call.
+    across maps with the same linear part keeps what never depends on the
+    translation, the :func:`power_sums` tables under ``(M, l)``, the
+    assembled systems under ``(M, orbit_type)`` and their Smith normal
+    forms under the system itself.  Without it the tables are kept only
+    for this call.
     """
     _require_descends(auto, n)
     tables: dict = {} if cache is None else cache
@@ -258,9 +256,10 @@ def group_acts_freely(
     order.  The trivial group acts freely vacuously.  ``stop_at_first``
     abandons the sweep as soon as one power is caught fixing a
     configuration, leaving later powers untested in the report.  A
-    ``cache`` dict is handed to :func:`has_fixed_point`; it may be shared
-    across calls whose maps have the same linear part, whatever their
-    translations.
+    ``cache`` dict serves :meth:`TorusAuto.power`, whose tables it keeps
+    under ``(M, l)``, and is handed to :func:`has_fixed_point`; it may be
+    shared across calls whose maps have the same linear part, whatever
+    their translations.
     """
     _require_descends(auto, n)
     order = auto.order()
@@ -269,7 +268,7 @@ def group_acts_freely(
     for p, _ in factorize(order):
         power = order // p
         report = has_fixed_point(
-            auto**power,
+            auto.power(power, cache),
             n,
             element_power=power,
             stop_at_first=stop_at_first,

@@ -52,7 +52,9 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix dimensions must be positive")
+        return cls._of([[0] * cols] * rows)
 
     @classmethod
     def block(cls, grid) -> "IntMatrix":
@@ -64,7 +66,7 @@ class IntMatrix:
                 raise ValueError("block heights disagree")
             for i in range(height):
                 out.append([e for b in block_row for e in b._rows[i]])
-        return cls(out)
+        return cls._of(out)
 
     @property
     def rows(self) -> int:

@@ -14,8 +14,10 @@ One Smith form of ``I - M`` keys the cosets (:func:`translation_classes`);
 the scan keeps the keys it has met and stops once it has met every class
 its candidates reach.  The rational-integer ring's folded candidates meet
 the subgroup in exactly the folded images ``(I - h) p``, so the keys serve
-it too.  All translations of one linear part share one cache of orbit
-systems and their Smith normal forms, which never depend on the translation.
+it too.  All translations of one linear part share one cache of what
+never depends on the translation: the power tables behind the tested
+powers and the orbit systems, the assembled systems and their Smith normal
+forms.  Each pair then computes only its constants and its solves.
 
 Two sound screens keep the sweep fast.  A nontrivial power with trivial
 symplectic multiplier fixes points, so a free pair needs the determinant
@@ -155,11 +157,7 @@ def run_search(
         for endo in linears:
             if endo.ring is not ring:
                 raise ValueError("restricted linear parts must match the ring")
-            if not endo.det().is_unit():
-                raise UnsupportedAutomorphismError(
-                    "linear part must have unit determinant"
-                )
-            endo.multiplicative_order()
+            TorusAuto.check_linear(endo)
     candidates = torsion_points(ring, level)
     vectors = [a.vector(n) for a in candidates]
     results = []
@@ -177,8 +175,9 @@ def run_search(
         # Candidates are multiples of n // level, so they reach this many
         # of the prod(moduli) classes.
         reachable = prod(g // gcd(g, n // level) for g in moduli)
-        # Orbit systems and their normal forms depend on the linear part
-        # only, so every translation of this linear part shares them.
+        # Power tables, orbit systems and their normal forms depend on the
+        # linear part only, so every translation of this linear part
+        # shares them.
         cache: dict = {}
         seen: set[tuple[int, ...]] = set()
         for a, vector in zip(candidates, vectors):

@@ -9,7 +9,10 @@ the natural ones, a lattice-linear map with unit determinant followed by a
 torsion translation.  A linear part is stored only as its induced 4x4
 integer matrix on first homology, so its products, powers and orbit sums
 (:func:`power_sums`) are integer-matrix products, and point arithmetic,
-orbits and orders are plain integer arithmetic mod ``N``.  ``Fraction``
+orbits and orders are plain integer arithmetic mod ``N``.  The powers of
+an automorphism (:meth:`TorusAuto.power`) read the same ``(M^l, P_l,
+Q_l)`` tables as the orbit systems, so one cache keyed by ``(M, l)``
+serves every translation of a linear part.  ``Fraction``
 appears only where points enter or leave as rational coordinates:
 :meth:`TorusPoint.from_vector` and :meth:`TorusPoint.coords`.
 """
@@ -175,8 +178,11 @@ class TorusEndo:
         for e in flat[1:]:
             _check_same_ring(flat[0], e)
         self._ring = flat[0].ring
-        self._matrix = IntMatrix.block(
-            [[IntMatrix(e.regular_representation()) for e in row] for row in rows]
+        (a, b), (c, d) = (
+            [e.regular_representation() for e in row] for row in rows
+        )
+        self._matrix = IntMatrix._of(
+            (a[0] + b[0], a[1] + b[1], c[0] + d[0], c[1] + d[1])
         )
         self._order_cache: int | None = None
 
@@ -281,14 +287,29 @@ class TorusAuto:
 
     def __init__(self, linear: TorusEndo, translation: TorusPoint) -> None:
         _check_same_ring(linear, translation)
-        if not linear.det().is_unit():
-            raise UnsupportedAutomorphismError(
-                "linear part must have unit determinant"
-            )
+        self._linear_order = TorusAuto.check_linear(linear)
         self._linear = linear
         self._translation = translation
-        self._linear_order = linear.multiplicative_order()
         self._order_cache: int | None = None
+
+    @staticmethod
+    def check_linear(linear: TorusEndo) -> int:
+        """The order of a linear part, or the reason it is refused.
+
+        Raises :class:`UnsupportedAutomorphismError` for a non-unit
+        determinant, then for infinite order.  A matrix of finite order has
+        ``det M = +-1``, and ``det M`` is the norm of ``det h`` (its square
+        in the folded integer ring), so the order, memoised on the linear
+        part, is checked first and the determinant only on failure.
+        """
+        try:
+            return linear.multiplicative_order()
+        except UnsupportedAutomorphismError:
+            if not linear.det().is_unit():
+                raise UnsupportedAutomorphismError(
+                    "linear part must have unit determinant"
+                ) from None
+            raise
 
     @classmethod
     def identity(cls, ring: RingId) -> "TorusAuto":
@@ -313,24 +334,6 @@ class TorusAuto:
     def apply(self, point: TorusPoint) -> TorusPoint:
         return self._linear.apply(point) + self._translation
 
-    def _translation_iterates(self, count: int) -> list[tuple[int, ...]]:
-        """Translation parts of ``self**k`` for ``k = 0..count``.
-
-        They follow ``t_0 = 0`` and ``t_(k+1) = M t_k + a`` with ``M`` the
-        induced matrix, as integer vectors over the torsion level of ``a``.
-        """
-        matrix = self._linear.induced_matrix()
-        level = self._translation.torsion_level()
-        shift = self._translation.vector()
-        current = (0, 0, 0, 0)
-        out = [current]
-        for _ in range(count):
-            current = tuple(
-                (x + s) % level for x, s in zip(matrix.apply_int(current), shift)
-            )
-            out.append(current)
-        return out
-
     def __mul__(self, other: "TorusAuto") -> "TorusAuto":
         """Composition, ``(self * other)(p) == self(other(p))``."""
         if not isinstance(other, TorusAuto):
@@ -340,39 +343,63 @@ class TorusAuto:
             self._linear.apply(other._translation) + self._translation,
         )
 
-    def __pow__(self, exponent: int) -> "TorusAuto":
-        """The ``exponent``-th iterate, ``(t_a h)^e = t_{sum h^j a} h^e``."""
+    def power(self, exponent: int, tables: dict | None = None) -> "TorusAuto":
+        """The ``exponent``-th iterate, ``(t_a h)^e = t_{P_e a} h^e``.
+
+        With ``m`` the order of the linear part and ``e = q m + r``, the
+        iterate is ``M^r`` followed by ``q P_m a + P_r a``, from the
+        :func:`power_sums` tables of lengths ``m`` and ``r``.  A ``tables``
+        dict shared across calls keeps those tables, keyed by ``(M, l)``,
+        so the powers of every translation of one linear part share them.
+        A power of a valid map is valid, so the constructor's checks are
+        skipped, and its orders follow from this map's: ``o / gcd(o, e)``.
+        """
         if exponent < 0:
             raise ValueError("negative automorphism powers are not supported")
-        if exponent == 0:
-            return TorusAuto.identity(self.ring)
-        # A power of a valid map is valid, and h**e has order m0/gcd(m0, e),
-        # so the constructor's checks are skipped.
+        m = self._linear_order
+        quotient, rest = divmod(exponent, m)
+        matrix = self._linear.induced_matrix()
+        a = self._translation.vector()
+        linear, partial, _ = power_sums(matrix, rest, tables)
+        shift = partial.apply_int(a)
+        if quotient:
+            _, period, _ = power_sums(matrix, m, tables)
+            shift = map(add, shift, (quotient * x for x in period.apply_int(a)))
         power = TorusAuto.__new__(TorusAuto)
-        power._linear = self._linear**exponent
+        power._linear = TorusEndo._of(self.ring, linear)
         power._translation = TorusPoint.from_integers(
-            self.ring,
-            self._translation.torsion_level(),
-            self._translation_iterates(exponent)[-1],
+            self.ring, self._translation.torsion_level(), shift
         )
-        power._linear_order = self._linear_order // gcd(self._linear_order, exponent)
-        power._order_cache = None
+        power._linear_order = m // gcd(m, exponent)
+        order = self._order_cache
+        power._order_cache = None if order is None else order // gcd(order, exponent)
         return power
+
+    def __pow__(self, exponent: int) -> "TorusAuto":
+        return self.power(exponent)
 
     def order(self) -> int:
         """Order as a group element.
 
-        The linear part has some order ``m0``; the power ``self**(j*m0)`` is
-        the translation by ``j`` times ``S(a)`` where ``S`` sums the first
-        ``m0`` powers of the linear part, so the full order is ``m0`` times
-        the torsion level of ``S(a)``.
+        The linear part has some order ``m``; the power ``self**(j*m)`` is
+        the translation by ``j`` times ``P_m a``, where ``P_m`` sums the
+        first ``m`` powers of the linear part, so the full order is ``m``
+        times the torsion level of ``P_m a``.  ``P_m a`` is taken by the
+        ``m``-step recurrence ``t_(k+1) = M t_k + a`` on integer vectors
+        over the torsion level of ``a``, which on a fresh map is cheaper
+        than building ``P_m``.
         """
         if self._order_cache is not None:
             return self._order_cache
-        m0 = self._linear_order
+        matrix = self._linear.induced_matrix()
         level = self._translation.torsion_level()
-        residue = self._translation_iterates(m0)[-1]
-        self._order_cache = m0 * (level // gcd(level, *residue))
+        shift = self._translation.vector()
+        residue = (0, 0, 0, 0)
+        for _ in range(self._linear_order):
+            residue = tuple(
+                (x + s) % level for x, s in zip(matrix.apply_int(residue), shift)
+            )
+        self._order_cache = self._linear_order * (level // gcd(level, *residue))
         return self._order_cache
 
     def __eq__(self, other: object) -> bool:
@@ -391,7 +418,7 @@ class TorusAuto:
 
 
 def power_sums(
-    matrix: IntMatrix, length: int
+    matrix: IntMatrix, length: int, cache: dict | None = None
 ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """``(M^l, P_l, Q_l)`` for a square integer matrix ``M`` and ``l = length``.
 
@@ -399,8 +426,12 @@ def power_sums(
     matrix of a linear part and a translation ``a``, ``P_l a`` is the
     translation part ``t_l`` of the ``l``-th iterate and ``Q_l a`` is the
     sum ``t_0 + ... + t_(l-1)``; ``P_l`` is also the linear part of the
-    length-``l`` orbit sum.
+    length-``l`` orbit sum.  A ``cache`` dict keeps the tables under
+    ``(M, l)``, so callers sharing it compute them once.
     """
+    key = (matrix, length)
+    if cache is not None and key in cache:
+        return cache[key]
     size = matrix.rows
     power = IntMatrix.identity(size)
     partial = total = IntMatrix.zeros(size, size)
@@ -408,6 +439,8 @@ def power_sums(
         total = total + partial
         partial = partial + power
         power = power @ matrix
+    if cache is not None:
+        cache[key] = power, partial, total
     return power, partial, total
 
 

@@ -18,6 +18,7 @@ from kummerlab.cli import (
     EXIT_MATH,
     EXIT_OK,
     EXIT_USAGE,
+    FREENESS_N_CAP,
     CommandSpec,
     GrammarError,
     format_element,
@@ -422,6 +423,17 @@ def test_translation_above_torsion_level_cap_exits_two(capsys, command) -> None:
     assert captured.err.startswith("error: ")
     assert f"cap {TORSION_LEVEL_CAP}" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("n", [FREENESS_N_CAP + 3, 120])
+def test_freeness_above_n_cap_exits_two(capsys, n) -> None:
+    # Unbounded, n = 120 ran for 49 s on this map.
+    argv = ["freeness", "--ring", "eisenstein", "--h", "[[z,0],[0,1]]",
+            "--a", "(1/3,1/3)", "--n", str(n)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --n is capped at {FREENESS_N_CAP}")
 
 
 def test_characters_at_n_cap_runs(capsys) -> None:

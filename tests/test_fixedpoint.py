@@ -21,7 +21,7 @@ from kummerlab.fixedpoint import (
     orbit_types,
     verify_certificate,
 )
-from kummerlab.lattice import torus_system_solvable
+from kummerlab.lattice import torus_system_solvable, translation_classes
 from kummerlab.linalg import IntMatrix
 from kummerlab.rings import RingElem, RingId, zeta6
 from kummerlab.search import linear_candidates, run_search, torsion_points
@@ -445,3 +445,32 @@ def test_orbit_system_matches_point_level_definitions() -> None:
                         total[j] += v
                 expected.extend(-v for v in total)
                 assert tuple(Fraction(b, level) for b in constants) == tuple(expected)
+
+
+@pytest.mark.parametrize("ring, n", [(RingId.EISENSTEIN, 3), (RingId.GAUSSIAN, 4)])
+def test_catalog_cache_changes_no_report_or_system(ring: RingId, n: int) -> None:
+    # Every linear part of the norm-1 catalog with one translation per
+    # class: a cache shared by all the translations of a linear part gives
+    # the reports and orbit systems computed without a cache.
+    points = torsion_points(ring, n)
+    pairs = 0
+    for linear in linear_candidates(ring, 1):
+        key, _ = translation_classes(linear.induced_matrix(), n)
+        shared: dict = {}
+        seen = set()
+        for a in points:
+            k = key(a.vector(n))
+            if k in seen:
+                continue
+            seen.add(k)
+            auto = TorusAuto(linear, a)
+            report = group_acts_freely(auto, n, stop_at_first=True, cache=shared)
+            assert report == group_acts_freely(auto, n, stop_at_first=True)
+            for test in report.tested:
+                power = auto**test.power
+                for orbit_type in orbit_types(n, power.order()):
+                    assert orbit_system(power, orbit_type, shared) == (
+                        orbit_system(power, orbit_type)
+                    )
+            pairs += 1
+    assert pairs == {RingId.EISENSTEIN: 2664, RingId.GAUSSIAN: 1792}[ring]

@@ -358,5 +358,9 @@ def test_parameter_validation() -> None:
     singular = TorusEndo.diagonal(
         RingElem(RingId.EISENSTEIN, 2), RingElem.one(RingId.EISENSTEIN)
     )
-    with pytest.raises(UnsupportedAutomorphismError):
+    with pytest.raises(UnsupportedAutomorphismError, match="unit determinant"):
         run_search(3, RingId.EISENSTEIN, linears=[singular])
+    one, zero = RingElem.one(RingId.EISENSTEIN), RingElem.zero(RingId.EISENSTEIN)
+    shear = TorusEndo([[one, one], [zero, one]])
+    with pytest.raises(UnsupportedAutomorphismError, match="infinite order"):
+        run_search(3, RingId.EISENSTEIN, linears=[shear])

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from kummerlab.linalg import matrix_order
 from kummerlab.rings import RingElem, RingId
-from kummerlab.search import linear_candidates, torsion_points
+from kummerlab.search import linear_candidates, ring_elements_up_to_norm, torsion_points
 from kummerlab.torus import (
     TorusAuto,
     TorusEndo,
@@ -317,3 +319,82 @@ def test_orbit_sum_data_agrees_with_repeated_apply(ring: RingId) -> None:
                 for k in range(length):
                     total = total + iterate(auto, p, k)
                 assert total == summed.apply(p) + constant
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_catalog_powers_and_orders_agree_with_repeated_apply(ring: RingId) -> None:
+    # Every norm-1 map, with a translation of level at most 6, through the
+    # exponents 0..2*order+1: with m the order of the linear part and
+    # e = q*m + r, the quotient q reaches 2.
+    rng = random.Random(2468)
+    identity = TorusAuto.identity(ring)
+    for linear in linear_candidates(ring, 1):
+        auto = TorusAuto(linear, random_point(rng, ring, rng.randint(1, 6)))
+        order = auto.order()
+        points = [random_point(rng, ring) for _ in range(2)]
+        iterates = list(points)
+        returns = []
+        for e in range(2 * order + 2):
+            power = auto**e
+            assert [power.apply(p) for p in points] == iterates
+            if power == identity:
+                returns.append(e)
+            iterates = [auto.apply(p) for p in iterates]
+        assert returns == [0, order, 2 * order]
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_powers_inherit_the_orders_of_fresh_maps(ring: RingId) -> None:
+    rng = random.Random(1357)
+    tables: dict = {}
+    for auto in sampled_autos(ring, 40, 9753):
+        auto.order()
+        for e in range(2 * auto.order() + 2):
+            power = auto.power(e, tables)
+            fresh = TorusAuto(power.linear, power.translation)
+            assert power == auto**e
+            assert power.order() == fresh.order()
+            assert power.linear.multiplicative_order() == (
+                fresh.linear.multiplicative_order()
+            )
+
+
+def test_constructor_names_the_reason_for_rejection() -> None:
+    ring = RingId.EISENSTEIN
+    one, zero = RingElem.one(ring), RingElem.zero(ring)
+    origin = TorusPoint.origin(ring)
+    non_units = [
+        TorusEndo.diagonal(RingElem(ring, 2), one),
+        TorusEndo([[zero, zero], [zero, zero]]),
+        TorusEndo([[one, RingElem.zeta(ring)], [one, RingElem.zeta(ring)]]),
+    ]
+    for linear in non_units:
+        with pytest.raises(UnsupportedAutomorphismError, match="unit determinant"):
+            TorusAuto(linear, origin)
+    shear = TorusEndo([[one, one], [zero, one]])
+    assert shear.det().is_unit()
+    with pytest.raises(UnsupportedAutomorphismError, match="infinite order"):
+        TorusAuto(shear, origin)
+
+
+@pytest.mark.parametrize(
+    "ring, finite",
+    [(RingId.RATIONAL_INT, 24), (RingId.GAUSSIAN, 448), (RingId.EISENSTEIN, 576)],
+)
+def test_finite_order_catalog_matrices_have_unit_determinant(
+    ring: RingId, finite: int
+) -> None:
+    # A finite-order integer matrix has det M = +-1, and det M is the norm
+    # of det h (its square in the folded integer ring), so the constructor
+    # may check the order first and the determinant only on failure.
+    entries = ring_elements_up_to_norm(ring, 2)
+    count = 0
+    for rows in itertools.product(entries, repeat=4):
+        endo = TorusEndo((rows[:2], rows[2:]))
+        try:
+            matrix_order(endo.induced_matrix())
+        except ValueError:
+            continue
+        assert endo.det().is_unit()
+        count += 1
+    assert count == finite
