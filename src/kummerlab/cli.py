@@ -394,7 +394,7 @@ def _run_lefschetz(spec: CommandSpec) -> tuple[dict, int]:
     payload["command"] = "lefschetz"
     payload["induced_matrix"] = [list(row) for row in matrix.entries]
     payload["torus_lefschetz"] = torus
-    payload["series"] = [int(c) for c in series.coefficients]
+    payload["series"] = list(series.coefficients)
     if not torus:
         payload["kummer_lefschetz"] = None
         payload["status"] = "degenerate"
@@ -475,6 +475,8 @@ def _run_characters(spec: CommandSpec) -> tuple[dict, int]:
     auto = parse_automorphism(spec.ring, spec.h_text, spec.a_text)
     if spec.n < 1:
         raise GrammarError("--n must be positive")
+    if not auto.translation.is_torsion_of_level(spec.n):
+        raise GrammarError(f"--a is not {spec.n}-torsion")
     counts = invariant_character_counts(auto.linear.induced_matrix(), spec.n)
     payload = _auto_payload(spec, auto)
     payload["command"] = "characters"

@@ -29,7 +29,10 @@ class IntMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, entries) -> None:
-        rows = tuple(tuple(int(e) for e in row) for row in entries)
+        given = [tuple(row) for row in entries]
+        rows = tuple(tuple(map(int, row)) for row in given)
+        if rows != tuple(given):
+            raise ValueError("matrix entries must be integers")
         if not rows or not rows[0]:
             raise ValueError("matrix dimensions must be positive")
         width = len(rows[0])

@@ -38,9 +38,8 @@ from .lefschetz import (
     lefschetz_kummer,
     supertrace_sym_series,
 )
-from .linalg import IntMatrix, SelfCheckError
+from .linalg import IntMatrix
 from .rings import RingElem, RingId, zeta6
-from .series import TruncatedSeries
 from .torus import TorusAuto, TorusEndo, TorusPoint
 
 
@@ -202,17 +201,19 @@ def matrix_catalog() -> list[tuple[str, IntMatrix]]:
 
 
 def closed_form_order5(truncation: int = 5) -> list[int]:
-    """Product form ``prod_nu (1 - t^(5 nu)) / (1 - t^nu)^5``, truncated."""
-    one = TruncatedSeries.one(truncation)
-    result = one
+    """Product form ``prod_nu (1 - t^(5 nu)) / (1 - t^nu)^5``, truncated.
+
+    Dividing by ``1 - t^nu`` is a running sum at stride ``nu``;
+    multiplying by ``1 - t^(5 nu)`` subtracts at stride ``5 nu``.
+    """
+    coeffs = [1] + [0] * truncation
     for nu in range(1, truncation + 1):
-        denominator = one - TruncatedSeries.monomial(nu, truncation)
-        result = result * denominator.inverse() ** 5
-        if 5 * nu <= truncation:
-            result = result * (one - TruncatedSeries.monomial(5 * nu, truncation))
-    if not result.is_integral():
-        raise SelfCheckError("the order-5 product form is not integral")
-    return [int(c) for c in result.coefficients]
+        for _ in range(5):
+            for k in range(nu, truncation + 1):
+                coeffs[k] += coeffs[k - nu]
+        for k in range(truncation, 5 * nu - 1, -1):
+            coeffs[k] -= coeffs[k - 5 * nu]
+    return coeffs
 
 
 def counts_by_enumeration(m: IntMatrix, n: int) -> dict[int, int]:
@@ -380,10 +381,6 @@ def decomposition_labels(decomposition: FactorDecomposition) -> list[str]:
     return [f"{kind.value}:{dim}" for kind, dim in decomposition.factors]
 
 
-def _series_ints(series: TruncatedSeries) -> list[int]:
-    return [int(c) for c in series.coefficients]
-
-
 def build_panel() -> list[PanelItem]:
     return [
         PanelItem(
@@ -394,7 +391,7 @@ def build_panel() -> list[PanelItem]:
         PanelItem(
             "kummer_series_order5",
             [1, 5, 20, 65, 190, 505],
-            lambda: _series_ints(kummer_series(order5_matrix(), 5)),
+            lambda: list(kummer_series(order5_matrix(), 5).coefficients),
         ),
         PanelItem(
             "kummer_series_order5_closed_form",
@@ -511,12 +508,12 @@ def build_panel() -> list[PanelItem]:
         PanelItem(
             "supertrace_geometric_closed_form",
             [1, 2, 4, 8, 16, 32, 64],
-            lambda: _series_ints(supertrace_sym_series([[2]], [], 6)),
+            lambda: list(supertrace_sym_series([[2]], [], 6).coefficients),
         ),
         PanelItem(
             "supertrace_sign_closed_form",
             [1, -3, 0, 0, 0, 0, 0],
-            lambda: _series_ints(supertrace_sym_series([], [[3]], 6)),
+            lambda: list(supertrace_sym_series([], [[3]], 6).coefficients),
         ),
         PanelItem(
             "integrality_catalog",

@@ -377,6 +377,15 @@ def test_characters_command(capsys) -> None:
     assert payload["total"] == 9
 
 
+def test_characters_refuses_translations_not_n_torsion(capsys) -> None:
+    argv = ["characters", "--ring", "eisenstein", "--h", "[[z,0],[0,z]]",
+            "--a", "(1/2,0)", "--n", "3"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --a is not 3-torsion\n"
+
+
 def test_classify_command(capsys) -> None:
     code, payload = run_json(capsys, ["classify", "--n", "6", "--d", "3"])
     assert code == EXIT_OK

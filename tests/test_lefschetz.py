@@ -27,7 +27,7 @@ from kummerlab.lefschetz import (
 from kummerlab.lattice import translation_classes
 from kummerlab.linalg import IntMatrix, SelfCheckError, matrix_order
 from kummerlab.series import TruncatedSeries
-from kummerlab.verify import supertrace_by_expansion
+from kummerlab.verify import closed_form_order5, order5_matrix, supertrace_by_expansion
 
 NEGATIVE_IDENTITY = IntMatrix.identity(4).scale(-1)
 
@@ -36,10 +36,6 @@ NEGATIVE_IDENTITY = IntMatrix.identity(4).scale(-1)
 ROTATION_ORDER_3 = IntMatrix(
     [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, -1, 0], [0, 1, 0, -1]]
 )
-
-
-def series_ints(series: TruncatedSeries) -> list[int]:
-    return [int(c) for c in series.coefficients]
 
 
 def test_companion_matrix_orders() -> None:
@@ -54,6 +50,13 @@ def test_companion_matrix_orders() -> None:
         assert matrix_order(companion_matrix(tail)) == order
     assert matrix_order(IntMatrix.identity(4)) == 1
     assert matrix_order(NEGATIVE_IDENTITY) == 2
+
+
+def test_companion_matrix_rejects_non_integer_coefficients() -> None:
+    assert companion_matrix((Fraction(1), 1, 1.0, 1)) == companion_matrix((1, 1, 1, 1))
+    for bad in ((Fraction(1, 2), 1, 1, 1), (1, 1, 2.7, 1)):
+        with pytest.raises(ValueError, match="integers"):
+            companion_matrix(bad)
 
 
 def test_infinite_order_is_rejected() -> None:
@@ -105,10 +108,18 @@ def test_torus_count_is_first_determinant() -> None:
 def test_series_shape_and_frozen_values() -> None:
     s = kummer_series(NEGATIVE_IDENTITY, 2)
     assert len(s.coefficients) == 3
-    assert series_ints(s) == [1, 16, 144]
-    assert series_ints(kummer_series(ROTATION_ORDER_3, 3)) == [1, 9, 54, 252]
+    assert s.coefficients == (1, 16, 144)
+    assert kummer_series(ROTATION_ORDER_3, 3).coefficients == (1, 9, 54, 252)
     with pytest.raises(ValueError):
         kummer_series(NEGATIVE_IDENTITY, -1)
+
+
+def test_series_matches_the_order_five_product_form() -> None:
+    # Newton's exponential of the determinant sequence against the running
+    # sums of prod (1 - t^(5 nu)) / (1 - t^nu)^5: two integer routes.
+    m = order5_matrix()
+    for n in range(121):
+        assert list(kummer_series(m, n).coefficients) == closed_form_order5(n)
 
 
 def test_involution_count_matches_k3_euler_number() -> None:
@@ -179,7 +190,7 @@ def test_quotient_count_equals_weighted_series_sum() -> None:
         counts = invariant_character_counts(matrix, n)
         torus_count = lefschetz_torus(matrix)
         weighted = sum(
-            mult * int(series[n // divisor]) for divisor, mult in counts.counts
+            mult * series[n // divisor] for divisor, mult in counts.counts
         )
         assert weighted % torus_count == 0
         assert lefschetz_kummer(matrix, n) == weighted // torus_count
@@ -208,7 +219,7 @@ def test_quotient_count_order_five() -> None:
     # so the count reduces to the top series coefficient over the torus
     # count: 20 / 5.
     order_five = companion_matrix((1, 1, 1, 1))
-    assert series_ints(kummer_series(order_five, 2)) == [1, 5, 20]
+    assert kummer_series(order_five, 2).coefficients == (1, 5, 20)
     assert invariant_character_counts(order_five, 2).as_dict() == {1: 1, 2: 0}
     assert lefschetz_kummer(order_five, 2) == 4
 
@@ -216,19 +227,18 @@ def test_quotient_count_order_five() -> None:
 def test_supertrace_series_closed_forms() -> None:
     # Pure even part with trace 2 gives the symmetric-power generating
     # function 1/((1-t)^2); a matching odd part cancels it to 1.
-    even = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    even = [[1, 0], [0, 1]]
     result = supertrace_sym_series(even, None, 5)
-    expected = TruncatedSeries([1, -1], truncation=5).inverse() ** 2
-    assert result == expected
+    assert result == TruncatedSeries([1, 2, 3, 4, 5, 6])
     cancelled = supertrace_sym_series(even, even, 5)
-    assert cancelled == TruncatedSeries.one(5)
+    assert cancelled == TruncatedSeries([1, 0, 0, 0, 0, 0])
 
 
 def test_supertrace_matches_direct_symmetric_powers() -> None:
     rng = random.Random(4321)
     for _ in range(10):
-        diag = [Fraction(rng.randint(-2, 2)) for _ in range(2)]
-        even = [[diag[0], Fraction(0)], [Fraction(0), diag[1]]]
+        diag = [rng.randint(-2, 2) for _ in range(2)]
+        even = [[diag[0], 0], [0, diag[1]]]
         result = supertrace_sym_series(even, None, 4)
         # For a diagonal action the symmetric-power trace has the product
         # closed form 1/((1-a t)(1-b t)) whenever both factors invert.
@@ -239,6 +249,13 @@ def test_supertrace_matches_direct_symmetric_powers() -> None:
             for k in range(5)
         ]
         assert list(result.coefficients) == direct
+
+
+def test_supertrace_rejects_non_integer_matrices() -> None:
+    assert supertrace_sym_series([[Fraction(2)]], [], 3) == TruncatedSeries([1, 2, 4, 8])
+    for even, odd in (([[Fraction(1, 2)]], []), ([], [[1, 0], [0, 2.7]])):
+        with pytest.raises(ValueError, match="integers"):
+            supertrace_sym_series(even, odd, 3)
 
 
 def test_supertrace_expansion_is_integral_and_matches_series() -> None:
@@ -285,7 +302,6 @@ def test_character_count_self_check_rejects_broken_inversion(monkeypatch) -> Non
 
 _SERIES_CHECK_SCRIPT = """
 import contextlib, io, sys
-from fractions import Fraction
 import kummerlab.cli as cli
 from kummerlab.lefschetz import kummer_series
 from kummerlab.linalg import IntMatrix, SelfCheckError
@@ -294,11 +310,12 @@ from kummerlab.series import TruncatedSeries
 exp = TruncatedSeries.exp
 matrix = IntMatrix.identity(4).scale(-1)
 corruptions = {
-    "non-integral": lambda s: TruncatedSeries([c + Fraction(1, 2) for c in s.coefficients]),
-    "negative": lambda s: TruncatedSeries([-c for c in s.coefficients]),
+    # Offsetting det(I - M) by one makes a division inside exp inexact.
+    "non-integral": lambda s: exp(TruncatedSeries([0, s[1] + 1, *s.coefficients[2:]])),
+    "negative": lambda s: TruncatedSeries([-c for c in exp(s).coefficients]),
 }
 for name, corrupt in corruptions.items():
-    TruncatedSeries.exp = lambda self, corrupt=corrupt: corrupt(exp(self))
+    TruncatedSeries.exp = corrupt
     try:
         kummer_series(matrix, 4)
     except SelfCheckError:
@@ -314,7 +331,7 @@ sys.exit(0 if code == cli.EXIT_MATH else f"exit code {code}")
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_series_self_checks_survive_optimized_mode(flags) -> None:
-    # A non-integral or negative series from ``exp`` raises SelfCheckError
+    # An inexact division inside ``exp`` or a negative series raises SelfCheckError
     # in kummer_series, and ``lefschetz`` exits 1 on an error line with no
     # traceback, also when ``python -O`` strips the asserts.
     src = Path(__file__).resolve().parent.parent / "src"

@@ -45,6 +45,13 @@ def test_smith_form_frozen_example() -> None:
     assert elementary_divisors_via_minors(a) == [2, 2, 156]
 
 
+def test_constructor_rejects_non_integer_entries() -> None:
+    assert IntMatrix([[Fraction(4, 2), 2.0], [True, -3]]).entries == ((2, 2), (1, -3))
+    for bad in ([[Fraction(1, 2), 2]], [[1, 2.7]], [["3"]]):
+        with pytest.raises(ValueError, match="integers"):
+            IntMatrix(bad)
+
+
 def dense_product(x: IntMatrix, y: IntMatrix) -> IntMatrix:
     """The textbook row-by-column product, kept as the reference."""
     columns = list(zip(*y.entries))

@@ -1,118 +1,146 @@
-"""Truncated power series with exact rational coefficients."""
+"""Truncated power series with integer coefficients and Newton's exponential."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from kummerlab.linalg import SelfCheckError
 from kummerlab.series import TruncatedSeries
 
 
-def random_series(rng: random.Random, truncation: int, constant=None) -> TruncatedSeries:
-    coeffs = [
-        Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(truncation + 1)
-    ]
-    if constant is not None:
-        coeffs[0] = Fraction(constant)
-    return TruncatedSeries(coeffs, truncation=truncation)
+def product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Truncated product, by direct convolution."""
+    n = a.truncation
+    return TruncatedSeries(
+        [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    )
+
+
+def one(truncation: int) -> TruncatedSeries:
+    return TruncatedSeries([1] + [0] * truncation)
+
+
+def power_sums(even, odd, truncation: int) -> TruncatedSeries:
+    """``sum_a a^k - sum_b b^k``, ``k >= 1``: exp gives ``prod (1 - b t) / prod (1 - a t)``."""
+    return TruncatedSeries(
+        [0]
+        + [
+            sum(a**k for a in even) - sum(b**k for b in odd)
+            for k in range(1, truncation + 1)
+        ]
+    )
+
+
+def random_sums(rng: random.Random, truncation: int) -> tuple[list, list, TruncatedSeries]:
+    even = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+    odd = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+    return even, odd, power_sums(even, odd, truncation)
 
 
 def test_constructors_and_coefficients() -> None:
-    zero = TruncatedSeries.zero(3)
-    one = TruncatedSeries.one(3)
-    t2 = TruncatedSeries.monomial(2, 3)
-    assert zero.coefficients == (0, 0, 0, 0)
-    assert one.coefficients == (1, 0, 0, 0)
-    assert t2.coefficients == (0, 0, 1, 0)
-    assert TruncatedSeries.monomial(1, 2, coefficient=5)[1] == 5
-    assert t2.truncation == 3
-
-
-def test_short_coefficient_list_is_padded() -> None:
-    s = TruncatedSeries([1, 2], truncation=4)
-    assert s.coefficients == (1, 2, 0, 0, 0)
-
-
-def test_ring_axioms_random() -> None:
-    rng = random.Random(1234)
-    for _ in range(30):
-        trunc = rng.randint(0, 6)
-        a = random_series(rng, trunc)
-        b = random_series(rng, trunc)
-        c = random_series(rng, trunc)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a - b == a + (-b)
-        assert a * TruncatedSeries.one(trunc) == a
-        assert a.scale(Fraction(3, 2)) + a.scale(Fraction(-1, 2)) == a
-
-
-def test_pow_matches_repeated_multiplication() -> None:
-    rng = random.Random(555)
-    for _ in range(15):
-        a = random_series(rng, 5)
-        product = TruncatedSeries.one(5)
-        for k in range(4):
-            assert a**k == product
-            product = product * a
-
-
-def test_geometric_series_inverse() -> None:
-    s = TruncatedSeries([1, -1], truncation=6)
-    assert s.inverse().coefficients == (1,) * 7
-    assert (s * s.inverse()) == TruncatedSeries.one(6)
-
-
-def test_inverse_random() -> None:
-    rng = random.Random(777)
-    for _ in range(15):
-        a = random_series(rng, 5, constant=rng.choice([1, -1, 2, Fraction(1, 3)]))
-        assert a * a.inverse() == TruncatedSeries.one(5)
-
-
-def test_exp_log_round_trip() -> None:
-    rng = random.Random(999)
-    for _ in range(15):
-        a = random_series(rng, 5, constant=0)
-        assert a.exp().log() == a
-        b = random_series(rng, 5, constant=0)
-        # exp turns addition into multiplication.
-        assert (a + b).exp() == a.exp() * b.exp()
-
-
-def test_exp_of_monomial() -> None:
-    e = TruncatedSeries.monomial(1, 4).exp()
-    assert e.coefficients == (
-        Fraction(1),
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(1, 6),
-        Fraction(1, 24),
-    )
+    s = TruncatedSeries([1, 16, 144])
+    assert s.coefficients == (1, 16, 144)
+    assert s.truncation == 2
+    assert s[2] == 144
+    with pytest.raises(IndexError):
+        s[3]
+    assert s == TruncatedSeries((1, 16, 144))
+    assert hash(s) == hash(TruncatedSeries([1, 16, 144]))
+    assert repr(s) == "TruncatedSeries([1, 16, 144])"
+    with pytest.raises(ValueError):
+        TruncatedSeries([])
+    for bad in (Fraction(1), Fraction(1, 2), 1.0):
+        with pytest.raises(ValueError):
+            TruncatedSeries([0, bad])
 
 
 def test_constant_term_preconditions() -> None:
     with pytest.raises(ValueError):
-        TruncatedSeries([1, 1], truncation=1).exp()
-    with pytest.raises(ValueError):
-        TruncatedSeries([0, 1], truncation=1).log()
-    with pytest.raises(ValueError):
-        TruncatedSeries([0, 1], truncation=1).inverse()
+        TruncatedSeries([1, 1]).exp()
+    assert TruncatedSeries([0]).exp() == one(0)
+    assert TruncatedSeries([0] * 6).exp() == one(5)
 
 
-def test_truncation_mismatch_is_rejected() -> None:
-    a = TruncatedSeries.one(3)
-    b = TruncatedSeries.one(4)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * b
+def test_geometric_series_inverse() -> None:
+    # Power sums c^k give 1/(1 - c t); their negatives give 1 - c t.
+    for c in range(-3, 4):
+        geometric = TruncatedSeries([0] + [c**k for k in range(1, 7)]).exp()
+        assert geometric.coefficients == tuple(c**k for k in range(7))
+        linear = TruncatedSeries([0] + [-(c**k) for k in range(1, 7)]).exp()
+        assert linear.coefficients == (1, -c, 0, 0, 0, 0, 0)
+        assert product(geometric, linear) == one(6)
+
+
+def test_inverse_random() -> None:
+    # Signed power sums of integers expand to the rational function they
+    # come from, and negating them inverts the series.
+    rng = random.Random(777)
+    for _ in range(30):
+        even, odd, sums = random_sums(rng, 7)
+        expected = one(7)
+        for a in even:
+            expected = product(expected, TruncatedSeries([a**k for k in range(8)]))
+        for b in odd:
+            expected = product(expected, TruncatedSeries([1, -b] + [0] * 6))
+        assert sums.exp() == expected
+        negated = TruncatedSeries([-c for c in sums.coefficients]).exp()
+        assert product(sums.exp(), negated) == one(7)
+
+
+def test_pow_matches_repeated_multiplication() -> None:
+    # exp(k a) is the k-th power of exp(a).
+    rng = random.Random(555)
+    for _ in range(15):
+        _, _, sums = random_sums(rng, 6)
+        power = one(6)
+        for k in range(4):
+            assert TruncatedSeries([k * c for c in sums.coefficients]).exp() == power
+            power = product(power, sums.exp())
+
+
+def test_exp_turns_sums_into_products() -> None:
+    rng = random.Random(999)
+    for _ in range(15):
+        _, _, a = random_sums(rng, 6)
+        _, _, b = random_sums(rng, 6)
+        total = TruncatedSeries([x + y for x, y in zip(a.coefficients, b.coefficients)])
+        assert total.exp() == product(a.exp(), b.exp())
+
+
+def test_exp_of_monomial() -> None:
+    # exp(t) has coefficient 1/2 at t^2: the division by 2 is inexact.
+    assert TruncatedSeries([0, 1]).exp().coefficients == (1, 1)
+    with pytest.raises(SelfCheckError, match="must be integers"):
+        TruncatedSeries([0, 1, 0]).exp()
 
 
 def test_integrality_check() -> None:
-    assert TruncatedSeries([1, 16, 144], truncation=2).is_integral()
-    assert not TruncatedSeries([1, Fraction(1, 2)], truncation=1).is_integral()
+    # exp(2t) = 1 + 2t + 2t^2 + (4/3)t^3 + ...: integral to degree 2 only.
+    assert TruncatedSeries([0, 2, 0]).exp().coefficients == (1, 2, 2)
+    with pytest.raises(SelfCheckError):
+        TruncatedSeries([0, 2, 0, 0]).exp()
+    # The involution -I: sigma_k = 16 * sum of k/s over the odd s dividing k.
+    assert TruncatedSeries([0, 16, 32]).exp().coefficients == (1, 16, 144)
+    with pytest.raises(SelfCheckError):
+        TruncatedSeries([0, 17, 32]).exp()
+
+
+@pytest.mark.parametrize(
+    "name", ["series", "lefschetz", "lattice", "search", "enriques", "rings"]
+)
+def test_integer_modules_do_not_import_fractions(name: str) -> None:
+    module = importlib.import_module(f"kummerlab.{name}")
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            imported.add(node.module.split(".")[0])
+    assert "fractions" not in imported
