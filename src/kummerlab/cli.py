@@ -5,20 +5,24 @@ deterministic JSON (default) or plain text.  Exit codes: 0 for success,
 1 for a mathematical check that fails (a verification mismatch, or a
 result that fails its own re-check), 2 for usage or parse errors.
 
-Element grammar: a ring element is a sum of terms ``p/q`` and ``p/q*z``
-where ``z`` denotes the ring's distinguished root of unity (``i`` for the
-gaussian ring, a primitive cube root for the eisenstein ring, ``1`` for
-the plain integer ring).  Points are ``(e1,e2)``; matrices are
-``[[a,b],[c,d]]`` with ring-integer entries.
+Element grammar: a ring element is a signed sum of terms ``p``, ``p/q``,
+``p*z``, ``p/q*z`` and ``z``, with ``p`` and ``q`` strings of the digits
+``0-9``; ``z`` denotes the ring's distinguished root of unity (``i`` for
+the gaussian ring, a primitive cube root for the eisenstein ring, ``1``
+for the plain integer ring).  Points are ``(e1,e2)``; matrices are
+``[[a,b],[c,d]]`` with ring-integer entries.  Spaces are ignored.
+
+Each call parses argv once; a handler takes the argparse namespace and
+builds its ring, matrix and point from it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .enriques import (
@@ -59,6 +63,8 @@ EXIT_USAGE = 2
 # and integer maps of orders 2 to 12 (Python 3.11, one core of a 2-vCPU
 # Xeon); the panel's order-6 map took 5.3 s at 48, 10.4 s at 60 and 24.7 s
 # at 72, and Eisenstein [[z,0],[0,1]] with (1/3,1/3) ran 49 s at n = 120.
+# ``search`` decides freeness at its n, so the cap bounds ``search --n``
+# too; its slowest sweep at the cap, Eisenstein --level 24, took 45.6 s.
 FREENESS_N_CAP = 48
 
 
@@ -66,28 +72,29 @@ class GrammarError(ValueError):
     """Raised when an element, point, or matrix fails to parse."""
 
 
-_TERM = re.compile(r"([+-]?)([^+-]+)")
-_TERM_SHAPE = re.compile(r"[+-]?[^+-]+(?:[+-][^+-]+)*")
+_TERM = r"(?:([0-9]+)(?:/([0-9]+))?(\*z)?|z)"
+_ELEMENT = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
+_SIGNED_TERM = re.compile(rf"([+-]?){_TERM}")
 
 
 def parse_element(text: str, ring: RingId) -> tuple[Fraction, Fraction]:
     """The coordinates ``(x, y)`` of ``x + y*z``; the integer ring folds ``z = 1``."""
     s = text.replace(" ", "")
-    if not s or not _TERM_SHAPE.fullmatch(s):
+    if not _ELEMENT.fullmatch(s):
         raise GrammarError(f"cannot parse element {text!r}")
     x = Fraction(0)
     y = Fraction(0)
-    for sign_text, body in _TERM.findall(s):
-        sign = -1 if sign_text == "-" else 1
+    for sign, numerator, denominator, zeta in _SIGNED_TERM.findall(s):
         try:
-            if body == "z":
-                y += sign
-            elif body.endswith("*z"):
-                y += sign * Fraction(body[:-2])
-            else:
-                x += sign * Fraction(body)
+            value = Fraction(int(numerator or 1), int(denominator or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise GrammarError(f"cannot parse element {text!r}") from exc
+        if sign == "-":
+            value = -value
+        if zeta or not numerator:
+            y += value
+        else:
+            x += value
     if ring is RingId.RATIONAL_INT:
         return x + y, Fraction(0)
     return x, y
@@ -190,45 +197,9 @@ def parse_automorphism(ring_token: str, h_text: str, a_text: str) -> TorusAuto:
     return TorusAuto(parse_matrix(h_text, ring), parse_point(a_text, ring))
 
 
-@dataclass(frozen=True)
-class CommandSpec:
-    """A fully parsed invocation; formatting one reparses to an equal spec."""
-
-    command: str
-    ring: str | None = None
-    h_text: str | None = None
-    a_text: str | None = None
-    n: int | None = None
-    d: int | None = None
-    dim: int | None = None
-    chi: int | None = None
-    level: int | None = None
-    max_norm: int | None = None
-    fmt: str = "json"
-
-    def to_argv(self) -> list[str]:
-        argv = [self.command]
-        if self.ring is not None:
-            argv += ["--ring", self.ring]
-        if self.h_text is not None:
-            argv += ["--h", self.h_text]
-        if self.a_text is not None:
-            argv += ["--a", self.a_text]
-        for flag, value in (
-            ("--n", self.n),
-            ("--d", self.d),
-            ("--dim", self.dim),
-            ("--chi", self.chi),
-            ("--level", self.level),
-            ("--max-norm", self.max_norm),
-        ):
-            if value is not None:
-                argv += [flag, str(value)]
-        argv += ["--format", self.fmt]
-        return argv
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="kummer-lab",
         description="Exact-arithmetic decisions for natural automorphisms "
@@ -335,62 +306,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_command(argv: list[str]) -> CommandSpec:
-    namespace = build_parser().parse_args(argv)
-    ring = getattr(namespace, "ring", None)
-    h_text = getattr(namespace, "h_text", None)
-    a_text = getattr(namespace, "a_text", None)
-    if ring is not None:
-        ring_id = RingId.from_token(ring)
-        if h_text is not None:
-            h_text = format_matrix(parse_matrix(h_text, ring_id))
-        if a_text is not None:
-            a_text = format_point(parse_point(a_text, ring_id))
-    return CommandSpec(
-        command=namespace.command,
-        ring=ring,
-        h_text=h_text,
-        a_text=a_text,
-        n=getattr(namespace, "n", None),
-        d=getattr(namespace, "d", None),
-        dim=getattr(namespace, "dim", None),
-        chi=getattr(namespace, "chi", None),
-        level=getattr(namespace, "level", None),
-        max_norm=getattr(namespace, "max_norm", None),
-        fmt=namespace.fmt,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Handlers
 
 
-def _auto_payload(spec: CommandSpec, auto: TorusAuto) -> dict:
+def _auto_payload(args: argparse.Namespace, auto: TorusAuto) -> dict:
     return {
-        "ring": spec.ring,
+        "ring": args.ring,
         "h": format_matrix(auto.linear),
         "a": format_point(auto.translation),
-        "n": spec.n,
+        "n": args.n,
     }
 
 
-def _run_lefschetz(spec: CommandSpec) -> tuple[dict, int]:
-    auto = parse_automorphism(spec.ring, spec.h_text, spec.a_text)
-    if spec.n < 2:
+def _run_lefschetz(args: argparse.Namespace) -> tuple[dict, int]:
+    auto = parse_automorphism(args.ring, args.h_text, args.a_text)
+    if args.n < 2:
         raise GrammarError("--n must be at least 2")
-    if not auto.translation.is_torsion_of_level(spec.n):
-        raise GrammarError(f"--a is not {spec.n}-torsion")
+    if not auto.translation.is_torsion_of_level(args.n):
+        raise GrammarError(f"--a is not {args.n}-torsion")
     matrix = auto.linear.induced_matrix()
     torus = lefschetz_torus(matrix)
     if torus:
         # The number computed is h's.  It is (h, a)'s too when a = (I - h)b
         # with b in E[n], that is when a has key zero: translation by b
         # keeps the fibre and conjugates h to (h, a).
-        key, moduli = translation_classes(matrix, spec.n)
-        if any(key(auto.translation.vector(spec.n))):
-            raise GrammarError(f"--a is not in (I - h)E[{spec.n}]")
-    series = kummer_series(matrix, spec.n)
-    payload = _auto_payload(spec, auto)
+        key, moduli = translation_classes(matrix, args.n)
+        if any(key(auto.translation.vector(args.n))):
+            raise GrammarError(f"--a is not in (I - h)E[{args.n}]")
+    series = kummer_series(matrix, args.n)
+    payload = _auto_payload(args, auto)
     payload["command"] = "lefschetz"
     payload["induced_matrix"] = [list(row) for row in matrix.entries]
     payload["torus_lefschetz"] = torus
@@ -400,7 +345,7 @@ def _run_lefschetz(spec: CommandSpec) -> tuple[dict, int]:
         payload["status"] = "degenerate"
         return payload, EXIT_OK
     try:
-        census = character_census(moduli, spec.n)
+        census = character_census(moduli, args.n)
         payload["kummer_lefschetz"] = lefschetz_from_census(series, census, torus)
         payload["status"] = "ok"
     except NonIntegralLefschetzError as exc:
@@ -422,22 +367,26 @@ def _certificate_payload(cert) -> dict:
             [str(v) for v in point.coords()] for point in cert.witness
         ]
     if cert.obstruction is not None:
-        functional, pairing = cert.obstruction
+        functional, pairing, modulus = cert.obstruction
         data["obstruction"] = {
             "functional": list(functional),
-            "pairing": str(pairing),
+            "pairing": str(Fraction(pairing, modulus)),
         }
     return data
 
 
-def _run_freeness(spec: CommandSpec) -> tuple[dict, int]:
-    if spec.level is not None and not 1 <= spec.level <= GRID_LEVEL_CAP:
+def _run_freeness(args: argparse.Namespace) -> tuple[dict, int]:
+    # Grammar first, then the bounds, and only then the map's own checks.
+    ring = RingId.from_token(args.ring)
+    linear = parse_matrix(args.h_text, ring)
+    translation = parse_point(args.a_text, ring)
+    if args.level is not None and not 1 <= args.level <= GRID_LEVEL_CAP:
         raise GrammarError(f"--level must lie in 1..{GRID_LEVEL_CAP}")
-    if spec.n > FREENESS_N_CAP:
+    if args.n > FREENESS_N_CAP:
         raise GrammarError(f"--n is capped at {FREENESS_N_CAP}")
-    auto = parse_automorphism(spec.ring, spec.h_text, spec.a_text)
-    report = group_acts_freely(auto, spec.n)
-    payload = _auto_payload(spec, auto)
+    auto = TorusAuto(linear, translation)
+    report = group_acts_freely(auto, args.n)
+    payload = _auto_payload(args, auto)
     payload["command"] = "freeness"
     payload["order"] = report.order
     payload["free"] = report.free
@@ -445,7 +394,7 @@ def _run_freeness(spec: CommandSpec) -> tuple[dict, int]:
     for test in report.tested:
         certs = [_certificate_payload(c) for c in test.report.certificates]
         for cert in test.report.certificates:
-            if not verify_certificate(auto, spec.n, cert):
+            if not verify_certificate(auto, args.n, cert):
                 payload["status"] = "certificate_rejected"
                 payload["powers"] = powers
                 return payload, EXIT_MATH
@@ -458,27 +407,27 @@ def _run_freeness(spec: CommandSpec) -> tuple[dict, int]:
         )
     payload["powers"] = powers
     payload["status"] = "free" if report.free else "not_free"
-    if spec.level is not None:
+    if args.level is not None:
         agreement = True
         for test in report.tested:
-            brute = brute_force_fixed_point(auto**test.power, spec.n, spec.level)
+            brute = brute_force_fixed_point(auto**test.power, args.n, args.level)
             if brute != test.report.found:
                 agreement = False
-        payload["oracle"] = {"level": spec.level, "agrees": agreement}
+        payload["oracle"] = {"level": args.level, "agrees": agreement}
         if not agreement:
             payload["status"] = "oracle_mismatch"
             return payload, EXIT_MATH
     return payload, EXIT_OK
 
 
-def _run_characters(spec: CommandSpec) -> tuple[dict, int]:
-    auto = parse_automorphism(spec.ring, spec.h_text, spec.a_text)
-    if spec.n < 1:
+def _run_characters(args: argparse.Namespace) -> tuple[dict, int]:
+    auto = parse_automorphism(args.ring, args.h_text, args.a_text)
+    if args.n < 1:
         raise GrammarError("--n must be positive")
-    if not auto.translation.is_torsion_of_level(spec.n):
-        raise GrammarError(f"--a is not {spec.n}-torsion")
-    counts = invariant_character_counts(auto.linear.induced_matrix(), spec.n)
-    payload = _auto_payload(spec, auto)
+    if not auto.translation.is_torsion_of_level(args.n):
+        raise GrammarError(f"--a is not {args.n}-torsion")
+    counts = invariant_character_counts(auto.linear.induced_matrix(), args.n)
+    payload = _auto_payload(args, auto)
     payload["command"] = "characters"
     payload["modulus"] = counts.modulus
     payload["counts"] = {str(d): c for d, c in counts.counts}
@@ -486,12 +435,12 @@ def _run_characters(spec: CommandSpec) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _run_classify(spec: CommandSpec) -> tuple[dict, int]:
-    classification = classify_free_quotient(spec.n, spec.d)
+def _run_classify(args: argparse.Namespace) -> tuple[dict, int]:
+    classification = classify_free_quotient(args.n, args.d)
     payload = {
         "command": "classify",
-        "n": spec.n,
-        "d": spec.d,
+        "n": args.n,
+        "d": args.d,
     }
     payload.update(classification_payload(classification))
     if classification.reason is not None:
@@ -499,12 +448,12 @@ def _run_classify(spec: CommandSpec) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _run_decompose(spec: CommandSpec) -> tuple[dict, int]:
-    decompositions = decomposition_search(spec.dim, spec.chi)
+def _run_decompose(args: argparse.Namespace) -> tuple[dict, int]:
+    decompositions = decomposition_search(args.dim, args.chi)
     payload = {
         "command": "decompose",
-        "dimension": spec.dim,
-        "chi": spec.chi,
+        "dimension": args.dim,
+        "chi": args.chi,
         "count": len(decompositions),
         "decompositions": [decomposition_labels(d) for d in decompositions],
         "irreducible_only": all_single_factor(decompositions),
@@ -512,25 +461,28 @@ def _run_decompose(spec: CommandSpec) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _run_search(spec: CommandSpec) -> tuple[dict, int]:
-    ring = RingId.from_token(spec.ring)
+def _run_search(args: argparse.Namespace) -> tuple[dict, int]:
+    ring = RingId.from_token(args.ring)
     linears = None
-    if spec.h_text is not None:
-        linears = [parse_matrix(spec.h_text, ring)]
+    if args.h_text is not None:
+        linears = [parse_matrix(args.h_text, ring)]
+    # A search decides freeness at n, so it shares the freeness cap.
+    if args.n > FREENESS_N_CAP:
+        raise GrammarError(f"--n is capped at {FREENESS_N_CAP}")
     results = run_search(
-        spec.n,
+        args.n,
         ring,
-        level=spec.level,
-        max_norm=spec.max_norm,
+        level=args.level,
+        max_norm=args.max_norm,
         linears=linears,
     )
     payload = {
         "command": "search",
-        "ring": spec.ring,
-        "n": spec.n,
-        "level": spec.level if spec.level is not None else spec.n,
-        "max_norm": spec.max_norm,
-        "restricted_to": spec.h_text,
+        "ring": args.ring,
+        "n": args.n,
+        "level": args.level if args.level is not None else args.n,
+        "max_norm": args.max_norm,
+        "restricted_to": None if linears is None else format_matrix(linears[0]),
         "count": len(results),
         "results": [
             {
@@ -545,7 +497,7 @@ def _run_search(spec: CommandSpec) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _run_verify(spec: CommandSpec) -> tuple[dict, int]:
+def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
     results = run_panel()
     payload = {
         "command": "verify-paper",
@@ -607,16 +559,11 @@ def render_text(payload: dict) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else list(argv)
     try:
-        spec = parse_command(args)
+        args = build_parser().parse_args(argv)
+        payload, code = _HANDLERS[args.command](args)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        payload, code = _HANDLERS[spec.command](spec)
     except (
         GrammarError,
         NotNTorsionError,
@@ -628,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     except SelfCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    print(render_json(payload) if spec.fmt == "json" else render_text(payload))
+    print(render_json(payload) if args.fmt == "json" else render_text(payload))
     return code
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import product
 from math import lcm
 
@@ -83,13 +82,19 @@ class CertificateOutcome(Enum):
 
 @dataclass(frozen=True)
 class FreenessCertificate:
-    """Re-checkable evidence for one orbit type of one tested power."""
+    """Re-checkable evidence for one orbit type of one tested power.
+
+    An obstruction is ``(f, f . b, q)`` for the orbit system ``T z = b / q``
+    of the tested element, all integers: the functional pairs with the
+    constants to ``(f . b) / q``, and ``q`` is the tested element's torsion
+    level, which can be smaller than the base map's.
+    """
 
     element_power: int
     orbit_type: tuple[int, ...]
     outcome: CertificateOutcome
     witness: tuple[TorusPoint, ...] | None = None
-    obstruction: tuple[tuple[int, ...], Fraction] | None = None
+    obstruction: tuple[tuple[int, ...], int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -233,7 +238,7 @@ def has_fixed_point(
                     element_power,
                     orbit_type,
                     CertificateOutcome.OBSTRUCTED,
-                    obstruction=(functional, Fraction(pairing, level)),
+                    obstruction=(functional, pairing, level),
                 )
             )
     found = any(
@@ -306,7 +311,7 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
         return total.is_origin()
     if certificate.obstruction is None:
         return False
-    functional, _ = certificate.obstruction
+    functional, _, _ = certificate.obstruction
     system, constants, level = orbit_system(element, lengths)
     return verify_obstruction(system, constants, level, functional)
 

@@ -19,13 +19,11 @@ from kummerlab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     FREENESS_N_CAP,
-    CommandSpec,
     GrammarError,
     format_element,
     format_matrix,
     format_point,
     main,
-    parse_command,
     parse_element,
     parse_matrix,
     parse_point,
@@ -124,38 +122,89 @@ def test_grammar_rejections() -> None:
         parse_matrix("[[1,0],[0,1]", ring)
 
 
-def test_command_spec_round_trip() -> None:
-    spec = CommandSpec(
-        command="freeness",
-        ring="eisenstein",
-        h_text="[[z,0],[0,1]]",
-        a_text="(1/3,1/3)",
-        n=3,
-        fmt="json",
-    )
-    assert parse_command(spec.to_argv()) == spec
-    search_spec = CommandSpec(
-        command="search", ring="gaussian", n=4, max_norm=1, fmt="text"
-    )
-    assert parse_command(search_spec.to_argv()) == search_spec
+@pytest.mark.parametrize(
+    "numeral", ["1e5", "0.5", "1e5000", ".5", "5.", "1_0", "1E3", "\u0663", "1\t"]
+)
+def test_numerals_are_digits_or_digit_fractions(numeral: str) -> None:
+    # Exponent, decimal, underscore and non-ASCII digit forms are not in
+    # the grammar, alone or as the coefficient of z.
+    for text in (numeral, f"{numeral}*z", f"1+{numeral}"):
+        with pytest.raises(GrammarError):
+            parse_element(text, RingId.EISENSTEIN)
 
 
-def test_command_spec_canonicalizes_input_text() -> None:
-    spec = parse_command(
-        [
-            "freeness",
-            "--ring",
-            "eisenstein",
-            "--h",
-            "[[ z , 0 ],[ 0 , 1 ]]",
-            "--a",
-            "( 2/6 , 1/3 + 0*z )",
-            "--n",
-            "3",
-        ]
-    )
-    assert spec.h_text == "[[z,0],[0,1]]"
-    assert spec.a_text == "(1/3,1/3)"
+def test_exponent_numerals_exit_two_at_once(capsys) -> None:
+    # 1e5000 once parsed to a 5001-digit integer whose echo raised a
+    # ValueError traceback.
+    argv = ["freeness", "--ring", "eisenstein", "--h", "[[1,0],[1e5000,-1]]",
+            "--a", "(0,0)", "--n", "2"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot parse element '1e5000'\n"
+
+
+def test_messy_input_is_echoed_canonically(capsys) -> None:
+    h, a = "[[ z , 0 ],[ 0 , 1 ]]", "( 2/6 , 1/3 + 0*z )"
+    for command in ("freeness", "lefschetz", "characters"):
+        argv = [command, "--ring", "eisenstein", "--h", h, "--a", a, "--n", "3"]
+        code, payload = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert (payload["h"], payload["a"]) == ("[[z,0],[0,1]]", "(1/3,1/3)")
+    argv = ["search", "--ring", "eisenstein", "--n", "3", "--h", "[[ 2/2*z,0 ],[0,+1]]"]
+    code, payload = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert payload["restricted_to"] == "[[z,0],[0,1]]"
+
+
+# Inputs with two faults each, and the one line reported: grammar errors
+# come first, then the subcommand's bounds, then the map's own checks.
+TWO_FAULTS = [
+    (["freeness", "--h", "[[z,0],[0,1]", "--a", "(1/3,1/3)", "--n", "49"],
+     "unbalanced '[' in '[z,0],[0,1'"),
+    (["freeness", "--h", "[[z,0],[0,1]]", "--a", "(1/3 1/3)", "--n", "49"],
+     "point must have two coordinates, got '(1/3 1/3)'"),
+    (["freeness", "--h", "[[q,0],[0,1]]", "--a", "(1/x,0)", "--n", "3"],
+     "cannot parse element 'q'"),
+    (["freeness", "--h", "[[z,0],[0,1]]", "--a", "(1/3,1//3)", "--n", "3",
+      "--level", "25"], "cannot parse element '1//3'"),
+    (["freeness", "--h", "[[1/2,0],[0,1]]", "--a", "(1/3,1/3)", "--n", "3",
+      "--level", "25"], "matrix entry '1/2' is not a ring integer"),
+    (["freeness", "--h", "[[z,0],[0,1]]", "--a", "(1/1001,0)", "--n", "49"],
+     "point '(1/1001,0)': torsion level exceeds the supported cap 1000"),
+    (["freeness", "--h", "[[2,0],[0,1]]", "--a", "(1/3,1/3)", "--n", "49"],
+     "--n is capped at 48"),
+    (["freeness", "--h", "[[2,0],[0,1]]", "--a", "(1/3,1/3)", "--n", "3",
+      "--level", "0"], "--level must lie in 1..24"),
+    (["freeness", "--h", "[[2,0],[0,1]]", "--a", "(1/5,0)", "--n", "3"],
+     "linear part must have unit determinant"),
+    (["lefschetz", "--h", "[[z,0],[0,z]", "--a", "(0,0)", "--n", "3200"],
+     "unbalanced '[' in '[z,0],[0,z'"),
+    (["lefschetz", "--h", "[[2,0],[0,1]]", "--a", "(0,0)", "--n", "1"],
+     "linear part must have unit determinant"),
+    (["lefschetz", "--h", "[[z,0],[0,z]]", "--a", "(1/2,0)", "--n", "1"],
+     "--n must be at least 2"),
+    (["characters", "--h", "[[2,0],[0,1]]", "--a", "(0,0)", "--n", "0"],
+     "linear part must have unit determinant"),
+    (["characters", "--h", "[[z,0],[0,z]]", "--a", "(0,0", "--n", "0"],
+     "point must look like (e1,e2), got '(0,0'"),
+    (["search", "--n", "49", "--h", "[[z,0]]"],
+     "matrix must have two rows, got '[[z,0]]'"),
+    (["search", "--n", "3", "--level", "25", "--h", "[[z,0],[0,1/2]]"],
+     "matrix entry '1/2' is not a ring integer"),
+    (["search", "--n", "3", "--level", "25", "--h", "[[2,0],[0,1]]"],
+     "level must lie in 1..24"),
+    (["search", "--n", "1", "--level", "25"], "n must be at least 2"),
+]
+
+
+@pytest.mark.parametrize("argv, message", TWO_FAULTS, ids=range(len(TWO_FAULTS)))
+def test_the_first_of_two_faults_is_reported(capsys, argv, message) -> None:
+    argv = [argv[0], "--ring", "eisenstein", *argv[1:]]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +499,20 @@ def test_characters_at_n_cap_runs(capsys) -> None:
             "--a", "(0,0)", "--n", str(KUMMER_N_CAP)]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["n"] == KUMMER_N_CAP
+
+
+@pytest.mark.parametrize("n, level", [(FREENESS_N_CAP + 1, "3"), (96, "3"), (49, "0")])
+def test_search_above_n_cap_exits_two(capsys, monkeypatch, n, level) -> None:
+    # Unbounded, --n 96 --level 3 ran for 108 s.
+    def sweep(*args, **kwargs):
+        raise AssertionError("the search ran before --n was checked")
+
+    monkeypatch.setattr(cli, "run_search", sweep)
+    argv = ["search", "--ring", "eisenstein", "--n", str(n), "--level", level]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --n is capped at {FREENESS_N_CAP}\n"
 
 
 @pytest.mark.parametrize("level", ["0", "-3", "25"])

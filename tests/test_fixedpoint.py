@@ -367,13 +367,36 @@ def test_obstruction_tampering_is_rejected() -> None:
         cert.element_power,
         cert.orbit_type,
         cert.outcome,
-        obstruction=(tuple(0 for _ in cert.obstruction[0]), cert.obstruction[1]),
+        obstruction=(tuple(0 for _ in cert.obstruction[0]), *cert.obstruction[1:]),
     )
     assert not verify_certificate(psi, 3, zeroed)
     missing = FreenessCertificate(
         cert.element_power, cert.orbit_type, cert.outcome, obstruction=None
     )
     assert not verify_certificate(psi, 3, missing)
+
+
+def test_obstruction_pairings_are_integers_over_the_tested_level() -> None:
+    # (z, 1) with (1/3, 1/6) has order 6 and translation level 6; its cube
+    # and square shift by (0, 1/2) and ((1+z)/3, 1/3), of levels 2 and 3.
+    ring = RingId.EISENSTEIN
+    auto = diagonal_auto(
+        ring, RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 3), 0, Fraction(1, 6), 0)
+    )
+    report = group_acts_freely(auto, 6)
+    moduli = []
+    for test in report.tested:
+        element = auto**test.power
+        for cert in test.report.certificates:
+            if cert.obstruction is None:
+                continue
+            functional, pairing, modulus = cert.obstruction
+            assert all(type(v) is int for v in (*functional, pairing, modulus))
+            assert modulus == element.translation.torsion_level()
+            assert pairing % modulus != 0
+            assert verify_certificate(auto, 6, cert)
+            moduli.append(modulus)
+    assert sorted(set(moduli)) == [2, 3]
 
 
 def test_decision_aggregates_per_type_solvability() -> None:

@@ -132,7 +132,8 @@ def test_integrality_check() -> None:
 
 
 @pytest.mark.parametrize(
-    "name", ["series", "lefschetz", "lattice", "search", "enriques", "rings"]
+    "name",
+    ["series", "lefschetz", "lattice", "search", "enriques", "rings", "fixedpoint"],
 )
 def test_integer_modules_do_not_import_fractions(name: str) -> None:
     module = importlib.import_module(f"kummerlab.{name}")
