@@ -6,11 +6,12 @@ deterministic JSON (default) or plain text.  Exit codes: 0 for success,
 result that fails its own re-check), 2 for usage or parse errors.
 
 Element grammar: a ring element is a signed sum of terms ``p``, ``p/q``,
-``p*z``, ``p/q*z`` and ``z``, with ``p`` and ``q`` strings of the digits
-``0-9``; ``z`` denotes the ring's distinguished root of unity (``i`` for
-the gaussian ring, a primitive cube root for the eisenstein ring, ``1``
-for the plain integer ring).  Points are ``(e1,e2)``; matrices are
-``[[a,b],[c,d]]`` with ring-integer entries.  Spaces are ignored.
+``p*z``, ``p/q*z`` and ``z``, with ``p`` and ``q`` strings of at most
+``NUMERAL_DIGIT_CAP`` digits ``0-9``; ``z`` denotes the curve's second
+period (``i`` for the gaussian ring, a primitive cube root of unity for the
+eisenstein ring, a period ``tau`` for the integer ring).  Points are
+``(e1,e2)``; matrices are ``[[a,b],[c,d]]`` with ring-integer entries, so
+an integer-ring entry has no ``z``.  Spaces are ignored.
 
 Each call parses argv once; a handler takes the argparse namespace and
 builds its ring, matrix and point from it once.
@@ -72,13 +73,20 @@ class GrammarError(ValueError):
     """Raised when an element, point, or matrix fails to parse."""
 
 
-_TERM = r"(?:([0-9]+)(?:/([0-9]+))?(\*z)?|z)"
+# The longest numeral.  A coordinate is a sum of terms of absolute value at
+# most 10**NUMERAL_DIGIT_CAP, so the integers printed from a matrix entry
+# (its echo and its induced-matrix entries, sums of a few coordinates) have
+# about NUMERAL_DIGIT_CAP digits: reaching Python's 4,300-digit limit on
+# int-to-text conversion would take 10**3000 terms.
+NUMERAL_DIGIT_CAP = 1000
+_NUMERAL = rf"[0-9]{{1,{NUMERAL_DIGIT_CAP}}}"
+_TERM = rf"(?:({_NUMERAL})(?:/({_NUMERAL}))?(\*z)?|z)"
 _ELEMENT = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
 _SIGNED_TERM = re.compile(rf"([+-]?){_TERM}")
 
 
-def parse_element(text: str, ring: RingId) -> tuple[Fraction, Fraction]:
-    """The coordinates ``(x, y)`` of ``x + y*z``; the integer ring folds ``z = 1``."""
+def parse_element(text: str) -> tuple[Fraction, Fraction]:
+    """The coordinates ``(x, y)`` of ``x + y*z``."""
     s = text.replace(" ", "")
     if not _ELEMENT.fullmatch(s):
         raise GrammarError(f"cannot parse element {text!r}")
@@ -95,8 +103,6 @@ def parse_element(text: str, ring: RingId) -> tuple[Fraction, Fraction]:
             y += value
         else:
             x += value
-    if ring is RingId.RATIONAL_INT:
-        return x + y, Fraction(0)
     return x, y
 
 
@@ -146,7 +152,7 @@ def parse_point(text: str, ring: RingId) -> TorusPoint:
     parts = _split_top(s[1:-1], "(", ")")
     if len(parts) != 2:
         raise GrammarError(f"point must have two coordinates, got {text!r}")
-    coords = (*parse_element(parts[0], ring), *parse_element(parts[1], ring))
+    coords = (*parse_element(parts[0]), *parse_element(parts[1]))
     try:
         return TorusPoint.from_vector(ring, coords)
     except ValueError as exc:
@@ -174,10 +180,15 @@ def parse_matrix(text: str, ring: RingId) -> TorusEndo:
             raise GrammarError(f"matrix rows must have two entries, got {text!r}")
         row = []
         for cell in cells:
-            x, y = parse_element(cell, ring)
-            if x.denominator != 1 or y.denominator != 1:
-                raise GrammarError(f"matrix entry {cell!r} is not a ring integer")
-            row.append(RingElem(ring, int(x), int(y)))
+            x, y = parse_element(cell)
+            try:
+                if x.denominator != 1 or y.denominator != 1:
+                    raise ValueError
+                row.append(RingElem(ring, int(x), int(y)))
+            except ValueError:
+                raise GrammarError(
+                    f"matrix entry {cell!r} is not a ring integer"
+                ) from None
         rows.append(row)
     return TorusEndo(rows)
 

@@ -2,15 +2,15 @@
 
 Every element is stored as a coordinate pair ``x + y*zeta`` where ``zeta``
 is a fixed generator attached to the ring tag: ``i`` for the Gaussian
-integers, a primitive cube root of unity for the Eisenstein integers, and
-``1`` for the degenerate rational-integer ring used in rectangular test
-configurations.  The primitive sixth root of unity is not a separate ring;
-it lives inside the Eisenstein ring as ``1 + zeta``.
+integers and a primitive cube root of unity for the Eisenstein integers.
+The rational integers, ``End(E) = Z`` for a curve without complex
+multiplication, have rank one and no generator: their elements have
+``y = 0``, and a nonzero ``y`` is refused.  The primitive sixth root of
+unity is not a separate ring; it lives inside the Eisenstein ring as
+``1 + zeta``.
 
-A ring element (:class:`RingElem`) carries integer coordinates and
-canonicalises the degenerate ring by folding the ``zeta`` coordinate into
-the rational one, so structural equality is semantic equality in all
-three rings.
+A ring element (:class:`RingElem`) carries integer coordinates, so
+structural equality is semantic equality in all three rings.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ class RingId(Enum):
         """Coordinates ``(u, v)`` of the complex conjugate of ``zeta``."""
         return _ZETA_CONJ[self]
 
-    @property
-    def unit_count(self) -> int:
-        return _UNIT_COUNT[self]
-
     @classmethod
     def from_token(cls, token: str) -> "RingId":
         for ring in cls:
@@ -54,6 +50,8 @@ class RingId(Enum):
         raise ValueError(f"unknown ring token {token!r}")
 
 
+# The rational integers have no generator, so their constants only ever
+# multiply a zero ``y`` coordinate.
 _ZETA_SQUARE = {
     RingId.RATIONAL_INT: (1, 0),
     RingId.GAUSSIAN: (-1, 0),
@@ -63,11 +61,6 @@ _ZETA_CONJ = {
     RingId.RATIONAL_INT: (1, 0),
     RingId.GAUSSIAN: (0, -1),
     RingId.EISENSTEIN: (-1, -1),
-}
-_UNIT_COUNT = {
-    RingId.RATIONAL_INT: 2,
-    RingId.GAUSSIAN: 4,
-    RingId.EISENSTEIN: 6,
 }
 
 
@@ -84,9 +77,8 @@ class RingElem:
     def __init__(self, ring: RingId, x: int, y: int = 0) -> None:
         if not isinstance(x, int) or not isinstance(y, int):
             raise TypeError("RingElem coordinates must be integers")
-        if ring is RingId.RATIONAL_INT:
-            # zeta = 1, so fold the second coordinate away.
-            x, y = x + y, 0
+        if y and ring is RingId.RATIONAL_INT:
+            raise ValueError("the integer ring has no generator")
         self._ring = ring
         self._x = x
         self._y = y
@@ -184,19 +176,24 @@ class RingElem:
         return f"RingElem({self._ring.name}, {self._x}, {self._y})"
 
 
+def ring_elements_up_to_norm(ring: RingId, bound: int) -> list[RingElem]:
+    """All ring integers of norm at most ``bound``, in scan order."""
+    if bound < 0:
+        raise ValueError("norm bound must be non-negative")
+    # norm(x + y*zeta) is a positive definite quadratic form, so every
+    # element of bounded norm has |x|, |y| <= 2*bound.  The rank-one ring
+    # scans y = 0 only.
+    box = range(-2 * bound, 2 * bound + 1)
+    ys = (0,) if ring is RingId.RATIONAL_INT else box
+    elements = (RingElem(ring, x, y) for x in box for y in ys)
+    return [e for e in elements if e.norm() <= bound]
+
+
 def units(ring: RingId) -> list[RingElem]:
-    """All norm-one elements, found by scanning a small coordinate box."""
-    found = []
-    for x in range(-2, 3):
-        for y in range(-2, 3):
-            e = RingElem(ring, x, y)
-            if e.is_unit() and e not in found:
-                found.append(e)
-    return found
+    """All norm-one elements, from the norm-one scan."""
+    return [e for e in ring_elements_up_to_norm(ring, 1) if e.is_unit()]
 
 
-def zeta6(ring: RingId = RingId.EISENSTEIN) -> RingElem:
+def zeta6() -> RingElem:
     """The primitive sixth root of unity ``1 + zeta3`` in the Eisenstein ring."""
-    if ring is not RingId.EISENSTEIN:
-        raise ValueError("a primitive sixth root of unity needs the Eisenstein ring")
-    return RingElem(ring, 1, 1)
+    return RingElem(RingId.EISENSTEIN, 1, 1)

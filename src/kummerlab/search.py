@@ -12,12 +12,11 @@ the translation ``a`` is ``vector / n`` and the orbit is the coset of the
 subgroup ``(I - M) (Z/n)^4`` with ``M`` the induced 4x4 integer matrix.
 One Smith form of ``I - M`` keys the cosets (:func:`translation_classes`);
 the scan keeps the keys it has met and stops once it has met every class
-its candidates reach.  The rational-integer ring's folded candidates meet
-the subgroup in exactly the folded images ``(I - h) p``, so the keys serve
-it too.  All translations of one linear part share one cache of what
-never depends on the translation: the power tables behind the tested
-powers and the orbit systems, the assembled systems and their Smith normal
-forms.  Each pair then computes only its constants and its solves.
+its candidates reach.  All translations of one linear part share one
+cache of what never depends on the translation: the power tables behind
+the tested powers and the orbit systems, the assembled systems and their
+Smith normal forms.  Each pair then computes only its constants and its
+solves.
 
 Two sound screens keep the sweep fast.  A nontrivial power with trivial
 symplectic multiplier fixes points, so a free pair needs the determinant
@@ -36,7 +35,7 @@ from .enriques import QuotientClassification, classify_free_quotient
 from .fixedpoint import GRID_LEVEL_CAP, FreenessReport, group_acts_freely
 from .lattice import translation_classes
 from .linalg import IntMatrix, SelfCheckError, matrix_order
-from .rings import RingElem, RingId
+from .rings import RingElem, RingId, ring_elements_up_to_norm
 from .torus import (
     TorusAuto,
     TorusEndo,
@@ -56,28 +55,6 @@ class SearchResult:
     order: int
     report: FreenessReport
     classification: QuotientClassification
-
-
-def ring_elements_up_to_norm(ring: RingId, bound: int) -> list[RingElem]:
-    """All ring integers of norm at most ``bound``, in scan order."""
-    if bound < 0:
-        raise ValueError("norm bound must be non-negative")
-    # norm(x + y*zeta) is a positive definite quadratic form, so every
-    # element of bounded norm has |x|, |y| <= 2*bound.  Construction
-    # canonicalizes coordinates (the rational-integer ring folds the
-    # generator away), so a seen-set keeps each element once.
-    box = 2 * bound
-    found = []
-    seen = set()
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
-            e = RingElem(ring, x, y)
-            if e in seen:
-                continue
-            if e.norm() <= bound:
-                seen.add(e)
-                found.append(e)
-    return found
 
 
 def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
@@ -104,18 +81,13 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
 
 
 def torsion_points(ring: RingId, level: int) -> list[TorusPoint]:
-    """All points killed by ``level``, in scan order, without duplicates."""
+    """All ``level**4`` points killed by ``level``, in scan order."""
     if level < 1:
         raise ValueError("level must be positive")
-    seen = set()
-    points = []
-    for vector in itertools.product(range(level), repeat=4):
-        p = TorusPoint.from_integers(ring, level, vector)
-        if p in seen:
-            continue
-        seen.add(p)
-        points.append(p)
-    return points
+    return [
+        TorusPoint.from_integers(ring, level, vector)
+        for vector in itertools.product(range(level), repeat=4)
+    ]
 
 
 def _unit_order(unit: RingElem) -> int:

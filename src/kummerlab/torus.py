@@ -1,18 +1,20 @@
 """Points and automorphisms of the self-product torus attached to a ring.
 
 The surface under study is ``A = E x E`` where ``E`` is the complex torus
-with period lattice spanned by ``{1, zeta}``.  A point of ``A`` therefore
-has four coordinates (two per factor, in the ``{1, zeta}`` basis), taken
-mod 1.  Only torsion points occur, and each is stored as an integer
-4-vector mod its torsion level ``N``.  The automorphisms handled here are
-the natural ones, a lattice-linear map with unit determinant followed by a
-torsion translation.  A linear part is stored only as its induced 4x4
-integer matrix on first homology, so its products, powers and orbit sums
-(:func:`power_sums`) are integer-matrix products, and point arithmetic,
-orbits and orders are plain integer arithmetic mod ``N``.  The powers of
-an automorphism (:meth:`TorusAuto.power`) read the same ``(M^l, P_l,
-Q_l)`` tables as the orbit systems, so one cache keyed by ``(M, l)``
-serves every translation of a linear part.  ``Fraction``
+with period lattice spanned by ``{1, zeta}``; for the rational integers,
+which have no ``zeta``, the second period is a ``tau`` and a linear part
+``h`` acts on first homology as ``h`` on either period.  A point of ``A``
+therefore has four coordinates (two per factor, in the basis of periods),
+taken mod 1, in every ring.  Only torsion points occur, and each is stored
+as an integer 4-vector mod its torsion level ``N``.  The automorphisms
+handled here are the natural ones, a lattice-linear map with unit
+determinant followed by a torsion translation.  A linear part is stored
+only as its induced 4x4 integer matrix on first homology, so its products,
+powers and orbit sums (:func:`power_sums`) are integer-matrix products,
+and point arithmetic, orbits and orders are plain integer arithmetic mod
+``N``.  The powers of an automorphism (:meth:`TorusAuto.power`) read the
+same ``(M^l, P_l, Q_l)`` tables as the orbit systems, so one cache keyed
+by ``(M, l)`` serves every translation of a linear part.  ``Fraction``
 appears only where points enter or leave as rational coordinates:
 :meth:`TorusPoint.from_vector` and :meth:`TorusPoint.coords`.
 """
@@ -40,8 +42,9 @@ class TorusPoint:
     The coordinates ``(x1, y1, x2, y2)`` are ``vector / level`` with every
     entry in ``[0, level)`` and ``level`` the exact torsion level, so the
     stored pair is canonical: points given over different denominators
-    compare and hash equal.  The rational-integer ring folds the ``zeta``
-    coordinate of each factor into the rational one (``zeta = 1``).
+    compare and hash equal.  In every ring ``y1`` and ``y2`` are coordinates
+    along the curve's second period: ``zeta`` for the Gaussian and
+    Eisenstein rings, a period ``tau`` for the rational integers.
     """
 
     __slots__ = ("_ring", "_level", "_vector")
@@ -52,8 +55,6 @@ class TorusPoint:
         vector = tuple(vector)
         if level < 1 or len(vector) != 4:
             raise ValueError("a point needs a positive level and four coordinates")
-        if ring is RingId.RATIONAL_INT:
-            vector = (vector[0] + vector[1], 0, vector[2] + vector[3], 0)
         vector = tuple(v % level for v in vector)
         common = gcd(level, *vector)
         if common > 1:
@@ -299,8 +300,8 @@ class TorusAuto:
         Raises :class:`UnsupportedAutomorphismError` for a non-unit
         determinant, then for infinite order.  A matrix of finite order has
         ``det M = +-1``, and ``det M`` is the norm of ``det h`` (its square
-        in the folded integer ring), so the order, memoised on the linear
-        part, is checked first and the determinant only on failure.
+        in the integer ring), so the order, memoised on the linear part, is
+        checked first and the determinant only on failure.
         """
         try:
             return linear.multiplicative_order()

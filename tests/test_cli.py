@@ -19,6 +19,7 @@ from kummerlab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     FREENESS_N_CAP,
+    NUMERAL_DIGIT_CAP,
     GrammarError,
     format_element,
     format_matrix,
@@ -53,27 +54,27 @@ def run_json(capsys, argv: list[str]) -> tuple[int, dict]:
 
 
 def test_element_known_forms() -> None:
-    ring = RingId.EISENSTEIN
-    assert format_element(parse_element("1/3 + 2/3*z", ring)) == "1/3+2/3*z"
-    assert format_element(parse_element("-z", ring)) == "-z"
-    assert format_element(parse_element("z", RingId.GAUSSIAN)) == "z"
-    assert format_element(parse_element("0", ring)) == "0"
-    assert format_element(parse_element("1/2", RingId.RATIONAL_INT)) == "1/2"
-    assert format_element(parse_element("2-z", ring)) == "2-z"
+    assert format_element(parse_element("1/3 + 2/3*z")) == "1/3+2/3*z"
+    assert format_element(parse_element("-z")) == "-z"
+    assert format_element(parse_element("z")) == "z"
+    assert format_element(parse_element("0")) == "0"
+    assert format_element(parse_element("1/2")) == "1/2"
+    assert format_element(parse_element("2-z")) == "2-z"
     # Terms accumulate regardless of order or repetition.
-    assert parse_element("z+1/2+z", ring) == (Fraction(1, 2), Fraction(2))
-    # The integer ring folds z = 1 into the rational coordinate.
-    assert parse_element("1/3+1/2*z", RingId.RATIONAL_INT) == (Fraction(5, 6), 0)
+    assert parse_element("z+1/2+z") == (Fraction(1, 2), Fraction(2))
+    assert parse_element("1/3+1/2*z") == (Fraction(1, 3), Fraction(1, 2))
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_element_round_trip_random(ring: RingId) -> None:
+    # The coefficient of z is a point's second coordinate in every ring.
     rng = random.Random(424242)
     for _ in range(40):
         x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         y = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        element = (x + y, Fraction(0)) if ring is RingId.RATIONAL_INT else (x, y)
-        assert parse_element(format_element(element), ring) == element
+        text = format_element((x, y))
+        assert parse_element(text) == (x, y)
+        assert parse_point(f"({text},0)", ring).coords() == (x % 1, y % 1, 0, 0)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
@@ -86,30 +87,39 @@ def test_point_and_matrix_round_trip(ring: RingId) -> None:
             ring,
         )
         assert parse_point(format_point(point), ring) == point
-    matrix = parse_matrix("[[z,1],[-1,0]]", ring)
+    entry = "-1" if ring is RingId.RATIONAL_INT else "z"
+    matrix = parse_matrix(f"[[{entry},1],[-1,0]]", ring)
     assert parse_matrix(format_matrix(matrix), ring) == matrix
 
 
-def test_integer_ring_folds_before_the_integrality_test() -> None:
-    # ``1/2 + 1/2*z`` is the ring integer 1 once z = 1 is folded in, so it
-    # is accepted as a matrix entry; points fold the same way.
+def test_integer_ring_z_is_the_second_period(capsys) -> None:
+    # In an integer-ring point z is the period tau, kept apart from 1; in a
+    # matrix entry it is refused, since End(E) = Z has no generator.
     ring = RingId.RATIONAL_INT
-    assert format_matrix(parse_matrix("[[1/2+1/2*z,0],[0,1]]", ring)) == "[[1,0],[0,1]]"
-    assert format_point(parse_point("(1/3+1/3*z,1/2*z)", ring)) == "(2/3,1/2)"
-    with pytest.raises(GrammarError):
-        parse_matrix("[[1/2+1/2*z,0],[0,1]]", RingId.EISENSTEIN)
+    point = parse_point("(1/3+1/3*z,1/2*z)", ring)
+    assert point.coords() == (Fraction(1, 3), Fraction(1, 3), 0, Fraction(1, 2))
+    assert format_point(point) == "(1/3+1/3*z,1/2*z)"
+    for cell in ("z", "1/2+1/2*z", "1-z"):
+        with pytest.raises(GrammarError, match="is not a ring integer"):
+            parse_matrix(f"[[{cell},0],[0,1]]", ring)
+    argv = ["freeness", "--ring", "integer", "--h", "[[z,0],[0,1]]", "--a", "(0,0)",
+            "--n", "2"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix entry 'z' is not a ring integer\n"
 
 
 def test_grammar_rejections() -> None:
     ring = RingId.GAUSSIAN
     with pytest.raises(GrammarError):
-        parse_element("i", ring)
+        parse_element("i")
     with pytest.raises(GrammarError):
-        parse_element("1//2", ring)
+        parse_element("1//2")
     with pytest.raises(GrammarError):
-        parse_element("z*z", ring)
+        parse_element("z*z")
     with pytest.raises(GrammarError):
-        parse_element("", ring)
+        parse_element("")
     with pytest.raises(GrammarError):
         parse_point("(1/2)", ring)
     with pytest.raises(GrammarError):
@@ -130,7 +140,7 @@ def test_numerals_are_digits_or_digit_fractions(numeral: str) -> None:
     # the grammar, alone or as the coefficient of z.
     for text in (numeral, f"{numeral}*z", f"1+{numeral}"):
         with pytest.raises(GrammarError):
-            parse_element(text, RingId.EISENSTEIN)
+            parse_element(text)
 
 
 def test_exponent_numerals_exit_two_at_once(capsys) -> None:
@@ -142,6 +152,40 @@ def test_exponent_numerals_exit_two_at_once(capsys) -> None:
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cannot parse element '1e5000'\n"
+
+
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "command, entry",
+    [("freeness", f"{NINES}+{NINES}"), ("lefschetz", NINES),
+     ("lefschetz", f"1/{NINES}"), ("freeness", f"{NINES}*z")],
+)
+def test_numerals_above_the_digit_cap_exit_two_at_once(capsys, command, entry) -> None:
+    # A+A with A of 4,300 nines once reached Python's 4,300-digit limit on
+    # int-to-text conversion in the echo; A alone was accepted and printed.
+    argv = [command, "--ring", "eisenstein", "--h", f"[[1,{entry}],[0,-1]]",
+            "--a", "(0,0)", "--n", "2"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse element {entry!r}\n"
+
+
+def test_numeral_at_the_digit_cap_is_accepted(capsys) -> None:
+    numeral = "9" * NUMERAL_DIGIT_CAP
+    assert parse_element(f"-{numeral}/{numeral}*z") == (0, -1)
+    assert parse_element(f"{numeral}+{numeral}") == (2 * int(numeral), 0)
+    with pytest.raises(GrammarError):
+        parse_element(f"1{numeral}")
+    h = f"[[1,{numeral}+{numeral}*z],[0,-1]]"
+    for command in ("freeness", "lefschetz"):
+        argv = [command, "--ring", "eisenstein", "--h", h, "--a", "(0,0)",
+                "--n", "2"]
+        code, payload = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert payload["h"] == h
 
 
 def test_messy_input_is_echoed_canonically(capsys) -> None:

@@ -292,6 +292,26 @@ def test_grid_walk_matches_naive_reference() -> None:
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("diagonal", [(-1, 1), (1, -1)], ids=["diag(-1,1)", "diag(1,-1)"])
+def test_integer_reflections_are_free_off_both_factors(diagonal) -> None:
+    # Over End(E) = Z, t_a h with h = diag(-1, 1) and a = (a1, a2) in
+    # E[2] x E[2] has order 2.  It fixes a configuration of the 2-fibre
+    # exactly when a1 = 0 (the swapped pair {(x, y), (a1 - x, y + a2)} sums
+    # to (a1, 2y + a2)) or a2 = 0 (points with 2x = a1 are fixed), and
+    # every such configuration runs through E[4].  So the level-4 grid is a
+    # complete oracle here, and 3 * 3 of the 16 translations are free.
+    ring = RingId.RATIONAL_INT
+    linear = TorusEndo.diagonal(*(RingElem(ring, d) for d in diagonal))
+    free = 0
+    for vector in itertools.product(range(2), repeat=4):
+        auto = TorusAuto(linear, TorusPoint.from_integers(ring, 2, vector))
+        decided = group_acts_freely(auto, 2).free
+        assert decided == (any(vector[:2]) and any(vector[2:]))
+        assert brute_force_fixed_point(auto, 2, 4) == (not decided)
+        free += decided
+    assert free == 9
+
+
 def test_grid_level_is_capped() -> None:
     psi = psi_order3()
     assert GRID_LEVEL_CAP == 24

@@ -13,6 +13,7 @@ from kummerlab.rings import (
     RingElem,
     RingId,
     RingMismatchError,
+    ring_elements_up_to_norm,
     units,
     zeta6,
 )
@@ -22,7 +23,10 @@ ALL_RINGS = [RingId.RATIONAL_INT, RingId.GAUSSIAN, RingId.EISENSTEIN]
 
 
 def random_elem(rng: random.Random, ring: RingId, bound: int = 9) -> RingElem:
-    return RingElem(ring, rng.randint(-bound, bound), rng.randint(-bound, bound))
+    """A random element; the rank-one integer ring has ``y = 0``."""
+    x = rng.randint(-bound, bound)
+    y = 0 if ring is RingId.RATIONAL_INT else rng.randint(-bound, bound)
+    return RingElem(ring, x, y)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
@@ -60,9 +64,6 @@ def test_sixth_root_of_unity() -> None:
     powers = [u**k for k in range(1, 7)]
     assert powers[-1] == RingElem.one(RingId.EISENSTEIN)
     assert all(p != RingElem.one(RingId.EISENSTEIN) for p in powers[:-1])
-    for ring in (RingId.RATIONAL_INT, RingId.GAUSSIAN):
-        with pytest.raises(ValueError):
-            zeta6(ring)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
@@ -95,8 +96,9 @@ def test_unit_groups() -> None:
     }
     for ring, count in expected.items():
         group = units(ring)
-        assert len(group) == count == ring.unit_count
+        assert len(group) == count
         assert len(set(group)) == count
+        assert group == [e for e in ring_elements_up_to_norm(ring, 1) if e.norm()]
         for u in group:
             assert u.norm() == 1
             assert u.is_unit()
@@ -122,11 +124,20 @@ def test_regular_representation_is_multiplicative(ring: RingId) -> None:
         assert det == a.norm()
 
 
-def test_rational_ring_folds_generator() -> None:
+def test_integer_ring_has_no_generator() -> None:
+    # End(E) = Z has rank one: an element with a second coordinate is
+    # refused, and the norm scan only meets y = 0.
     ring = RingId.RATIONAL_INT
-    assert RingElem(ring, 0, 1) == RingElem.one(ring)
-    assert RingElem(ring, 2, 3) == RingElem(ring, 5, 0)
-    assert RingElem(ring, 2, 3).y == 0
+    for y in (1, -1, 3):
+        with pytest.raises(ValueError, match="no generator"):
+            RingElem(ring, 2, y)
+    with pytest.raises(ValueError):
+        RingElem.zeta(ring)
+    assert RingElem(ring, 5).y == 0
+    for bound in range(5):
+        scanned = ring_elements_up_to_norm(ring, bound)
+        expected = [x for x in range(-2 * bound, 2 * bound + 1) if x * x <= bound]
+        assert scanned == [RingElem(ring, x) for x in expected]
 
 
 def test_norm_self_check_rejects_a_wrong_conjugation(monkeypatch) -> None:
@@ -140,12 +151,10 @@ def test_norm_self_check_rejects_a_wrong_conjugation(monkeypatch) -> None:
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_mod_lattice_reduces_into_unit_box(ring: RingId) -> None:
     # Rational coordinates enter at the point boundary and are reduced
-    # mod the lattice into [0, 1); the integer ring first folds z = 1.
+    # mod the lattice into [0, 1), in every ring alike.
     rng = random.Random(606)
     for _ in range(40):
         coords = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(4)]
-        if ring is RingId.RATIONAL_INT:
-            coords = [coords[0] + coords[1], 0, coords[2] + coords[3], 0]
         reduced = TorusPoint.from_vector(ring, coords).coords()
         assert all(0 <= r < 1 for r in reduced)
         assert all((c - r).denominator == 1 for c, r in zip(coords, reduced))

@@ -13,14 +13,13 @@ from kummerlab.cli import format_matrix, format_point
 from kummerlab.enriques import QuotientVerdict
 from kummerlab.fixedpoint import group_acts_freely
 from kummerlab.lattice import translation_classes
-from kummerlab.rings import RingElem, RingId, zeta6
+from kummerlab.rings import RingElem, RingId, ring_elements_up_to_norm, zeta6
 from kummerlab.linalg import SelfCheckError
 from kummerlab.search import (
     MAX_NORM_CAP,
     SearchResult,
     _unit_order,
     linear_candidates,
-    ring_elements_up_to_norm,
     run_search,
     torsion_points,
 )
@@ -168,8 +167,7 @@ def test_unbounded_unit_order_is_a_self_check_error() -> None:
 def test_translation_classes_match_pointwise_cosets(ring: RingId, level: int) -> None:
     # Keying the candidate vectors by translation_classes partitions them
     # exactly as the pointwise cosets a + (I - h)p over every level-torsion
-    # p.  The integer ring's folded candidates meet (I - M)(Z/level)^4 in
-    # the folded images, so the same keys serve it.
+    # p, and there are prod(moduli) of them, in every ring.
     catalog = linear_candidates(ring, 1)
     points = torsion_points(ring, level)
     vectors = [p.vector(level) for p in points]
@@ -190,16 +188,15 @@ def test_translation_classes_match_pointwise_cosets(ring: RingId, level: int) ->
         for v in vectors:
             by_key.setdefault(key(v), set()).add(v)
         assert {frozenset(c) for c in by_key.values()} == cosets
-        if ring is not RingId.RATIONAL_INT:
-            assert len(cosets) == prod(moduli)
+        assert len(cosets) == prod(moduli)
 
 
 def test_torsion_point_counts() -> None:
-    # One factor contributes level**2 points over the quadratic rings and
-    # level points over the rational integers (one coordinate folds away).
+    # One factor contributes level**2 points in every ring: E has two
+    # periods also when End(E) = Z.
     assert len(torsion_points(RingId.EISENSTEIN, 3)) == 81
     assert len(torsion_points(RingId.GAUSSIAN, 2)) == 16
-    assert len(torsion_points(RingId.RATIONAL_INT, 2)) == 4
+    assert len(torsion_points(RingId.RATIONAL_INT, 2)) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +252,27 @@ def test_representatives_are_pairwise_inequivalent() -> None:
 
 def test_full_sweep_integer_involutions() -> None:
     results = run_search(2, RingId.RATIONAL_INT)
-    assert len(results) == 2
+    assert len(results) == 18
     verify_results(results, 2)
     for result in results:
         assert result.order == 2
         assert result.classification.verdict is QuotientVerdict.ENRIQUES
         assert result.classification.dimension == 2
-    # The two diagonal reflections carry the translation (1/2, 1/2).
-    for result in results:
-        assert result.translation == TorusPoint.from_vector(
-            RingId.RATIONAL_INT, ("1/2", "0", "1/2", "0")
-        )
+    # The two diagonal reflections, each with the 3 * 3 translations that
+    # are nonzero in both factors; I - h is diag(2, 0) or diag(0, 2), zero
+    # mod 2, so each translation is its own class.
+    ring = RingId.RATIONAL_INT
+    one = RingElem.one(ring)
+    both_nonzero = [
+        TorusPoint.from_integers(ring, 2, v)
+        for v in itertools.product(range(2), repeat=4)
+        if any(v[:2]) and any(v[2:])
+    ]
+    assert [(r.linear, r.translation) for r in results] == [
+        (TorusEndo.diagonal(d1, d2), a)
+        for d1, d2 in ((-one, one), (one, -one))
+        for a in both_nonzero
+    ]
 
 
 def test_order6_linear_admits_no_free_pair_on_sixth_fibre() -> None:
@@ -314,7 +321,7 @@ def test_full_sweep_eisenstein_order3_fibre() -> None:
 
 # Row digests, in the format of EISENSTEIN_ORDER3_DIGEST, of sweeps that
 # exercise the scan's early stop, translations of level below n and the
-# integer ring's folded candidates.
+# integer ring.
 @pytest.mark.parametrize(
     "n, ring, level, count, digest",
     [
@@ -324,11 +331,11 @@ def test_full_sweep_eisenstein_order3_fibre() -> None:
         pytest.param(6, RingId.EISENSTEIN, 3, 64,
                      "1f89b3d9f558a6186c0bdb05f092c083f2a56d9d8bd987e042444aa4eb995b63",
                      id="eisenstein-6-level-3"),
-        pytest.param(4, RingId.RATIONAL_INT, None, 2,
-                     "9aa598eeec20e9ef37a9557754cffae11831133d260ef57dc0feb630547e6109",
+        pytest.param(4, RingId.RATIONAL_INT, None, 18,
+                     "cb8d556483b0d5f89b1d26ab042fcedac2bd858b7882abfba0f308ebfb3a2dc5",
                      id="integer-4"),
-        pytest.param(6, RingId.RATIONAL_INT, None, 2,
-                     "867fa355d4b23b62c0a798040c05c43bec60ddd1b6dd380e5c65d82411324f58",
+        pytest.param(6, RingId.RATIONAL_INT, None, 18,
+                     "ad2a499b8a06d0424f82c65d7b0175e4c3ca767dc3b91be6762fdec844345a08",
                      id="integer-6"),
     ],
 )

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from kummerlab.linalg import matrix_order
-from kummerlab.rings import RingElem, RingId
-from kummerlab.search import linear_candidates, ring_elements_up_to_norm, torsion_points
+from kummerlab.rings import RingElem, RingId, ring_elements_up_to_norm
+from kummerlab.search import linear_candidates, torsion_points
 from kummerlab.torus import (
     TorusAuto,
     TorusEndo,
@@ -29,7 +29,10 @@ def random_point(rng: random.Random, ring: RingId, level: int = 12) -> TorusPoin
 
 def random_rows(rng: random.Random, ring: RingId, bound: int = 3) -> tuple:
     def elem() -> RingElem:
-        return RingElem(ring, rng.randint(-bound, bound), rng.randint(-bound, bound))
+        # The rank-one integer ring has no generator coordinate.
+        x = rng.randint(-bound, bound)
+        y = 0 if ring is RingId.RATIONAL_INT else rng.randint(-bound, bound)
+        return RingElem(ring, x, y)
 
     return ((elem(), elem()), (elem(), elem()))
 
@@ -39,7 +42,10 @@ def random_endo(rng: random.Random, ring: RingId, bound: int = 3) -> TorusEndo:
 
 
 def zeta_diag(ring: RingId) -> TorusEndo:
-    return TorusEndo.diagonal(RingElem.zeta(ring), RingElem.one(ring))
+    """diag(zeta, 1); the integer ring has no zeta and takes diag(-1, 1)."""
+    one = RingElem.one(ring)
+    d = -one if ring is RingId.RATIONAL_INT else RingElem.zeta(ring)
+    return TorusEndo.diagonal(d, one)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
@@ -254,14 +260,30 @@ def test_point_identity_is_canonical_across_denominators() -> None:
         half.vector(3)
 
 
-def test_integer_ring_folds_the_generator_coordinate() -> None:
+def test_integer_ring_points_keep_both_periods() -> None:
+    # The integer ring's points are points of E x E like any other ring's:
+    # the coordinates along 1 and along tau are independent.
     ring = RingId.RATIONAL_INT
     p = TorusPoint.from_vector(ring, ("1/4", "1/4", "1/3", "0"))
-    assert p.coords() == (Fraction(1, 2), 0, Fraction(1, 3), 0)
-    assert TorusPoint.from_vector(ring, ("1/2", "1/2", "0", "0")).is_origin()
-    assert len(torsion_points(ring, 2)) == 4
-    for point in torsion_points(ring, 6):
-        assert point.vector()[1::2] == (0, 0)
+    assert p.coords() == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 3), 0)
+    assert not TorusPoint.from_vector(ring, ("1/2", "1/2", "0", "0")).is_origin()
+    assert TorusPoint.from_vector(ring, ("1/2", "0", "0", "0")) != (
+        TorusPoint.from_vector(ring, ("0", "1/2", "0", "0"))
+    )
+    assert len(set(torsion_points(ring, 6))) == 6**4
+    # h acts as h on either period: the induced matrix is h tensor I_2.
+    rot = TorusEndo(
+        [
+            [RingElem(ring, 1), RingElem(ring, -1)],
+            [RingElem(ring, 1), RingElem(ring, 0)],
+        ]
+    )
+    assert rot.induced_matrix().entries == (
+        (1, 0, -1, 0),
+        (0, 1, 0, -1),
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+    )
 
 
 def sampled_autos(ring: RingId, count: int, seed: int) -> list[TorusAuto]:
@@ -385,7 +407,7 @@ def test_finite_order_catalog_matrices_have_unit_determinant(
     ring: RingId, finite: int
 ) -> None:
     # A finite-order integer matrix has det M = +-1, and det M is the norm
-    # of det h (its square in the folded integer ring), so the constructor
+    # of det h (its square in the integer ring), so the constructor
     # may check the order first and the determinant only on failure.
     entries = ring_elements_up_to_norm(ring, 2)
     count = 0
