@@ -84,19 +84,29 @@ _TERM = rf"(?:({_NUMERAL})(?:/({_NUMERAL}))?(\*z)?|z)"
 _ELEMENT = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
 _SIGNED_TERM = re.compile(rf"([+-]?){_TERM}")
 
+# The most characters of a rejected text that an error message quotes.
+QUOTE_CAP = 64
+
+
+def _quote(text: str) -> str:
+    """``text`` for an error message: whole, or a prefix and its length."""
+    if len(text) <= QUOTE_CAP:
+        return repr(text)
+    return f"{text[:QUOTE_CAP]!r}... ({len(text)} characters)"
+
 
 def parse_element(text: str) -> tuple[Fraction, Fraction]:
     """The coordinates ``(x, y)`` of ``x + y*z``."""
     s = text.replace(" ", "")
     if not _ELEMENT.fullmatch(s):
-        raise GrammarError(f"cannot parse element {text!r}")
+        raise GrammarError(f"cannot parse element {_quote(text)}")
     x = Fraction(0)
     y = Fraction(0)
     for sign, numerator, denominator, zeta in _SIGNED_TERM.findall(s):
         try:
             value = Fraction(int(numerator or 1), int(denominator or 1))
         except (ValueError, ZeroDivisionError) as exc:
-            raise GrammarError(f"cannot parse element {text!r}") from exc
+            raise GrammarError(f"cannot parse element {_quote(text)}") from exc
         if sign == "-":
             value = -value
         if zeta or not numerator:
@@ -133,14 +143,14 @@ def _split_top(text: str, opener: str, closer: str) -> list[str]:
         elif ch == closer:
             depth -= 1
             if depth < 0:
-                raise GrammarError(f"unbalanced {closer!r} in {text!r}")
+                raise GrammarError(f"unbalanced {closer!r} in {_quote(text)}")
         if ch == "," and depth == 0:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
     if depth != 0:
-        raise GrammarError(f"unbalanced {opener!r} in {text!r}")
+        raise GrammarError(f"unbalanced {opener!r} in {_quote(text)}")
     parts.append("".join(current))
     return parts
 
@@ -148,15 +158,15 @@ def _split_top(text: str, opener: str, closer: str) -> list[str]:
 def parse_point(text: str, ring: RingId) -> TorusPoint:
     s = text.replace(" ", "")
     if not (s.startswith("(") and s.endswith(")")):
-        raise GrammarError(f"point must look like (e1,e2), got {text!r}")
+        raise GrammarError(f"point must look like (e1,e2), got {_quote(text)}")
     parts = _split_top(s[1:-1], "(", ")")
     if len(parts) != 2:
-        raise GrammarError(f"point must have two coordinates, got {text!r}")
+        raise GrammarError(f"point must have two coordinates, got {_quote(text)}")
     coords = (*parse_element(parts[0]), *parse_element(parts[1]))
     try:
         return TorusPoint.from_vector(ring, coords)
     except ValueError as exc:
-        raise GrammarError(f"point {text!r}: {exc}") from exc
+        raise GrammarError(f"point {_quote(text)}: {exc}") from exc
 
 
 def format_point(point: TorusPoint) -> str:
@@ -167,17 +177,17 @@ def format_point(point: TorusPoint) -> str:
 def parse_matrix(text: str, ring: RingId) -> TorusEndo:
     s = text.replace(" ", "")
     if not (s.startswith("[") and s.endswith("]")):
-        raise GrammarError(f"matrix must look like [[a,b],[c,d]], got {text!r}")
+        raise GrammarError(f"matrix must look like [[a,b],[c,d]], got {_quote(text)}")
     row_texts = _split_top(s[1:-1], "[", "]")
     if len(row_texts) != 2:
-        raise GrammarError(f"matrix must have two rows, got {text!r}")
+        raise GrammarError(f"matrix must have two rows, got {_quote(text)}")
     rows = []
     for row_text in row_texts:
         if not (row_text.startswith("[") and row_text.endswith("]")):
-            raise GrammarError(f"matrix rows must be bracketed, got {text!r}")
+            raise GrammarError(f"matrix rows must be bracketed, got {_quote(text)}")
         cells = _split_top(row_text[1:-1], "[", "]")
         if len(cells) != 2:
-            raise GrammarError(f"matrix rows must have two entries, got {text!r}")
+            raise GrammarError(f"matrix rows must have two entries, got {_quote(text)}")
         row = []
         for cell in cells:
             x, y = parse_element(cell)
@@ -187,7 +197,7 @@ def parse_matrix(text: str, ring: RingId) -> TorusEndo:
                 row.append(RingElem(ring, int(x), int(y)))
             except ValueError:
                 raise GrammarError(
-                    f"matrix entry {cell!r} is not a ring integer"
+                    f"matrix entry {_quote(cell)} is not a ring integer"
                 ) from None
         rows.append(row)
     return TorusEndo(rows)

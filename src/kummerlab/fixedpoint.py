@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from math import lcm
 
 from .lattice import torus_system_solvable, verify_obstruction
-from .linalg import IntMatrix, divisors, factorize
+from .linalg import MEMO_SIZE, IntMatrix, divisors, factorize
 from .torus import TorusAuto, TorusPoint, power_sums
 
 # The grid oracle and the search sweep both walk level**4 points; one cap
@@ -129,9 +130,7 @@ class FreenessReport:
 
 
 def orbit_system(
-    auto: TorusAuto,
-    orbit_type: tuple[int, ...],
-    cache: dict | None = None,
+    auto: TorusAuto, orbit_type: tuple[int, ...]
 ) -> tuple[IntMatrix, tuple[int, ...], int]:
     """``(T, b, q)``: the integer system ``T z = b / q`` deciding the orbit type.
 
@@ -144,37 +143,35 @@ def orbit_system(
     constants alone on the translation: ``q`` is the translation's torsion
     level and ``b`` the numerators over it.  The blocks come from
     :func:`power_sums`: ``M^l - I`` for closure, ``P_l`` for the zero-sum
-    rows, and ``P_l a`` and ``Q_l a`` for the constants.  Passing the same
-    ``cache`` dict across calls, for any translations, keeps the tables of
-    each linear part and length under ``(M, l)`` and the assembled ``T``
-    under ``(M, orbit_type)``, so a repeated call builds only ``b``.
+    rows, and ``P_l a`` and ``Q_l a`` for the constants.  ``T`` is
+    memoised under ``(M, orbit_type)``, so a repeated call for any
+    translation builds only ``b``.
     """
-    if cache is None:
-        cache = {}
     matrix = auto.linear.induced_matrix()
     level = auto.translation.torsion_level()
     a = auto.translation.vector()
     closures, sums = {}, {}
     for l in set(orbit_type):
-        _, partial, total = power_sums(matrix, l, cache)
+        _, partial, total = power_sums(matrix, l)
         closures[l] = [-(x % level) for x in partial.apply_int(a)]
         sums[l] = [x % level for x in total.apply_int(a)]
     numerators = [x for l in orbit_type for x in closures[l]]
     numerators += [-sum(column) for column in zip(*(sums[l] for l in orbit_type))]
+    return _orbit_matrix(matrix, orbit_type), tuple(numerators), level
 
-    system = cache.get((matrix, orbit_type))
-    if system is None:
-        identity, zero4 = IntMatrix.identity(4), IntMatrix.zeros(4, 4)
-        parts = [power_sums(matrix, l, cache) for l in orbit_type]
-        block_rows: list[list[IntMatrix]] = []
-        for i, (power, _, _) in enumerate(parts):
-            row = [zero4] * len(parts)
-            row[i] = power - identity
-            block_rows.append(row)
-        block_rows.append([partial for _, partial, _ in parts])
-        system = IntMatrix.block(block_rows)
-        cache[matrix, orbit_type] = system
-    return system, tuple(numerators), level
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _orbit_matrix(matrix: IntMatrix, orbit_type: tuple[int, ...]) -> IntMatrix:
+    """The matrix ``T`` of :func:`orbit_system`, memoised."""
+    identity, zero4 = IntMatrix.identity(4), IntMatrix.zeros(4, 4)
+    parts = [power_sums(matrix, l) for l in orbit_type]
+    block_rows: list[list[IntMatrix]] = []
+    for i, (power, _, _) in enumerate(parts):
+        row = [zero4] * len(parts)
+        row[i] = power - identity
+        block_rows.append(row)
+    block_rows.append([partial for _, partial, _ in parts])
+    return IntMatrix.block(block_rows)
 
 
 def _require_descends(auto: TorusAuto, n: int) -> None:
@@ -191,7 +188,6 @@ def has_fixed_point(
     n: int,
     element_power: int = 1,
     stop_at_first: bool = False,
-    cache: dict | None = None,
 ) -> FixedPointReport:
     """Decide whether the induced automorphism fixes some configuration.
 
@@ -200,21 +196,16 @@ def has_fixed_point(
     certificates when the map under test is a power of another one.  With
     ``stop_at_first`` the scan stops at the first solvable type, so a
     positive report may carry fewer certificates than there are types; a
-    negative one always carries all of them.  ``cache`` is handed to
-    :func:`orbit_system` and :func:`torus_system_solvable`: one dict shared
-    across maps with the same linear part keeps what never depends on the
-    translation, the :func:`power_sums` tables under ``(M, l)``, the
-    assembled systems under ``(M, orbit_type)`` and their Smith normal
-    forms under the system itself.  Without it the tables are kept only
-    for this call.
+    negative one always carries all of them.  What does not depend on the
+    translation, the systems' matrices and their Smith forms, is memoised
+    by :func:`orbit_system` and :func:`torus_system_solvable`.
     """
     _require_descends(auto, n)
-    tables: dict = {} if cache is None else cache
     order = auto.order()
     certificates: list[FreenessCertificate] = []
     for orbit_type in orbit_types(n, order):
-        system, constants, level = orbit_system(auto, orbit_type, tables)
-        result = torus_system_solvable(system, constants, level, cache)
+        system, constants, level = orbit_system(auto, orbit_type)
+        result = torus_system_solvable(system, constants, level)
         if result.solvable:
             w, denominator = result.witness
             points = tuple(
@@ -251,7 +242,6 @@ def group_acts_freely(
     auto: TorusAuto,
     n: int,
     stop_at_first: bool = False,
-    cache: dict | None = None,
 ) -> FreenessReport:
     """Decide freeness of the cyclic group generated by the induced map.
 
@@ -260,11 +250,7 @@ def group_acts_freely(
     test the powers ``auto**(order/p)`` for the primes ``p`` dividing the
     order.  The trivial group acts freely vacuously.  ``stop_at_first``
     abandons the sweep as soon as one power is caught fixing a
-    configuration, leaving later powers untested in the report.  A
-    ``cache`` dict serves :meth:`TorusAuto.power`, whose tables it keeps
-    under ``(M, l)``, and is handed to :func:`has_fixed_point`; it may be
-    shared across calls whose maps have the same linear part, whatever
-    their translations.
+    configuration, leaving later powers untested in the report.
     """
     _require_descends(auto, n)
     order = auto.order()
@@ -273,11 +259,7 @@ def group_acts_freely(
     for p, _ in factorize(order):
         power = order // p
         report = has_fixed_point(
-            auto.power(power, cache),
-            n,
-            element_power=power,
-            stop_at_first=stop_at_first,
-            cache=cache,
+            auto.power(power), n, element_power=power, stop_at_first=stop_at_first
         )
         tested.append(PowerTest(power, report))
         if report.found:

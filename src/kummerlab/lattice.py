@@ -27,10 +27,12 @@ cross-validate the normal-form route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
 from .linalg import (
+    MEMO_SIZE,
     IntMatrix,
     SelfCheckError,
     elementary_divisors_via_minors,
@@ -77,7 +79,7 @@ def _check_constants(system: IntMatrix, constants, modulus: int) -> None:
 
 
 def torus_system_solvable(
-    system: IntMatrix, constants, modulus: int, cache: dict | None = None
+    system: IntMatrix, constants, modulus: int
 ) -> SolvabilityResult:
     """Decide ``system @ z = constants / modulus`` modulo the integer lattice.
 
@@ -86,17 +88,10 @@ def torus_system_solvable(
     ``(U @ b)_i = 0 mod q`` on every row outside the diagonal rank.  Witness
     and obstruction both fall out of the transform data and are re-checked
     before returning; a failed re-check raises :class:`SelfCheckError`.
-    Passing the same ``cache`` dict across calls computes the normal form of
-    each distinct system once.
+    The normal form of each distinct system is memoised.
     """
     _check_constants(system, constants, modulus)
-    normal_form = None if cache is None else cache.get(system)
-    if normal_form is None:
-        normal_form = smith_normal_form(system)
-        if cache is not None:
-            cache[system] = normal_form
-    u, d, v = normal_form
-    diagonal = [d[i][i] for i in range(min(system.rows, system.cols))]
+    u, diagonal, v = _normal_form(system)
     rank = sum(1 for x in diagonal if x != 0)
     ub = u.apply_int(constants)
     for i in range(rank, system.rows):
@@ -114,6 +109,17 @@ def torus_system_solvable(
     if not verify_witness(system, constants, modulus, witness):
         raise SelfCheckError("witness failed its re-check")
     return SolvabilityResult(True, witness, None)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _normal_form(system: IntMatrix) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
+    """``U``, the diagonal of ``D`` and ``V`` of a system's Smith form, memoised.
+
+    :func:`smith_normal_form` is looked up at each call, so a replaced one
+    is the one that runs.
+    """
+    u, d, v = smith_normal_form(system)
+    return u, tuple(d[i][i] for i in range(min(d.rows, d.cols))), v
 
 
 def translation_classes(m: IntMatrix, n: int):

@@ -19,6 +19,15 @@ from math import gcd
 from operator import add, matmul, mul, sub
 
 
+# Entries kept by each memo of translation-independent work: the
+# ``torus.power_sums`` tables, the orbit-system matrices of ``fixedpoint``
+# and their Smith forms in ``lattice``.  At ``freeness --n 48``, the cap,
+# the tested powers of orders 2 and 3 of one order-6 linear part have
+# 25 + 17 orbit types, so 256 entries hold the systems of six such linear
+# parts; the Eisenstein n=3 sweep solves 101 distinct systems, n=12 149.
+MEMO_SIZE = 256
+
+
 class SelfCheckError(ArithmeticError):
     """A computed result failed its own independent re-check."""
 

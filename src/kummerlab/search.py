@@ -12,11 +12,10 @@ the translation ``a`` is ``vector / n`` and the orbit is the coset of the
 subgroup ``(I - M) (Z/n)^4`` with ``M`` the induced 4x4 integer matrix.
 One Smith form of ``I - M`` keys the cosets (:func:`translation_classes`);
 the scan keeps the keys it has met and stops once it has met every class
-its candidates reach.  All translations of one linear part share one
-cache of what never depends on the translation: the power tables behind
-the tested powers and the orbit systems, the assembled systems and their
-Smith normal forms.  Each pair then computes only its constants and its
-solves.
+its candidates reach.  What never depends on the translation, the power
+tables behind the tested powers and the orbit systems, the systems'
+matrices and their Smith normal forms, is memoised where it is computed,
+so each pair computes only its constants and its solves.
 
 Two sound screens keep the sweep fast.  A nontrivial power with trivial
 symplectic multiplier fixes points, so a free pair needs the determinant
@@ -147,10 +146,6 @@ def run_search(
         # Candidates are multiples of n // level, so they reach this many
         # of the prod(moduli) classes.
         reachable = prod(g // gcd(g, n // level) for g in moduli)
-        # Power tables, orbit systems and their normal forms depend on the
-        # linear part only, so every translation of this linear part
-        # shares them.
-        cache: dict = {}
         seen: set[tuple[int, ...]] = set()
         for a, vector in zip(candidates, vectors):
             if len(seen) == reachable:
@@ -169,7 +164,7 @@ def run_search(
                 # The translation raises the order past the linear part,
                 # so the multiplier screen rejects the pair.
                 continue
-            report = group_acts_freely(auto, n, stop_at_first=True, cache=cache)
+            report = group_acts_freely(auto, n, stop_at_first=True)
             if not report.free:
                 continue
             results.append(

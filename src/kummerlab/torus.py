@@ -12,9 +12,9 @@ determinant followed by a torsion translation.  A linear part is stored
 only as its induced 4x4 integer matrix on first homology, so its products,
 powers and orbit sums (:func:`power_sums`) are integer-matrix products,
 and point arithmetic, orbits and orders are plain integer arithmetic mod
-``N``.  The powers of an automorphism (:meth:`TorusAuto.power`) read the
-same ``(M^l, P_l, Q_l)`` tables as the orbit systems, so one cache keyed
-by ``(M, l)`` serves every translation of a linear part.  ``Fraction``
+``N``.  The powers and the order of an automorphism read the same
+memoised ``(M^l, P_l, Q_l)`` tables as the orbit systems, so every
+translation of a linear part shares them.  ``Fraction``
 appears only where points enter or leave as rational coordinates:
 :meth:`TorusPoint.from_vector` and :meth:`TorusPoint.coords`.
 """
@@ -22,10 +22,11 @@ appears only where points enter or leave as rational coordinates:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add, matmul, sub
 
-from .linalg import IntMatrix, matrix_order
+from .linalg import MEMO_SIZE, IntMatrix, matrix_order
 from .rings import RingElem, RingId, _check_same_ring
 
 TORSION_LEVEL_CAP = 1000
@@ -344,16 +345,14 @@ class TorusAuto:
             self._linear.apply(other._translation) + self._translation,
         )
 
-    def power(self, exponent: int, tables: dict | None = None) -> "TorusAuto":
+    def power(self, exponent: int) -> "TorusAuto":
         """The ``exponent``-th iterate, ``(t_a h)^e = t_{P_e a} h^e``.
 
         With ``m`` the order of the linear part and ``e = q m + r``, the
         iterate is ``M^r`` followed by ``q P_m a + P_r a``, from the
-        :func:`power_sums` tables of lengths ``m`` and ``r``.  A ``tables``
-        dict shared across calls keeps those tables, keyed by ``(M, l)``,
-        so the powers of every translation of one linear part share them.
-        A power of a valid map is valid, so the constructor's checks are
-        skipped, and its orders follow from this map's: ``o / gcd(o, e)``.
+        :func:`power_sums` tables of lengths ``m`` and ``r``.  A power of a
+        valid map is valid, so the constructor's checks are skipped, and
+        its orders follow from this map's: ``o / gcd(o, e)``.
         """
         if exponent < 0:
             raise ValueError("negative automorphism powers are not supported")
@@ -361,10 +360,10 @@ class TorusAuto:
         quotient, rest = divmod(exponent, m)
         matrix = self._linear.induced_matrix()
         a = self._translation.vector()
-        linear, partial, _ = power_sums(matrix, rest, tables)
+        linear, partial, _ = power_sums(matrix, rest)
         shift = partial.apply_int(a)
         if quotient:
-            _, period, _ = power_sums(matrix, m, tables)
+            _, period, _ = power_sums(matrix, m)
             shift = map(add, shift, (quotient * x for x in period.apply_int(a)))
         power = TorusAuto.__new__(TorusAuto)
         power._linear = TorusEndo._of(self.ring, linear)
@@ -384,23 +383,15 @@ class TorusAuto:
 
         The linear part has some order ``m``; the power ``self**(j*m)`` is
         the translation by ``j`` times ``P_m a``, where ``P_m`` sums the
-        first ``m`` powers of the linear part, so the full order is ``m``
-        times the torsion level of ``P_m a``.  ``P_m a`` is taken by the
-        ``m``-step recurrence ``t_(k+1) = M t_k + a`` on integer vectors
-        over the torsion level of ``a``, which on a fresh map is cheaper
-        than building ``P_m``.
+        first ``m`` powers of the linear part (:func:`power_sums`), so the
+        full order is ``m`` times the torsion level of ``P_m a``.
         """
-        if self._order_cache is not None:
-            return self._order_cache
-        matrix = self._linear.induced_matrix()
-        level = self._translation.torsion_level()
-        shift = self._translation.vector()
-        residue = (0, 0, 0, 0)
-        for _ in range(self._linear_order):
-            residue = tuple(
-                (x + s) % level for x, s in zip(matrix.apply_int(residue), shift)
-            )
-        self._order_cache = self._linear_order * (level // gcd(level, *residue))
+        if self._order_cache is None:
+            m = self._linear_order
+            _, period, _ = power_sums(self._linear.induced_matrix(), m)
+            level = self._translation.torsion_level()
+            residue = period.apply_int(self._translation.vector())
+            self._order_cache = m * (level // gcd(level, *residue))
         return self._order_cache
 
     def __eq__(self, other: object) -> bool:
@@ -418,8 +409,9 @@ class TorusAuto:
         return f"TorusAuto({self._linear!r}, {self._translation!r})"
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def power_sums(
-    matrix: IntMatrix, length: int, cache: dict | None = None
+    matrix: IntMatrix, length: int
 ) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """``(M^l, P_l, Q_l)`` for a square integer matrix ``M`` and ``l = length``.
 
@@ -427,12 +419,9 @@ def power_sums(
     matrix of a linear part and a translation ``a``, ``P_l a`` is the
     translation part ``t_l`` of the ``l``-th iterate and ``Q_l a`` is the
     sum ``t_0 + ... + t_(l-1)``; ``P_l`` is also the linear part of the
-    length-``l`` orbit sum.  A ``cache`` dict keeps the tables under
-    ``(M, l)``, so callers sharing it compute them once.
+    length-``l`` orbit sum.  The tables depend on ``(M, l)`` alone and are
+    memoised, so every translation of a linear part shares them.
     """
-    key = (matrix, length)
-    if cache is not None and key in cache:
-        return cache[key]
     size = matrix.rows
     power = IntMatrix.identity(size)
     partial = total = IntMatrix.zeros(size, size)
@@ -440,8 +429,6 @@ def power_sums(
         total = total + partial
         partial = partial + power
         power = power @ matrix
-    if cache is not None:
-        cache[key] = power, partial, total
     return power, partial, total
 
 

@@ -7,7 +7,11 @@ from dataclasses import dataclass
 
 import pytest
 
+from kummerlab import fixedpoint, lattice, torus
 from kummerlab.verify import CheckResult, run_panel
+
+# Every memo of translation-independent work in the package.
+MEMOS = (torus.power_sums, fixedpoint._orbit_matrix, lattice._normal_form)
 
 
 @dataclass(frozen=True)
@@ -24,3 +28,14 @@ def panel_run() -> PanelRun:
     start = time.monotonic()
     results = run_panel()
     return PanelRun(results, time.monotonic() - start)
+
+
+@pytest.fixture
+def clear_memos():
+    """A function that empties every memo, so the next calls start cold."""
+
+    def clear() -> None:
+        for memo in MEMOS:
+            memo.cache_clear()
+
+    return clear

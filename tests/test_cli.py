@@ -20,6 +20,7 @@ from kummerlab.cli import (
     EXIT_USAGE,
     FREENESS_N_CAP,
     NUMERAL_DIGIT_CAP,
+    QUOTE_CAP,
     GrammarError,
     format_element,
     format_matrix,
@@ -32,6 +33,7 @@ from kummerlab.cli import (
 from kummerlab.fixedpoint import GRID_LEVEL_CAP
 from kummerlab.lefschetz import KUMMER_N_CAP
 from kummerlab.rings import RingId
+from kummerlab.search import run_search
 from kummerlab.torus import TORSION_LEVEL_CAP
 from kummerlab.verify import CheckResult
 
@@ -170,7 +172,29 @@ def test_numerals_above_the_digit_cap_exit_two_at_once(capsys, command, entry) -
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: cannot parse element {entry!r}\n"
+    quoted = f"{entry[:QUOTE_CAP]!r}... ({len(entry)} characters)"
+    assert captured.err == f"error: cannot parse element {quoted}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--h", "matrix must look like [[a,b],[c,d]], got"),
+     ("--a", "point must look like (e1,e2), got")],
+)
+def test_grammar_errors_quote_a_bounded_prefix(capsys, flag, message) -> None:
+    # A grammar error quotes at most QUOTE_CAP characters of the rejected
+    # text and gives its full length, however long the text is; the test
+    # above checks the same for a rejected element.
+    rejected = "[(" * 5000
+    args = {"--h": "[[z,0],[0,1]]", "--a": "(0,0)", flag: rejected}
+    argv = ["freeness", "--ring", "eisenstein", "--n", "2"]
+    for item in args.items():
+        argv.extend(item)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    quoted = f"{rejected[:QUOTE_CAP]!r}... (10000 characters)"
+    assert captured.err == f"error: {message} {quoted}\n"
 
 
 def test_numeral_at_the_digit_cap_is_accepted(capsys) -> None:
@@ -381,6 +405,27 @@ def test_freeness_certificate_bytes_are_pinned(capsys, ring, h, a, n, digest) ->
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_memos_carry_no_state_between_calls(capsys, clear_memos) -> None:
+    # One process may call main many times.  The n=12 anchors print the
+    # same bytes on their own, after a sweep has filled the memos with
+    # other linear parts and orbit types, and again from cleared memos.
+    def anchors() -> list[str]:
+        outputs = []
+        for ring, h, a, n, digest in FREENESS_DIGESTS[:2]:
+            argv = ["freeness", "--ring", ring, "--h", h, "--a", a, "--n", str(n)]
+            code, out = run_cli(capsys, argv)
+            assert code == EXIT_OK
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+            outputs.append(out)
+        return outputs
+
+    alone = anchors()
+    assert len(run_search(3, RingId.EISENSTEIN)) == 64
+    after_sweep = anchors()
+    clear_memos()
+    assert alone == after_sweep == anchors()
 
 
 def test_freeness_command_free_instance(capsys) -> None:

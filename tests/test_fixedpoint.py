@@ -21,6 +21,7 @@ from kummerlab.fixedpoint import (
     orbit_types,
     verify_certificate,
 )
+from kummerlab import lattice
 from kummerlab.lattice import torus_system_solvable, translation_classes
 from kummerlab.linalg import IntMatrix
 from kummerlab.rings import RingElem, RingId, zeta6
@@ -444,24 +445,25 @@ def test_translation_must_be_fibre_torsion() -> None:
         has_fixed_point(psi_order3(), 1)
 
 
-def test_shared_linear_cache_changes_no_report() -> None:
+def test_shared_linear_cache_changes_no_report(clear_memos) -> None:
     # Orbit systems and their normal forms depend on the linear part only,
-    # so one cache serves every translation class of that linear part.
+    # so the memos serve every translation class of that linear part: a
+    # report on warm memos equals the one computed after clearing them.
     ring = RingId.EISENSTEIN
     linear = TorusEndo.diagonal(RingElem.zeta(ring), RingElem.one(ring))
-    shared: dict = {}
-    decided = 0
+    decided = served = 0
     for a in torsion_points(ring, 3):
         auto = TorusAuto(linear, a)
         for stop_at_first in (True, False):
-            fresh = group_acts_freely(auto, 3, stop_at_first=stop_at_first, cache={})
-            reused = group_acts_freely(
-                auto, 3, stop_at_first=stop_at_first, cache=shared
-            )
+            hits = lattice._normal_form.cache_info().hits
+            reused = group_acts_freely(auto, 3, stop_at_first=stop_at_first)
+            served += lattice._normal_form.cache_info().hits > hits
+            clear_memos()
+            fresh = group_acts_freely(auto, 3, stop_at_first=stop_at_first)
             assert reused == fresh
         decided += 1
     assert decided == 81
-    assert shared, "the shared cache holds the systems and their normal forms"
+    assert served, "the memos hold the normal forms across translations"
 
 
 def test_orbit_system_matches_point_level_definitions() -> None:
@@ -491,15 +493,16 @@ def test_orbit_system_matches_point_level_definitions() -> None:
 
 
 @pytest.mark.parametrize("ring, n", [(RingId.EISENSTEIN, 3), (RingId.GAUSSIAN, 4)])
-def test_catalog_cache_changes_no_report_or_system(ring: RingId, n: int) -> None:
+def test_catalog_cache_changes_no_report_or_system(
+    ring: RingId, n: int, clear_memos
+) -> None:
     # Every linear part of the norm-1 catalog with one translation per
-    # class: a cache shared by all the translations of a linear part gives
-    # the reports and orbit systems computed without a cache.
+    # class: the memos, warm from the pair before, give the reports and
+    # orbit systems computed after clearing them.
     points = torsion_points(ring, n)
     pairs = 0
     for linear in linear_candidates(ring, 1):
         key, _ = translation_classes(linear.induced_matrix(), n)
-        shared: dict = {}
         seen = set()
         for a in points:
             k = key(a.vector(n))
@@ -507,13 +510,15 @@ def test_catalog_cache_changes_no_report_or_system(ring: RingId, n: int) -> None
                 continue
             seen.add(k)
             auto = TorusAuto(linear, a)
-            report = group_acts_freely(auto, n, stop_at_first=True, cache=shared)
-            assert report == group_acts_freely(auto, n, stop_at_first=True)
+            report = group_acts_freely(auto, n, stop_at_first=True)
+            requests = []
             for test in report.tested:
                 power = auto**test.power
-                for orbit_type in orbit_types(n, power.order()):
-                    assert orbit_system(power, orbit_type, shared) == (
-                        orbit_system(power, orbit_type)
-                    )
+                requests += [(power, t) for t in orbit_types(n, power.order())]
+            systems = [orbit_system(*request) for request in requests]
+            clear_memos()
+            assert systems == [orbit_system(*request) for request in requests]
+            clear_memos()
+            assert report == group_acts_freely(auto, n, stop_at_first=True)
             pairs += 1
     assert pairs == {RingId.EISENSTEIN: 2664, RingId.GAUSSIAN: 1792}[ring]

@@ -118,23 +118,30 @@ def test_smith_form_random_properties() -> None:
 
 
 # Every Smith form of an orbit system computed by the full Eisenstein n=3
-# sweep, in call order: their count and the sha256 of their reprs, one per
-# line.  The digest is that of a pivot search that scans every row to the
-# end, so it holds the early-stopping search to the same transforms.  The
-# sweep also takes one form of I - M per linear part that passes both
-# screens, for its translation classes; those are counted apart.
-SWEEP_SMITH_FORMS = 252
-SWEEP_SMITH_DIGEST = "13d00b15aa3ec24be56c2c8a1f17d4ffd77b96f03c1d1e3e4db6ff58b9283048"
+# sweep from cold memos, in call order: their count and the sha256 of their
+# reprs, one per line.  The memo normalises each distinct system once, so
+# the count is the number of distinct systems the sweep solves.  The digest
+# is that of a pivot search that scans every row to the end, so it holds
+# the early-stopping search to the same transforms.  The sweep also takes
+# one form of I - M per linear part that passes both screens, for its
+# translation classes; those are counted apart.
+SWEEP_SMITH_FORMS = 101
+SWEEP_SMITH_DIGEST = "d99faeecb1d0bdd1ec2e46b4c6520a8edd2fca7192142ec7659c0e4eba087833"
 SWEEP_CLASS_FORMS = 278
 
 
-def test_smith_forms_of_the_eisenstein_sweep_are_pinned(monkeypatch) -> None:
+def test_smith_forms_of_the_eisenstein_sweep_are_pinned(
+    monkeypatch, clear_memos
+) -> None:
+    systems = []
     forms = []
     class_forms = []
     target = forms
 
     def recording(a: IntMatrix):
         form = smith_normal_form(a)
+        if target is forms:
+            systems.append(a)
         target.append(form)
         return form
 
@@ -146,10 +153,12 @@ def test_smith_forms_of_the_eisenstein_sweep_are_pinned(monkeypatch) -> None:
         finally:
             target = forms
 
+    clear_memos()
     monkeypatch.setattr(lattice, "smith_normal_form", recording)
     monkeypatch.setattr(search, "translation_classes", classes)
     assert len(run_search(3, RingId.EISENSTEIN)) == 64
     assert len(forms) == SWEEP_SMITH_FORMS
+    assert len(set(systems)) == len(systems), "a system was normalised twice"
     digest = hashlib.sha256("\n".join(map(repr, forms)).encode()).hexdigest()
     assert digest == SWEEP_SMITH_DIGEST
     assert len(class_forms) == SWEEP_CLASS_FORMS

@@ -368,11 +368,10 @@ def test_catalog_powers_and_orders_agree_with_repeated_apply(ring: RingId) -> No
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_powers_inherit_the_orders_of_fresh_maps(ring: RingId) -> None:
     rng = random.Random(1357)
-    tables: dict = {}
     for auto in sampled_autos(ring, 40, 9753):
         auto.order()
         for e in range(2 * auto.order() + 2):
-            power = auto.power(e, tables)
+            power = auto.power(e)
             fresh = TorusAuto(power.linear, power.translation)
             assert power == auto**e
             assert power.order() == fresh.order()
