@@ -49,6 +49,21 @@ def holomorphic_euler_ihs(dimension: int) -> int:
     return dimension // 2 + 1
 
 
+def symplectic_screen(order: int, multiplier_order: int, n: int) -> bool:
+    """Whether a cyclic group of this order could act freely on the ``2(n-1)``-fold.
+
+    The fold has ``h^{0,2j} = 1`` for ``0 <= j < n``, and a generator ``g``
+    multiplies its symplectic form by ``omega = det h``.  A free ``g^k``,
+    ``0 < k < d``, has holomorphic Lefschetz number ``sum_{j<n} omega^{jk}
+    = 0`` (Atiyah-Bott), which holds exactly when ``omega^k != 1`` and
+    ``omega^{kn} = 1``.  So a free action of order ``d`` has ``ord(omega)
+    = d`` and ``d | n``; averaged over the group, the same sums give the
+    ``chi = n/d`` of :func:`classify_free_quotient`.  The trivial group
+    (``d = 1``) passes, since it acts freely vacuously.
+    """
+    return multiplier_order == order and n % order == 0
+
+
 def classify_free_quotient(n: int, d: int) -> QuotientClassification:
     """Classify the quotient of the ``2(n-1)``-fold by a free order-``d`` action."""
     if n < 2:

@@ -34,8 +34,9 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 
+from .enriques import symplectic_screen
 from .lattice import torus_system_solvable, verify_obstruction
-from .linalg import MEMO_SIZE, IntMatrix, divisors, factorize
+from .linalg import MEMO_SIZE, IntMatrix, SelfCheckError, divisors, factorize
 from .torus import TorusAuto, TorusPoint, power_sums
 
 # The grid oracle and the search sweep both walk level**4 points; one cap
@@ -250,7 +251,9 @@ def group_acts_freely(
     test the powers ``auto**(order/p)`` for the primes ``p`` dividing the
     order.  The trivial group acts freely vacuously.  ``stop_at_first``
     abandons the sweep as soon as one power is caught fixing a
-    configuration, leaving later powers untested in the report.
+    configuration, leaving later powers untested in the report.  A free
+    verdict must pass :func:`symplectic_screen`, which shares no code with
+    the decision; one that fails it raises :class:`SelfCheckError`.
     """
     _require_descends(auto, n)
     order = auto.order()
@@ -266,6 +269,8 @@ def group_acts_freely(
             free = False
             if stop_at_first:
                 break
+    if free and not symplectic_screen(order, auto.linear.multiplier_order(), n):
+        raise SelfCheckError(f"free order-{order} verdict fails the screen at n={n}")
     return FreenessReport(free, order, tuple(tested))
 
 

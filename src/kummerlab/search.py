@@ -15,13 +15,8 @@ the scan keeps the keys it has met and stops once it has met every class
 its candidates reach.  What never depends on the translation, the power
 tables behind the tested powers and the orbit systems, the systems'
 matrices and their Smith normal forms, is memoised where it is computed,
-so each pair computes only its constants and its solves.
-
-Two sound screens keep the sweep fast.  A nontrivial power with trivial
-symplectic multiplier fixes points, so a free pair needs the determinant
-of ``h`` to have the same multiplicative order as ``h`` itself, and the
-translation must not extend the order beyond that of the linear part.
-Only pairs surviving both screens reach the full freeness decision.
+so each pair computes only its constants and its solves.  Linear parts
+that fail :func:`symplectic_screen` give no free pair and are never keyed.
 """
 
 from __future__ import annotations
@@ -30,11 +25,10 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .enriques import QuotientClassification, classify_free_quotient
+from .enriques import QuotientClassification, classify_free_quotient, symplectic_screen
 from .fixedpoint import GRID_LEVEL_CAP, FreenessReport, group_acts_freely
 from .lattice import translation_classes
-from .linalg import IntMatrix, SelfCheckError, matrix_order
-from .rings import RingElem, RingId, ring_elements_up_to_norm
+from .rings import RingId, ring_elements_up_to_norm
 from .torus import (
     TorusAuto,
     TorusEndo,
@@ -89,14 +83,6 @@ def torsion_points(ring: RingId, level: int) -> list[TorusPoint]:
     ]
 
 
-def _unit_order(unit: RingElem) -> int:
-    """The order of a unit: :func:`matrix_order` of its regular representation."""
-    try:
-        return matrix_order(IntMatrix(unit.regular_representation()))
-    except ValueError:
-        raise SelfCheckError(f"{unit!r} is not a unit of finite order") from None
-
-
 def run_search(
     n: int,
     ring: RingId,
@@ -112,7 +98,8 @@ def run_search(
     ``linears`` restricts the catalog of linear parts to the given
     matrices instead of the norm-bounded sweep.  The identity map is
     excluded: it generates the trivial group, which acts freely but
-    yields no quotient of interest.
+    yields no quotient of interest.  Every other linear part must pass
+    :func:`symplectic_screen` before its translations are keyed.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -134,13 +121,7 @@ def run_search(
     results = []
     for linear in linears:
         order = linear.multiplicative_order()
-        if order == 1:
-            # Pure translations never survive the multiplier screen.
-            continue
-        if _unit_order(linear.det()) != order:
-            # Some nontrivial power of the linear part is symplectic and
-            # translations cannot repair that, so no pair with this
-            # linear part acts freely.
+        if order == 1 or not symplectic_screen(order, linear.multiplier_order(), n):
             continue
         key, moduli = translation_classes(linear.induced_matrix(), n)
         # Candidates are multiples of n // level, so they reach this many
@@ -161,8 +142,7 @@ def run_search(
                 continue
             auto = TorusAuto(linear, a)
             if auto.order() != order:
-                # The translation raises the order past the linear part,
-                # so the multiplier screen rejects the pair.
+                # ord(omega) divides the linear order, so the screen fails.
                 continue
             report = group_acts_freely(auto, n, stop_at_first=True)
             if not report.free:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, matmul, sub
 
-from .linalg import MEMO_SIZE, IntMatrix, matrix_order
+from .linalg import MEMO_SIZE, IntMatrix, SelfCheckError, matrix_order
 from .rings import RingElem, RingId, _check_same_ring
 
 TORSION_LEVEL_CAP = 1000
@@ -269,6 +269,14 @@ class TorusEndo:
         if self._order_cache == 0:
             raise UnsupportedAutomorphismError("linear part has infinite order")
         return self._order_cache
+
+    def multiplier_order(self) -> int:
+        """The order of ``det h``, the map's multiplier on the symplectic form."""
+        det = self.det()
+        try:
+            return matrix_order(IntMatrix(det.regular_representation()))
+        except ValueError:
+            raise SelfCheckError(f"{det!r} is not a unit of finite order") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusEndo):

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
+from kummerlab import fixedpoint
 from kummerlab.fixedpoint import (
     GRID_LEVEL_CAP,
     CertificateOutcome,
+    FixedPointReport,
     FreenessCertificate,
     NotNTorsionError,
     brute_force_fixed_point,
@@ -23,7 +29,7 @@ from kummerlab.fixedpoint import (
 )
 from kummerlab import lattice
 from kummerlab.lattice import torus_system_solvable, translation_classes
-from kummerlab.linalg import IntMatrix
+from kummerlab.linalg import IntMatrix, SelfCheckError
 from kummerlab.rings import RingElem, RingId, zeta6
 from kummerlab.search import linear_candidates, run_search, torsion_points
 from kummerlab.torus import TorusAuto, TorusEndo, TorusPoint, orbit_sum_data
@@ -522,3 +528,57 @@ def test_catalog_cache_changes_no_report_or_system(
             assert report == group_acts_freely(auto, n, stop_at_first=True)
             pairs += 1
     assert pairs == {RingId.EISENSTEIN: 2664, RingId.GAUSSIAN: 1792}[ring]
+
+
+# A decider that never finds a fixed point calls every group free; the
+# symplectic screen must catch each clause it breaks.
+def never_fixed(*args, **kwargs) -> FixedPointReport:
+    return FixedPointReport(False, ())
+
+
+@pytest.mark.parametrize(
+    "d2_power, n",
+    [(0, 4), (2, 3)],
+    ids=["order-does-not-divide-n", "multiplier-order-below-order"],
+)
+def test_free_verdict_failing_the_screen_is_a_self_check_error(
+    monkeypatch, d2_power: int, n: int
+) -> None:
+    # diag(z, 1) at n=4: d = 3 does not divide n.  diag(z, z^2) at n=3:
+    # det h = 1, so ord(omega) = 1 != 3.
+    ring = RingId.EISENSTEIN
+    zeta = RingElem.zeta(ring)
+    auto = diagonal_auto(ring, zeta, zeta**d2_power, (0, 0, 0, 0))
+    monkeypatch.setattr(fixedpoint, "has_fixed_point", never_fixed)
+    with pytest.raises(SelfCheckError, match="fails the screen"):
+        group_acts_freely(auto, n)
+
+
+_NEVER_FIXED_SCRIPT = """
+import sys
+import kummerlab.fixedpoint as fixedpoint
+from kummerlab.cli import main
+
+fixedpoint.has_fixed_point = lambda *args, **kwargs: fixedpoint.FixedPointReport(False, ())
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_freeness_reports_a_failed_screen_as_exit_one(flags) -> None:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )}
+    argv = ["freeness", "--ring", "eisenstein", "--h", "[[z,0],[0,1]]",
+            "--a", "(0,0)", "--n", "4"]
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _NEVER_FIXED_SCRIPT, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

@@ -123,11 +123,11 @@ def test_smith_form_random_properties() -> None:
 # the count is the number of distinct systems the sweep solves.  The digest
 # is that of a pivot search that scans every row to the end, so it holds
 # the early-stopping search to the same transforms.  The sweep also takes
-# one form of I - M per linear part that passes both screens, for its
-# translation classes; those are counted apart.
-SWEEP_SMITH_FORMS = 101
-SWEEP_SMITH_DIGEST = "d99faeecb1d0bdd1ec2e46b4c6520a8edd2fca7192142ec7659c0e4eba087833"
-SWEEP_CLASS_FORMS = 278
+# one form of I - M per linear part that passes the symplectic screen, for
+# its translation classes; those are counted apart.
+SWEEP_SMITH_FORMS = 45
+SWEEP_SMITH_DIGEST = "e4b7ca50769d0cf39a3cbfd6649f1e2303fabe3ac127a76d201b88d0484f71ce"
+SWEEP_CLASS_FORMS = 78
 
 
 def test_smith_forms_of_the_eisenstein_sweep_are_pinned(

@@ -9,6 +9,7 @@ from math import prod
 
 import pytest
 
+from kummerlab import search
 from kummerlab.cli import format_matrix, format_point
 from kummerlab.enriques import QuotientVerdict
 from kummerlab.fixedpoint import group_acts_freely
@@ -18,7 +19,6 @@ from kummerlab.linalg import SelfCheckError
 from kummerlab.search import (
     MAX_NORM_CAP,
     SearchResult,
-    _unit_order,
     linear_candidates,
     run_search,
     torsion_points,
@@ -152,11 +152,12 @@ def test_catalog_orders_match_ring_products(ring: RingId, max_norm: int) -> None
 
 
 def test_unbounded_unit_order_is_a_self_check_error() -> None:
-    # The multiplier screen relies on unit orders dividing the order of
-    # the unit group; a violation surfaces as SelfCheckError, which the
-    # command line maps to exit code 1, not as an AssertionError.
+    # The symplectic screen relies on the multiplier det h having finite
+    # order; a violation surfaces as SelfCheckError, which the command
+    # line maps to exit code 1, not as an AssertionError.
+    one = RingElem.one(RingId.GAUSSIAN)
     with pytest.raises(SelfCheckError):
-        _unit_order(RingElem(RingId.GAUSSIAN, 1, 1))
+        TorusEndo.diagonal(RingElem(RingId.GAUSSIAN, 1, 1), one).multiplier_order()
 
 
 @pytest.mark.parametrize(
@@ -345,6 +346,22 @@ def test_sweep_rows_are_pinned(
     results = run_search(n, ring, level=level)
     assert len(results) == count
     assert row_digest(results) == digest
+
+
+@pytest.mark.parametrize("ring", list(RingId), ids=lambda ring: ring.value)
+def test_symplectic_screen_changes_no_sweep(monkeypatch, ring: RingId) -> None:
+    # The screen only skips linear parts that give no free pair: with it
+    # admitting every part, each sweep for n <= 8 has the same reprs, and
+    # the self-check in group_acts_freely keeps INVALID rows out of both.
+    sizes = range(2, 9)
+    screened = [run_search(n, ring) for n in sizes]
+    monkeypatch.setattr(search, "symplectic_screen", lambda *args: True)
+    for n, expected in zip(sizes, screened):
+        results = run_search(n, ring)
+        assert repr(results) == repr(expected)
+        assert QuotientVerdict.INVALID not in {
+            r.classification.verdict for r in results
+        }
 
 
 # ---------------------------------------------------------------------------
