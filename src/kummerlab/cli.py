@@ -10,7 +10,8 @@ Element grammar: a ring element is a signed sum of terms ``p``, ``p/q``,
 ``NUMERAL_DIGIT_CAP`` digits ``0-9``; ``z`` denotes the curve's second
 period (``i`` for the gaussian ring, a primitive cube root of unity for the
 eisenstein ring, a period ``tau`` for the integer ring).  Points are
-``(e1,e2)``; matrices are ``[[a,b],[c,d]]`` with ring-integer entries, so
+``(e1,e2)`` and parse without a ring: their coordinates mean the same in
+every ring.  Matrices are ``[[a,b],[c,d]]`` with ring-integer entries, so
 an integer-ring entry has no ``z``.  Spaces are ignored.
 
 Each call parses argv once; a handler takes the argparse namespace and
@@ -155,7 +156,7 @@ def _split_top(text: str, opener: str, closer: str) -> list[str]:
     return parts
 
 
-def parse_point(text: str, ring: RingId) -> TorusPoint:
+def parse_point(text: str) -> TorusPoint:
     s = text.replace(" ", "")
     if not (s.startswith("(") and s.endswith(")")):
         raise GrammarError(f"point must look like (e1,e2), got {_quote(text)}")
@@ -164,7 +165,7 @@ def parse_point(text: str, ring: RingId) -> TorusPoint:
         raise GrammarError(f"point must have two coordinates, got {_quote(text)}")
     coords = (*parse_element(parts[0]), *parse_element(parts[1]))
     try:
-        return TorusPoint.from_vector(ring, coords)
+        return TorusPoint.from_vector(coords)
     except ValueError as exc:
         raise GrammarError(f"point {_quote(text)}: {exc}") from exc
 
@@ -215,7 +216,7 @@ def parse_automorphism(ring_token: str, h_text: str, a_text: str) -> TorusAuto:
         ring = RingId.from_token(ring_token)
     except ValueError as exc:
         raise GrammarError(str(exc)) from exc
-    return TorusAuto(parse_matrix(h_text, ring), parse_point(a_text, ring))
+    return TorusAuto(parse_matrix(h_text, ring), parse_point(a_text))
 
 
 @functools.cache
@@ -400,7 +401,7 @@ def _run_freeness(args: argparse.Namespace) -> tuple[dict, int]:
     # Grammar first, then the bounds, and only then the map's own checks.
     ring = RingId.from_token(args.ring)
     linear = parse_matrix(args.h_text, ring)
-    translation = parse_point(args.a_text, ring)
+    translation = parse_point(args.a_text)
     if args.level is not None and not 1 <= args.level <= GRID_LEVEL_CAP:
         raise GrammarError(f"--level must lie in 1..{GRID_LEVEL_CAP}")
     if args.n > FREENESS_N_CAP:

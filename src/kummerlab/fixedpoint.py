@@ -210,7 +210,7 @@ def has_fixed_point(
         if result.solvable:
             w, denominator = result.witness
             points = tuple(
-                TorusPoint.from_integers(auto.ring, denominator, w[4 * i : 4 * i + 4])
+                TorusPoint.from_integers(denominator, w[4 * i : 4 * i + 4])
                 for i in range(len(orbit_type))
             )
             certificates.append(
@@ -287,7 +287,7 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
     if certificate.outcome is CertificateOutcome.FIXED_POINT:
         if certificate.witness is None or len(certificate.witness) != len(lengths):
             return False
-        total = TorusPoint.origin(auto.ring)
+        total = TorusPoint.origin()
         for l, base in zip(lengths, certificate.witness):
             point = base
             for _ in range(l):

@@ -91,7 +91,15 @@ def torus_system_solvable(
     The normal form of each distinct system is memoised.
     """
     _check_constants(system, constants, modulus)
-    u, diagonal, v = _normal_form(system)
+    return _decide(system, constants, modulus, _normal_form(system))
+
+
+def _decide(system: IntMatrix, constants, modulus: int, form) -> SolvabilityResult:
+    """The decision of :func:`torus_system_solvable` from a given normal form.
+
+    ``form`` is ``(U, diagonal of D, V)`` as :func:`_smith_form` returns it.
+    """
+    u, diagonal, v = form
     rank = sum(1 for x in diagonal if x != 0)
     ub = u.apply_int(constants)
     for i in range(rank, system.rows):
@@ -111,15 +119,20 @@ def torus_system_solvable(
     return SolvabilityResult(True, witness, None)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _normal_form(system: IntMatrix) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
-    """``U``, the diagonal of ``D`` and ``V`` of a system's Smith form, memoised.
+def _smith_form(system: IntMatrix) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
+    """``U``, the diagonal of ``D`` and ``V`` of a system's Smith form.
 
     :func:`smith_normal_form` is looked up at each call, so a replaced one
     is the one that runs.
     """
     u, d, v = smith_normal_form(system)
     return u, tuple(d[i][i] for i in range(min(d.rows, d.cols))), v
+
+
+# The memo of :func:`_smith_form` behind :func:`torus_system_solvable`.
+# One-off systems, such as the random draws of the solvability oracle, go
+# to :func:`_decide` with their own :func:`_smith_form` and stay out of it.
+_normal_form = lru_cache(maxsize=MEMO_SIZE)(_smith_form)
 
 
 def translation_classes(m: IntMatrix, n: int):

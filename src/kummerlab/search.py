@@ -54,7 +54,8 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     """Finite-order linear automorphisms with entries of norm <= max_norm.
 
     Candidates must have unit determinant (otherwise they do not act
-    invertibly) and multiplicative order within the supported bound.
+    invertibly) and finite multiplicative order, as
+    :meth:`TorusEndo.multiplicative_order` reads it from the induced matrix.
     """
     if max_norm > MAX_NORM_CAP:
         raise ValueError(f"max_norm is capped at {MAX_NORM_CAP}")
@@ -73,12 +74,12 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     return accepted
 
 
-def torsion_points(ring: RingId, level: int) -> list[TorusPoint]:
+def torsion_points(level: int) -> list[TorusPoint]:
     """All ``level**4`` points killed by ``level``, in scan order."""
     if level < 1:
         raise ValueError("level must be positive")
     return [
-        TorusPoint.from_integers(ring, level, vector)
+        TorusPoint.from_integers(level, vector)
         for vector in itertools.product(range(level), repeat=4)
     ]
 
@@ -116,7 +117,7 @@ def run_search(
             if endo.ring is not ring:
                 raise ValueError("restricted linear parts must match the ring")
             TorusAuto.check_linear(endo)
-    candidates = torsion_points(ring, level)
+    candidates = torsion_points(level)
     vectors = [a.vector(n) for a in candidates]
     results = []
     for linear in linears:

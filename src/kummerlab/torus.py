@@ -6,17 +6,17 @@ which have no ``zeta``, the second period is a ``tau`` and a linear part
 ``h`` acts on first homology as ``h`` on either period.  A point of ``A``
 therefore has four coordinates (two per factor, in the basis of periods),
 taken mod 1, in every ring.  Only torsion points occur, and each is stored
-as an integer 4-vector mod its torsion level ``N``.  The automorphisms
-handled here are the natural ones, a lattice-linear map with unit
-determinant followed by a torsion translation.  A linear part is stored
-only as its induced 4x4 integer matrix on first homology, so its products,
-powers and orbit sums (:func:`power_sums`) are integer-matrix products,
-and point arithmetic, orbits and orders are plain integer arithmetic mod
-``N``.  The powers and the order of an automorphism read the same
-memoised ``(M^l, P_l, Q_l)`` tables as the orbit systems, so every
-translation of a linear part shares them.  ``Fraction``
-appears only where points enter or leave as rational coordinates:
-:meth:`TorusPoint.from_vector` and :meth:`TorusPoint.coords`.
+as an integer 4-vector mod its torsion level ``N``, with no ring: the ring
+belongs to the linear part alone.  The automorphisms handled here are the
+natural ones, a lattice-linear map with unit determinant followed by a
+torsion translation.  A linear part is stored only as its induced 4x4
+integer matrix on first homology, so its products, powers and orbit sums
+(:func:`power_sums`) are integer-matrix products, and point arithmetic,
+orbits and orders are plain integer arithmetic mod ``N``.  The powers and
+the order of an automorphism read the same memoised ``(M^l, P_l, Q_l)``
+tables as the orbit systems, so every translation of a linear part shares
+them.  ``Fraction`` appears only where points enter or leave as rational
+coordinates: :meth:`TorusPoint.from_vector` and :meth:`TorusPoint.coords`.
 """
 
 from __future__ import annotations
@@ -33,25 +33,28 @@ TORSION_LEVEL_CAP = 1000
 
 
 class UnsupportedAutomorphismError(ValueError):
-    """Raised for maps outside the supported catalog (non-unit determinant,
-    infinite order, or mixed rings)."""
+    """Raised for maps outside the supported catalog: a linear part with a
+    non-unit determinant or of infinite order.  Entries from mixed rings
+    raise :class:`RingMismatchError`, from :class:`RingElem` or
+    :class:`TorusEndo`."""
 
 
 class TorusPoint:
-    """A torsion point of ``E x E``, stored as an integer vector mod its level.
+    """A torsion point of ``E x E``: an integer vector over its level.
 
     The coordinates ``(x1, y1, x2, y2)`` are ``vector / level`` with every
     entry in ``[0, level)`` and ``level`` the exact torsion level, so the
     stored pair is canonical: points given over different denominators
-    compare and hash equal.  In every ring ``y1`` and ``y2`` are coordinates
-    along the curve's second period: ``zeta`` for the Gaussian and
-    Eisenstein rings, a period ``tau`` for the rational integers.
+    compare and hash equal.  ``y1`` and ``y2`` are coordinates along the
+    curve's second period (``zeta``, or a period ``tau`` for the rational
+    integers), and every ring acts on the same four coordinates, so a point
+    carries no ring: one point serves as the translation of maps over any.
     """
 
-    __slots__ = ("_ring", "_level", "_vector")
+    __slots__ = ("_level", "_vector")
 
     @classmethod
-    def from_integers(cls, ring: RingId, level: int, vector) -> "TorusPoint":
+    def from_integers(cls, level: int, vector) -> "TorusPoint":
         """The point ``vector / level`` for an integer 4-vector."""
         vector = tuple(vector)
         if level < 1 or len(vector) != 4:
@@ -66,27 +69,22 @@ class TorusPoint:
                 f"torsion level exceeds the supported cap {TORSION_LEVEL_CAP}"
             )
         point = cls.__new__(cls)
-        point._ring = ring
         point._level = level
         point._vector = vector
         return point
 
     @classmethod
-    def from_vector(cls, ring: RingId, coords) -> "TorusPoint":
+    def from_vector(cls, coords) -> "TorusPoint":
         """The point with rational coordinates ``(x1, y1, x2, y2)``."""
         coords = tuple(Fraction(c) for c in coords)
         level = lcm(*(c.denominator for c in coords))
         return cls.from_integers(
-            ring, level, (c.numerator * (level // c.denominator) for c in coords)
+            level, (c.numerator * (level // c.denominator) for c in coords)
         )
 
     @classmethod
-    def origin(cls, ring: RingId) -> "TorusPoint":
-        return cls.from_integers(ring, 1, (0, 0, 0, 0))
-
-    @property
-    def ring(self) -> RingId:
-        return self._ring
+    def origin(cls) -> "TorusPoint":
+        return cls.from_integers(1, (0, 0, 0, 0))
 
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return tuple(Fraction(v, self._level) for v in self._vector)
@@ -113,18 +111,13 @@ class TorusPoint:
         return level % self._level == 0
 
     def scale(self, k: int) -> "TorusPoint":
-        return TorusPoint.from_integers(
-            self._ring, self._level, tuple(k * v for v in self._vector)
-        )
+        return TorusPoint.from_integers(self._level, (k * v for v in self._vector))
 
     def _combine(self, other: "TorusPoint", sign: int) -> "TorusPoint":
-        _check_same_ring(self, other)
         level = lcm(self._level, other._level)
         f, g = level // self._level, sign * (level // other._level)
         return TorusPoint.from_integers(
-            self._ring,
-            level,
-            tuple(f * a + g * b for a, b in zip(self._vector, other._vector)),
+            level, (f * a + g * b for a, b in zip(self._vector, other._vector))
         )
 
     def __add__(self, other: "TorusPoint") -> "TorusPoint":
@@ -146,14 +139,10 @@ class TorusPoint:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusPoint):
             return NotImplemented
-        return (
-            self._ring is other._ring
-            and self._level == other._level
-            and self._vector == other._vector
-        )
+        return self._level == other._level and self._vector == other._vector
 
     def __hash__(self) -> int:
-        return hash((self._ring, self._level, self._vector))
+        return hash((self._level, self._vector))
 
     def __repr__(self) -> str:
         return f"TorusPoint{self.coords()!r}"
@@ -246,9 +235,8 @@ class TorusEndo:
 
     def apply(self, point: TorusPoint) -> TorusPoint:
         """Image of a point, through the induced matrix on its integer vector."""
-        _check_same_ring(self, point)
         return TorusPoint.from_integers(
-            self._ring, point.torsion_level(), self._matrix.apply_int(point.vector())
+            point.torsion_level(), self._matrix.apply_int(point.vector())
         )
 
     def induced_matrix(self) -> IntMatrix:
@@ -296,7 +284,6 @@ class TorusAuto:
     __slots__ = ("_linear", "_translation", "_linear_order", "_order_cache")
 
     def __init__(self, linear: TorusEndo, translation: TorusPoint) -> None:
-        _check_same_ring(linear, translation)
         self._linear_order = TorusAuto.check_linear(linear)
         self._linear = linear
         self._translation = translation
@@ -323,11 +310,7 @@ class TorusAuto:
 
     @classmethod
     def identity(cls, ring: RingId) -> "TorusAuto":
-        return cls(TorusEndo.identity(ring), TorusPoint.origin(ring))
-
-    @classmethod
-    def translation_by(cls, point: TorusPoint) -> "TorusAuto":
-        return cls(TorusEndo.identity(point.ring), point)
+        return cls(TorusEndo.identity(ring), TorusPoint.origin())
 
     @property
     def ring(self) -> RingId:
@@ -376,7 +359,7 @@ class TorusAuto:
         power = TorusAuto.__new__(TorusAuto)
         power._linear = TorusEndo._of(self.ring, linear)
         power._translation = TorusPoint.from_integers(
-            self.ring, self._translation.torsion_level(), shift
+            self._translation.torsion_level(), shift
         )
         power._linear_order = m // gcd(m, exponent)
         order = self._order_cache
@@ -450,11 +433,8 @@ def orbit_sum_data(auto: TorusAuto, length: int) -> tuple[TorusEndo, TorusPoint]
     """
     if length < 1:
         raise ValueError("orbit length must be positive")
-    ring = auto.ring
     _, partial, total = power_sums(auto.linear.induced_matrix(), length)
     constant = TorusPoint.from_integers(
-        ring,
-        auto.translation.torsion_level(),
-        total.apply_int(auto.translation.vector()),
+        auto.translation.torsion_level(), total.apply_int(auto.translation.vector())
     )
-    return TorusEndo._of(ring, partial), constant
+    return TorusEndo._of(auto.ring, partial), constant

@@ -26,15 +26,16 @@ from kummerlab.cli import (
     format_matrix,
     format_point,
     main,
+    parse_automorphism,
     parse_element,
     parse_matrix,
     parse_point,
 )
-from kummerlab.fixedpoint import GRID_LEVEL_CAP
+from kummerlab.fixedpoint import GRID_LEVEL_CAP, group_acts_freely
 from kummerlab.lefschetz import KUMMER_N_CAP
 from kummerlab.rings import RingId
 from kummerlab.search import run_search
-from kummerlab.torus import TORSION_LEVEL_CAP
+from kummerlab.torus import TORSION_LEVEL_CAP, TorusAuto, TorusPoint
 from kummerlab.verify import CheckResult
 
 ALL_RINGS = [RingId.RATIONAL_INT, RingId.GAUSSIAN, RingId.EISENSTEIN]
@@ -69,14 +70,16 @@ def test_element_known_forms() -> None:
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_element_round_trip_random(ring: RingId) -> None:
-    # The coefficient of z is a point's second coordinate in every ring.
+    # The coefficient of z is the translation's second coordinate in every
+    # ring's automorphism grammar.
     rng = random.Random(424242)
     for _ in range(40):
         x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         y = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         text = format_element((x, y))
         assert parse_element(text) == (x, y)
-        assert parse_point(f"({text},0)", ring).coords() == (x % 1, y % 1, 0, 0)
+        auto = parse_automorphism(ring.value, "[[1,0],[0,1]]", f"({text},0)")
+        assert auto.translation.coords() == (x % 1, y % 1, 0, 0)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
@@ -85,10 +88,9 @@ def test_point_and_matrix_round_trip(ring: RingId) -> None:
     for _ in range(20):
         point = parse_point(
             f"({rng.randint(0, 5)}/6+{rng.randint(0, 5)}/6*z,"
-            f"{rng.randint(0, 5)}/6)",
-            ring,
+            f"{rng.randint(0, 5)}/6)"
         )
-        assert parse_point(format_point(point), ring) == point
+        assert parse_point(format_point(point)) == point
     entry = "-1" if ring is RingId.RATIONAL_INT else "z"
     matrix = parse_matrix(f"[[{entry},1],[-1,0]]", ring)
     assert parse_matrix(format_matrix(matrix), ring) == matrix
@@ -98,7 +100,7 @@ def test_integer_ring_z_is_the_second_period(capsys) -> None:
     # In an integer-ring point z is the period tau, kept apart from 1; in a
     # matrix entry it is refused, since End(E) = Z has no generator.
     ring = RingId.RATIONAL_INT
-    point = parse_point("(1/3+1/3*z,1/2*z)", ring)
+    point = parse_point("(1/3+1/3*z,1/2*z)")
     assert point.coords() == (Fraction(1, 3), Fraction(1, 3), 0, Fraction(1, 2))
     assert format_point(point) == "(1/3+1/3*z,1/2*z)"
     for cell in ("z", "1/2+1/2*z", "1-z"):
@@ -123,9 +125,9 @@ def test_grammar_rejections() -> None:
     with pytest.raises(GrammarError):
         parse_element("")
     with pytest.raises(GrammarError):
-        parse_point("(1/2)", ring)
+        parse_point("(1/2)")
     with pytest.raises(GrammarError):
-        parse_point("1/2,1/2", ring)
+        parse_point("1/2,1/2")
     with pytest.raises(GrammarError):
         parse_matrix("[[1,2],[3]]", ring)
     with pytest.raises(GrammarError):
@@ -449,6 +451,35 @@ def test_freeness_command_free_instance(capsys) -> None:
     certificates = payload["powers"][0]["certificates"]
     assert certificates
     assert all(c["outcome"] == "obstructed" for c in certificates)
+
+
+# A map in each ring that takes the point (1/2+1/2*z,1/2+1/2*z) as its
+# translation, with its verdict on the 2-fibre.
+SHARED_POINT_MAPS = [
+    (RingId.RATIONAL_INT, "[[-1,0],[0,1]]", "free"),
+    (RingId.GAUSSIAN, "[[z,0],[0,1]]", "not_free"),
+    (RingId.EISENSTEIN, "[[-1,0],[0,1]]", "free"),
+]
+
+
+def test_one_point_translates_maps_over_every_ring(capsys) -> None:
+    # A point carries no ring: one object is the translation of an integer,
+    # a Gaussian and an Eisenstein map, and each decision agrees with the
+    # freeness command on that ring.
+    point = TorusPoint.from_vector((Fraction(1, 2),) * 4)
+    assert not hasattr(point, "ring")
+    text = format_point(point)
+    assert text == "(1/2+1/2*z,1/2+1/2*z)"
+    assert parse_point(text) == point
+    assert hash(parse_point(text)) == hash(point)
+    for ring, h, status in SHARED_POINT_MAPS:
+        auto = TorusAuto(parse_matrix(h, ring), point)
+        assert auto.translation is point
+        argv = ["freeness", "--ring", ring.value, "--h", h, "--a", text, "--n", "2"]
+        code, payload = run_json(capsys, argv)
+        assert code == EXIT_OK
+        assert payload["status"] == status
+        assert group_acts_freely(auto, 2).free is payload["free"]
 
 
 def test_freeness_command_with_grid_oracle(capsys) -> None:

@@ -36,22 +36,21 @@ from kummerlab.torus import TorusAuto, TorusEndo, TorusPoint, orbit_sum_data
 from kummerlab.verify import freeness_instances
 
 
-def diagonal_auto(ring, d1, d2, coords) -> TorusAuto:
+def diagonal_auto(d1, d2, coords) -> TorusAuto:
     linear = TorusEndo.diagonal(d1, d2)
-    return TorusAuto(linear, TorusPoint.from_vector(ring, coords))
+    return TorusAuto(linear, TorusPoint.from_vector(coords))
 
 
 def psi_order3() -> TorusAuto:
     ring = RingId.EISENSTEIN
     return diagonal_auto(
-        ring, RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 3), 0, Fraction(1, 3), 0)
+        RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 3), 0, Fraction(1, 3), 0)
     )
 
 
 def psi_order3_shifted() -> TorusAuto:
     ring = RingId.EISENSTEIN
     return diagonal_auto(
-        ring,
         RingElem.zeta(ring),
         RingElem.one(ring),
         (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3), 0),
@@ -61,14 +60,14 @@ def psi_order3_shifted() -> TorusAuto:
 def psi_order4() -> TorusAuto:
     ring = RingId.GAUSSIAN
     return diagonal_auto(
-        ring, RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 4), 0, Fraction(1, 4), 0)
+        RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 4), 0, Fraction(1, 4), 0)
     )
 
 
 def psi_order6() -> TorusAuto:
     ring = RingId.EISENSTEIN
     return diagonal_auto(
-        ring, zeta6(), RingElem.one(ring), (Fraction(1, 6), 0, Fraction(1, 6), 0)
+        zeta6(), RingElem.one(ring), (Fraction(1, 6), 0, Fraction(1, 6), 0)
     )
 
 
@@ -136,7 +135,7 @@ def test_shifted_order3_action_has_fixed_configuration() -> None:
     assert verify_certificate(psi, 3, cert)
     points = cert.witness
     # Re-run the orbit expansion here as an independent check.
-    total = TorusPoint.origin(psi.ring)
+    total = TorusPoint.origin()
     for length, base in zip(cert.orbit_type, points):
         current = base
         for _ in range(length):
@@ -149,7 +148,6 @@ def test_shifted_order3_action_has_fixed_configuration() -> None:
 def test_order4_action_is_free_but_halfpoint_is_not() -> None:
     assert group_acts_freely(psi_order4(), 4).free
     halfpoint = diagonal_auto(
-        RingId.GAUSSIAN,
         RingElem.zeta(RingId.GAUSSIAN),
         RingElem.one(RingId.GAUSSIAN),
         (Fraction(1, 2), 0, Fraction(1, 4), 0),
@@ -180,7 +178,7 @@ def test_fixed_loci_grow_under_powering() -> None:
     for _ in range(12):
         coords = tuple(Fraction(rng.randrange(3), 3) for _ in range(4))
         psi = diagonal_auto(
-            ring, RingElem.zeta(ring), RingElem.one(ring), coords
+            RingElem.zeta(ring), RingElem.one(ring), coords
         )
         base = has_fixed_point(psi, 3)
         if base.found:
@@ -194,7 +192,7 @@ def test_stop_at_first_changes_no_verdict() -> None:
     for _ in range(10):
         coords = tuple(Fraction(rng.randrange(4), 4) for _ in range(4))
         psi = diagonal_auto(
-            ring, RingElem.zeta(ring), RingElem.one(ring), coords
+            RingElem.zeta(ring), RingElem.one(ring), coords
         )
         full = group_acts_freely(psi, 4)
         quick = group_acts_freely(psi, 4, stop_at_first=True)
@@ -212,7 +210,7 @@ def test_agreement_with_brute_force_enumeration() -> None:
     seen_free = 0
     for _ in range(8):
         coords = tuple(Fraction(rng.randrange(3), 3) for _ in range(4))
-        psi = diagonal_auto(ring, RingElem.zeta(ring), RingElem.one(ring), coords)
+        psi = diagonal_auto(RingElem.zeta(ring), RingElem.one(ring), coords)
         report = has_fixed_point(psi, 3)
         if report.found:
             seen_found += 1
@@ -277,14 +275,14 @@ def test_grid_walk_matches_naive_reference() -> None:
     # the grid is walked mod 12 with every start scaled by 2.
     ring = RingId.GAUSSIAN
     anchor = diagonal_auto(
-        ring, RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 4), 0, Fraction(1, 4), 0)
+        RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 4), 0, Fraction(1, 4), 0)
     )
     cases += [(anchor**power, 12, 6) for power in (1, 2)]
     # Seeded pairs whose translations move every coordinate.
     rng = random.Random(60221)
     for ring, n in ((RingId.EISENSTEIN, 3), (RingId.GAUSSIAN, 4), (RingId.EISENSTEIN, 6)):
         linears = linear_candidates(ring, 1)
-        points = torsion_points(ring, n)
+        points = torsion_points(n)
         for _ in range(16):
             auto = TorusAuto(rng.choice(linears), rng.choice(points))
             cases.append((auto, n, rng.choice((2, 3, 4, 6))))
@@ -311,7 +309,7 @@ def test_integer_reflections_are_free_off_both_factors(diagonal) -> None:
     linear = TorusEndo.diagonal(*(RingElem(ring, d) for d in diagonal))
     free = 0
     for vector in itertools.product(range(2), repeat=4):
-        auto = TorusAuto(linear, TorusPoint.from_integers(ring, 2, vector))
+        auto = TorusAuto(linear, TorusPoint.from_integers(2, vector))
         decided = group_acts_freely(auto, 2).free
         assert decided == (any(vector[:2]) and any(vector[2:]))
         assert brute_force_fixed_point(auto, 2, 4) == (not decided)
@@ -337,7 +335,7 @@ def test_grid_fixed_points_are_found_by_the_decision() -> None:
     rng = random.Random(50917)
     for ring, n in ((RingId.EISENSTEIN, 3), (RingId.GAUSSIAN, 4), (RingId.RATIONAL_INT, 4)):
         linears = linear_candidates(ring, 1)
-        points = torsion_points(ring, n)
+        points = torsion_points(n)
         pairs += [(rng.choice(linears), rng.choice(points), n) for _ in range(110)]
     grid_hits = 0
     for linear, a, n in pairs:
@@ -356,7 +354,7 @@ def test_certificate_tampering_is_rejected() -> None:
     # Shifting the second factor by a half-point moves the orbit sum off
     # the origin (three copies of 1/2), unlike a shift in the rotated
     # factor which the eigenvalue sum would cancel.
-    half = TorusPoint.from_vector(psi.ring, (0, 0, Fraction(1, 2), 0))
+    half = TorusPoint.from_vector((0, 0, Fraction(1, 2), 0))
     moved = FreenessCertificate(
         cert.element_power,
         cert.orbit_type,
@@ -373,8 +371,8 @@ def test_certificate_tampering_is_rejected() -> None:
     assert not verify_certificate(psi, 3, wrong_type)
     # Lengths must be positive: a negative part would let a longer
     # configuration, here the origin taken four times, pass for length 3.
-    linear = TorusAuto(psi.linear, TorusPoint.origin(psi.ring))
-    origin = TorusPoint.origin(psi.ring)
+    linear = TorusAuto(psi.linear, TorusPoint.origin())
+    origin = TorusPoint.origin()
     longer = FreenessCertificate(
         1, (4, -1), CertificateOutcome.FIXED_POINT, witness=(origin, origin)
     )
@@ -408,7 +406,7 @@ def test_obstruction_pairings_are_integers_over_the_tested_level() -> None:
     # and square shift by (0, 1/2) and ((1+z)/3, 1/3), of levels 2 and 3.
     ring = RingId.EISENSTEIN
     auto = diagonal_auto(
-        ring, RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 3), 0, Fraction(1, 6), 0)
+        RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 3), 0, Fraction(1, 6), 0)
     )
     report = group_acts_freely(auto, 6)
     moduli = []
@@ -441,7 +439,7 @@ def test_decision_aggregates_per_type_solvability() -> None:
 def test_translation_must_be_fibre_torsion() -> None:
     ring = RingId.EISENSTEIN
     psi = diagonal_auto(
-        ring, RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 5), 0, 0, 0)
+        RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 5), 0, 0, 0)
     )
     with pytest.raises(NotNTorsionError):
         has_fixed_point(psi, 3)
@@ -458,7 +456,7 @@ def test_shared_linear_cache_changes_no_report(clear_memos) -> None:
     ring = RingId.EISENSTEIN
     linear = TorusEndo.diagonal(RingElem.zeta(ring), RingElem.one(ring))
     decided = served = 0
-    for a in torsion_points(ring, 3):
+    for a in torsion_points(3):
         auto = TorusAuto(linear, a)
         for stop_at_first in (True, False):
             hits = lattice._normal_form.cache_info().hits
@@ -505,7 +503,7 @@ def test_catalog_cache_changes_no_report_or_system(
     # Every linear part of the norm-1 catalog with one translation per
     # class: the memos, warm from the pair before, give the reports and
     # orbit systems computed after clearing them.
-    points = torsion_points(ring, n)
+    points = torsion_points(n)
     pairs = 0
     for linear in linear_candidates(ring, 1):
         key, _ = translation_classes(linear.induced_matrix(), n)
@@ -548,7 +546,7 @@ def test_free_verdict_failing_the_screen_is_a_self_check_error(
     # det h = 1, so ord(omega) = 1 != 3.
     ring = RingId.EISENSTEIN
     zeta = RingElem.zeta(ring)
-    auto = diagonal_auto(ring, zeta, zeta**d2_power, (0, 0, 0, 0))
+    auto = diagonal_auto(zeta, zeta**d2_power, (0, 0, 0, 0))
     monkeypatch.setattr(fixedpoint, "has_fixed_point", never_fixed)
     with pytest.raises(SelfCheckError, match="fails the screen"):
         group_acts_freely(auto, n)

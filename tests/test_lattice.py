@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from kummerlab import fixedpoint, lattice
 from kummerlab.lattice import (
     ENUMERATION_CAP,
     DimensionMismatchError,
@@ -23,7 +24,8 @@ from kummerlab.lattice import (
     verify_obstruction,
     verify_witness,
 )
-from kummerlab.linalg import IntMatrix
+from kummerlab.linalg import MEMO_SIZE, IntMatrix
+from kummerlab.verify import panel_passed, run_panel
 
 
 def over_modulus(values) -> tuple[tuple[int, ...], int]:
@@ -229,3 +231,27 @@ def test_self_checks_survive_optimized_mode() -> None:
     assert done.returncode == 0, done.stderr
     assert done.stderr.startswith("error: ")
     assert "Traceback" not in done.stderr
+
+
+def test_panel_memoises_only_orbit_systems(clear_memos, monkeypatch) -> None:
+    # The solvability oracle's random draws are decided without the memo,
+    # so after a cold panel run the normal-form memo holds orbit systems
+    # alone: probing it with every orbit system the run built hits each
+    # entry it holds.
+    orbit_systems = set()
+    memoised = fixedpoint._orbit_matrix
+
+    def recording(matrix, orbit_type):
+        system = memoised(matrix, orbit_type)
+        orbit_systems.add(system)
+        return system
+
+    monkeypatch.setattr(fixedpoint, "_orbit_matrix", recording)
+    clear_memos()
+    assert panel_passed(run_panel())
+    held = lattice._normal_form.cache_info().currsize
+    assert 0 < held and held + len(orbit_systems) <= MEMO_SIZE
+    hits = lattice._normal_form.cache_info().hits
+    for system in orbit_systems:
+        lattice._normal_form(system)
+    assert lattice._normal_form.cache_info().hits - hits == held

@@ -17,7 +17,7 @@ from kummerlab.rings import (
     units,
     zeta6,
 )
-from kummerlab.torus import TorusPoint
+from kummerlab.torus import TorusEndo, TorusPoint
 
 ALL_RINGS = [RingId.RATIONAL_INT, RingId.GAUSSIAN, RingId.EISENSTEIN]
 
@@ -151,13 +151,20 @@ def test_norm_self_check_rejects_a_wrong_conjugation(monkeypatch) -> None:
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_mod_lattice_reduces_into_unit_box(ring: RingId) -> None:
     # Rational coordinates enter at the point boundary and are reduced
-    # mod the lattice into [0, 1), in every ring alike.
+    # mod the lattice into [0, 1), and each ring's maps are well defined
+    # on the classes: reducing before or after the map gives one point.
     rng = random.Random(606)
+    one = RingElem.one(ring)
+    g = -one if ring is RingId.RATIONAL_INT else RingElem.zeta(ring)
+    h = TorusEndo.diagonal(g, one)
     for _ in range(40):
         coords = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(4)]
-        reduced = TorusPoint.from_vector(ring, coords).coords()
+        point = TorusPoint.from_vector(coords)
+        reduced = point.coords()
         assert all(0 <= r < 1 for r in reduced)
         assert all((c - r).denominator == 1 for c, r in zip(coords, reduced))
+        image = h.induced_matrix().apply(coords)
+        assert h.apply(point).coords() == tuple(c % 1 for c in image)
 
 
 def test_mixed_ring_arithmetic_is_rejected() -> None:

@@ -38,7 +38,7 @@ def zeta_diag(ring: RingId) -> TorusEndo:
 def conjugacy_orbit(linear: TorusEndo, a: TorusPoint, level: int) -> set[TorusPoint]:
     """All translations equivalent to ``a`` after conjugating by translations."""
     shift = TorusEndo.identity(linear.ring) - linear
-    return {a + shift.apply(p) for p in torsion_points(linear.ring, level)}
+    return {a + shift.apply(p) for p in torsion_points(level)}
 
 
 def verify_results(results: list[SearchResult], n: int) -> None:
@@ -170,7 +170,7 @@ def test_translation_classes_match_pointwise_cosets(ring: RingId, level: int) ->
     # exactly as the pointwise cosets a + (I - h)p over every level-torsion
     # p, and there are prod(moduli) of them, in every ring.
     catalog = linear_candidates(ring, 1)
-    points = torsion_points(ring, level)
+    points = torsion_points(level)
     vectors = [p.vector(level) for p in points]
     for linear in random.Random(2468).sample(catalog, min(len(catalog), 24)):
         shift = TorusEndo.identity(ring) - linear
@@ -193,11 +193,10 @@ def test_translation_classes_match_pointwise_cosets(ring: RingId, level: int) ->
 
 
 def test_torsion_point_counts() -> None:
-    # One factor contributes level**2 points in every ring: E has two
-    # periods also when End(E) = Z.
-    assert len(torsion_points(RingId.EISENSTEIN, 3)) == 81
-    assert len(torsion_points(RingId.GAUSSIAN, 2)) == 16
-    assert len(torsion_points(RingId.RATIONAL_INT, 2)) == 16
+    # One factor contributes level**2 points: E has two periods in every
+    # ring, also when End(E) = Z, and points carry no ring.
+    assert len(torsion_points(3)) == 81
+    assert len(torsion_points(2)) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +218,7 @@ def test_restricted_sweep_eisenstein_order3() -> None:
 def test_restricted_sweep_contains_reference_pair() -> None:
     linear = zeta_diag(RingId.EISENSTEIN)
     results = run_search(3, RingId.EISENSTEIN, linears=[linear])
-    reference = TorusPoint.from_vector(
-        RingId.EISENSTEIN, ("1/3", "0", "1/3", "0")
-    )
+    reference = TorusPoint.from_vector(("1/3", "0", "1/3", "0"))
     orbit = conjugacy_orbit(linear, reference, 3)
     matches = [r for r in results if r.translation in orbit]
     assert len(matches) == 1, "the reference pair appears via its class representative"
@@ -234,10 +231,10 @@ def test_restricted_sweep_gaussian_order4() -> None:
     results = run_search(4, RingId.GAUSSIAN, linears=[linear])
     assert len(results) == 12
     verify_results(results, 4)
-    reference = TorusPoint.from_vector(RingId.GAUSSIAN, ("1/4", "0", "1/4", "0"))
+    reference = TorusPoint.from_vector(("1/4", "0", "1/4", "0"))
     orbit = conjugacy_orbit(linear, reference, 4)
     assert sum(1 for r in results if r.translation in orbit) == 1
-    halfpoint = TorusPoint.from_vector(RingId.GAUSSIAN, ("1/2", "0", "1/4", "0"))
+    halfpoint = TorusPoint.from_vector(("1/2", "0", "1/4", "0"))
     bad_orbit = conjugacy_orbit(linear, halfpoint, 4)
     assert not any(r.translation in bad_orbit for r in results)
 
@@ -265,7 +262,7 @@ def test_full_sweep_integer_involutions() -> None:
     ring = RingId.RATIONAL_INT
     one = RingElem.one(ring)
     both_nonzero = [
-        TorusPoint.from_integers(ring, 2, v)
+        TorusPoint.from_integers(2, v)
         for v in itertools.product(range(2), repeat=4)
         if any(v[:2]) and any(v[2:])
     ]
