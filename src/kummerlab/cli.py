@@ -34,7 +34,6 @@ from .enriques import (
 )
 from .fixedpoint import (
     GRID_LEVEL_CAP,
-    CertificateOutcome,
     NotNTorsionError,
     brute_force_fixed_point,
     group_acts_freely,
@@ -50,7 +49,7 @@ from .lefschetz import (
     lefschetz_torus,
 )
 from .linalg import SelfCheckError
-from .rings import RingElem, RingId
+from .rings import RingElem, RingId, induced_matrix
 from .search import run_search
 from .torus import TorusAuto, TorusEndo, TorusPoint, UnsupportedAutomorphismError
 from .verify import classification_payload, decomposition_labels, run_panel
@@ -201,12 +200,15 @@ def parse_matrix(text: str, ring: RingId) -> TorusEndo:
                     f"matrix entry {_quote(cell)} is not a ring integer"
                 ) from None
         rows.append(row)
-    return TorusEndo(rows)
+    return TorusEndo(induced_matrix(rows))
 
 
 def format_matrix(endo: TorusEndo) -> str:
+    # Entry (i, j) is the first column of block (i, j): the coordinates of e * 1.
+    m = endo.induced_matrix()
     rows = [
-        ",".join(format_element((e.x, e.y)) for e in row) for row in endo.entries
+        ",".join(format_element((m[i][j], m[i + 1][j])) for j in (0, 2))
+        for i in (0, 2)
     ]
     return "[" + ",".join(f"[{row}]" for row in rows) + "]"
 

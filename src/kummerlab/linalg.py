@@ -24,7 +24,7 @@ from operator import add, matmul, mul, sub
 # and their Smith forms in ``lattice``.  At ``freeness --n 48``, the cap,
 # the tested powers of orders 2 and 3 of one order-6 linear part have
 # 25 + 17 orbit types, so 256 entries hold the systems of six such linear
-# parts; the Eisenstein n=3 sweep solves 101 distinct systems, n=12 149.
+# parts; the Eisenstein n=3 sweep solves 45 distinct systems, n=12 149.
 MEMO_SIZE = 256
 
 

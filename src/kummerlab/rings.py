@@ -10,7 +10,10 @@ unity is not a separate ring; it lives inside the Eisenstein ring as
 ``1 + zeta``.
 
 A ring element (:class:`RingElem`) carries integer coordinates, so
-structural equality is semantic equality in all three rings.
+structural equality is semantic equality in all three rings.  A 2x2
+matrix of ring elements enters the torus only through
+:func:`induced_matrix`, its 4x4 integer matrix on first homology; maps
+carry no ring.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from enum import Enum
 from operator import mul
 
-from .linalg import SelfCheckError, binary_power
+from .linalg import IntMatrix, SelfCheckError, binary_power
 
 
 class RingMismatchError(ValueError):
@@ -174,6 +177,26 @@ class RingElem:
 
     def __repr__(self) -> str:
         return f"RingElem({self._ring.name}, {self._x}, {self._y})"
+
+
+def induced_matrix(rows) -> IntMatrix:
+    """The 4x4 integer matrix on first homology of a 2x2 matrix over a ring.
+
+    Each entry becomes the 2x2 block of its regular representation on
+    ``{1, zeta}``, so entry ``(i, j)`` reads back from the first column of
+    block ``(i, j)``: the coordinates of ``e * 1``.  The entries must share
+    one ring.
+    """
+    rows = tuple(tuple(row) for row in rows)
+    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+        raise ValueError("torus endomorphisms are 2x2 matrices")
+    flat = [e for row in rows for e in row]
+    if not all(isinstance(e, RingElem) for e in flat):
+        raise TypeError("matrix entries must be ring elements")
+    for e in flat[1:]:
+        _check_same_ring(flat[0], e)
+    (a, b), (c, d) = ([e.regular_representation() for e in row] for row in rows)
+    return IntMatrix._of((a[0] + b[0], a[1] + b[1], c[0] + d[0], c[1] + d[1]))
 
 
 def ring_elements_up_to_norm(ring: RingId, bound: int) -> list[RingElem]:

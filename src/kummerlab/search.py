@@ -28,7 +28,7 @@ from math import gcd, prod
 from .enriques import QuotientClassification, classify_free_quotient, symplectic_screen
 from .fixedpoint import GRID_LEVEL_CAP, FreenessReport, group_acts_freely
 from .lattice import translation_classes
-from .rings import RingId, ring_elements_up_to_norm
+from .rings import RingId, induced_matrix, ring_elements_up_to_norm
 from .torus import (
     TorusAuto,
     TorusEndo,
@@ -65,7 +65,7 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
         det = p * s - q * r
         if not det.is_unit():
             continue
-        endo = TorusEndo(((p, q), (r, s)))
+        endo = TorusEndo(induced_matrix(((p, q), (r, s))))
         try:
             endo.multiplicative_order()
         except UnsupportedAutomorphismError:
@@ -97,7 +97,8 @@ def run_search(
     ``level`` bounds the torsion level of the translation part (default
     ``n``; it must divide ``n`` for the translations to be ``n``-torsion).
     ``linears`` restricts the catalog of linear parts to the given
-    matrices instead of the norm-bounded sweep.  The identity map is
+    matrices instead of the norm-bounded sweep of ``ring``, which is then
+    not read: a linear part carries no ring.  The identity map is
     excluded: it generates the trivial group, which acts freely but
     yields no quotient of interest.  Every other linear part must pass
     :func:`symplectic_screen` before its translations are keyed.
@@ -114,8 +115,6 @@ def run_search(
         linears = linear_candidates(ring, max_norm)
     else:
         for endo in linears:
-            if endo.ring is not ring:
-                raise ValueError("restricted linear parts must match the ring")
             TorusAuto.check_linear(endo)
     candidates = torsion_points(level)
     vectors = [a.vector(n) for a in candidates]

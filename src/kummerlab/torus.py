@@ -6,17 +6,19 @@ which have no ``zeta``, the second period is a ``tau`` and a linear part
 ``h`` acts on first homology as ``h`` on either period.  A point of ``A``
 therefore has four coordinates (two per factor, in the basis of periods),
 taken mod 1, in every ring.  Only torsion points occur, and each is stored
-as an integer 4-vector mod its torsion level ``N``, with no ring: the ring
-belongs to the linear part alone.  The automorphisms handled here are the
-natural ones, a lattice-linear map with unit determinant followed by a
-torsion translation.  A linear part is stored only as its induced 4x4
-integer matrix on first homology, so its products, powers and orbit sums
-(:func:`power_sums`) are integer-matrix products, and point arithmetic,
-orbits and orders are plain integer arithmetic mod ``N``.  The powers and
-the order of an automorphism read the same memoised ``(M^l, P_l, Q_l)``
-tables as the orbit systems, so every translation of a linear part shares
-them.  ``Fraction`` appears only where points enter or leave as rational
-coordinates: :meth:`TorusPoint.from_vector` and :meth:`TorusPoint.coords`.
+as an integer 4-vector mod its torsion level ``N``.  The automorphisms
+handled here are the natural ones, a lattice-linear map with unit
+determinant followed by a torsion translation.  A linear part is its
+induced 4x4 integer matrix on first homology, built from ring entries by
+:func:`kummerlab.rings.induced_matrix`, so neither points nor maps carry a
+ring: the ring stays where matrices are parsed, listed and printed.  Its
+products, powers and orbit sums (:func:`power_sums`) are integer-matrix
+products, and point arithmetic, orbits and orders are plain integer
+arithmetic mod ``N``.  The powers and the order of an automorphism read
+the same memoised ``(M^l, P_l, Q_l)`` tables as the orbit systems, so
+every translation of a linear part shares them.  ``Fraction`` appears
+only where points enter or leave as rational coordinates:
+:meth:`TorusPoint.from_vector` and :meth:`TorusPoint.coords`.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, matmul, sub
+from operator import add
 
 from .linalg import MEMO_SIZE, IntMatrix, SelfCheckError, matrix_order
-from .rings import RingElem, RingId, _check_same_ring
 
 TORSION_LEVEL_CAP = 1000
 
@@ -36,7 +37,7 @@ class UnsupportedAutomorphismError(ValueError):
     """Raised for maps outside the supported catalog: a linear part with a
     non-unit determinant or of infinite order.  Entries from mixed rings
     raise :class:`RingMismatchError`, from :class:`RingElem` or
-    :class:`TorusEndo`."""
+    :func:`kummerlab.rings.induced_matrix`, before any map is built."""
 
 
 class TorusPoint:
@@ -149,89 +150,35 @@ class TorusPoint:
 
 
 class TorusEndo:
-    """A 2x2 matrix over the ring, acting factor-wise on ``E x E``.
+    """A linear endomorphism of ``E x E``: its 4x4 integer matrix on first homology.
 
-    Stored only as its induced 4x4 integer matrix on first homology, each
-    entry replaced by its regular representation on ``{1, zeta}``, so sums,
-    products and powers are integer-matrix ones.  Entry ``(i, j)`` reads
-    back from the first column of its block: the coordinates of ``e * 1``.
+    The matrix is the block matrix ``[[A, B], [C, D]]`` of the regular
+    representations of a 2x2 matrix over the ring
+    (:func:`kummerlab.rings.induced_matrix`), so products and powers are
+    integer-matrix ones and ``A D - B C`` represents the determinant.  The
+    constructor takes any 4x4 integer matrix and does not check that its
+    blocks come from ring entries.
     """
 
-    __slots__ = ("_ring", "_matrix", "_order_cache")
+    __slots__ = ("_matrix", "_order_cache")
 
-    def __init__(self, entries) -> None:
-        rows = tuple(tuple(row) for row in entries)
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("torus endomorphisms are 2x2 matrices")
-        flat = [e for row in rows for e in row]
-        if not all(isinstance(e, RingElem) for e in flat):
-            raise TypeError("matrix entries must be ring elements")
-        for e in flat[1:]:
-            _check_same_ring(flat[0], e)
-        self._ring = flat[0].ring
-        (a, b), (c, d) = (
-            [e.regular_representation() for e in row] for row in rows
-        )
-        self._matrix = IntMatrix._of(
-            (a[0] + b[0], a[1] + b[1], c[0] + d[0], c[1] + d[1])
-        )
+    def __init__(self, matrix: IntMatrix) -> None:
+        if not isinstance(matrix, IntMatrix) or (matrix.rows, matrix.cols) != (4, 4):
+            raise TypeError("a linear part is a 4x4 IntMatrix")
+        self._matrix = matrix
         self._order_cache: int | None = None
 
     @classmethod
-    def _of(cls, ring: RingId, matrix: IntMatrix) -> "TorusEndo":
-        """Wrap an induced matrix that is already a block matrix of entries."""
-        endo = cls.__new__(cls)
-        endo._ring = ring
-        endo._matrix = matrix
-        endo._order_cache = None
-        return endo
-
-    @classmethod
-    def identity(cls, ring: RingId) -> "TorusEndo":
-        return cls._of(ring, IntMatrix.identity(4))
-
-    @classmethod
-    def diagonal(cls, d1: RingElem, d2: RingElem) -> "TorusEndo":
-        _check_same_ring(d1, d2)
-        z = RingElem.zero(d1.ring)
-        return cls([[d1, z], [z, d2]])
-
-    @property
-    def ring(self) -> RingId:
-        return self._ring
-
-    @property
-    def entries(self) -> tuple[tuple[RingElem, ...], ...]:
-        m = self._matrix
-        return tuple(
-            tuple(RingElem(self._ring, m[i][j], m[i + 1][j]) for j in (0, 2))
-            for i in (0, 2)
-        )
-
-    def __getitem__(self, i: int) -> tuple[RingElem, ...]:
-        return self.entries[i]
-
-    def _combine(self, other: "TorusEndo", op) -> "TorusEndo":
-        if not isinstance(other, TorusEndo):
-            return NotImplemented
-        _check_same_ring(self, other)
-        return TorusEndo._of(self._ring, op(self._matrix, other._matrix))
-
-    def __add__(self, other: "TorusEndo") -> "TorusEndo":
-        return self._combine(other, add)
-
-    def __sub__(self, other: "TorusEndo") -> "TorusEndo":
-        return self._combine(other, sub)
+    def identity(cls) -> "TorusEndo":
+        return cls(IntMatrix.identity(4))
 
     def __matmul__(self, other: "TorusEndo") -> "TorusEndo":
-        return self._combine(other, matmul)
+        if not isinstance(other, TorusEndo):
+            return NotImplemented
+        return TorusEndo(self._matrix @ other._matrix)
 
     def __pow__(self, exponent: int) -> "TorusEndo":
-        return TorusEndo._of(self._ring, self._matrix**exponent)
-
-    def det(self) -> RingElem:
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
+        return TorusEndo(self._matrix**exponent)
 
     def apply(self, point: TorusPoint) -> TorusPoint:
         """Image of a point, through the induced matrix on its integer vector."""
@@ -259,23 +206,35 @@ class TorusEndo:
         return self._order_cache
 
     def multiplier_order(self) -> int:
-        """The order of ``det h``, the map's multiplier on the symplectic form."""
-        det = self.det()
+        """The order of ``det h``, the map's multiplier on the symplectic form.
+
+        Over the 2x2 blocks ``[[A, B], [C, D]]`` of the induced matrix,
+        ``A D - B C`` is the regular representation of ``det h``.
+        """
+        m = self._matrix.entries
+        a, b, c, d = (
+            IntMatrix._of((m[i][j : j + 2], m[i + 1][j : j + 2]))
+            for i in (0, 2)
+            for j in (0, 2)
+        )
+        det = a @ d - b @ c
         try:
-            return matrix_order(IntMatrix(det.regular_representation()))
+            return matrix_order(det)
         except ValueError:
-            raise SelfCheckError(f"{det!r} is not a unit of finite order") from None
+            raise SelfCheckError(
+                f"multiplier {det!r} is not a unit of finite order"
+            ) from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusEndo):
             return NotImplemented
-        return self._ring is other._ring and self._matrix == other._matrix
+        return self._matrix == other._matrix
 
     def __hash__(self) -> int:
-        return hash((self._ring, self._matrix))
+        return hash(self._matrix)
 
     def __repr__(self) -> str:
-        return f"TorusEndo({[list(row) for row in self.entries]!r})"
+        return f"TorusEndo({self._matrix!r})"
 
 
 class TorusAuto:
@@ -294,27 +253,25 @@ class TorusAuto:
         """The order of a linear part, or the reason it is refused.
 
         Raises :class:`UnsupportedAutomorphismError` for a non-unit
-        determinant, then for infinite order.  A matrix of finite order has
-        ``det M = +-1``, and ``det M`` is the norm of ``det h`` (its square
-        in the integer ring), so the order, memoised on the linear part, is
-        checked first and the determinant only on failure.
+        determinant, then for infinite order.  ``det M`` is the norm of
+        ``det h`` in the Gaussian and Eisenstein rings and ``(det h)^2`` in
+        the integer ring, so ``det h`` is a unit exactly when
+        ``|det M| = 1``.  A matrix of finite order has ``det M = +-1``, so
+        the order, memoised on the linear part, is checked first and the
+        determinant only on failure.
         """
         try:
             return linear.multiplicative_order()
         except UnsupportedAutomorphismError:
-            if not linear.det().is_unit():
+            if abs(linear.induced_matrix().det()) != 1:
                 raise UnsupportedAutomorphismError(
                     "linear part must have unit determinant"
                 ) from None
             raise
 
     @classmethod
-    def identity(cls, ring: RingId) -> "TorusAuto":
-        return cls(TorusEndo.identity(ring), TorusPoint.origin())
-
-    @property
-    def ring(self) -> RingId:
-        return self._linear.ring
+    def identity(cls) -> "TorusAuto":
+        return cls(TorusEndo.identity(), TorusPoint.origin())
 
     @property
     def linear(self) -> TorusEndo:
@@ -357,7 +314,7 @@ class TorusAuto:
             _, period, _ = power_sums(matrix, m)
             shift = map(add, shift, (quotient * x for x in period.apply_int(a)))
         power = TorusAuto.__new__(TorusAuto)
-        power._linear = TorusEndo._of(self.ring, linear)
+        power._linear = TorusEndo(linear)
         power._translation = TorusPoint.from_integers(
             self._translation.torsion_level(), shift
         )
@@ -437,4 +394,4 @@ def orbit_sum_data(auto: TorusAuto, length: int) -> tuple[TorusEndo, TorusPoint]
     constant = TorusPoint.from_integers(
         auto.translation.torsion_level(), total.apply_int(auto.translation.vector())
     )
-    return TorusEndo._of(auto.ring, partial), constant
+    return TorusEndo(partial), constant

@@ -40,7 +40,7 @@ from .lefschetz import (
     supertrace_sym_series,
 )
 from .linalg import IntMatrix
-from .rings import RingElem, RingId, zeta6
+from .rings import RingElem, RingId, induced_matrix, zeta6
 from .torus import TorusAuto, TorusEndo, TorusPoint
 
 
@@ -68,8 +68,13 @@ def order5_matrix() -> IntMatrix:
     return companion_matrix((1, 1, 1, 1))
 
 
+def _diagonal(d1: RingElem, d2: RingElem) -> IntMatrix:
+    zero = RingElem.zero(d1.ring)
+    return induced_matrix([[d1, zero], [zero, d2]])
+
+
 def _diagonal_auto(d1: RingElem, d2: RingElem, coords) -> TorusAuto:
-    return TorusAuto(TorusEndo.diagonal(d1, d2), TorusPoint.from_vector(coords))
+    return TorusAuto(TorusEndo(_diagonal(d1, d2)), TorusPoint.from_vector(coords))
 
 
 def order3_auto() -> TorusAuto:
@@ -154,10 +159,10 @@ def matrix_catalog() -> list[tuple[str, IntMatrix]]:
     zeta3 = RingElem.zeta(eis)
     i = RingElem.zeta(gauss)
 
-    def rotation(ring: RingId) -> TorusEndo:
+    def rotation(ring: RingId) -> IntMatrix:
         one = RingElem.one(ring)
         zero = RingElem.zero(ring)
-        return TorusEndo([[zero, -one], [one, zero]])
+        return induced_matrix([[zero, -one], [one, zero]])
 
     return [
         ("companion_order5", companion_matrix((1, 1, 1, 1))),
@@ -165,28 +170,13 @@ def matrix_catalog() -> list[tuple[str, IntMatrix]]:
         ("companion_order10", companion_matrix((1, -1, 1, -1))),
         ("companion_order12", companion_matrix((1, 0, -1, 0))),
         ("minus_identity", IntMatrix.identity(4).scale(-1)),
-        (
-            "eisenstein_diag_zeta_one",
-            TorusEndo.diagonal(zeta3, RingElem.one(eis)).induced_matrix(),
-        ),
-        (
-            "eisenstein_diag_zeta_zeta",
-            TorusEndo.diagonal(zeta3, zeta3).induced_matrix(),
-        ),
-        (
-            "eisenstein_diag_sixth",
-            TorusEndo.diagonal(zeta6(), zeta6()).induced_matrix(),
-        ),
-        (
-            "gaussian_diag_i_one",
-            TorusEndo.diagonal(i, RingElem.one(gauss)).induced_matrix(),
-        ),
-        (
-            "gaussian_diag_i_minus_i",
-            TorusEndo.diagonal(i, -i).induced_matrix(),
-        ),
-        ("gaussian_rotation", rotation(gauss).induced_matrix()),
-        ("integer_rotation", rotation(rat).induced_matrix()),
+        ("eisenstein_diag_zeta_one", _diagonal(zeta3, RingElem.one(eis))),
+        ("eisenstein_diag_zeta_zeta", _diagonal(zeta3, zeta3)),
+        ("eisenstein_diag_sixth", _diagonal(zeta6(), zeta6())),
+        ("gaussian_diag_i_one", _diagonal(i, RingElem.one(gauss))),
+        ("gaussian_diag_i_minus_i", _diagonal(i, -i)),
+        ("gaussian_rotation", rotation(gauss)),
+        ("integer_rotation", rotation(rat)),
     ]
 
 

@@ -482,6 +482,18 @@ def test_one_point_translates_maps_over_every_ring(capsys) -> None:
         assert group_acts_freely(auto, 2).free is payload["free"]
 
 
+def test_one_matrix_text_is_one_map_over_every_ring() -> None:
+    # A map carries no ring: [[-1,0],[0,1]] parses to equal linear parts,
+    # with equal hashes, over all three rings, and prints back the same.
+    parts = [parse_matrix("[[-1,0],[0,1]]", ring) for ring in ALL_RINGS]
+    assert all(part == parts[0] for part in parts)
+    assert len({hash(part) for part in parts}) == 1
+    assert {format_matrix(part) for part in parts} == {"[[-1,0],[0,1]]"}
+    auto = TorusAuto(parts[0], TorusPoint.origin())
+    assert not hasattr(parts[0], "ring")
+    assert not hasattr(auto, "ring")
+
+
 def test_freeness_command_with_grid_oracle(capsys) -> None:
     argv = [
         "freeness",

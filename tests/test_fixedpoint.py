@@ -30,15 +30,19 @@ from kummerlab.fixedpoint import (
 from kummerlab import lattice
 from kummerlab.lattice import torus_system_solvable, translation_classes
 from kummerlab.linalg import IntMatrix, SelfCheckError
-from kummerlab.rings import RingElem, RingId, zeta6
+from kummerlab.rings import RingElem, RingId, induced_matrix, zeta6
 from kummerlab.search import linear_candidates, run_search, torsion_points
 from kummerlab.torus import TorusAuto, TorusEndo, TorusPoint, orbit_sum_data
 from kummerlab.verify import freeness_instances
 
 
+def diag(d1: RingElem, d2: RingElem) -> TorusEndo:
+    zero = RingElem.zero(d1.ring)
+    return TorusEndo(induced_matrix([[d1, zero], [zero, d2]]))
+
+
 def diagonal_auto(d1, d2, coords) -> TorusAuto:
-    linear = TorusEndo.diagonal(d1, d2)
-    return TorusAuto(linear, TorusPoint.from_vector(coords))
+    return TorusAuto(diag(d1, d2), TorusPoint.from_vector(coords))
 
 
 def psi_order3() -> TorusAuto:
@@ -306,7 +310,7 @@ def test_integer_reflections_are_free_off_both_factors(diagonal) -> None:
     # every such configuration runs through E[4].  So the level-4 grid is a
     # complete oracle here, and 3 * 3 of the 16 translations are free.
     ring = RingId.RATIONAL_INT
-    linear = TorusEndo.diagonal(*(RingElem(ring, d) for d in diagonal))
+    linear = diag(*(RingElem(ring, d) for d in diagonal))
     free = 0
     for vector in itertools.product(range(2), repeat=4):
         auto = TorusAuto(linear, TorusPoint.from_integers(2, vector))
@@ -454,7 +458,7 @@ def test_shared_linear_cache_changes_no_report(clear_memos) -> None:
     # so the memos serve every translation class of that linear part: a
     # report on warm memos equals the one computed after clearing them.
     ring = RingId.EISENSTEIN
-    linear = TorusEndo.diagonal(RingElem.zeta(ring), RingElem.one(ring))
+    linear = diag(RingElem.zeta(ring), RingElem.one(ring))
     decided = served = 0
     for a in torsion_points(3):
         auto = TorusAuto(linear, a)

@@ -13,6 +13,7 @@ from kummerlab.rings import (
     RingElem,
     RingId,
     RingMismatchError,
+    induced_matrix,
     ring_elements_up_to_norm,
     units,
     zeta6,
@@ -156,7 +157,8 @@ def test_mod_lattice_reduces_into_unit_box(ring: RingId) -> None:
     rng = random.Random(606)
     one = RingElem.one(ring)
     g = -one if ring is RingId.RATIONAL_INT else RingElem.zeta(ring)
-    h = TorusEndo.diagonal(g, one)
+    zero = RingElem.zero(ring)
+    h = TorusEndo(induced_matrix([[g, zero], [zero, one]]))
     for _ in range(40):
         coords = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(4)]
         point = TorusPoint.from_vector(coords)
@@ -174,6 +176,8 @@ def test_mixed_ring_arithmetic_is_rejected() -> None:
         a + b
     with pytest.raises(RingMismatchError):
         a * b
+    with pytest.raises(RingMismatchError):
+        induced_matrix([[a, b], [b, a]])
 
 
 def test_ring_tokens_round_trip() -> None:

@@ -131,17 +131,31 @@ def test_integrality_check() -> None:
         TruncatedSeries([0, 17, 32]).exp()
 
 
+# The integer modules do not import fractions, and the modules on the
+# decision path do not import the rings: a map is its integer matrix.
 @pytest.mark.parametrize(
-    "name",
-    ["series", "lefschetz", "lattice", "search", "enriques", "rings", "fixedpoint"],
+    "name, banned",
+    [
+        *(
+            pytest.param(name, "fractions", id=name)
+            for name in (
+                "series", "lefschetz", "lattice", "search", "enriques", "rings",
+                "fixedpoint",
+            )
+        ),
+        *(
+            pytest.param(name, ".rings", id=f"{name}-rings")
+            for name in ("torus", "fixedpoint", "lattice")
+        ),
+    ],
 )
-def test_integer_modules_do_not_import_fractions(name: str) -> None:
+def test_integer_modules_do_not_import_fractions(name: str, banned: str) -> None:
     module = importlib.import_module(f"kummerlab.{name}")
     tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            imported.add(node.module.split(".")[0])
-    assert "fractions" not in imported
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add("." * node.level + node.module.split(".")[0])
+    assert banned not in imported

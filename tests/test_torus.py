@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from kummerlab.linalg import matrix_order
-from kummerlab.rings import RingElem, RingId, ring_elements_up_to_norm
+from kummerlab.linalg import IntMatrix, matrix_order
+from kummerlab.rings import RingElem, RingId, induced_matrix, ring_elements_up_to_norm
 from kummerlab.search import linear_candidates, torsion_points
 from kummerlab.torus import (
     TorusAuto,
@@ -37,15 +37,30 @@ def random_rows(rng: random.Random, ring: RingId, bound: int = 3) -> tuple:
     return ((elem(), elem()), (elem(), elem()))
 
 
+def endo(rows) -> TorusEndo:
+    """The linear part of a 2x2 matrix of ring elements."""
+    return TorusEndo(induced_matrix(rows))
+
+
+def diag(d1: RingElem, d2: RingElem) -> TorusEndo:
+    zero = RingElem.zero(d1.ring)
+    return endo([[d1, zero], [zero, d2]])
+
+
+def ring_det(rows) -> RingElem:
+    (a, b), (c, d) = rows
+    return a * d - b * c
+
+
 def random_endo(rng: random.Random, ring: RingId, bound: int = 3) -> TorusEndo:
-    return TorusEndo(random_rows(rng, ring, bound))
+    return endo(random_rows(rng, ring, bound))
 
 
 def zeta_diag(ring: RingId) -> TorusEndo:
     """diag(zeta, 1); the integer ring has no zeta and takes diag(-1, 1)."""
     one = RingElem.one(ring)
     d = -one if ring is RingId.RATIONAL_INT else RingElem.zeta(ring)
-    return TorusEndo.diagonal(d, one)
+    return diag(d, one)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
@@ -112,51 +127,60 @@ def ring_product(a, b):
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_induced_matrix_is_a_ring_homomorphism(ring: RingId) -> None:
-    # Maps are stored as induced integer matrices; the entries they read
-    # back must be what ring arithmetic on the 2x2 entries gives.
+    # Maps are stored as induced integer matrices: entry (i, j) reads back
+    # from the first column of block (i, j), and sums, products and powers
+    # are what ring arithmetic on the 2x2 entries gives.
     rng = random.Random(4455)
     for _ in range(20):
         rows = random_rows(rng, ring)
-        assert TorusEndo(rows).entries == rows
-        a = random_endo(rng, ring)
-        b = random_endo(rng, ring)
-        assert (a @ b).entries == ring_product(a.entries, b.entries)
-        assert (a + b).entries == tuple(
-            tuple(x + y for x, y in zip(ra, rb))
-            for ra, rb in zip(a.entries, b.entries)
+        m = induced_matrix(rows)
+        assert all(
+            (m[2 * i][2 * j], m[2 * i + 1][2 * j]) == (e.x, e.y)
+            for i, row in enumerate(rows)
+            for j, e in enumerate(row)
+        )
+        ra, rb = random_rows(rng, ring), random_rows(rng, ring)
+        a, b = endo(ra), endo(rb)
+        assert a @ b == endo(ring_product(ra, rb))
+        assert a.induced_matrix() + b.induced_matrix() == induced_matrix(
+            tuple(tuple(x + y for x, y in zip(r, t)) for r, t in zip(ra, rb))
         )
         one, zero = RingElem.one(ring), RingElem.zero(ring)
         expected = ((one, zero), (zero, one))
         for k in range(4):
-            assert (a**k).entries == expected
-            expected = ring_product(expected, a.entries)
+            assert a**k == endo(expected)
+            expected = ring_product(expected, ra)
 
 
 def test_endo_determinant_multiplicative() -> None:
+    # det M is the norm of det h (its square in the integer ring), and both
+    # determinants are multiplicative.
     rng = random.Random(5566)
     for ring in ALL_RINGS:
         for _ in range(15):
-            a = random_endo(rng, ring)
-            b = random_endo(rng, ring)
+            ra, rb = random_rows(rng, ring), random_rows(rng, ring)
+            a, b = endo(ra).induced_matrix(), endo(rb).induced_matrix()
             assert (a @ b).det() == a.det() * b.det()
+            assert ring_det(ring_product(ra, rb)) == ring_det(ra) * ring_det(rb)
+            assert a.det() == ring_det(ra).norm()
 
 
 def test_multiplicative_orders() -> None:
     assert zeta_diag(RingId.EISENSTEIN).multiplicative_order() == 3
     assert zeta_diag(RingId.GAUSSIAN).multiplicative_order() == 4
-    minus = TorusEndo.diagonal(
+    minus = diag(
         -RingElem.one(RingId.RATIONAL_INT), -RingElem.one(RingId.RATIONAL_INT)
     )
     assert minus.multiplicative_order() == 2
     ring = RingId.RATIONAL_INT
-    rot6 = TorusEndo(
+    rot6 = endo(
         [
             [RingElem(ring, 1), RingElem(ring, -1)],
             [RingElem(ring, 1), RingElem(ring, 0)],
         ]
     )
     assert rot6.multiplicative_order() == 6
-    shear = TorusEndo(
+    shear = endo(
         [
             [RingElem(ring, 1), RingElem(ring, 1)],
             [RingElem(ring, 0), RingElem(ring, 1)],
@@ -166,7 +190,7 @@ def test_multiplicative_orders() -> None:
         shear.multiplicative_order()
     zero = RingElem.zero(ring)
     with pytest.raises(UnsupportedAutomorphismError):
-        TorusEndo([[zero, zero], [zero, zero]]).multiplicative_order()
+        endo([[zero, zero], [zero, zero]]).multiplicative_order()
 
 
 def test_automorphism_orders() -> None:
@@ -182,8 +206,8 @@ def test_automorphism_orders() -> None:
     # the three iterates, so it does not stretch the order at all.
     third = TorusPoint.from_vector(("0", "0", "1/3", "0"))
     assert TorusAuto(h, third).order() == 3
-    assert TorusAuto(TorusEndo.identity(eis), third).order() == 3
-    assert TorusAuto.identity(eis).order() == 1
+    assert TorusAuto(TorusEndo.identity(), third).order() == 3
+    assert TorusAuto.identity().order() == 1
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
@@ -201,7 +225,7 @@ def test_power_matches_repeated_composition(ring: RingId) -> None:
     rng = random.Random(7788)
     for _ in range(10):
         psi = TorusAuto(zeta_diag(ring), random_point(rng))
-        assert psi**0 == TorusAuto.identity(ring)
+        assert psi**0 == TorusAuto.identity()
         accumulated = psi
         for k in range(1, 6):
             assert psi**k == accumulated
@@ -232,7 +256,7 @@ def test_orbit_sum_trivial_length() -> None:
     ring = RingId.GAUSSIAN
     psi = TorusAuto(zeta_diag(ring), TorusPoint.origin())
     summed, constant = orbit_sum_data(psi, 1)
-    assert summed == TorusEndo.identity(ring)
+    assert summed == TorusEndo.identity()
     assert constant.is_origin()
 
 
@@ -277,7 +301,7 @@ def test_integer_ring_points_keep_both_periods() -> None:
     )
     assert len(set(torsion_points(6))) == 6**4
     # h acts as h on either period: the induced matrix is h tensor I_2.
-    rot = TorusEndo(
+    rot = endo(
         [
             [RingElem(ring, 1), RingElem(ring, -1)],
             [RingElem(ring, 1), RingElem(ring, 0)],
@@ -354,7 +378,7 @@ def test_catalog_powers_and_orders_agree_with_repeated_apply(ring: RingId) -> No
     # exponents 0..2*order+1: with m the order of the linear part and
     # e = q*m + r, the quotient q reaches 2.
     rng = random.Random(2468)
-    identity = TorusAuto.identity(ring)
+    identity = TorusAuto.identity()
     for linear in linear_candidates(ring, 1):
         auto = TorusAuto(linear, random_point(rng, rng.randint(1, 6)))
         order = auto.order()
@@ -390,17 +414,17 @@ def test_constructor_names_the_reason_for_rejection() -> None:
     one, zero = RingElem.one(ring), RingElem.zero(ring)
     origin = TorusPoint.origin()
     non_units = [
-        TorusEndo.diagonal(RingElem(ring, 2), one),
-        TorusEndo([[zero, zero], [zero, zero]]),
-        TorusEndo([[one, RingElem.zeta(ring)], [one, RingElem.zeta(ring)]]),
+        diag(RingElem(ring, 2), one),
+        endo([[zero, zero], [zero, zero]]),
+        endo([[one, RingElem.zeta(ring)], [one, RingElem.zeta(ring)]]),
     ]
     for linear in non_units:
         with pytest.raises(UnsupportedAutomorphismError, match="unit determinant"):
             TorusAuto(linear, origin)
-    shear = TorusEndo([[one, one], [zero, one]])
-    assert shear.det().is_unit()
+    shear = [[one, one], [zero, one]]
+    assert ring_det(shear).is_unit()
     with pytest.raises(UnsupportedAutomorphismError, match="infinite order"):
-        TorusAuto(shear, origin)
+        TorusAuto(endo(shear), origin)
 
 
 @pytest.mark.parametrize(
@@ -416,11 +440,40 @@ def test_finite_order_catalog_matrices_have_unit_determinant(
     entries = ring_elements_up_to_norm(ring, 2)
     count = 0
     for rows in itertools.product(entries, repeat=4):
-        endo = TorusEndo((rows[:2], rows[2:]))
+        rows = (rows[:2], rows[2:])
         try:
-            matrix_order(endo.induced_matrix())
+            matrix_order(induced_matrix(rows))
         except ValueError:
             continue
-        assert endo.det().is_unit()
+        assert ring_det(rows).is_unit()
         count += 1
     assert count == finite
+
+
+def test_linear_part_is_a_4x4_integer_matrix() -> None:
+    one = RingElem.one(RingId.GAUSSIAN)
+    for refused in (
+        [[one, one], [one, one]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        IntMatrix.identity(2),
+    ):
+        with pytest.raises(TypeError):
+            TorusEndo(refused)
+    assert TorusEndo(IntMatrix.identity(4)) == TorusEndo.identity()
+
+
+@pytest.mark.parametrize(
+    "ring, max_norm",
+    [(ring, norm) for ring in ALL_RINGS for norm in (1, 2)],
+)
+def test_multiplier_from_blocks_matches_ring_route(ring: RingId, max_norm: int) -> None:
+    # A D - B C over the blocks of the induced matrix has the order of the
+    # regular representation of det h, computed in the ring from the
+    # entries read back from the blocks.
+    for linear in linear_candidates(ring, max_norm):
+        m = linear.induced_matrix()
+        rows = [[RingElem(ring, m[i][j], m[i + 1][j]) for j in (0, 2)] for i in (0, 2)]
+        assert induced_matrix(rows) == m
+        det = ring_det(rows)
+        reference = matrix_order(IntMatrix(det.regular_representation()))
+        assert linear.multiplier_order() == reference
