@@ -13,7 +13,6 @@ from .enriques import (
     is_irreducible_feasible,
 )
 from .fixedpoint import (
-    CertificateOutcome,
     FixedPointReport,
     FreenessCertificate,
     FreenessReport,
@@ -34,7 +33,6 @@ from .lattice import (
     verify_witness,
 )
 from .lefschetz import (
-    CharacterCounts,
     DegenerateActionError,
     NonIntegralLefschetzError,
     companion_matrix,
@@ -73,8 +71,6 @@ from .torus import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificateOutcome",
-    "CharacterCounts",
     "DegenerateActionError",
     "DimensionMismatchError",
     "FactorDecomposition",

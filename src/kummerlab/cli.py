@@ -384,7 +384,7 @@ def _certificate_payload(cert) -> dict:
     data: dict = {
         "element_power": cert.element_power,
         "orbit_type": list(cert.orbit_type),
-        "outcome": cert.outcome.value,
+        "outcome": "obstructed" if cert.witness is None else "fixed_point",
     }
     if cert.witness is not None:
         data["witness"] = [
@@ -453,9 +453,9 @@ def _run_characters(args: argparse.Namespace) -> tuple[dict, int]:
     counts = invariant_character_counts(auto.linear.induced_matrix(), args.n)
     payload = _auto_payload(args, auto)
     payload["command"] = "characters"
-    payload["modulus"] = counts.modulus
-    payload["counts"] = {str(d): c for d, c in counts.counts}
-    payload["total"] = counts.total()
+    payload["modulus"] = args.n
+    payload["counts"] = {str(d): c for d, c in counts.items()}
+    payload["total"] = sum(counts.values())
     return payload, EXIT_OK
 
 

@@ -29,7 +29,6 @@ normal-form machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import product
 from math import lcm
@@ -77,39 +76,35 @@ def orbit_types(n: int, m: int) -> list[tuple[int, ...]]:
     return found
 
 
-class CertificateOutcome(Enum):
-    FIXED_POINT = "fixed_point"
-    OBSTRUCTED = "obstructed"
-
-
 @dataclass(frozen=True)
 class FreenessCertificate:
     """Re-checkable evidence for one orbit type of one tested power.
 
-    An obstruction is ``(f, f . b, q)`` for the orbit system ``T z = b / q``
-    of the tested element, all integers: the functional pairs with the
-    constants to ``(f . b) / q``, and ``q`` is the tested element's torsion
-    level, which can be smaller than the base map's.
+    A certificate carries a witness, the base points of a fixed
+    configuration, or an obstruction, and which one it carries says which
+    it is.  An obstruction is ``(f, f . b, q)`` for the orbit system
+    ``T z = b / q`` of the tested element, all integers: the functional
+    pairs with the constants to ``(f . b) / q``, and ``q`` is the tested
+    element's torsion level, which can be smaller than the base map's.
     """
 
     element_power: int
     orbit_type: tuple[int, ...]
-    outcome: CertificateOutcome
     witness: tuple[TorusPoint, ...] | None = None
     obstruction: tuple[tuple[int, ...], int, int] | None = None
 
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    found: bool
     certificates: tuple[FreenessCertificate, ...]
 
-    def __bool__(self) -> bool:
-        return self.found
+    @property
+    def found(self) -> bool:
+        return self.first_witness() is not None
 
     def first_witness(self) -> FreenessCertificate | None:
         for cert in self.certificates:
-            if cert.outcome is CertificateOutcome.FIXED_POINT:
+            if cert.witness is not None:
                 return cert
         return None
 
@@ -122,12 +117,12 @@ class PowerTest:
 
 @dataclass(frozen=True)
 class FreenessReport:
-    free: bool
     order: int
     tested: tuple[PowerTest, ...]
 
-    def __bool__(self) -> bool:
-        return self.free
+    @property
+    def free(self) -> bool:
+        return not any(t.report.found for t in self.tested)
 
 
 def orbit_system(
@@ -214,12 +209,7 @@ def has_fixed_point(
                 for i in range(len(orbit_type))
             )
             certificates.append(
-                FreenessCertificate(
-                    element_power,
-                    orbit_type,
-                    CertificateOutcome.FIXED_POINT,
-                    witness=points,
-                )
+                FreenessCertificate(element_power, orbit_type, witness=points)
             )
             if stop_at_first:
                 break
@@ -229,14 +219,10 @@ def has_fixed_point(
                 FreenessCertificate(
                     element_power,
                     orbit_type,
-                    CertificateOutcome.OBSTRUCTED,
                     obstruction=(functional, pairing, level),
                 )
             )
-    found = any(
-        c.outcome is CertificateOutcome.FIXED_POINT for c in certificates
-    )
-    return FixedPointReport(found, tuple(certificates))
+    return FixedPointReport(tuple(certificates))
 
 
 def group_acts_freely(
@@ -258,20 +244,18 @@ def group_acts_freely(
     _require_descends(auto, n)
     order = auto.order()
     tested: list[PowerTest] = []
-    free = True
     for p, _ in factorize(order):
         power = order // p
         report = has_fixed_point(
-            auto.power(power), n, element_power=power, stop_at_first=stop_at_first
+            auto**power, n, element_power=power, stop_at_first=stop_at_first
         )
         tested.append(PowerTest(power, report))
-        if report.found:
-            free = False
-            if stop_at_first:
-                break
-    if free and not symplectic_screen(order, auto.linear.multiplier_order(), n):
+        if report.found and stop_at_first:
+            break
+    result = FreenessReport(order, tuple(tested))
+    if result.free and not symplectic_screen(order, auto.linear.multiplier_order(), n):
         raise SelfCheckError(f"free order-{order} verdict fails the screen at n={n}")
-    return FreenessReport(free, order, tuple(tested))
+    return result
 
 
 def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate) -> bool:
@@ -279,13 +263,16 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
 
     Witnesses are verified by direct orbit expansion (no normal forms);
     obstructions by re-assembling the system and pairing the functional.
+    A certificate that carries both or neither is rejected.
     """
     element = auto**certificate.element_power
     lengths = certificate.orbit_type
     if sum(lengths) != n or any(l < 1 for l in lengths):
         return False
-    if certificate.outcome is CertificateOutcome.FIXED_POINT:
-        if certificate.witness is None or len(certificate.witness) != len(lengths):
+    if (certificate.witness is None) == (certificate.obstruction is None):
+        return False
+    if certificate.witness is not None:
+        if len(certificate.witness) != len(lengths):
             return False
         total = TorusPoint.origin()
         for l, base in zip(lengths, certificate.witness):
@@ -296,8 +283,6 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
             if point != base:
                 return False
         return total.is_origin()
-    if certificate.obstruction is None:
-        return False
     functional, _, _ = certificate.obstruction
     system, constants, level = orbit_system(element, lengths)
     return verify_obstruction(system, constants, level, functional)

@@ -56,14 +56,18 @@ class EnumerationTooLargeError(ValueError):
 class SolvabilityResult:
     """Outcome of a torus-solvability decision on ``T z = b / q``.
 
-    Exactly one of ``witness`` and ``obstruction`` is populated.  The
-    witness is ``(w, D)``, the solution ``w / D``; the obstruction is
-    ``(f, f @ b)``, the functional with its pairing numerator over ``q``.
+    Exactly one of ``witness`` and ``obstruction`` is populated; the
+    system is solvable when the witness is.  The witness is ``(w, D)``,
+    the solution ``w / D``; the obstruction is ``(f, f @ b)``, the
+    functional with its pairing numerator over ``q``.
     """
 
-    solvable: bool
     witness: tuple[tuple[int, ...], int] | None
     obstruction: tuple[tuple[int, ...], int] | None
+
+    @property
+    def solvable(self) -> bool:
+        return self.witness is not None
 
     def __bool__(self) -> bool:
         return self.solvable
@@ -107,7 +111,7 @@ def _decide(system: IntMatrix, constants, modulus: int, form) -> SolvabilityResu
             functional = u[i]
             if not verify_obstruction(system, constants, modulus, functional):
                 raise SelfCheckError("obstruction failed its re-check")
-            return SolvabilityResult(False, None, (functional, ub[i]))
+            return SolvabilityResult(None, (functional, ub[i]))
     # y_i = ub_i / (q d_i) over the common denominator q * lcm(d_i).
     scale = lcm(1, *diagonal[:rank])
     y = [ub[i] * (scale // diagonal[i]) for i in range(rank)]
@@ -116,7 +120,7 @@ def _decide(system: IntMatrix, constants, modulus: int, form) -> SolvabilityResu
     witness = (tuple(x % denominator for x in v.apply_int(y)), denominator)
     if not verify_witness(system, constants, modulus, witness):
         raise SelfCheckError("witness failed its re-check")
-    return SolvabilityResult(True, witness, None)
+    return SolvabilityResult(witness, None)
 
 
 def _smith_form(system: IntMatrix) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:

@@ -21,7 +21,6 @@ apply (the fixed-point-free regime), which raises :class:`DegenerateActionError`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
 from .lattice import translation_classes
@@ -109,29 +108,7 @@ def _mobius(n: int) -> int:
     return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
-@dataclass(frozen=True)
-class CharacterCounts:
-    """Counts of dual-torsion characters fixed by the action, by exact order.
-
-    ``counts`` pairs each divisor ``d`` of ``modulus`` with the number of
-    invariant characters of exact order ``d``; the trivial character always
-    contributes ``(1, 1)``.
-    """
-
-    modulus: int
-    counts: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
-    def __getitem__(self, divisor: int) -> int:
-        return self.as_dict()[divisor]
-
-
-def invariant_character_counts(m: IntMatrix, n: int) -> CharacterCounts:
+def invariant_character_counts(m: IntMatrix, n: int) -> dict[int, int]:
     """Census of ``n``-torsion characters fixed by the transposed action.
 
     A character ``chi`` in ``(Z/n)^4`` is invariant when
@@ -145,11 +122,14 @@ def invariant_character_counts(m: IntMatrix, n: int) -> CharacterCounts:
     return character_census(moduli, n)
 
 
-def character_census(moduli, n: int) -> CharacterCounts:
+def character_census(moduli, n: int) -> dict[int, int]:
     """Exact-order counts of the elements of ``prod Z/g_i``, each ``g_i | n``.
 
-    ``prod gcd(g_i, e)`` elements have order dividing ``e``, and exact-order
-    counts follow by Moebius inversion over the divisors of ``n``.
+    The census maps each divisor ``d`` of ``n``, in ascending order, to the
+    number of elements of exact order ``d``; the trivial element always
+    gives ``{1: 1}``.  ``prod gcd(g_i, e)`` elements have order dividing
+    ``e``, and exact-order counts follow by Moebius inversion over the
+    divisors of ``n``.
     """
     if n < 1:
         raise ValueError("the torsion modulus must be positive")
@@ -158,14 +138,13 @@ def character_census(moduli, n: int) -> CharacterCounts:
     def dividing(e: int) -> int:
         return prod(gcd(g, e) for g in moduli)
 
-    counts = []
-    for div in divisors(n):
-        exact = sum(_mobius(div // e) * dividing(e) for e in divisors(div))
-        counts.append((div, exact))
-    result = CharacterCounts(n, tuple(counts))
+    result = {
+        div: sum(_mobius(div // e) * dividing(e) for e in divisors(div))
+        for div in divisors(n)
+    }
     if result[1] != 1:
         raise SelfCheckError("the trivial character must be counted once")
-    if result.total() != dividing(n):
+    if sum(result.values()) != dividing(n):
         raise SelfCheckError("exact-order counts must sum to the invariant total")
     return result
 
@@ -196,15 +175,15 @@ def lefschetz_kummer(m: IntMatrix, n: int) -> int:
 
 
 def lefschetz_from_census(
-    series: TruncatedSeries, census: CharacterCounts, base: int
+    series: TruncatedSeries, census: dict[int, int], base: int
 ) -> int:
     """``sum N_d * [t^(n/d)] F`` over the census, divided by ``base != 0``.
 
-    ``n`` is the census modulus; the division must be exact.
+    ``n`` is the largest divisor in the census; the division must be exact.
     """
-    n = census.modulus
+    n = max(census)
     weighted = 0
-    for divisor, count in census.counts:
+    for divisor, count in census.items():
         weighted += count * series[n // divisor]
     if weighted % base != 0:
         raise NonIntegralLefschetzError(

@@ -45,9 +45,12 @@ class SearchResult:
 
     linear: TorusEndo
     translation: TorusPoint
-    order: int
     report: FreenessReport
     classification: QuotientClassification
+
+    @property
+    def order(self) -> int:
+        return self.report.order
 
 
 def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
@@ -151,7 +154,6 @@ def run_search(
                 SearchResult(
                     linear=linear,
                     translation=a,
-                    order=order,
                     report=report,
                     classification=classify_free_quotient(n, order),
                 )

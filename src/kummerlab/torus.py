@@ -293,7 +293,7 @@ class TorusAuto:
             self._linear.apply(other._translation) + self._translation,
         )
 
-    def power(self, exponent: int) -> "TorusAuto":
+    def __pow__(self, exponent: int) -> "TorusAuto":
         """The ``exponent``-th iterate, ``(t_a h)^e = t_{P_e a} h^e``.
 
         With ``m`` the order of the linear part and ``e = q m + r``, the
@@ -322,9 +322,6 @@ class TorusAuto:
         order = self._order_cache
         power._order_cache = None if order is None else order // gcd(order, exponent)
         return power
-
-    def __pow__(self, exponent: int) -> "TorusAuto":
-        return self.power(exponent)
 
     def order(self) -> int:
         """Order as a group element.

@@ -395,7 +395,7 @@ def build_panel() -> list[PanelItem]:
         PanelItem(
             "character_counts_order5",
             {1: 1, 5: 4},
-            lambda: invariant_character_counts(order5_matrix(), 5).as_dict(),
+            lambda: invariant_character_counts(order5_matrix(), 5),
         ),
         PanelItem(
             "character_counts_order5_exhaustive",

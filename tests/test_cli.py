@@ -383,27 +383,55 @@ def test_lefschetz_computes_each_part_once(capsys, monkeypatch) -> None:
     assert calls == {"kummer_series": 1, "lefschetz_torus": 1, "translation_classes": 1}
 
 
+def freeness_argv(ring: str, h: str, a: str, n: int) -> list[str]:
+    return ["freeness", "--ring", ring, "--h", h, "--a", a, "--n", str(n)]
+
+
 # sha256 of the default (JSON) ``freeness`` output, pinned so that witness
 # points and obstruction pairings keep their bytes.
 FREENESS_DIGESTS = [
-    ("eisenstein", "[[z,0],[0,1]]", "(1/3,1/3)", 12,
+    (freeness_argv("eisenstein", "[[z,0],[0,1]]", "(1/3,1/3)", 12),
      "597fdd044a5a3332c23fc4e68f408e5088f58de54476eadc156a97c9095370b7"),
-    ("gaussian", "[[z,0],[0,1]]", "(1/4,1/4)", 12,
+    (freeness_argv("gaussian", "[[z,0],[0,1]]", "(1/4,1/4)", 12),
      "1d4a68bc6ada0ae19439e2e355b5ece4ce63ebacb70346c214b6d199e0344e9e"),
-    ("eisenstein", "[[1+z,0],[0,1]]", "(1/6,1/6)", 6,
+    (freeness_argv("eisenstein", "[[1+z,0],[0,1]]", "(1/6,1/6)", 6),
      "dbaa36234211e56775360d4d0d61036a1763a4dffd1927afa410af971e83a7b3"),
-    ("gaussian", "[[z,0],[0,1]]", "(1/2,1/4)", 4,
+    (freeness_argv("gaussian", "[[z,0],[0,1]]", "(1/2,1/4)", 4),
      "27fa4aa31ebb39cd2928dd16313930762dd523a2aeea80676180b5e94bbd25a1"),
+]
+
+# The same for the character census and the Lefschetz number.
+CENSUS_DIGESTS = [
+    (["characters", "--ring", "eisenstein", "--h", "[[z,0],[0,z]]",
+      "--a", "(0,0)", "--n", "3"],
+     "6093732c7c93726900698cc49f41985d5ab7ec26f80094d6f80ea6df3883552e"),
+    (["characters", "--ring", "gaussian", "--h", "[[z,0],[0,1]]",
+      "--a", "(0,0)", "--n", "12"],
+     "c7db54ffece283c97d26c2d6cabc06ea39e94eb3395f1f1cb59ddda34edad5f0"),
+    (["lefschetz", "--ring", "gaussian", "--h", "[[z,0],[0,z]]",
+      "--a", "(1/4+1/4*z,0)", "--n", "4"],
+     "4b25ad189b8d54d37c1840a0bb4ed0e9df59402d5a0bfead09e4ef4d16f68594"),
+    (["lefschetz", "--ring", "integer", "--h", "[[0,-1],[1,-1]]",
+      "--a", "(0,0)", "--n", "3"],
+     "3827a8c76990d1e16075d2db09c3f7bb5f050ba5c168d031f779887f4e2cba9b"),
 ]
 
 
 @pytest.mark.parametrize(
-    "ring, h, a, n, digest",
-    FREENESS_DIGESTS,
-    ids=["eisenstein-12", "gaussian-12", "eisenstein-6-not-free", "gaussian-4-not-free"],
+    "argv, digest",
+    FREENESS_DIGESTS + CENSUS_DIGESTS,
+    ids=[
+        "eisenstein-12",
+        "gaussian-12",
+        "eisenstein-6-not-free",
+        "gaussian-4-not-free",
+        "characters-eisenstein-3",
+        "characters-gaussian-12",
+        "lefschetz-gaussian-4",
+        "lefschetz-integer-3",
+    ],
 )
-def test_freeness_certificate_bytes_are_pinned(capsys, ring, h, a, n, digest) -> None:
-    argv = ["freeness", "--ring", ring, "--h", h, "--a", a, "--n", str(n)]
+def test_freeness_certificate_bytes_are_pinned(capsys, argv, digest) -> None:
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -415,8 +443,7 @@ def test_memos_carry_no_state_between_calls(capsys, clear_memos) -> None:
     # other linear parts and orbit types, and again from cleared memos.
     def anchors() -> list[str]:
         outputs = []
-        for ring, h, a, n, digest in FREENESS_DIGESTS[:2]:
-            argv = ["freeness", "--ring", ring, "--h", h, "--a", a, "--n", str(n)]
+        for argv, digest in FREENESS_DIGESTS[:2]:
             code, out = run_cli(capsys, argv)
             assert code == EXIT_OK
             assert hashlib.sha256(out.encode()).hexdigest() == digest

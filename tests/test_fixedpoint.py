@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import random
@@ -16,10 +17,11 @@ import pytest
 from kummerlab import fixedpoint
 from kummerlab.fixedpoint import (
     GRID_LEVEL_CAP,
-    CertificateOutcome,
     FixedPointReport,
     FreenessCertificate,
+    FreenessReport,
     NotNTorsionError,
+    PowerTest,
     brute_force_fixed_point,
     group_acts_freely,
     has_fixed_point,
@@ -28,10 +30,19 @@ from kummerlab.fixedpoint import (
     verify_certificate,
 )
 from kummerlab import lattice
-from kummerlab.lattice import torus_system_solvable, translation_classes
+from kummerlab.lattice import (
+    SolvabilityResult,
+    torus_system_solvable,
+    translation_classes,
+)
 from kummerlab.linalg import IntMatrix, SelfCheckError
 from kummerlab.rings import RingElem, RingId, induced_matrix, zeta6
-from kummerlab.search import linear_candidates, run_search, torsion_points
+from kummerlab.search import (
+    SearchResult,
+    linear_candidates,
+    run_search,
+    torsion_points,
+)
 from kummerlab.torus import TorusAuto, TorusEndo, TorusPoint, orbit_sum_data
 from kummerlab.verify import freeness_instances
 
@@ -126,7 +137,7 @@ def test_order3_action_is_free() -> None:
     certificates = report.tested[0].report.certificates
     assert len(certificates) == len(orbit_types(3, 3))
     for cert in certificates:
-        assert cert.outcome is CertificateOutcome.OBSTRUCTED
+        assert cert.witness is None
         assert verify_certificate(psi_order3(), 3, cert)
 
 
@@ -147,6 +158,25 @@ def test_shifted_order3_action_has_fixed_configuration() -> None:
             current = psi.apply(current)
         assert current == base
     assert total.is_origin()
+
+
+def test_verdicts_are_read_from_the_evidence() -> None:
+    # Results store the evidence only, so no report can contradict it.
+    # The order of the map is stored once, in its freeness report.
+    verdicts = {"outcome", "found", "free", "solvable", "order"}
+    for cls, stored in (
+        (FreenessCertificate, set()),
+        (FixedPointReport, set()),
+        (FreenessReport, {"order"}),
+        (SolvabilityResult, set()),
+        (SearchResult, set()),
+    ):
+        assert verdicts & {f.name for f in dataclasses.fields(cls)} == stored, cls
+    cert = has_fixed_point(psi_order3_shifted(), 3).first_witness()
+    report = FixedPointReport((cert,))
+    assert report.found
+    assert not FreenessReport(3, (PowerTest(1, report),)).free
+    assert FreenessReport(1, ()).free
 
 
 def test_order4_action_is_free_but_halfpoint_is_not() -> None:
@@ -362,47 +392,54 @@ def test_certificate_tampering_is_rejected() -> None:
     moved = FreenessCertificate(
         cert.element_power,
         cert.orbit_type,
-        cert.outcome,
         witness=(cert.witness[0] + half,) + cert.witness[1:],
     )
     assert not verify_certificate(psi, 3, moved)
     wrong_type = FreenessCertificate(
-        cert.element_power,
-        (1,),
-        cert.outcome,
-        witness=cert.witness[:1],
+        cert.element_power, (1,), witness=cert.witness[:1]
     )
     assert not verify_certificate(psi, 3, wrong_type)
     # Lengths must be positive: a negative part would let a longer
     # configuration, here the origin taken four times, pass for length 3.
     linear = TorusAuto(psi.linear, TorusPoint.origin())
     origin = TorusPoint.origin()
-    longer = FreenessCertificate(
-        1, (4, -1), CertificateOutcome.FIXED_POINT, witness=(origin, origin)
-    )
+    longer = FreenessCertificate(1, (4, -1), witness=(origin, origin))
     assert not verify_certificate(linear, 3, longer)
-    missing = FreenessCertificate(
-        cert.element_power, cert.orbit_type, cert.outcome, witness=None
-    )
+    # A certificate is its witness or its obstruction: one carrying both,
+    # or neither, is rejected.
+    missing = FreenessCertificate(cert.element_power, cert.orbit_type)
     assert not verify_certificate(psi, 3, missing)
+    obstruction = group_acts_freely(psi_order3(), 3).tested[0].report.certificates[0]
+    both = FreenessCertificate(
+        cert.element_power,
+        cert.orbit_type,
+        witness=cert.witness,
+        obstruction=obstruction.obstruction,
+    )
+    assert not verify_certificate(psi, 3, both)
 
 
 def test_obstruction_tampering_is_rejected() -> None:
     psi = psi_order3()
     report = group_acts_freely(psi, 3)
     cert = report.tested[0].report.certificates[0]
-    assert cert.outcome is CertificateOutcome.OBSTRUCTED
+    assert cert.witness is None
     zeroed = FreenessCertificate(
         cert.element_power,
         cert.orbit_type,
-        cert.outcome,
         obstruction=(tuple(0 for _ in cert.obstruction[0]), *cert.obstruction[1:]),
     )
     assert not verify_certificate(psi, 3, zeroed)
-    missing = FreenessCertificate(
-        cert.element_power, cert.orbit_type, cert.outcome, obstruction=None
-    )
+    missing = FreenessCertificate(cert.element_power, cert.orbit_type)
     assert not verify_certificate(psi, 3, missing)
+    witness = has_fixed_point(psi_order3_shifted(), 3).first_witness()
+    both = FreenessCertificate(
+        cert.element_power,
+        cert.orbit_type,
+        witness=witness.witness[:1],
+        obstruction=cert.obstruction,
+    )
+    assert not verify_certificate(psi, 3, both)
 
 
 def test_obstruction_pairings_are_integers_over_the_tested_level() -> None:
@@ -535,7 +572,7 @@ def test_catalog_cache_changes_no_report_or_system(
 # A decider that never finds a fixed point calls every group free; the
 # symplectic screen must catch each clause it breaks.
 def never_fixed(*args, **kwargs) -> FixedPointReport:
-    return FixedPointReport(False, ())
+    return FixedPointReport(())
 
 
 @pytest.mark.parametrize(
@@ -561,7 +598,7 @@ import sys
 import kummerlab.fixedpoint as fixedpoint
 from kummerlab.cli import main
 
-fixedpoint.has_fixed_point = lambda *args, **kwargs: fixedpoint.FixedPointReport(False, ())
+fixedpoint.has_fixed_point = lambda *args, **kwargs: fixedpoint.FixedPointReport(())
 sys.exit(main(sys.argv[1:]))
 """
 

@@ -400,9 +400,8 @@ def test_powers_inherit_the_orders_of_fresh_maps(ring: RingId) -> None:
     for auto in sampled_autos(ring, 40, 9753):
         auto.order()
         for e in range(2 * auto.order() + 2):
-            power = auto.power(e)
+            power = auto**e
             fresh = TorusAuto(power.linear, power.translation)
-            assert power == auto**e
             assert power.order() == fresh.order()
             assert power.linear.multiplicative_order() == (
                 fresh.linear.multiplicative_order()
