@@ -7,8 +7,10 @@ Bareiss determinant serves the Lefschetz numbers and the cross-checks.
 The package's one binary power, factorisation and multiplicative order
 live here too.
 
-A Smith form certifies itself exactly, with a zero-skipping product and an
-inverse pair in place of determinants; :func:`smith_normal_form` says how.
+A Smith form certifies itself exactly, with inverse pairs in place of
+determinants, the transform checked as ``U * A = D * V^-1`` by a
+zero-skipping product, and ``D`` checked to be a non-negative diagonal
+divisor chain; :func:`smith_normal_form` says how.
 """
 
 from __future__ import annotations
@@ -311,10 +313,14 @@ def _smith_elimination(a: IntMatrix):
         u_inv_t[src] = [x - k * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
 
     def add_col(src: int, dst: int, k: int) -> None:
+        # Only rows with a nonzero entry in ``src`` change; after the row
+        # step that is usually the pivot row of ``d`` alone.
         for row in d:
-            row[dst] += k * row[src]
+            if row[src]:
+                row[dst] += k * row[src]
         for row in v:
-            row[dst] += k * row[src]
+            if row[src]:
+                row[dst] += k * row[src]
         v_inv[src] = [x - k * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     def find_pivot(t: int) -> tuple[int, int] | None:
@@ -357,6 +363,9 @@ def _smith_elimination(a: IntMatrix):
                         dirty = True
             if dirty:
                 continue
+            if pivot in (1, -1):
+                # A unit divides every entry, so there is no offender.
+                break
             offender = None
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):
@@ -395,28 +404,37 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     The output certifies itself before it is returned, exactly and at about
     the cost of the elimination, and raises :class:`SelfCheckError` on a
     mismatch.  The checks are not ``assert`` statements, so they also run
-    under ``python -O``:
+    under ``python -O``.  They run in this order, each with its own message:
 
-    * ``U @ a @ V == D`` is checked with the matrix product, which skips
-      zero entries, so the sparse orbit systems and their transforms are
-      cheap to multiply;
-    * unimodularity is checked without determinants: the elimination also
-      builds ``U^-1`` and ``V^-1`` by the inverse elementary operations, and
-      ``U @ U^-1 == I`` and ``V @ V^-1 == I`` are checked with the same
-      product.  Integer matrices ``X`` and ``Y`` with ``X @ Y == I`` both
-      have determinant ``+-1``, so this is an exact proof;
-    * the diagonal must be a divisor chain.
+    * unimodularity, without determinants: the elimination also builds
+      ``U^-1`` and ``V^-1`` by the inverse elementary operations, and
+      ``U @ U^-1 == I`` and ``V @ V^-1 == I`` are checked with the matrix
+      product, which skips zero entries.  Integer matrices ``X`` and ``Y``
+      with ``X @ Y == I`` both have determinant ``+-1``, so this is an
+      exact proof;
+    * the transform, as ``U @ a == D @ V^-1``.  Multiplying on the right by
+      ``V`` and using ``V^-1 @ V == I``, which follows from the checked
+      ``V @ V^-1 == I`` for square matrices, gives ``U @ a @ V == D``
+      exactly.  ``D @ V^-1`` costs about ``nnz(D) * cols``, so no dense
+      product with ``V`` is formed;
+    * ``D`` is diagonal with non-negative entries;
+    * the diagonal is a divisor chain.
     """
     u, d, v, u_inv_t, v_inv = _smith_elimination(a)
     mu, md, mv = IntMatrix._of(u), IntMatrix._of(d), IntMatrix._of(v)
-    if mu @ a @ mv != md:
-        raise SelfCheckError("Smith normal form transform check failed")
+    mv_inv = IntMatrix._of(v_inv)
     # U @ U^-1 == I is checked in its transposed form U^-T @ U^T == I.
     if IntMatrix._of(u_inv_t) @ mu.transpose() != IntMatrix.identity(a.rows) or (
-        mv @ IntMatrix._of(v_inv) != IntMatrix.identity(a.cols)
+        mv @ mv_inv != IntMatrix.identity(a.cols)
     ):
         raise SelfCheckError("Smith normal form transforms are not unimodular")
+    if mu @ a != md @ mv_inv:
+        raise SelfCheckError("Smith normal form transform check failed")
     diag = [md[i][i] for i in range(min(a.rows, a.cols))]
+    # D is diagonal when its only nonzero entries are those of the diagonal.
+    nonzeros = sum(a.cols - row.count(0) for row in md.entries)
+    if nonzeros != len(diag) - diag.count(0) or min(diag) < 0:
+        raise SelfCheckError("Smith normal form D is not a non-negative diagonal")
     for x, y in zip(diag, diag[1:]):
         if not ((x == 0 and y == 0) or (x != 0 and y % x == 0)):
             raise SelfCheckError("Smith normal form diagonal is not a divisor chain")

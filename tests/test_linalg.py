@@ -14,6 +14,7 @@ import pytest
 
 import kummerlab.lattice as lattice
 import kummerlab.search as search
+from kummerlab.cli import main
 from kummerlab.linalg import (
     IntMatrix,
     binary_power,
@@ -164,6 +165,60 @@ def test_smith_forms_of_the_eisenstein_sweep_are_pinned(
     assert len(class_forms) == SWEEP_CLASS_FORMS
 
 
+# The same pin for the Smith forms that the two free n=12 ``freeness``
+# anchors take from cold memos, in call order: 12 systems, the largest
+# 52x48.  The digest was computed before the unit-pivot shortcut and the
+# row-sparse column operation, so it holds them to the same transforms.
+ANCHOR_SMITH_FORMS = 12
+ANCHOR_SMITH_DIGEST = "42d8509f2e251a77d159c3747acf36e33ad88de277b9606dcfef0b4c4bd903b6"
+
+
+def test_smith_forms_of_the_freeness_anchors_are_pinned(
+    monkeypatch, capsys, clear_memos
+) -> None:
+    forms = []
+
+    def recording(a: IntMatrix):
+        form = smith_normal_form(a)
+        forms.append(form)
+        return form
+
+    clear_memos()
+    monkeypatch.setattr(lattice, "smith_normal_form", recording)
+    for ring, point in (("eisenstein", "(1/3,1/3)"), ("gaussian", "(1/4,1/4)")):
+        argv = ["freeness", "--ring", ring, "--h", "[[z,0],[0,1]]", "--a", point]
+        assert main([*argv, "--n", "12"]) == 0
+    capsys.readouterr()
+    assert len(forms) == ANCHOR_SMITH_FORMS
+    assert max((d.rows, d.cols) for _, d, _ in forms) == (52, 48)
+    digest = hashlib.sha256("\n".join(map(repr, forms)).encode()).hexdigest()
+    assert digest == ANCHOR_SMITH_DIGEST
+
+
+# And for 300 seeded random systems of up to 8x8 with entries in [-6, 6],
+# dense and sparse.  Unlike the orbit systems, whose pivots are mostly
+# units, they take 254 non-unit pivots and 49 repairs of a pivot that does
+# not divide the rest of its block.
+RANDOM_SMITH_DIGEST = "6d9e4d07023bf0adc599e0f1a5bff56ab4e190359735368f9ac647b30900a71c"
+
+
+def test_smith_forms_of_random_systems_are_pinned() -> None:
+    rng = random.Random(2020)
+    forms = []
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.choice([0.3, 0.7, 1.0])
+        a = IntMatrix(
+            [
+                [rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        )
+        forms.append(smith_normal_form(a))
+    digest = hashlib.sha256("\n".join(map(repr, forms)).encode()).hexdigest()
+    assert digest == RANDOM_SMITH_DIGEST
+
+
 _MUTATION_SCRIPT = """
 import sys
 import kummerlab.linalg as linalg
@@ -199,6 +254,22 @@ def corrupt_d(u, d, v, u_inv_t, v_inv):
     d[-1][-1] += d[0][0]
 
 
+def leave_off_diagonal(u, d, v, u_inv_t, v_inv):
+    # The row operation "add row 0 to row 1", mirrored in U and U^-1:
+    # U @ A @ V == D and both inverse pairs still hold, the diagonal is
+    # unchanged, but D[1][0] is now D[0][0], which is nonzero.
+    d[1] = [x + y for x, y in zip(d[1], d[0])]
+    u[1] = [x + y for x, y in zip(u[1], u[0])]
+    u_inv_t[0] = [x - y for x, y in zip(u_inv_t[0], u_inv_t[1])]
+
+
+def negate_row(u, d, v, u_inv_t, v_inv):
+    # Row 0 of D, U and U^-T negated together: everything stays consistent
+    # and -d1 still divides every later diagonal entry.
+    for rows in (d, u, u_inv_t):
+        rows[0] = [-x for x in rows[0]]
+
+
 matrices = [
     IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]),
     IntMatrix([[1, 2, 3], [2, 4, 6]]),
@@ -210,6 +281,8 @@ corruptions = [
     (scale_u_row, "not unimodular"),
     (scale_v_column, "not unimodular"),
     (corrupt_d, "transform check failed"),
+    (leave_off_diagonal, "not a non-negative diagonal"),
+    (negate_row, "not a non-negative diagonal"),
 ]
 for corrupt, expected in corruptions:
     for a in matrices:
@@ -235,8 +308,10 @@ for corrupt, expected in corruptions:
 def test_corrupted_transforms_raise_self_check_error(flags) -> None:
     # A wrong tracked inverse, and a transform scaled by 2 together with D
     # so that U @ A @ V == D still holds, must both fail the unimodularity
-    # check; a wrong D must fail the transform check.  Both hold also when
-    # ``python -O`` strips the asserts.
+    # check; a wrong D must fail the transform check; an off-diagonal or
+    # negative entry that keeps everything else consistent must fail the
+    # diagonal check.  All of this holds also when ``python -O`` strips the
+    # asserts.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
