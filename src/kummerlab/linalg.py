@@ -7,6 +7,12 @@ Bareiss determinant serves the Lefschetz numbers and the cross-checks.
 The package's one binary power, factorisation and multiplicative order
 live here too.
 
+:func:`matrix_order` reads the characteristic polynomial from ``M @ M``
+by Newton's identities.  A polynomial that is not a product of
+cyclotomic polynomials means infinite order after that one product;
+otherwise the order is the lcm ``L`` of their indices if ``M^L = I``,
+and infinite if not.
+
 A Smith form certifies itself exactly, with inverse pairs in place of
 determinants, the transform checked as ``U * A = D * V^-1`` by a
 zero-skipping product, and ``D`` checked to be a non-negative diagonal
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import add, matmul, mul, sub
 
 
@@ -202,46 +208,141 @@ class IntMatrix:
 
 
 def binary_power(base, exponent: int, one, product=matmul):
-    """``base ** exponent`` by repeated squaring, from the neutral ``one``."""
+    """``base ** exponent`` by repeated squaring.
+
+    The result starts from the power of ``base`` at the lowest set bit of
+    the exponent, so ``one`` is never a factor: it is returned only for
+    exponent 0.
+    """
     if exponent < 0:
         raise ValueError("negative powers are not supported")
-    result = one
+    if not exponent:
+        return one
+    while not exponent & 1:
+        base = product(base, base)
+        exponent >>= 1
+    result = base
+    exponent >>= 1
     while exponent:
+        base = product(base, base)
         if exponent & 1:
             result = product(result, base)
         exponent >>= 1
-        if exponent:
-            base = product(base, base)
     return result
+
+
+# The cyclotomic polynomials of degree at most 4, leading coefficient first.
+CYCLOTOMIC = {
+    1: (1, -1),
+    2: (1, 1),
+    3: (1, 1, 1),
+    4: (1, 0, 1),
+    5: (1, 1, 1, 1, 1),
+    6: (1, -1, 1),
+    8: (1, 0, 0, 0, 1),
+    10: (1, -1, 1, -1, 1),
+    12: (1, 0, -1, 0, 1),
+}
+
+
+def _poly_mul(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two coefficient tuples."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _cyclotomic_orders() -> dict[tuple[int, ...], int]:
+    """Each product of cyclotomic polynomials of degree 1 to 4, to ``lcm(d)``.
+
+    Factors are taken in the order of :data:`CYCLOTOMIC`, each at or after
+    the last one, and only while the degree stays at most 4, so each of
+    the 42 products is formed once.
+    """
+    table = {}
+    indices = list(CYCLOTOMIC)
+    frontier = [((1,), 1, 0)]
+    while frontier:
+        poly, order, start = frontier.pop()
+        for i in range(start, len(indices)):
+            factor = CYCLOTOMIC[indices[i]]
+            if len(poly) + len(factor) > 6:
+                continue
+            product = _poly_mul(poly, factor)
+            table[product] = lcm(order, indices[i])
+            frontier.append((product, table[product], i))
+    return table
+
+
+CYCLOTOMIC_ORDERS = _cyclotomic_orders()
+
+
+def characteristic_polynomial(m: IntMatrix, square: IntMatrix) -> tuple[int, ...]:
+    """``det(x I - m)`` of a matrix up to 4x4, leading coefficient first.
+
+    ``square`` is ``m @ m``.  The power sums ``p_k = tr m^k`` for ``k <= 4``
+    are read from ``m`` and ``square`` alone, as ``tr m^3 = sum S_ij m_ji``
+    and ``tr m^4 = sum S_ij S_ji``.  Newton's identities
+    ``k c_k = -(c_(k-1) p_1 + ... + c_0 p_k)`` then give the coefficients;
+    each division is exact for an integer matrix and checked with
+    ``divmod``, so a remainder raises :class:`SelfCheckError`.
+    """
+    a, s = m.entries, square.entries
+    n = m.rows
+    traces = (
+        sum(a[i][i] for i in range(n)),
+        sum(s[i][i] for i in range(n)),
+        sum(sum(map(mul, row, col)) for row, col in zip(s, zip(*a))),
+        sum(sum(map(mul, row, col)) for row, col in zip(s, zip(*s))),
+    )
+    chi = [1]
+    for k in range(1, n + 1):
+        c, r = divmod(-sum(map(mul, reversed(chi), traces)), k)
+        if r:
+            raise SelfCheckError("Newton's identities left a remainder")
+        chi.append(c)
+    return tuple(chi)
 
 
 def matrix_order(m: IntMatrix) -> int:
     """Multiplicative order of a square integer matrix of size at most 4.
 
-    A finite order of such a matrix is 1, 2, 3, 4, 5, 6, 8, 10 or 12: its
-    eigenvalues are roots of unity whose Galois orbits fill at most four
-    places.  So ``m`` has finite order only if ``m^24 == I`` or, for
-    orders 5 and 10, ``m^12 == m^2``; each order returned is the least
-    power found equal to ``I``.  Raises ``ValueError`` for a matrix that
-    is not square, is larger than 4x4, or has infinite order.
+    The order is read from the characteristic polynomial ``chi`` of ``m``,
+    which costs the one product ``m @ m``
+    (:func:`characteristic_polynomial`).
+
+    * If ``m`` has finite order, its eigenvalues are roots of unity, so
+      each irreducible factor of the integer polynomial ``chi`` is the
+      minimal polynomial of a root of unity: a cyclotomic ``Phi_d``
+      (Kronecker).  With ``deg chi <= 4`` only ``d`` in 1, 2, 3, 4, 5, 6,
+      8, 10 and 12 fit.  A ``chi`` that is not a product of these, which
+      is not in :data:`CYCLOTOMIC_ORDERS`, means infinite order.
+    * Otherwise let ``L = lcm(d)`` over the factors.  If ``m^L == I``, the
+      minimal polynomial of ``m`` divides ``x^L - 1``, which has no
+      repeated roots, so ``m`` is semisimple and its order is the lcm of
+      its eigenvalues' orders.  Every primitive ``d``-th root of unity is
+      an eigenvalue, so the order is exactly ``L``.  If ``m^L != I``, then
+      ``m`` is not semisimple, although all its eigenvalues are ``L``-th
+      roots of unity; a finite order would make it semisimple with
+      ``m^L == I``, so the order is infinite.
+
+    ``m^L`` is ``(m @ m) ** (L // 2)``, times ``m`` when ``L`` is odd.
+    Raises ``ValueError`` for a matrix that is not square, is larger than
+    4x4, or has infinite order.
     """
     if m.rows != m.cols or m.rows > 4:
         raise ValueError("orders are decided for square matrices up to 4x4")
-    identity = IntMatrix.identity(m.rows)
-    p2 = m @ m
-    p3 = p2 @ m
-    p6 = p3 @ p3
-    p12 = p6 @ p6
-    if p12 @ p12 == identity:
-        p4 = p2 @ p2
-        ladder = ((1, m), (2, p2), (3, p3), (4, p4), (6, p6), (12, p12), (8, p4 @ p4))
-        return next((k for k, power in ladder if power == identity), 24)
-    if p12 == p2:
-        p5 = p3 @ p2
-        if p5 == identity:
-            return 5
-        if p5 @ p5 == identity:
-            return 10
+    square = m @ m
+    order = CYCLOTOMIC_ORDERS.get(characteristic_polynomial(m, square))
+    if order is not None:
+        identity = IntMatrix.identity(m.rows)
+        power = binary_power(square, order // 2, identity)
+        if order % 2:
+            power = power @ m
+        if power == identity:
+            return order
     raise ValueError("matrix has infinite multiplicative order")
 
 

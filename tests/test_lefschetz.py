@@ -59,8 +59,8 @@ def test_companion_matrix_rejects_non_integer_coefficients() -> None:
 
 
 def test_infinite_order_is_rejected() -> None:
-    # Infinite order, a singular matrix with m^12 == m^2, a non-square
-    # matrix and one larger than the 4x4 the order rule covers.
+    # Infinite order, a singular matrix whose chi = x^2 is not cyclotomic,
+    # a non-square matrix and one larger than the 4x4 the order rule covers.
     for bad in (
         IntMatrix([[1, 1], [0, 1]]),
         IntMatrix([[2, 0], [0, 1]]),
@@ -81,8 +81,9 @@ def test_det_one_minus_power_order_five() -> None:
 
 
 def test_series_builds_each_power_once(monkeypatch) -> None:
-    # The order ladder takes five products to m^24 and sees m^12 == m^2,
-    # one more confirms m^5 == I; then one running product per exponent.
+    # matrix_order reads chi = Phi_5 from S = m @ m (one product), then
+    # confirms m^5 = S**2 @ m (two more); then one running product per
+    # exponent.
     m = companion_matrix((1, 1, 1, 1))
     products = 0
     matmul = IntMatrix.__matmul__
@@ -94,7 +95,7 @@ def test_series_builds_each_power_once(monkeypatch) -> None:
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counting)
     kummer_series(m, 24)
-    assert products == 6 + 24
+    assert products == 3 + 24
 
 
 def test_torus_count_is_first_determinant() -> None:

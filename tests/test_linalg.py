@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -15,16 +17,27 @@ import pytest
 import kummerlab.lattice as lattice
 import kummerlab.search as search
 from kummerlab.cli import main
+from kummerlab.lefschetz import companion_matrix
 from kummerlab.linalg import (
+    CYCLOTOMIC,
+    CYCLOTOMIC_ORDERS,
     IntMatrix,
+    SelfCheckError,
     binary_power,
+    characteristic_polynomial,
     divisors,
     elementary_divisors_via_minors,
     factorize,
     matrix_order,
     smith_normal_form,
 )
-from kummerlab.rings import RingElem, RingId, units
+from kummerlab.rings import (
+    RingElem,
+    RingId,
+    induced_matrix,
+    ring_elements_up_to_norm,
+    units,
+)
 from kummerlab.search import run_search
 from kummerlab.verify import matrix_catalog
 
@@ -442,6 +455,121 @@ def test_matrix_order_matches_least_power_on_random_matrices() -> None:
             assert matrix_order(m) == expected
 
 
+@pytest.mark.parametrize(
+    "ring", [RingId.RATIONAL_INT, RingId.GAUSSIAN, RingId.EISENSTEIN], ids=str
+)
+def test_matrix_order_matches_least_power_on_the_catalogs(ring: RingId) -> None:
+    # Every unit-determinant matrix with entries of norm at most 2, those
+    # of infinite order included.
+    entries = ring_elements_up_to_norm(ring, 2)
+    for p, q, r, s in itertools.product(entries, repeat=4):
+        if not (p * s - q * r).is_unit():
+            continue
+        m = induced_matrix(((p, q), (r, s)))
+        expected = least_power_to_identity(m)
+        if expected is None:
+            with pytest.raises(ValueError, match="infinite multiplicative order"):
+                matrix_order(m)
+        else:
+            assert matrix_order(m) == expected
+
+
+def poly_product(polys) -> list[int]:
+    out = [1]
+    for f in polys:
+        step = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                step[i + j] += a * b
+        out = step
+    return out
+
+
+def test_cyclotomic_table() -> None:
+    # x^d - 1 is the product of Phi_e over the divisors e of d.
+    for d in CYCLOTOMIC:
+        x_d_minus_one = [1] + [0] * (d - 1) + [-1]
+        assert poly_product(CYCLOTOMIC[e] for e in divisors(d)) == x_d_minus_one
+    # Products of Phi_d of total degree 1 to 4: 2 + 6 + 10 + 24 of them.
+    assert len(CYCLOTOMIC_ORDERS) == 42
+    assert set(CYCLOTOMIC_ORDERS.values()) == set(CYCLOTOMIC)
+
+
+def block_diagonal(blocks) -> IntMatrix:
+    return IntMatrix.block(
+        [
+            [
+                b if j == i else IntMatrix.zeros(b.rows, c.cols)
+                for j, c in enumerate(blocks)
+            ]
+            for i, b in enumerate(blocks)
+        ]
+    )
+
+
+def test_each_cyclotomic_product_has_order_lcm() -> None:
+    # The block diagonal of the factors' companions has chi as its
+    # characteristic polynomial and order lcm(d).  The companion of chi
+    # itself agrees when the factors are distinct; with a repeated factor
+    # it is not semisimple, so its order is infinite.
+    seen = 0
+    for size in range(1, 5):
+        for ds in itertools.combinations_with_replacement(CYCLOTOMIC, size):
+            chi = tuple(poly_product(CYCLOTOMIC[d] for d in ds))
+            if len(chi) > 5:
+                continue
+            seen += 1
+            order = CYCLOTOMIC_ORDERS[chi]
+            assert order == math.lcm(*ds)
+            diagonal = block_diagonal(
+                [companion_matrix(CYCLOTOMIC[d][:0:-1]) for d in ds]
+            )
+            assert characteristic_polynomial(diagonal, diagonal @ diagonal) == chi
+            assert matrix_order(diagonal) == order == least_power_to_identity(diagonal)
+            companion = companion_matrix(chi[:0:-1])
+            assert characteristic_polynomial(companion, companion @ companion) == chi
+            if len(set(ds)) == len(ds):
+                assert matrix_order(companion) == order
+                assert least_power_to_identity(companion) == order
+            else:
+                assert least_power_to_identity(companion) is None
+                with pytest.raises(ValueError, match="infinite multiplicative order"):
+                    matrix_order(companion)
+    assert seen == len(CYCLOTOMIC_ORDERS)
+
+
+def test_characteristic_polynomial_matches_determinants() -> None:
+    # chi(k) = det(k I - m) at five integers pins all coefficients.
+    rng = random.Random(21)
+    for _ in range(200):
+        size = rng.randint(1, 4)
+        m = random_matrix(rng, size, size, 9)
+        chi = characteristic_polynomial(m, m @ m)
+        assert len(chi) == size + 1
+        for k in range(-2, 3):
+            value = sum(c * k ** (size - i) for i, c in enumerate(chi))
+            assert value == (IntMatrix.identity(size).scale(k) - m).det()
+
+
+def test_characteristic_polynomial_checks_its_divisions() -> None:
+    # A wrong square gives p_1^2 - p_2 = 3, which 2 does not divide.
+    wrong = IntMatrix([[1, 0], [0, 0]])
+    with pytest.raises(SelfCheckError):
+        characteristic_polynomial(IntMatrix.identity(2), wrong)
+
+
+def test_non_semisimple_matrices_with_cyclotomic_chi_have_infinite_order() -> None:
+    blocks = [IntMatrix([[-1, 1], [0, -1]])]
+    for tail in ((1, 1), (1, 0), (1, -1)):  # Phi_3, Phi_4, Phi_6
+        c = companion_matrix(tail)
+        i, o = IntMatrix.identity(2), IntMatrix.zeros(2, 2)
+        blocks.append(IntMatrix.block([[c, i], [o, c]]))
+    for m in blocks:
+        assert characteristic_polynomial(m, m @ m) in CYCLOTOMIC_ORDERS
+        assert least_power_to_identity(m) is None
+        with pytest.raises(ValueError, match="infinite multiplicative order"):
+            matrix_order(m)
+
 def test_factorisation_and_divisors() -> None:
     for n in range(1, 400):
         pairs = factorize(n)
@@ -464,8 +592,21 @@ def test_binary_power_counts_products() -> None:
         return x * y
 
     assert binary_power(3, 13, 1, product) == 3**13
-    # 13 = 0b1101: three multiplications into the result, three squarings.
-    assert len(calls) == 6
+    # 13 = 0b1101: the result starts as 3 itself, then three squarings
+    # and two multiplications into it, for bits 2 and 3.
+    assert len(calls) == 5
     assert binary_power(3, 0, 1, product) == 1
     with pytest.raises(ValueError):
         binary_power(3, -1, 1, product)
+
+
+def test_binary_power_never_multiplies_by_one() -> None:
+    one = object()
+
+    def product(x, y):
+        assert x is not one and y is not one
+        return x * y
+
+    for exponent in range(1, 70):
+        assert binary_power(3, exponent, one, product) == 3**exponent
+    assert binary_power(3, 0, one, product) is one

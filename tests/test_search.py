@@ -154,6 +154,27 @@ def test_linear_catalog_is_pinned(ring: RingId, max_norm: int) -> None:
     assert sha256(repr(catalog)) == digest
 
 
+
+# sha256 of the catalog's "format_matrix(h) order" rows per (ring, max_norm),
+# measured when orders came from a ladder of powers up to m^24.
+CATALOG_ORDER_PINS = {
+    (RingId.RATIONAL_INT, 1): "9b710c83598de2045059a35b46c48c00a13bda183ffd38c554691fce00483f19",
+    (RingId.RATIONAL_INT, 2): "9b710c83598de2045059a35b46c48c00a13bda183ffd38c554691fce00483f19",
+    (RingId.GAUSSIAN, 1): "cd5bc57ff86cbdc847c761752db47559989f4d0620c54e41cb51470357c4c039",
+    (RingId.GAUSSIAN, 2): "5825a73dcf15f6d32259b871885cf3a20e5a78207dd437969f0137cc000fc1ae",
+    (RingId.EISENSTEIN, 1): "ea755760b7d60a8a1bbe7111efbc12f84566bd75d4967f13a2e43152f3f416ac",
+    (RingId.EISENSTEIN, 2): "ea755760b7d60a8a1bbe7111efbc12f84566bd75d4967f13a2e43152f3f416ac",
+}
+
+
+@pytest.mark.parametrize("ring, max_norm", sorted(CATALOG_ORDER_PINS, key=str))
+def test_linear_catalog_orders_are_pinned(ring: RingId, max_norm: int) -> None:
+    rows = (
+        f"{format_matrix(h)} {h.multiplicative_order()}"
+        for h in linear_candidates(ring, max_norm)
+    )
+    assert sha256("\n".join(rows)) == CATALOG_ORDER_PINS[ring, max_norm]
+
 def stepwise_order(endo: TorusEndo, bound: int = 24) -> int | None:
     """Reference order by repeated products."""
     identity = TorusEndo.identity()
