@@ -31,15 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .enriques import symplectic_screen
 from .lattice import torus_system_solvable, verify_obstruction
 from .linalg import MEMO_SIZE, IntMatrix, SelfCheckError, divisors, factorize
 from .torus import TorusAuto, TorusPoint, power_sums
 
-# The grid oracle and the search sweep both walk level**4 points; one cap
-# bounds the level of either.
+# One cap bounds the level of the search sweep, which scans level**4
+# points, and of the grid oracle, which walks gcd(level, p^e)**4 starts per
+# prime power p^e of its modulus.
 GRID_LEVEL_CAP = 24
 
 
@@ -288,34 +289,22 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
     return verify_obstruction(system, constants, level, functional)
 
 
-def brute_force_fixed_point(auto: TorusAuto, n: int, level: int) -> bool:
-    """Search configurations supported on level-``level`` torsion directly.
+def _grid_coins(entries, shift, q: int, step: int) -> set[tuple[int, tuple[int, ...]]]:
+    """``(length, orbit sum)`` of each orbit through the ``step`` multiples mod ``q``.
 
-    Walks every orbit of the map through the level grid, scaled into
-    integer vectors mod ``lcm(level, torsion level of the translation)``,
-    stepping each point with the unpacked induced matrix and shift and
-    keeping the orbit sum as it goes.  Orbits are deduplicated by (orbit
-    length, orbit sum) and an unbounded-knapsack reachability runs over
-    total lengths up to ``n``.  True iff some multiset of orbits reaches
-    total length ``n`` with sum at the origin.  The grid has ``level**4``
-    starts, so ``level`` is capped at :data:`GRID_LEVEL_CAP`.  This shares
-    no code with the normal-form decision and serves as its oracle.
+    Each point is stepped with the unpacked induced matrix ``entries`` and
+    ``shift``, and the orbit sum is kept as the walk goes.
     """
-    _require_descends(auto, n)
-    if level < 1 or level > GRID_LEVEL_CAP:
-        raise ValueError(f"grid level must lie in 1..{GRID_LEVEL_CAP}")
-    modulus = lcm(level, auto.translation.torsion_level())
     (
         (m00, m01, m02, m03),
         (m10, m11, m12, m13),
         (m20, m21, m22, m23),
         (m30, m31, m32, m33),
-    ) = auto.linear.induced_matrix().entries
-    s0, s1, s2, s3 = auto.translation.vector(modulus)
-
+    ) = entries
+    s0, s1, s2, s3 = shift
     seen: set[tuple[int, int, int, int]] = set()
-    coins: set[tuple[int, tuple[int, int, int, int]]] = set()
-    for start in product(range(0, modulus, modulus // level), repeat=4):
+    coins: set[tuple[int, tuple[int, ...]]] = set()
+    for start in product(range(0, q, step), repeat=4):
         if start in seen:
             continue
         a, b, c, d = point = start
@@ -325,12 +314,63 @@ def brute_force_fixed_point(auto: TorusAuto, n: int, level: int) -> bool:
             seen.add(point)
             t0, t1, t2, t3, length = t0 + a, t1 + b, t2 + c, t3 + d, length + 1
             point = a, b, c, d = (
-                (m00 * a + m01 * b + m02 * c + m03 * d + s0) % modulus,
-                (m10 * a + m11 * b + m12 * c + m13 * d + s1) % modulus,
-                (m20 * a + m21 * b + m22 * c + m23 * d + s2) % modulus,
-                (m30 * a + m31 * b + m32 * c + m33 * d + s3) % modulus,
+                (m00 * a + m01 * b + m02 * c + m03 * d + s0) % q,
+                (m10 * a + m11 * b + m12 * c + m13 * d + s1) % q,
+                (m20 * a + m21 * b + m22 * c + m23 * d + s2) % q,
+                (m30 * a + m31 * b + m32 * c + m33 * d + s3) % q,
             )
-        coins.add((length, (t0 % modulus, t1 % modulus, t2 % modulus, t3 % modulus)))
+        coins.add((length, (t0 % q, t1 % q, t2 % q, t3 % q)))
+    return coins
+
+
+def brute_force_fixed_point(auto: TorusAuto, n: int, level: int) -> bool:
+    """Search configurations supported on level-``level`` torsion directly.
+
+    Walks every orbit of the map through the level grid, scaled into
+    integer vectors mod ``modulus = lcm(level, torsion level of the
+    translation)``, and keeps one (orbit length, orbit sum) coin per orbit;
+    an unbounded-knapsack reachability then runs over total lengths up to
+    ``n``.  True iff some multiset of orbits reaches total length ``n``
+    with sum at the origin.
+
+    The walk is split by the Chinese remainder theorem: ``(Z/modulus)^4``
+    is the product of its parts ``(Z/p^e)^4``, the map and the grid act on
+    each part alone, and :func:`_grid_coins` walks each part once.  An
+    orbit through ``(x1, x2)`` has length ``L = lcm(l1, l2)`` and passes
+    ``L / l1`` times around the orbit of ``x1``, so its coin is ``L`` with
+    the sums ``(L / l1) S1`` and ``(L / l2) S2`` joined by CRT, and every
+    pair of part coins arises.  So the coin set is the one the unsplit walk
+    gives, and the walk starts from ``gcd(level, p^e)**4`` points per part
+    instead of ``level**4`` in all.  ``level`` is capped at
+    :data:`GRID_LEVEL_CAP`.  This shares no code with the normal-form
+    decision and serves as its oracle.
+    """
+    _require_descends(auto, n)
+    if level < 1 or level > GRID_LEVEL_CAP:
+        raise ValueError(f"grid level must lie in 1..{GRID_LEVEL_CAP}")
+    modulus = lcm(level, auto.translation.torsion_level())
+    entries = auto.linear.induced_matrix().entries
+    shift = auto.translation.vector(modulus)
+
+    # The one orbit of the trivial group (Z/1)^4, extended a part at a time.
+    coins = {(1, (0, 0, 0, 0))}
+    done = 1
+    for p, e in factorize(modulus):
+        q = p**e
+        part = _grid_coins(entries, [s % q for s in shift], q, q // gcd(level, q))
+        # Idempotents of Z/(done q): one is 1 mod done and 0 mod q, the other
+        # the reverse.
+        first, second = q * pow(q, -1, done), done * pow(done, -1, q)
+        done *= q
+        joined = set()
+        for l1, s1 in coins:
+            for l2, s2 in part:
+                length = lcm(l1, l2)
+                c1, c2 = first * (length // l1), second * (length // l2)
+                joined.add(
+                    (length, tuple((c1 * x + c2 * y) % done for x, y in zip(s1, s2)))
+                )
+        coins = joined
 
     zero = (0, 0, 0, 0)
     reachable: list[set[tuple[int, int, int, int]]] = [set() for _ in range(n + 1)]

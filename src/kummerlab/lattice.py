@@ -36,11 +36,13 @@ from .linalg import (
     IntMatrix,
     SelfCheckError,
     elementary_divisors_via_minors,
+    factorize,
     smith_normal_form,
 )
 
 
-# Largest subgroup :func:`solvable_by_enumeration` will build.
+# Largest subgroup :func:`solvable_by_enumeration` will decide membership
+# in; it closes the subgroup's prime-power parts one at a time.
 ENUMERATION_CAP = 20000
 
 
@@ -49,7 +51,7 @@ class DimensionMismatchError(ValueError):
 
 
 class EnumerationTooLargeError(ValueError):
-    """The subgroup to enumerate would exceed ``ENUMERATION_CAP`` elements."""
+    """The subgroup to decide would exceed ``ENUMERATION_CAP`` elements."""
 
 
 @dataclass(frozen=True)
@@ -187,9 +189,12 @@ def solvable_by_enumeration(system: IntMatrix, constants, modulus: int) -> bool:
     equivalent to ``q * constants / modulus mod q`` lying in the subgroup
     of ``(Z/q)^rows`` generated by the columns of ``T``.  The elementary
     divisors come from gcds of minors, not from the Smith normal form under
-    test.  That subgroup has ``prod q / gcd(d_i, q)`` elements; above
-    ``ENUMERATION_CAP`` the call raises :class:`EnumerationTooLargeError`
-    before building it.
+    test.  By the Chinese remainder theorem that subgroup is the product of
+    its images mod the prime powers ``p^e`` of ``q``, so the target lies in
+    it exactly when it lies in each image, and each is closed on its own
+    by :func:`_in_closure`.  The whole subgroup has ``prod q / gcd(d_i, q)``
+    elements; above ``ENUMERATION_CAP`` the call raises
+    :class:`EnumerationTooLargeError` before deciding anything.
     """
     _check_constants(system, constants, modulus)
     divisors = [e for e in elementary_divisors_via_minors(system) if e != 0]
@@ -203,12 +208,19 @@ def solvable_by_enumeration(system: IntMatrix, constants, modulus: int) -> bool:
         raise EnumerationTooLargeError(
             f"subgroup of {size} elements exceeds the cap {ENUMERATION_CAP}"
         )
-    target = tuple(b * scale % q for b in constants)
-    group = {(0,) * system.rows}
+    target = tuple(b * scale for b in constants)
+    columns = list(zip(*system.entries))
+    return all(_in_closure(columns, target, p**e) for p, e in factorize(q))
+
+
+def _in_closure(columns, target, q: int) -> bool:
+    """Whether ``target`` lies in the subgroup of ``(Z/q)^r`` the columns generate."""
+    target = tuple(x % q for x in target)
+    group = {(0,) * len(target)}
     if target in group:
         return True
-    for j in range(system.cols):
-        generator = tuple(system[i][j] % q for i in range(system.rows))
+    for column in columns:
+        generator = tuple(x % q for x in column)
         if generator in group:
             continue
         frontier = group
@@ -220,4 +232,4 @@ def solvable_by_enumeration(system: IntMatrix, constants, modulus: int) -> bool:
             group |= frontier
         if target in group:
             return True
-    return target in group
+    return False

@@ -150,7 +150,9 @@ class IntMatrix:
     def __pow__(self, exponent: int) -> "IntMatrix":
         if self.rows != self.cols:
             raise ValueError("powers need a square matrix")
-        return binary_power(self, exponent, IntMatrix.identity(self.rows))
+        if exponent == 0:
+            return IntMatrix.identity(self.rows)
+        return binary_power(self, exponent, None)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of(zip(*self._rows))

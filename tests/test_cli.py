@@ -550,8 +550,7 @@ def test_freeness_command_with_grid_oracle(capsys) -> None:
 
 
 def test_freeness_grid_level_above_cap_exits_two(capsys, monkeypatch) -> None:
-    # The grid walks level**4 starts, so the cap is enforced up front,
-    # before the decision runs.
+    # The level cap is enforced up front, before the decision runs.
     def decide(*args, **kwargs):
         raise AssertionError("the decision ran before --level was checked")
 

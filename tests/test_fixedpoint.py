@@ -35,7 +35,7 @@ from kummerlab.lattice import (
     torus_system_solvable,
     translation_classes,
 )
-from kummerlab.linalg import IntMatrix, SelfCheckError
+from kummerlab.linalg import IntMatrix, SelfCheckError, factorize
 from kummerlab.rings import RingElem, RingId, induced_matrix, zeta6
 from kummerlab.search import (
     SearchResult,
@@ -320,14 +320,31 @@ def test_grid_walk_matches_naive_reference() -> None:
         for _ in range(16):
             auto = TorusAuto(rng.choice(linears), rng.choice(points))
             cases.append((auto, n, rng.choice((2, 3, 4, 6))))
+    # Level 12 on three panel maps, walked as the parts mod 4 and mod 3.
+    panel = {name: (auto, n) for name, auto, n in freeness_instances()}
+    for name in ("order3", "order3_shifted", "order6_cube"):
+        cases.append((*panel[name], 12))
+    # Level 12 with a translation of level 5: the walk runs mod 60, and its
+    # part mod 5 has no grid start but 0.
+    minus = RingElem(RingId.RATIONAL_INT, -1)
+    fifth = diagonal_auto(minus, minus, (Fraction(1, 5), 0, 0, 0))
+    cases += [(fifth, 5, 12), (fifth, 10, 12)]
     scaled = 0
+    two_primes = 0
+    zero_start_parts = 0
     outcomes = set()
     for auto, n, level in cases:
-        scaled += level % auto.translation.torsion_level() != 0
+        modulus = lcm(level, auto.translation.torsion_level())
+        scaled += modulus != level
+        primes = [p for p, _ in factorize(modulus)]
+        two_primes += level == 12 and len(primes) >= 2
+        zero_start_parts += level == 12 and any(level % p for p in primes)
         expected = naive_grid_fixed_point(auto, n, level)
         assert brute_force_fixed_point(auto, n, level) == expected
         outcomes.add(expected)
     assert scaled >= 10
+    assert two_primes == 5
+    assert zero_start_parts == 2
     assert outcomes == {True, False}
 
 

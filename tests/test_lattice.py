@@ -24,7 +24,12 @@ from kummerlab.lattice import (
     verify_obstruction,
     verify_witness,
 )
-from kummerlab.linalg import MEMO_SIZE, IntMatrix
+from kummerlab.linalg import (
+    MEMO_SIZE,
+    IntMatrix,
+    elementary_divisors_via_minors,
+    factorize,
+)
 from kummerlab.verify import panel_passed, run_panel
 
 
@@ -140,6 +145,48 @@ def test_translation_classes_match_the_closed_subgroup() -> None:
         for v in vectors:
             delta = tuple((x - y) % n for x, y in zip(v, w))
             assert (keys[v] == keys[w]) == (delta in group)
+
+
+def test_split_enumeration_matches_the_unsplit_closure(monkeypatch) -> None:
+    # Draws whose closure modulus q = modulus * (largest elementary divisor)
+    # has two distinct primes.  The oracle closes the columns mod each prime
+    # power of q; the reference closes them mod q in one piece.  Neither
+    # takes a Smith form.
+    def refuse(*args):
+        raise AssertionError("the oracle took a Smith normal form")
+
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    rng = random.Random(2718)
+    outcomes = []
+    while len(outcomes) < 40:
+        rows = rng.randint(2, 3)
+        cols = rng.randint(1, 3)
+        system = IntMatrix(
+            [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        )
+        constants, modulus = over_modulus(
+            Fraction(rng.randint(-6, 6), rng.choice([2, 3, 4, 6])) for _ in range(rows)
+        )
+        divisors = [e for e in elementary_divisors_via_minors(system) if e]
+        if len(divisors) == rows:
+            continue
+        scale = divisors[-1] if divisors else 1
+        q = modulus * scale
+        if len(factorize(q)) < 2:
+            continue
+        target = tuple(b * scale % q for b in constants)
+        group = {(0,) * rows}
+        for j in range(cols):
+            column = tuple(system[i][j] % q for i in range(rows))
+            frontier = group
+            while frontier:
+                frontier = {
+                    tuple((x + y) % q for x, y in zip(p, column)) for p in frontier
+                } - group
+                group |= frontier
+        assert solvable_by_enumeration(system, constants, modulus) == (target in group)
+        outcomes.append(target in group)
+    assert set(outcomes) == {True, False}
 
 
 def test_enumeration_is_capped() -> None:

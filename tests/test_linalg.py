@@ -610,3 +610,23 @@ def test_binary_power_never_multiplies_by_one() -> None:
     for exponent in range(1, 70):
         assert binary_power(3, exponent, one, product) == 3**exponent
     assert binary_power(3, 0, one, product) is one
+
+
+def test_matrix_powers_build_the_identity_only_for_exponent_zero(monkeypatch) -> None:
+    m = IntMatrix([[0, -1], [1, 1]])
+    built = []
+    identity = IntMatrix.identity
+
+    def counted(size):
+        built.append(size)
+        return identity(size)
+
+    monkeypatch.setattr(IntMatrix, "identity", counted)
+    assert m**1 == m
+    assert m**6 == identity(2)
+    assert m**7 == m
+    assert built == []
+    assert m**0 == identity(2)
+    assert built == [2]
+    with pytest.raises(ValueError):
+        m ** -1
