@@ -12,7 +12,8 @@ period (``i`` for the gaussian ring, a primitive cube root of unity for the
 eisenstein ring, a period ``tau`` for the integer ring).  Points are
 ``(e1,e2)`` and parse without a ring: their coordinates mean the same in
 every ring.  Matrices are ``[[a,b],[c,d]]`` with ring-integer entries, so
-an integer-ring entry has no ``z``.  Spaces are ignored.
+an integer-ring entry has no ``z``.  Spaces are ignored; a point or a
+matrix of any other shape is refused with the shape it must have.
 
 Each call parses argv once; a handler takes the argparse namespace and
 builds its ring, matrix and point from it once.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -34,7 +36,6 @@ from .enriques import (
 )
 from .fixedpoint import (
     GRID_LEVEL_CAP,
-    NotNTorsionError,
     brute_force_fixed_point,
     group_acts_freely,
     verify_certificate,
@@ -51,7 +52,7 @@ from .lefschetz import (
 from .linalg import SelfCheckError
 from .rings import RingElem, RingId, induced_matrix
 from .search import run_search
-from .torus import TorusAuto, TorusEndo, TorusPoint, UnsupportedAutomorphismError
+from .torus import TorusAuto, TorusEndo, TorusPoint
 from .verify import classification_payload, decomposition_labels, run_panel
 
 EXIT_OK = 0
@@ -83,6 +84,11 @@ _NUMERAL = rf"[0-9]{{1,{NUMERAL_DIGIT_CAP}}}"
 _TERM = rf"(?:({_NUMERAL})(?:/({_NUMERAL}))?(\*z)?|z)"
 _ELEMENT = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
 _SIGNED_TERM = re.compile(rf"([+-]?){_TERM}")
+# A point and a matrix each have one shape, whose cells are element texts:
+# no bracket, parenthesis or comma.
+_CELL = r"([^][(),]*)"
+_POINT = re.compile(rf"\({_CELL},{_CELL}\)")
+_MATRIX = re.compile(rf"\[\[{_CELL},{_CELL}\],\[{_CELL},{_CELL}\]\]")
 
 # The most characters of a rejected text that an error message quotes.
 QUOTE_CAP = 64
@@ -133,36 +139,11 @@ def format_element(element: tuple[Fraction, Fraction]) -> str:
     return f"{x}+{zeta_text}"
 
 
-def _split_top(text: str, opener: str, closer: str) -> list[str]:
-    depth = 0
-    parts: list[str] = []
-    current: list[str] = []
-    for ch in text:
-        if ch == opener:
-            depth += 1
-        elif ch == closer:
-            depth -= 1
-            if depth < 0:
-                raise GrammarError(f"unbalanced {closer!r} in {_quote(text)}")
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise GrammarError(f"unbalanced {opener!r} in {_quote(text)}")
-    parts.append("".join(current))
-    return parts
-
-
 def parse_point(text: str) -> TorusPoint:
-    s = text.replace(" ", "")
-    if not (s.startswith("(") and s.endswith(")")):
+    match = _POINT.fullmatch(text.replace(" ", ""))
+    if match is None:
         raise GrammarError(f"point must look like (e1,e2), got {_quote(text)}")
-    parts = _split_top(s[1:-1], "(", ")")
-    if len(parts) != 2:
-        raise GrammarError(f"point must have two coordinates, got {_quote(text)}")
-    coords = (*parse_element(parts[0]), *parse_element(parts[1]))
+    coords = (*parse_element(match[1]), *parse_element(match[2]))
     try:
         return TorusPoint.from_vector(coords)
     except ValueError as exc:
@@ -175,32 +156,21 @@ def format_point(point: TorusPoint) -> str:
 
 
 def parse_matrix(text: str, ring: RingId) -> TorusEndo:
-    s = text.replace(" ", "")
-    if not (s.startswith("[") and s.endswith("]")):
+    match = _MATRIX.fullmatch(text.replace(" ", ""))
+    if match is None:
         raise GrammarError(f"matrix must look like [[a,b],[c,d]], got {_quote(text)}")
-    row_texts = _split_top(s[1:-1], "[", "]")
-    if len(row_texts) != 2:
-        raise GrammarError(f"matrix must have two rows, got {_quote(text)}")
-    rows = []
-    for row_text in row_texts:
-        if not (row_text.startswith("[") and row_text.endswith("]")):
-            raise GrammarError(f"matrix rows must be bracketed, got {_quote(text)}")
-        cells = _split_top(row_text[1:-1], "[", "]")
-        if len(cells) != 2:
-            raise GrammarError(f"matrix rows must have two entries, got {_quote(text)}")
-        row = []
-        for cell in cells:
-            x, y = parse_element(cell)
-            try:
-                if x.denominator != 1 or y.denominator != 1:
-                    raise ValueError
-                row.append(RingElem(ring, int(x), int(y)))
-            except ValueError:
-                raise GrammarError(
-                    f"matrix entry {_quote(cell)} is not a ring integer"
-                ) from None
-        rows.append(row)
-    return TorusEndo(induced_matrix(rows))
+    entries = []
+    for cell in match.groups():
+        x, y = parse_element(cell)
+        try:
+            if x.denominator != 1 or y.denominator != 1:
+                raise ValueError
+            entries.append(RingElem(ring, int(x), int(y)))
+        except ValueError:
+            raise GrammarError(
+                f"matrix entry {_quote(cell)} is not a ring integer"
+            ) from None
+    return TorusEndo(induced_matrix([entries[:2], entries[2:]]))
 
 
 def format_matrix(endo: TorusEndo) -> str:
@@ -214,10 +184,7 @@ def format_matrix(endo: TorusEndo) -> str:
 
 
 def parse_automorphism(ring_token: str, h_text: str, a_text: str) -> TorusAuto:
-    try:
-        ring = RingId.from_token(ring_token)
-    except ValueError as exc:
-        raise GrammarError(str(exc)) from exc
+    ring = RingId.from_token(ring_token)
     return TorusAuto(parse_matrix(h_text, ring), parse_point(a_text))
 
 
@@ -588,18 +555,21 @@ def main(argv: list[str] | None = None) -> int:
         payload, code = _HANDLERS[args.command](args)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except (
-        GrammarError,
-        NotNTorsionError,
-        UnsupportedAutomorphismError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SelfCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    print(render_json(payload) if args.fmt == "json" else render_text(payload))
+    try:
+        print(render_json(payload) if args.fmt == "json" else render_text(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early.  Point stdout at devnull, so that the
+        # interpreter's own flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

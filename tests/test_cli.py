@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +38,7 @@ from kummerlab.cli import (
 from kummerlab.fixedpoint import GRID_LEVEL_CAP, group_acts_freely
 from kummerlab.lefschetz import KUMMER_N_CAP
 from kummerlab.rings import RingId
-from kummerlab.search import run_search
+from kummerlab.search import linear_candidates, run_search
 from kummerlab.torus import TORSION_LEVEL_CAP, TorusAuto, TorusPoint
 from kummerlab.verify import CheckResult
 
@@ -91,9 +95,8 @@ def test_point_and_matrix_round_trip(ring: RingId) -> None:
             f"{rng.randint(0, 5)}/6)"
         )
         assert parse_point(format_point(point)) == point
-    entry = "-1" if ring is RingId.RATIONAL_INT else "z"
-    matrix = parse_matrix(f"[[{entry},1],[-1,0]]", ring)
-    assert parse_matrix(format_matrix(matrix), ring) == matrix
+    for matrix in linear_candidates(ring, 1):
+        assert parse_matrix(format_matrix(matrix), ring) == matrix
 
 
 def test_integer_ring_z_is_the_second_period(capsys) -> None:
@@ -178,11 +181,11 @@ def test_numerals_above_the_digit_cap_exit_two_at_once(capsys, command, entry) -
     assert captured.err == f"error: cannot parse element {quoted}\n"
 
 
-@pytest.mark.parametrize(
-    "flag, message",
-    [("--h", "matrix must look like [[a,b],[c,d]], got"),
-     ("--a", "point must look like (e1,e2), got")],
-)
+POINT_SHAPE = "point must look like (e1,e2), got"
+MATRIX_SHAPE = "matrix must look like [[a,b],[c,d]], got"
+
+
+@pytest.mark.parametrize("flag, message", [("--h", MATRIX_SHAPE), ("--a", POINT_SHAPE)])
 def test_grammar_errors_quote_a_bounded_prefix(capsys, flag, message) -> None:
     # A grammar error quotes at most QUOTE_CAP characters of the rejected
     # text and gives its full length, however long the text is; the test
@@ -227,13 +230,16 @@ def test_messy_input_is_echoed_canonically(capsys) -> None:
     assert payload["restricted_to"] == "[[z,0],[0,1]]"
 
 
-# Inputs with two faults each, and the one line reported: grammar errors
-# come first, then the subcommand's bounds, then the map's own checks.
+# Inputs with two faults each, and the one line reported.  Every subcommand
+# reports grammar errors first.  freeness and search then check their
+# bounds before the map's own checks (unit determinant, n-torsion);
+# lefschetz and characters build the map first, so its checks come before
+# their --n bound.
 TWO_FAULTS = [
     (["freeness", "--h", "[[z,0],[0,1]", "--a", "(1/3,1/3)", "--n", "49"],
-     "unbalanced '[' in '[z,0],[0,1'"),
+     "matrix must look like [[a,b],[c,d]], got '[[z,0],[0,1]'"),
     (["freeness", "--h", "[[z,0],[0,1]]", "--a", "(1/3 1/3)", "--n", "49"],
-     "point must have two coordinates, got '(1/3 1/3)'"),
+     "point must look like (e1,e2), got '(1/3 1/3)'"),
     (["freeness", "--h", "[[q,0],[0,1]]", "--a", "(1/x,0)", "--n", "3"],
      "cannot parse element 'q'"),
     (["freeness", "--h", "[[z,0],[0,1]]", "--a", "(1/3,1//3)", "--n", "3",
@@ -249,7 +255,7 @@ TWO_FAULTS = [
     (["freeness", "--h", "[[2,0],[0,1]]", "--a", "(1/5,0)", "--n", "3"],
      "linear part must have unit determinant"),
     (["lefschetz", "--h", "[[z,0],[0,z]", "--a", "(0,0)", "--n", "3200"],
-     "unbalanced '[' in '[z,0],[0,z'"),
+     "matrix must look like [[a,b],[c,d]], got '[[z,0],[0,z]'"),
     (["lefschetz", "--h", "[[2,0],[0,1]]", "--a", "(0,0)", "--n", "1"],
      "linear part must have unit determinant"),
     (["lefschetz", "--h", "[[z,0],[0,z]]", "--a", "(1/2,0)", "--n", "1"],
@@ -259,7 +265,7 @@ TWO_FAULTS = [
     (["characters", "--h", "[[z,0],[0,z]]", "--a", "(0,0", "--n", "0"],
      "point must look like (e1,e2), got '(0,0'"),
     (["search", "--n", "49", "--h", "[[z,0]]"],
-     "matrix must have two rows, got '[[z,0]]'"),
+     "matrix must look like [[a,b],[c,d]], got '[[z,0]]'"),
     (["search", "--n", "3", "--level", "25", "--h", "[[z,0],[0,1/2]]"],
      "matrix entry '1/2' is not a ring integer"),
     (["search", "--n", "3", "--level", "25", "--h", "[[2,0],[0,1]]"],
@@ -275,6 +281,47 @@ def test_the_first_of_two_faults_is_reported(capsys, argv, message) -> None:
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [("--a", text, POINT_SHAPE) for text in (
+        "(0)", "(0,0,0)", "((0,0))", "((0),0)", "(0,0", "0,0)", "0,0", "(0,0))",
+        "(0,0,)", "[0,0]", "",
+    )] + [("--h", text, MATRIX_SHAPE) for text in (
+        "[[z]]", "[[z,0],[0]]", "[[z,0,0],[0,1]]", "[[z,0]]", "[[z,0],[0,1],[0,1]]",
+        "[[[z,0],[0,1]]]", "[[[z],0],[0,1]]", "[[z,0],[0,1]", "[z,0],[0,1]]",
+        "[[z,0][0,1]]", "[z,0,0,1]", "[[z,0],[0,1],]", "[[z,0,],[0,1]]",
+        "((z,0),(0,1))", "",
+    )],
+)
+def test_malformed_shapes_exit_two_with_the_shape_message(
+    capsys, flag, text, message
+) -> None:
+    args = {"--h": "[[z,0],[0,1]]", "--a": "(1/3,1/3)", flag: text}
+    argv = ["freeness", "--ring", "eisenstein", "--n", "3"]
+    for item in args.items():
+        argv.extend(item)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} {text!r}\n"
+
+
+def test_a_closed_pipe_exits_quietly_with_the_command_code() -> None:
+    # The reader of stdout is gone before the command prints.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "kummerlab.cli", "classify", "--n", "6", "--d", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == EXIT_OK
 
 
 # ---------------------------------------------------------------------------
