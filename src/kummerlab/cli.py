@@ -311,11 +311,15 @@ def _auto_payload(args: argparse.Namespace, auto: TorusAuto) -> dict:
 
 
 def _run_lefschetz(args: argparse.Namespace) -> tuple[dict, int]:
-    auto = parse_automorphism(args.ring, args.h_text, args.a_text)
+    # Grammar first, then the bounds, and only then the map's own checks.
+    ring = RingId.from_token(args.ring)
+    linear = parse_matrix(args.h_text, ring)
+    translation = parse_point(args.a_text)
     if args.n < 2:
         raise GrammarError("--n must be at least 2")
-    if not auto.translation.is_torsion_of_level(args.n):
+    if not translation.is_torsion_of_level(args.n):
         raise GrammarError(f"--a is not {args.n}-torsion")
+    auto = TorusAuto(linear, translation)
     matrix = auto.linear.induced_matrix()
     torus = lefschetz_torus(matrix)
     if torus:
@@ -412,11 +416,15 @@ def _run_freeness(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _run_characters(args: argparse.Namespace) -> tuple[dict, int]:
-    auto = parse_automorphism(args.ring, args.h_text, args.a_text)
+    # Grammar first, then the bounds, and only then the map's own checks.
+    ring = RingId.from_token(args.ring)
+    linear = parse_matrix(args.h_text, ring)
+    translation = parse_point(args.a_text)
     if args.n < 1:
         raise GrammarError("--n must be positive")
-    if not auto.translation.is_torsion_of_level(args.n):
+    if not translation.is_torsion_of_level(args.n):
         raise GrammarError(f"--a is not {args.n}-torsion")
+    auto = TorusAuto(linear, translation)
     counts = invariant_character_counts(auto.linear.induced_matrix(), args.n)
     payload = _auto_payload(args, auto)
     payload["command"] = "characters"

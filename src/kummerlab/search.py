@@ -15,8 +15,14 @@ the scan keeps the keys it has met and stops once it has met every class
 its candidates reach.  What never depends on the translation, the power
 tables behind the tested powers and the orbit systems, the systems'
 matrices and their Smith normal forms, is memoised where it is computed,
-so each pair computes only its constants and its solves.  Linear parts
-that fail :func:`symplectic_screen` give no free pair and are never keyed.
+so each pair computes only its constants and its solves.
+
+Each question is asked of the cheapest fact that settles it.  The catalog
+decides finite order once per pair ``(tr h, det h)``, which fixes the
+characteristic polynomial of the induced matrix (:func:`linear_candidates`).
+The sweep skips the identity, then a part whose order ``d`` does not divide
+``n``, and only then takes ``ord(det h)`` for :func:`symplectic_screen`;
+parts that fail it give no free pair and are never keyed.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from math import gcd, prod
 from .enriques import QuotientClassification, classify_free_quotient, symplectic_screen
 from .fixedpoint import GRID_LEVEL_CAP, FreenessReport, group_acts_freely
 from .lattice import translation_classes
-from .rings import RingId, induced_matrix, ring_elements_up_to_norm
+from .linalg import CYCLOTOMIC_ORDERS, characteristic_polynomial
+from .rings import RingElem, RingId, induced_matrix, ring_elements_up_to_norm
 from .torus import (
     TorusAuto,
     TorusEndo,
@@ -59,21 +66,46 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     Candidates must have unit determinant (otherwise they do not act
     invertibly) and finite multiplicative order, as
     :meth:`TorusEndo.multiplicative_order` reads it from the induced matrix
-    with :func:`~kummerlab.linalg.matrix_order`.  Most unit-determinant
-    matrices have infinite order (792 of the 1,368 in the Eisenstein
-    norm-1 catalog); 720 of those are rejected after one 4x4 product,
-    because their characteristic polynomial is not a product of cyclotomic
-    polynomials, and the other 72 because ``h^L != I``.
+    with :func:`~kummerlab.linalg.matrix_order`.
+
+    The characteristic polynomial of the induced matrix ``M`` of
+    ``h = [[p, q], [r, s]]`` depends only on ``(tr h, det h)``.  The ring
+    ``O`` is a lattice of rank 1 or 2 on which ``e`` acts by its regular
+    representation; over ``C`` that representation splits into the
+    embedding ``e`` and its conjugate (the scalar ``e`` twice for the
+    integer ring), so ``M`` is similar to ``h`` beside ``conj(h)`` and
+    ``chi_M = chi_h * conj(chi_h)`` with ``chi_h = x^2 - (tr h) x + det h``.
+    Each pair is therefore decided once, from the first tuple that has it:
+    a ``chi_M`` outside :data:`~kummerlab.linalg.CYCLOTOMIC_ORDERS` means
+    infinite order, and every later tuple with that pair is skipped before
+    its matrix is built.  Tuples of the other pairs go through
+    ``matrix_order``, which still confirms ``M^L = I``.  The entries'
+    pairwise products are formed once, so ``det h`` costs one subtraction.
+
+    In the Eisenstein norm-1 catalog, 1,368 tuples have unit determinant
+    and 78 pairs ``(tr h, det h)``, 24 of them cyclotomic: 720 tuples are
+    skipped by their pair, and 72 of the 648 that reach ``matrix_order``
+    fail ``M^L = I``, leaving 576.
     """
     if max_norm > MAX_NORM_CAP:
         raise ValueError(f"max_norm is capped at {MAX_NORM_CAP}")
     entries = ring_elements_up_to_norm(ring, max_norm)
+    products = [[e * f for f in entries] for e in entries]
+    cyclotomic: dict[tuple[RingElem, RingElem], bool] = {}
     accepted = []
-    for p, q, r, s in itertools.product(entries, repeat=4):
-        det = p * s - q * r
+    for i, j, k, l in itertools.product(range(len(entries)), repeat=4):
+        det = products[i][l] - products[j][k]
         if not det.is_unit():
             continue
-        endo = TorusEndo(induced_matrix(((p, q), (r, s))))
+        rows = ((entries[i], entries[j]), (entries[k], entries[l]))
+        pair = (entries[i] + entries[l], det)
+        if pair not in cyclotomic:
+            matrix = induced_matrix(rows)
+            chi = characteristic_polynomial(matrix, matrix @ matrix)
+            cyclotomic[pair] = chi in CYCLOTOMIC_ORDERS
+        if not cyclotomic[pair]:
+            continue
+        endo = TorusEndo(induced_matrix(rows))
         try:
             endo.multiplicative_order()
         except UnsupportedAutomorphismError:
@@ -129,7 +161,11 @@ def run_search(
     results = []
     for linear in linears:
         order = linear.multiplicative_order()
-        if order == 1 or not symplectic_screen(order, linear.multiplier_order(), n):
+        # The screen needs d | n as well as ord(det h) = d; the first is
+        # read from the order alone, so the multiplier is taken only then.
+        if order == 1 or n % order:
+            continue
+        if not symplectic_screen(order, linear.multiplier_order(), n):
             continue
         key, moduli = translation_classes(linear.induced_matrix(), n)
         # Candidates are multiples of n // level, so they reach this many

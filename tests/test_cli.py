@@ -231,10 +231,10 @@ def test_messy_input_is_echoed_canonically(capsys) -> None:
 
 
 # Inputs with two faults each, and the one line reported.  Every subcommand
-# reports grammar errors first.  freeness and search then check their
-# bounds before the map's own checks (unit determinant, n-torsion);
-# lefschetz and characters build the map first, so its checks come before
-# their --n bound.
+# checks in one order: the grammar first, then its bounds (--n and --level;
+# for lefschetz and characters also whether --a is n-torsion), and only
+# then the map's own checks (unit determinant, finite order).  freeness
+# tests n-torsion in the decision, after the map (row 8).
 TWO_FAULTS = [
     (["freeness", "--h", "[[z,0],[0,1]", "--a", "(1/3,1/3)", "--n", "49"],
      "matrix must look like [[a,b],[c,d]], got '[[z,0],[0,1]'"),
@@ -257,11 +257,11 @@ TWO_FAULTS = [
     (["lefschetz", "--h", "[[z,0],[0,z]", "--a", "(0,0)", "--n", "3200"],
      "matrix must look like [[a,b],[c,d]], got '[[z,0],[0,z]'"),
     (["lefschetz", "--h", "[[2,0],[0,1]]", "--a", "(0,0)", "--n", "1"],
-     "linear part must have unit determinant"),
+     "--n must be at least 2"),
     (["lefschetz", "--h", "[[z,0],[0,z]]", "--a", "(1/2,0)", "--n", "1"],
      "--n must be at least 2"),
     (["characters", "--h", "[[2,0],[0,1]]", "--a", "(0,0)", "--n", "0"],
-     "linear part must have unit determinant"),
+     "--n must be positive"),
     (["characters", "--h", "[[z,0],[0,z]]", "--a", "(0,0", "--n", "0"],
      "point must look like (e1,e2), got '(0,0'"),
     (["search", "--n", "49", "--h", "[[z,0]]"],

@@ -5,13 +5,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import sys
 from math import prod
 
 import pytest
 
-from kummerlab import search
+from kummerlab import search, torus
 from kummerlab.cli import format_matrix, format_point
-from kummerlab.enriques import QuotientVerdict
+from kummerlab.enriques import QuotientVerdict, symplectic_screen
 from kummerlab.fixedpoint import group_acts_freely
 from kummerlab.lattice import translation_classes
 from kummerlab.rings import (
@@ -21,7 +22,12 @@ from kummerlab.rings import (
     ring_elements_up_to_norm,
     zeta6,
 )
-from kummerlab.linalg import SelfCheckError
+from kummerlab.linalg import (
+    CYCLOTOMIC_ORDERS,
+    SelfCheckError,
+    characteristic_polynomial,
+    matrix_order,
+)
 from kummerlab.search import (
     MAX_NORM_CAP,
     SearchResult,
@@ -174,6 +180,82 @@ def test_linear_catalog_orders_are_pinned(ring: RingId, max_norm: int) -> None:
         for h in linear_candidates(ring, max_norm)
     )
     assert sha256("\n".join(rows)) == CATALOG_ORDER_PINS[ring, max_norm]
+
+
+def unit_determinant_tuples(ring: RingId, max_norm: int):
+    """``(p, q, r, s)`` with unit ``p s - q r``, in catalog order."""
+    entries = ring_elements_up_to_norm(ring, max_norm)
+    for p, q, r, s in itertools.product(entries, repeat=4):
+        if (p * s - q * r).is_unit():
+            yield p, q, r, s
+
+
+def ring_poly_mul(f: list[RingElem], g: list[RingElem]) -> list[RingElem]:
+    zero = RingElem.zero(f[0].ring)
+    out = [zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+@pytest.mark.parametrize(
+    "ring, max_norm, count",
+    [
+        pytest.param(RingId.RATIONAL_INT, 1, 40, id="integer-1"),
+        pytest.param(RingId.GAUSSIAN, 1, 288, id="gaussian-1"),
+        pytest.param(RingId.GAUSSIAN, 2, 1184, id="gaussian-2"),
+        pytest.param(RingId.EISENSTEIN, 1, 1368, id="eisenstein-1"),
+    ],
+)
+def test_induced_polynomial_depends_on_trace_and_determinant(
+    ring: RingId, max_norm: int, count: int
+) -> None:
+    # linear_candidates decides each (tr h, det h) once: the induced
+    # matrix's characteristic polynomial is chi_h * conj(chi_h), with
+    # chi_h = x^2 - (tr h) x + det h, so tuples sharing the pair share it.
+    one = RingElem.one(ring)
+    by_pair: dict[tuple[RingElem, RingElem], tuple[int, ...]] = {}
+    seen = 0
+    for p, q, r, s in unit_determinant_tuples(ring, max_norm):
+        seen += 1
+        trace, det = p + s, p * s - q * r
+        m = induced_matrix(((p, q), (r, s)))
+        chi = characteristic_polynomial(m, m @ m)
+        assert by_pair.setdefault((trace, det), chi) == chi
+        chi_h = [one, -trace, det]
+        product = ring_poly_mul(chi_h, [c.conj() for c in chi_h])
+        assert all(c.y == 0 for c in product)
+        assert chi == tuple(c.x for c in product)
+    assert seen == count
+
+
+def test_catalog_decides_each_pair_once(monkeypatch) -> None:
+    # Eisenstein norm 1: 1,368 unit-determinant tuples in 78 pairs
+    # (tr h, det h), 24 of them with a cyclotomic chi_M.  The other 54
+    # pairs hold 720 tuples, which never reach matrix_order; 72 of the
+    # 648 that do fail M^L = I.
+    screened: list[tuple[int, ...]] = []
+    decided = 0
+
+    def screen(m, square):
+        screened.append(characteristic_polynomial(m, square))
+        return screened[-1]
+
+    def order(m):
+        nonlocal decided
+        decided += 1
+        return matrix_order(m)
+
+    monkeypatch.setattr(search, "characteristic_polynomial", screen)
+    monkeypatch.setattr(torus, "matrix_order", order)
+    catalog = linear_candidates(RingId.EISENSTEIN, 1)
+    assert len(screened) == 78
+    assert sum(chi in CYCLOTOMIC_ORDERS for chi in screened) == 24
+    assert sum(1 for _ in unit_determinant_tuples(RingId.EISENSTEIN, 1)) == 1368
+    assert decided == 1368 - 720 == 648
+    assert len(catalog) == 648 - 72
+
 
 def stepwise_order(endo: TorusEndo, bound: int = 24) -> int | None:
     """Reference order by repeated products."""
@@ -408,19 +490,63 @@ def test_sweep_rows_are_pinned(
 
 
 @pytest.mark.parametrize("ring", list(RingId), ids=lambda ring: ring.value)
-def test_symplectic_screen_changes_no_sweep(monkeypatch, ring: RingId) -> None:
-    # The screen only skips linear parts that give no free pair: with it
-    # admitting every part, each sweep for n <= 8 has the same reprs, and
-    # the self-check in group_acts_freely keeps INVALID rows out of both.
+def test_symplectic_screen_changes_no_sweep(ring: RingId) -> None:
+    # The screen only skips linear parts that give no free pair: for
+    # n <= 8, every translation class of every catalog part the screen
+    # rejects is decided without it, in the sweep's own scan, and none is
+    # free.  So each screened sweep equals the unscreened one, and the
+    # self-check in group_acts_freely keeps INVALID rows out of it.
     sizes = range(2, 9)
-    screened = [run_search(n, ring) for n in sizes]
-    monkeypatch.setattr(search, "symplectic_screen", lambda *args: True)
-    for n, expected in zip(sizes, screened):
-        results = run_search(n, ring)
-        assert repr(results) == repr(expected)
+    points = {n: [(a, a.vector(n)) for a in torsion_points(n)] for n in sizes}
+    for linear in linear_candidates(ring, 1):
+        order = linear.multiplicative_order()
+        for n in sizes:
+            if order == 1 or symplectic_screen(order, linear.multiplier_order(), n):
+                continue
+            key, moduli = translation_classes(linear.induced_matrix(), n)
+            seen: set[tuple[int, ...]] = set()
+            for a, vector in points[n]:
+                if len(seen) == prod(moduli):
+                    break
+                k = key(vector)
+                if k in seen:
+                    continue
+                seen.add(k)
+                auto = TorusAuto(linear, a)
+                # Origins fix the zero configuration, and a larger order
+                # than the linear part's fails the screen as run_search
+                # says; neither is decided there.
+                if not a.is_origin() and auto.order() == order:
+                    assert not group_acts_freely(auto, n, stop_at_first=True).free
+    for n in sizes:
         assert QuotientVerdict.INVALID not in {
-            r.classification.verdict for r in results
+            r.classification.verdict for r in run_search(n, ring)
         }
+
+
+@pytest.mark.parametrize("n, loop_calls", [(3, 116), (5, 0)])
+def test_multiplier_orders_only_for_orders_dividing_n(
+    monkeypatch, n: int, loop_calls: int
+) -> None:
+    # run_search tests d | n before it takes ord(det h): at n=3 only the
+    # 116 order-3 parts need the multiplier, and at n=5 no part's order
+    # divides n.  group_acts_freely takes it once more per free verdict.
+    calls: list[tuple[str, int]] = []
+    multiplier_order = TorusEndo.multiplier_order
+
+    def wrapped(endo: TorusEndo) -> int:
+        caller = sys._getframe(1).f_code.co_name
+        calls.append((caller, endo.multiplicative_order()))
+        return multiplier_order(endo)
+
+    monkeypatch.setattr(TorusEndo, "multiplier_order", wrapped)
+    results = run_search(n, RingId.EISENSTEIN)
+    from_loop = [order for caller, order in calls if caller == "run_search"]
+    assert len(from_loop) == loop_calls
+    assert all(n % order == 0 for order in from_loop)
+    assert calls.count(("group_acts_freely", n)) == len(results)
+    assert len(calls) == len(from_loop) + len(results)
+    assert len(results) == (64 if n == 3 else 0)
 
 
 # ---------------------------------------------------------------------------
