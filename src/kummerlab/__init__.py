@@ -34,7 +34,6 @@ from .lattice import (
 )
 from .lefschetz import (
     DegenerateActionError,
-    NonIntegralLefschetzError,
     companion_matrix,
     det_one_minus_power,
     invariant_character_counts,
@@ -79,7 +78,6 @@ __all__ = [
     "FreenessCertificate",
     "FreenessReport",
     "IntMatrix",
-    "NonIntegralLefschetzError",
     "NotNTorsionError",
     "QuotientClassification",
     "QuotientVerdict",

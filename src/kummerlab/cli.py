@@ -42,7 +42,6 @@ from .fixedpoint import (
 )
 from .lattice import translation_classes
 from .lefschetz import (
-    NonIntegralLefschetzError,
     character_census,
     invariant_character_counts,
     kummer_series,
@@ -335,19 +334,13 @@ def _run_lefschetz(args: argparse.Namespace) -> tuple[dict, int]:
     payload["induced_matrix"] = [list(row) for row in matrix.entries]
     payload["torus_lefschetz"] = torus
     payload["series"] = list(series.coefficients)
-    if not torus:
-        payload["kummer_lefschetz"] = None
-        payload["status"] = "degenerate"
-        return payload, EXIT_OK
-    try:
+    if torus:
         census = character_census(moduli, args.n)
         payload["kummer_lefschetz"] = lefschetz_from_census(series, census, torus)
         payload["status"] = "ok"
-    except NonIntegralLefschetzError as exc:
+    else:
         payload["kummer_lefschetz"] = None
-        payload["status"] = "non_integral"
-        payload["detail"] = str(exc)
-        return payload, EXIT_MATH
+        payload["status"] = "degenerate"
     return payload, EXIT_OK
 
 
@@ -379,28 +372,31 @@ def _run_freeness(args: argparse.Namespace) -> tuple[dict, int]:
         raise GrammarError(f"--level must lie in 1..{GRID_LEVEL_CAP}")
     if args.n > FREENESS_N_CAP:
         raise GrammarError(f"--n is capped at {FREENESS_N_CAP}")
+    if args.n < 2:
+        raise GrammarError("--n must be at least 2")
+    if not translation.is_torsion_of_level(args.n):
+        raise GrammarError(f"--a is not {args.n}-torsion")
     auto = TorusAuto(linear, translation)
     report = group_acts_freely(auto, args.n)
     payload = _auto_payload(args, auto)
     payload["command"] = "freeness"
     payload["order"] = report.order
     payload["free"] = report.free
-    powers = []
     for test in report.tested:
-        certs = [_certificate_payload(c) for c in test.report.certificates]
         for cert in test.report.certificates:
             if not verify_certificate(auto, args.n, cert):
-                payload["status"] = "certificate_rejected"
-                payload["powers"] = powers
-                return payload, EXIT_MATH
-        powers.append(
-            {
-                "power": test.power,
-                "has_fixed_point": test.report.found,
-                "certificates": certs,
-            }
-        )
-    payload["powers"] = powers
+                raise SelfCheckError(
+                    f"the certificate of power {cert.element_power}, orbit type "
+                    f"{list(cert.orbit_type)} failed its re-check"
+                )
+    payload["powers"] = [
+        {
+            "power": test.power,
+            "has_fixed_point": test.report.found,
+            "certificates": [_certificate_payload(c) for c in test.report.certificates],
+        }
+        for test in report.tested
+    ]
     payload["status"] = "free" if report.free else "not_free"
     if args.level is not None:
         agreement = True

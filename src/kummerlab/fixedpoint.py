@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 from .enriques import symplectic_screen
 from .lattice import torus_system_solvable, verify_obstruction
@@ -263,8 +264,10 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
     """Re-check a certificate against the base automorphism.
 
     Witnesses are verified by direct orbit expansion (no normal forms);
-    obstructions by re-assembling the system and pairing the functional.
-    A certificate that carries both or neither is rejected.
+    obstructions by re-assembling the system ``T z = b / q`` and pairing
+    the functional: the stored modulus must be ``q``, the tested element's
+    torsion level, and the stored pairing must be ``f . b`` exactly.  A
+    certificate that carries both or neither is rejected.
     """
     element = auto**certificate.element_power
     lengths = certificate.orbit_type
@@ -284,8 +287,10 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
             if point != base:
                 return False
         return total.is_origin()
-    functional, _, _ = certificate.obstruction
+    functional, pairing, modulus = certificate.obstruction
     system, constants, level = orbit_system(element, lengths)
+    if modulus != level or pairing != sum(map(mul, functional, constants)):
+        return False
     return verify_obstruction(system, constants, level, functional)
 
 

@@ -231,10 +231,9 @@ def test_messy_input_is_echoed_canonically(capsys) -> None:
 
 
 # Inputs with two faults each, and the one line reported.  Every subcommand
-# checks in one order: the grammar first, then its bounds (--n and --level;
-# for lefschetz and characters also whether --a is n-torsion), and only
-# then the map's own checks (unit determinant, finite order).  freeness
-# tests n-torsion in the decision, after the map (row 8).
+# checks in one order: the grammar first, then its bounds (--n, --level and
+# whether --a is n-torsion), and only then the map's own checks (unit
+# determinant, finite order).
 TWO_FAULTS = [
     (["freeness", "--h", "[[z,0],[0,1]", "--a", "(1/3,1/3)", "--n", "49"],
      "matrix must look like [[a,b],[c,d]], got '[[z,0],[0,1]'"),
@@ -253,7 +252,7 @@ TWO_FAULTS = [
     (["freeness", "--h", "[[2,0],[0,1]]", "--a", "(1/3,1/3)", "--n", "3",
       "--level", "0"], "--level must lie in 1..24"),
     (["freeness", "--h", "[[2,0],[0,1]]", "--a", "(1/5,0)", "--n", "3"],
-     "linear part must have unit determinant"),
+     "--a is not 3-torsion"),
     (["lefschetz", "--h", "[[z,0],[0,z]", "--a", "(0,0)", "--n", "3200"],
      "matrix must look like [[a,b],[c,d]], got '[[z,0],[0,z]'"),
     (["lefschetz", "--h", "[[2,0],[0,1]]", "--a", "(0,0)", "--n", "1"],
@@ -271,6 +270,8 @@ TWO_FAULTS = [
     (["search", "--n", "3", "--level", "25", "--h", "[[2,0],[0,1]]"],
      "level must lie in 1..24"),
     (["search", "--n", "1", "--level", "25"], "n must be at least 2"),
+    (["freeness", "--h", "[[2,0],[0,1]]", "--a", "(1/5,0)", "--n", "1"],
+     "--n must be at least 2"),
 ]
 
 
@@ -428,6 +429,20 @@ def test_lefschetz_computes_each_part_once(capsys, monkeypatch) -> None:
     assert code == EXIT_OK
     assert payload["kummer_lefschetz"] == 1350
     assert calls == {"kummer_series": 1, "lefschetz_torus": 1, "translation_classes": 1}
+
+
+def test_a_non_integral_lefschetz_number_exits_one_with_no_payload(
+    capsys, monkeypatch
+) -> None:
+    # Offsetting the torus number by one makes the final division inexact:
+    # a failed re-check, reported on one error line with nothing printed.
+    torus = lefschetz.lefschetz_torus
+    monkeypatch.setattr(cli, "lefschetz_torus", lambda m: torus(m) + 1)
+    argv = lefschetz_argv("eisenstein", "[[z,0],[0,z]]", "(0,0)", 3)
+    assert main(argv) == EXIT_MATH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 324 is not divisible by 10\n"
 
 
 def freeness_argv(ring: str, h: str, a: str, n: int) -> list[str]:
@@ -609,6 +624,19 @@ def test_freeness_grid_level_above_cap_exits_two(capsys, monkeypatch) -> None:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --level must lie in 1..24")
+
+
+def test_a_rejected_certificate_exits_one_with_no_payload(capsys, monkeypatch) -> None:
+    # A certificate that fails its re-check is reported on one error line
+    # naming its power and orbit type, and no partial payload is printed.
+    monkeypatch.setattr(cli, "verify_certificate", lambda auto, n, cert: False)
+    argv = freeness_argv("eisenstein", "[[z,0],[0,1]]", "(1/3,1/3)", 3)
+    assert main(argv) == EXIT_MATH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the certificate of power 1, orbit type [3] failed its re-check\n"
+    )
 
 
 def test_characters_command(capsys) -> None:

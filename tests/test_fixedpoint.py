@@ -36,7 +36,7 @@ from kummerlab.lattice import (
     translation_classes,
 )
 from kummerlab.linalg import IntMatrix, SelfCheckError, factorize
-from kummerlab.rings import RingElem, RingId, induced_matrix, zeta6
+from kummerlab.rings import RingElem, RingId, induced_matrix
 from kummerlab.search import (
     SearchResult,
     linear_candidates,
@@ -44,7 +44,7 @@ from kummerlab.search import (
     torsion_points,
 )
 from kummerlab.torus import TorusAuto, TorusEndo, TorusPoint, orbit_sum_data
-from kummerlab.verify import freeness_instances
+from kummerlab.verify import freeness_instances, panel_map
 
 
 def diag(d1: RingElem, d2: RingElem) -> TorusEndo:
@@ -54,36 +54,6 @@ def diag(d1: RingElem, d2: RingElem) -> TorusEndo:
 
 def diagonal_auto(d1, d2, coords) -> TorusAuto:
     return TorusAuto(diag(d1, d2), TorusPoint.from_vector(coords))
-
-
-def psi_order3() -> TorusAuto:
-    ring = RingId.EISENSTEIN
-    return diagonal_auto(
-        RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 3), 0, Fraction(1, 3), 0)
-    )
-
-
-def psi_order3_shifted() -> TorusAuto:
-    ring = RingId.EISENSTEIN
-    return diagonal_auto(
-        RingElem.zeta(ring),
-        RingElem.one(ring),
-        (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3), 0),
-    )
-
-
-def psi_order4() -> TorusAuto:
-    ring = RingId.GAUSSIAN
-    return diagonal_auto(
-        RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 4), 0, Fraction(1, 4), 0)
-    )
-
-
-def psi_order6() -> TorusAuto:
-    ring = RingId.EISENSTEIN
-    return diagonal_auto(
-        zeta6(), RingElem.one(ring), (Fraction(1, 6), 0, Fraction(1, 6), 0)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +98,7 @@ def test_orbit_type_counts() -> None:
 
 
 def test_order3_action_is_free() -> None:
-    report = group_acts_freely(psi_order3(), 3)
+    report = group_acts_freely(panel_map("order3"), 3)
     assert report.free
     assert report.order == 3
     # Order three is prime, so exactly one power is tested and every
@@ -138,11 +108,11 @@ def test_order3_action_is_free() -> None:
     assert len(certificates) == len(orbit_types(3, 3))
     for cert in certificates:
         assert cert.witness is None
-        assert verify_certificate(psi_order3(), 3, cert)
+        assert verify_certificate(panel_map("order3"), 3, cert)
 
 
 def test_shifted_order3_action_has_fixed_configuration() -> None:
-    psi = psi_order3_shifted()
+    psi = panel_map("order3_shifted")
     report = has_fixed_point(psi, 3)
     assert report.found
     cert = report.first_witness()
@@ -172,7 +142,7 @@ def test_verdicts_are_read_from_the_evidence() -> None:
         (SearchResult, set()),
     ):
         assert verdicts & {f.name for f in dataclasses.fields(cls)} == stored, cls
-    cert = has_fixed_point(psi_order3_shifted(), 3).first_witness()
+    cert = has_fixed_point(panel_map("order3_shifted"), 3).first_witness()
     report = FixedPointReport((cert,))
     assert report.found
     assert not FreenessReport(3, (PowerTest(1, report),)).free
@@ -180,12 +150,8 @@ def test_verdicts_are_read_from_the_evidence() -> None:
 
 
 def test_order4_action_is_free_but_halfpoint_is_not() -> None:
-    assert group_acts_freely(psi_order4(), 4).free
-    halfpoint = diagonal_auto(
-        RingElem.zeta(RingId.GAUSSIAN),
-        RingElem.one(RingId.GAUSSIAN),
-        (Fraction(1, 2), 0, Fraction(1, 4), 0),
-    )
+    assert group_acts_freely(panel_map("order4"), 4).free
+    halfpoint = panel_map("order4_halfpoint")
     report = group_acts_freely(halfpoint, 4)
     assert not report.free
     failing = [t for t in report.tested if t.report.found]
@@ -196,7 +162,7 @@ def test_order4_action_is_free_but_halfpoint_is_not() -> None:
 
 
 def test_order6_action_catches_involution() -> None:
-    psi = psi_order6()
+    psi = panel_map("order6")
     report = group_acts_freely(psi, 6)
     assert not report.free
     assert report.order == 6
@@ -307,10 +273,7 @@ def test_grid_walk_matches_naive_reference() -> None:
     ]
     # The Gaussian n=12 anchor at level 6: its translation has level 4, so
     # the grid is walked mod 12 with every start scaled by 2.
-    ring = RingId.GAUSSIAN
-    anchor = diagonal_auto(
-        RingElem.zeta(ring), RingElem.one(ring), (Fraction(1, 4), 0, Fraction(1, 4), 0)
-    )
+    anchor = panel_map("order4")
     cases += [(anchor**power, 12, 6) for power in (1, 2)]
     # Seeded pairs whose translations move every coordinate.
     rng = random.Random(60221)
@@ -369,7 +332,7 @@ def test_integer_reflections_are_free_off_both_factors(diagonal) -> None:
 
 
 def test_grid_level_is_capped() -> None:
-    psi = psi_order3()
+    psi = panel_map("order3")
     assert GRID_LEVEL_CAP == 24
     for level in (0, GRID_LEVEL_CAP + 1, 900):
         with pytest.raises(ValueError):
@@ -399,7 +362,7 @@ def test_grid_fixed_points_are_found_by_the_decision() -> None:
 
 
 def test_certificate_tampering_is_rejected() -> None:
-    psi = psi_order3_shifted()
+    psi = panel_map("order3_shifted")
     cert = has_fixed_point(psi, 3).first_witness()
     assert verify_certificate(psi, 3, cert)
     # Shifting the second factor by a half-point moves the orbit sum off
@@ -426,7 +389,7 @@ def test_certificate_tampering_is_rejected() -> None:
     # or neither, is rejected.
     missing = FreenessCertificate(cert.element_power, cert.orbit_type)
     assert not verify_certificate(psi, 3, missing)
-    obstruction = group_acts_freely(psi_order3(), 3).tested[0].report.certificates[0]
+    obstruction = group_acts_freely(panel_map("order3"), 3).tested[0].report.certificates[0]
     both = FreenessCertificate(
         cert.element_power,
         cert.orbit_type,
@@ -437,7 +400,7 @@ def test_certificate_tampering_is_rejected() -> None:
 
 
 def test_obstruction_tampering_is_rejected() -> None:
-    psi = psi_order3()
+    psi = panel_map("order3")
     report = group_acts_freely(psi, 3)
     cert = report.tested[0].report.certificates[0]
     assert cert.witness is None
@@ -449,7 +412,7 @@ def test_obstruction_tampering_is_rejected() -> None:
     assert not verify_certificate(psi, 3, zeroed)
     missing = FreenessCertificate(cert.element_power, cert.orbit_type)
     assert not verify_certificate(psi, 3, missing)
-    witness = has_fixed_point(psi_order3_shifted(), 3).first_witness()
+    witness = has_fixed_point(panel_map("order3_shifted"), 3).first_witness()
     both = FreenessCertificate(
         cert.element_power,
         cert.orbit_type,
@@ -457,6 +420,23 @@ def test_obstruction_tampering_is_rejected() -> None:
         obstruction=cert.obstruction,
     )
     assert not verify_certificate(psi, 3, both)
+
+
+def test_obstructions_are_checked_whole() -> None:
+    # The stored pairing must be f . b and the modulus the tested level:
+    # a raised pairing, a doubled modulus, and (f, 0, 1), an integral
+    # pairing that obstructs nothing, are all rejected.
+    psi = panel_map("order3")
+    cert = group_acts_freely(psi, 12).tested[0].report.certificates[0]
+    functional, pairing, modulus = cert.obstruction
+    assert verify_certificate(psi, 12, cert)
+    for tampered in (
+        (functional, pairing + 1, modulus),
+        (functional, pairing, 2 * modulus),
+        (functional, 0, 1),
+    ):
+        forged = dataclasses.replace(cert, obstruction=tampered)
+        assert not verify_certificate(psi, 12, forged), tampered
 
 
 def test_obstruction_pairings_are_integers_over_the_tested_level() -> None:
@@ -485,7 +465,7 @@ def test_obstruction_pairings_are_integers_over_the_tested_level() -> None:
 def test_decision_aggregates_per_type_solvability() -> None:
     # Dual route: the top-level verdict must equal the disjunction of the
     # raw solvability answers over all orbit types.
-    for psi in (psi_order3(), psi_order3_shifted()):
+    for psi in (panel_map("order3"), panel_map("order3_shifted")):
         verdicts = []
         for orbit_type in orbit_types(3, psi.order()):
             system, constants, level = orbit_system(psi, orbit_type)
@@ -504,7 +484,7 @@ def test_translation_must_be_fibre_torsion() -> None:
     with pytest.raises(NotNTorsionError):
         group_acts_freely(psi, 3)
     with pytest.raises(ValueError):
-        has_fixed_point(psi_order3(), 1)
+        has_fixed_point(panel_map("order3"), 1)
 
 
 def test_shared_linear_cache_changes_no_report(clear_memos) -> None:
@@ -532,7 +512,7 @@ def test_orbit_system_matches_point_level_definitions() -> None:
     # Dual route: blocks and constants rebuilt from iterates and orbit sums
     # of the map itself.  The constants are pinned as representatives, not
     # only mod 1, because obstruction pairings print them.
-    for psi in (psi_order3(), psi_order3_shifted(), psi_order4()):
+    for psi in (panel_map("order3"), panel_map("order3_shifted"), panel_map("order4")):
         m = psi.linear.induced_matrix()
         for n in (3, 4):
             for orbit_type in orbit_types(n, psi.order()):

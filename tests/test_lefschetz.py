@@ -82,8 +82,9 @@ def test_det_one_minus_power_order_five() -> None:
 
 def test_series_builds_each_power_once(monkeypatch) -> None:
     # matrix_order reads chi = Phi_5 from S = m @ m (one product), then
-    # confirms m^5 = S**2 @ m (two more); then one running product per
-    # exponent.
+    # confirms m^5 = S**2 @ m (two more).  M^s depends only on s mod 5, so
+    # det_one_minus_power builds m^1..m^5 by binary powers (0, 1, 2, 2 and
+    # 3 products) and no truncation builds more.
     m = companion_matrix((1, 1, 1, 1))
     products = 0
     matmul = IntMatrix.__matmul__
@@ -94,8 +95,10 @@ def test_series_builds_each_power_once(monkeypatch) -> None:
         return matmul(self, other)
 
     monkeypatch.setattr(IntMatrix, "__matmul__", counting)
-    kummer_series(m, 24)
-    assert products == 3 + 24
+    for truncation in (24, 360):
+        products = 0
+        kummer_series(m, truncation)
+        assert products == 3 + 8, truncation
 
 
 def test_torus_count_is_first_determinant() -> None:
