@@ -267,9 +267,15 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
     obstructions by re-assembling the system ``T z = b / q`` and pairing
     the functional: the stored modulus must be ``q``, the tested element's
     torsion level, and the stored pairing must be ``f . b`` exactly.  A
-    certificate that carries both or neither is rejected.
+    certificate that carries both or neither is rejected, and so is one
+    whose power is negative or a multiple of the order: that power is the
+    identity, which fixes every configuration.  A fixed point of any other
+    power still shows that the group does not act freely.
     """
-    element = auto**certificate.element_power
+    power = certificate.element_power
+    if power < 0 or power % auto.order() == 0:
+        return False
+    element = auto**power
     lengths = certificate.orbit_type
     if sum(lengths) != n or any(l < 1 for l in lengths):
         return False

@@ -29,21 +29,26 @@ class RingMismatchError(ValueError):
 
 
 class RingId(Enum):
-    """Tag for the three supported coefficient rings."""
+    """Tag for the three supported coefficient rings.
 
-    RATIONAL_INT = "integer"
-    GAUSSIAN = "gaussian"
-    EISENSTEIN = "eisenstein"
+    Each member's value is its command-line token, and it carries two
+    structure constants as plain attributes, read on every product and
+    conjugate: ``zeta_square = (s, t)`` with ``zeta**2 = s + t*zeta``, and
+    ``zeta_conj = (u, v)``, the coordinates of the complex conjugate of
+    ``zeta``.  The rational integers have no generator, so their constants
+    only ever multiply a zero ``y`` coordinate.
+    """
 
-    @property
-    def zeta_square(self) -> tuple[int, int]:
-        """Structure constants ``(s, t)`` with ``zeta**2 = s + t*zeta``."""
-        return _ZETA_SQUARE[self]
+    RATIONAL_INT = ("integer", (1, 0), (1, 0))
+    GAUSSIAN = ("gaussian", (-1, 0), (0, -1))
+    EISENSTEIN = ("eisenstein", (-1, -1), (-1, -1))
 
-    @property
-    def zeta_conj(self) -> tuple[int, int]:
-        """Coordinates ``(u, v)`` of the complex conjugate of ``zeta``."""
-        return _ZETA_CONJ[self]
+    def __new__(cls, token: str, zeta_square, zeta_conj) -> "RingId":
+        member = object.__new__(cls)
+        member._value_ = token
+        member.zeta_square = zeta_square
+        member.zeta_conj = zeta_conj
+        return member
 
     @classmethod
     def from_token(cls, token: str) -> "RingId":
@@ -51,20 +56,6 @@ class RingId(Enum):
             if ring.value == token:
                 return ring
         raise ValueError(f"unknown ring token {token!r}")
-
-
-# The rational integers have no generator, so their constants only ever
-# multiply a zero ``y`` coordinate.
-_ZETA_SQUARE = {
-    RingId.RATIONAL_INT: (1, 0),
-    RingId.GAUSSIAN: (-1, 0),
-    RingId.EISENSTEIN: (-1, -1),
-}
-_ZETA_CONJ = {
-    RingId.RATIONAL_INT: (1, 0),
-    RingId.GAUSSIAN: (0, -1),
-    RingId.EISENSTEIN: (-1, -1),
-}
 
 
 def _check_same_ring(a, b) -> None:
@@ -173,7 +164,10 @@ class RingElem:
         )
 
     def __hash__(self) -> int:
-        return hash((self._ring, self._x, self._y))
+        # Elements of different rings with equal coordinates collide here
+        # and are told apart by __eq__; hashing the enum would cost a
+        # Python-level call on every dict and set operation.
+        return hash((self._x, self._y))
 
     def __repr__(self) -> str:
         return f"RingElem({self._ring.name}, {self._x}, {self._y})"

@@ -18,8 +18,11 @@ matrices and their Smith normal forms, is memoised where it is computed,
 so each pair computes only its constants and its solves.
 
 Each question is asked of the cheapest fact that settles it.  The catalog
-decides finite order once per pair ``(tr h, det h)``, which fixes the
-characteristic polynomial of the induced matrix (:func:`linear_candidates`).
+decides finite order in the ring (:func:`linear_candidates`): the pair
+``(tr h, det h)`` fixes the characteristic polynomial of the induced
+matrix, and with it the order ``L`` if there is one and whether ``h`` has
+a repeated eigenvalue; a tuple of such a pair has finite order only when
+``h`` is scalar.  ``matrix_order`` re-checks one tuple per pair.
 The sweep skips the identity, then a part whose order ``d`` does not divide
 ``n``, and only then takes ``ord(det h)`` for :func:`symplectic_screen`;
 parts that fail it give no free pair and are never keyed.
@@ -34,14 +37,15 @@ from math import gcd, prod
 from .enriques import QuotientClassification, classify_free_quotient, symplectic_screen
 from .fixedpoint import GRID_LEVEL_CAP, FreenessReport, group_acts_freely
 from .lattice import translation_classes
-from .linalg import CYCLOTOMIC_ORDERS, characteristic_polynomial
-from .rings import RingElem, RingId, induced_matrix, ring_elements_up_to_norm
-from .torus import (
-    TorusAuto,
-    TorusEndo,
-    TorusPoint,
-    UnsupportedAutomorphismError,
+from .linalg import (
+    CYCLOTOMIC_ORDERS,
+    IntMatrix,
+    SelfCheckError,
+    characteristic_polynomial,
+    matrix_order,
 )
+from .rings import RingElem, RingId, induced_matrix, ring_elements_up_to_norm, units
+from .torus import TorusAuto, TorusEndo, TorusPoint
 
 MAX_NORM_CAP = 4
 
@@ -64,9 +68,11 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     """Finite-order linear automorphisms with entries of norm <= max_norm.
 
     Candidates must have unit determinant (otherwise they do not act
-    invertibly) and finite multiplicative order, as
-    :meth:`TorusEndo.multiplicative_order` reads it from the induced matrix
-    with :func:`~kummerlab.linalg.matrix_order`.
+    invertibly) and finite multiplicative order.  Each tuple is decided by
+    ring arithmetic and facts of its pair ``(tr h, det h)``, and no tuple
+    needs a power of its 4x4 induced matrix;
+    :func:`~kummerlab.linalg.matrix_order` runs once per pair, as a
+    self-check.
 
     The characteristic polynomial of the induced matrix ``M`` of
     ``h = [[p, q], [r, s]]`` depends only on ``(tr h, det h)``.  The ring
@@ -75,43 +81,77 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     embedding ``e`` and its conjugate (the scalar ``e`` twice for the
     integer ring), so ``M`` is similar to ``h`` beside ``conj(h)`` and
     ``chi_M = chi_h * conj(chi_h)`` with ``chi_h = x^2 - (tr h) x + det h``.
+    So ``M`` has finite order exactly when ``h`` does, and a pair whose
+    ``chi_M`` is outside :data:`~kummerlab.linalg.CYCLOTOMIC_ORDERS` has
+    infinite order.  Otherwise every eigenvalue of ``h`` is a root of
+    unity, and ``h`` has finite order exactly when it is diagonalisable;
+    its order is then the ``L`` of ``chi_M``, since the eigenvalues of
+    ``M`` are those of ``h`` and their conjugates, of the same orders.  A
+    2x2 matrix with distinct eigenvalues, ``tr^2 != 4 det``, is
+    diagonalisable; one with a repeated eigenvalue is diagonalisable only
+    when it is scalar, ``q = r = 0`` and ``p = s``.
+
     Each pair is therefore decided once, from the first tuple that has it:
-    a ``chi_M`` outside :data:`~kummerlab.linalg.CYCLOTOMIC_ORDERS` means
-    infinite order, and every later tuple with that pair is skipped before
-    its matrix is built.  Tuples of the other pairs go through
-    ``matrix_order``, which still confirms ``M^L = I``.  The entries'
-    pairwise products are formed once, so ``det h`` costs one subtraction.
+    ``L`` or ``None``, and whether its eigenvalue repeats.  The first tuple
+    a pair accepts goes through ``matrix_order``, which confirms
+    ``M^L = I``; any other answer raises :class:`SelfCheckError`.  Every
+    accepted part carries ``L`` in its order memo.  The entries' pairwise
+    sums and products are formed once, so ``tr h`` is a lookup, ``det h``
+    one subtraction, and the unit test a set lookup.
 
     In the Eisenstein norm-1 catalog, 1,368 tuples have unit determinant
     and 78 pairs ``(tr h, det h)``, 24 of them cyclotomic: 720 tuples are
-    skipped by their pair, and 72 of the 648 that reach ``matrix_order``
-    fail ``M^L = I``, leaving 576.
+    skipped by their pair, 72 are rejected as non-scalar with a repeated
+    eigenvalue (exactly those that fail ``M^L = I``), and 576 are
+    accepted, with 24 calls to ``matrix_order``.
     """
     if max_norm > MAX_NORM_CAP:
         raise ValueError(f"max_norm is capped at {MAX_NORM_CAP}")
     entries = ring_elements_up_to_norm(ring, max_norm)
+    unit_set = set(units(ring))
+    zero = entries.index(RingElem.zero(ring))
+    sums = [[e + f for f in entries] for e in entries]
     products = [[e * f for f in entries] for e in entries]
-    cyclotomic: dict[tuple[RingElem, RingElem], bool] = {}
+    # (tr h, det h) -> (L or None, whether the eigenvalue repeats)
+    decided: dict[tuple[RingElem, RingElem], tuple[int | None, bool]] = {}
+    checked: set[tuple[RingElem, RingElem]] = set()
     accepted = []
     for i, j, k, l in itertools.product(range(len(entries)), repeat=4):
         det = products[i][l] - products[j][k]
-        if not det.is_unit():
+        if det not in unit_set:
             continue
         rows = ((entries[i], entries[j]), (entries[k], entries[l]))
-        pair = (entries[i] + entries[l], det)
-        if pair not in cyclotomic:
+        trace = sums[i][l]
+        pair = (trace, det)
+        if pair not in decided:
             matrix = induced_matrix(rows)
             chi = characteristic_polynomial(matrix, matrix @ matrix)
-            cyclotomic[pair] = chi in CYCLOTOMIC_ORDERS
-        if not cyclotomic[pair]:
+            double = det + det
+            repeated = trace * trace == double + double
+            decided[pair] = (CYCLOTOMIC_ORDERS.get(chi), repeated)
+        order, repeated = decided[pair]
+        if order is None:
             continue
-        endo = TorusEndo(induced_matrix(rows))
-        try:
-            endo.multiplicative_order()
-        except UnsupportedAutomorphismError:
+        if repeated and not (j == k == zero and i == l):
             continue
-        accepted.append(endo)
+        matrix = induced_matrix(rows)
+        if pair not in checked:
+            checked.add(pair)
+            _check_order(matrix, order)
+        accepted.append(TorusEndo._with_order(matrix, order))
     return accepted
+
+
+def _check_order(matrix: IntMatrix, order: int) -> None:
+    """Raise :class:`SelfCheckError` unless ``matrix_order(matrix) == order``."""
+    try:
+        found = matrix_order(matrix)
+    except ValueError:
+        found = None
+    if found != order:
+        raise SelfCheckError(
+            f"catalog part {matrix!r} has order {found}, its pair predicts {order}"
+        )
 
 
 def torsion_points(level: int) -> list[TorusPoint]:

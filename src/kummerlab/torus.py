@@ -172,6 +172,19 @@ class TorusEndo:
     def identity(cls) -> "TorusEndo":
         return cls(IntMatrix.identity(4))
 
+    @classmethod
+    def _with_order(cls, matrix: IntMatrix, order: int) -> "TorusEndo":
+        """The linear part ``matrix`` with its order memo already filled.
+
+        The caller must have proved that ``matrix`` is a 4x4 integer matrix
+        of multiplicative order exactly ``order``, as
+        :func:`~kummerlab.linalg.matrix_order` would return it; the memo is
+        trusted and never recomputed.
+        """
+        endo = cls(matrix)
+        endo._order_cache = order
+        return endo
+
     def __matmul__(self, other: "TorusEndo") -> "TorusEndo":
         if not isinstance(other, TorusEndo):
             return NotImplemented

@@ -422,6 +422,18 @@ def test_obstruction_tampering_is_rejected() -> None:
     assert not verify_certificate(psi, 3, both)
 
 
+def test_identity_powers_are_rejected() -> None:
+    # Power 0, or a multiple of the order, is the identity, which fixes
+    # every configuration: the origin taken three times would "witness" a
+    # fixed point of the free order-3 map.
+    psi = panel_map("order3")
+    origin = TorusPoint.origin()
+    for power in (0, 3, 6, -1):
+        forged = FreenessCertificate(power, (1, 1, 1), witness=(origin,) * 3)
+        assert not verify_certificate(psi, 3, forged), power
+    assert group_acts_freely(psi, 3).free
+
+
 def test_obstructions_are_checked_whole() -> None:
     # The stored pairing must be f . b and the modulus the tested level:
     # a raised pairing, a doubled modulus, and (f, 0, 1), an integral

@@ -10,7 +10,7 @@ from math import prod
 
 import pytest
 
-from kummerlab import search, torus
+from kummerlab import search
 from kummerlab.cli import format_matrix, format_point
 from kummerlab.enriques import QuotientVerdict, symplectic_screen
 from kummerlab.fixedpoint import group_acts_freely
@@ -24,6 +24,7 @@ from kummerlab.rings import (
 )
 from kummerlab.linalg import (
     CYCLOTOMIC_ORDERS,
+    IntMatrix,
     SelfCheckError,
     characteristic_polynomial,
     matrix_order,
@@ -110,9 +111,10 @@ def test_linear_candidates_are_finite_order_units() -> None:
 
 
 # Catalog size, then the sha256 of the catalog's format_matrix rows and of
-# its repr, per (ring, max_norm).  The rows are those produced when finite
-# order was decided by products in the ring; the repr prints each part's
-# induced IntMatrix.
+# its repr, per (ring, max_norm).  The rows at norms 1 and 2 are those
+# produced when finite order was decided by products in the ring, those at
+# norms 3 and 4 those of matrix_order on every unit-determinant tuple; the
+# repr prints each part's induced IntMatrix.
 CATALOG_PINS = {
     (RingId.RATIONAL_INT, 1): (
         24,
@@ -124,6 +126,16 @@ CATALOG_PINS = {
         "ec18c74aabdef6fc25fd343efba8e14b8b17b5a759b9ecbed87d22042f6ce775",
         "a541194008ed310994525e2e139ec13740feac1a364536c9ec929b1552edeb9b",
     ),
+    (RingId.RATIONAL_INT, 3): (
+        24,
+        "ec18c74aabdef6fc25fd343efba8e14b8b17b5a759b9ecbed87d22042f6ce775",
+        "a541194008ed310994525e2e139ec13740feac1a364536c9ec929b1552edeb9b",
+    ),
+    (RingId.RATIONAL_INT, 4): (
+        40,
+        "bb3873ab183d9748d0c07c1706e37ec6c1554467ef7756ffd7dfa1898e2f101c",
+        "a3dee95e95f7f5d45f182cb3626803c1b1a9cb903198608b27ccf476ce61be4e",
+    ),
     (RingId.GAUSSIAN, 1): (
         160,
         "6bc3d25f860d351f01f5ca500f6a2312aa95a514182af00dc204af4f32224752",
@@ -134,6 +146,16 @@ CATALOG_PINS = {
         "3a6993002ea550d31e0fc6aae8d407bdaa367c7296445a8c3c52a2b250533744",
         "101cf36df1a3a14445ef82825629b0c75f068a8b33f60345c44ddc6e46e82ea2",
     ),
+    (RingId.GAUSSIAN, 3): (
+        448,
+        "3a6993002ea550d31e0fc6aae8d407bdaa367c7296445a8c3c52a2b250533744",
+        "101cf36df1a3a14445ef82825629b0c75f068a8b33f60345c44ddc6e46e82ea2",
+    ),
+    (RingId.GAUSSIAN, 4): (
+        576,
+        "b7b9ba000b7f7fb9981b2441371270996f2b782574917f70635385198fafdd4e",
+        "b1a9117aa64fa26bc147ac6066e2a2ec082e3280bbe5f22f874d70faad889129",
+    ),
     (RingId.EISENSTEIN, 1): (
         576,
         "e8e2224c7272701b5f758e1c98b8c4587a2b578eed0881f428d1820d02ae8c65",
@@ -143,6 +165,16 @@ CATALOG_PINS = {
         576,
         "e8e2224c7272701b5f758e1c98b8c4587a2b578eed0881f428d1820d02ae8c65",
         "7788bb0868de377c37fd7e28066f026d13ee75f006a713cac8b314c963e225d6",
+    ),
+    (RingId.EISENSTEIN, 3): (
+        1152,
+        "d1df96e6d534021c9c9c7372b12683939c07c0a2f1ca06a891e8b4b31f3c297e",
+        "edafe8fbbfa489e5aa9b8fbd0ae4928ac761feefca1e177ba4190e9df6135859",
+    ),
+    (RingId.EISENSTEIN, 4): (
+        2520,
+        "1ab9fbcb829d933ac29f8c427a8b8a1c3ae7fac12574c8fb1437ef685cfaa44b",
+        "75feaced12e964d596bb2cfdde9db15dd18dfb4b8ace0315ab67af5dab438fb7",
     ),
 }
 
@@ -162,14 +194,21 @@ def test_linear_catalog_is_pinned(ring: RingId, max_norm: int) -> None:
 
 
 # sha256 of the catalog's "format_matrix(h) order" rows per (ring, max_norm),
-# measured when orders came from a ladder of powers up to m^24.
+# measured at norms 1 and 2 when orders came from a ladder of powers up to
+# m^24, and at norms 3 and 4 with matrix_order on every tuple.
 CATALOG_ORDER_PINS = {
     (RingId.RATIONAL_INT, 1): "9b710c83598de2045059a35b46c48c00a13bda183ffd38c554691fce00483f19",
     (RingId.RATIONAL_INT, 2): "9b710c83598de2045059a35b46c48c00a13bda183ffd38c554691fce00483f19",
+    (RingId.RATIONAL_INT, 3): "9b710c83598de2045059a35b46c48c00a13bda183ffd38c554691fce00483f19",
+    (RingId.RATIONAL_INT, 4): "1049ee0a37a698c544ecc0d083b7f2e6ad676ffc8ff9ef46cf2ced4cdb0baf43",
     (RingId.GAUSSIAN, 1): "cd5bc57ff86cbdc847c761752db47559989f4d0620c54e41cb51470357c4c039",
     (RingId.GAUSSIAN, 2): "5825a73dcf15f6d32259b871885cf3a20e5a78207dd437969f0137cc000fc1ae",
+    (RingId.GAUSSIAN, 3): "5825a73dcf15f6d32259b871885cf3a20e5a78207dd437969f0137cc000fc1ae",
+    (RingId.GAUSSIAN, 4): "2b305b0a07eac7f9e0da118c69c7e8416ec0065af463cd121d11c93daf2383ab",
     (RingId.EISENSTEIN, 1): "ea755760b7d60a8a1bbe7111efbc12f84566bd75d4967f13a2e43152f3f416ac",
     (RingId.EISENSTEIN, 2): "ea755760b7d60a8a1bbe7111efbc12f84566bd75d4967f13a2e43152f3f416ac",
+    (RingId.EISENSTEIN, 3): "e3022781884df236ee207342a50c18a486dc4376f455d1d8075d6306b2a98ab6",
+    (RingId.EISENSTEIN, 4): "917c68bcceb1821229810bab90a5f0b019e1cdc72e87fa175e7fe7211658cb77",
 }
 
 
@@ -233,8 +272,10 @@ def test_induced_polynomial_depends_on_trace_and_determinant(
 def test_catalog_decides_each_pair_once(monkeypatch) -> None:
     # Eisenstein norm 1: 1,368 unit-determinant tuples in 78 pairs
     # (tr h, det h), 24 of them with a cyclotomic chi_M.  The other 54
-    # pairs hold 720 tuples, which never reach matrix_order; 72 of the
-    # 648 that do fail M^L = I.
+    # pairs hold 720 tuples, skipped by their pair.  Of the 648 left, the
+    # 72 non-scalar tuples of a pair with tr^2 = 4 det are rejected, and
+    # matrix_order runs once per cyclotomic pair, on its first accepted
+    # tuple.
     screened: list[tuple[int, ...]] = []
     decided = 0
 
@@ -248,13 +289,64 @@ def test_catalog_decides_each_pair_once(monkeypatch) -> None:
         return matrix_order(m)
 
     monkeypatch.setattr(search, "characteristic_polynomial", screen)
-    monkeypatch.setattr(torus, "matrix_order", order)
+    monkeypatch.setattr(search, "matrix_order", order)
     catalog = linear_candidates(RingId.EISENSTEIN, 1)
     assert len(screened) == 78
     assert sum(chi in CYCLOTOMIC_ORDERS for chi in screened) == 24
-    assert sum(1 for _ in unit_determinant_tuples(RingId.EISENSTEIN, 1)) == 1368
-    assert decided == 1368 - 720 == 648
-    assert len(catalog) == 648 - 72
+    assert decided == 24
+    skipped = repeated = 0
+    for p, q, r, s in unit_determinant_tuples(RingId.EISENSTEIN, 1):
+        m = induced_matrix(((p, q), (r, s)))
+        trace, det = p + s, p * s - q * r
+        if characteristic_polynomial(m, m @ m) not in CYCLOTOMIC_ORDERS:
+            skipped += 1
+        elif trace * trace == det + det + det + det and not (
+            q.is_zero() and r.is_zero() and p == s
+        ):
+            repeated += 1
+    assert (skipped, repeated) == (720, 72)
+    assert len(catalog) == 1368 - 720 - 72 == 576
+
+
+def per_tuple_catalog(ring: RingId, max_norm: int) -> list[tuple[IntMatrix, int]]:
+    """Reference catalog: matrix_order on every unit-determinant tuple."""
+    catalog = []
+    for p, q, r, s in unit_determinant_tuples(ring, max_norm):
+        m = induced_matrix(((p, q), (r, s)))
+        try:
+            catalog.append((m, matrix_order(m)))
+        except ValueError:
+            continue
+    return catalog
+
+
+@pytest.mark.parametrize("max_norm", [1, 2, 3, 4])
+@pytest.mark.parametrize("ring", list(RingId), ids=lambda ring: ring.value)
+def test_catalog_matches_per_tuple_orders(ring: RingId, max_norm: int) -> None:
+    # The pair decides L and whether h must be scalar; every accepted part
+    # carries L in its order memo, and the catalog and those memos equal
+    # matrix_order run on each tuple.
+    catalog = linear_candidates(ring, max_norm)
+    assert [
+        (h.induced_matrix(), h._order_cache) for h in catalog
+    ] == per_tuple_catalog(ring, max_norm)
+
+
+def doubled_order(m: IntMatrix) -> int:
+    return 2 * matrix_order(m)
+
+
+def infinite_order(m: IntMatrix) -> int:
+    raise ValueError("matrix has infinite multiplicative order")
+
+
+@pytest.mark.parametrize("wrong", [doubled_order, infinite_order])
+def test_catalog_self_check_raises_on_a_disagreeing_order(monkeypatch, wrong) -> None:
+    # matrix_order must confirm L on the first part of each pair; another
+    # order, or infinite order, is a bug and raises SelfCheckError.
+    monkeypatch.setattr(search, "matrix_order", wrong)
+    with pytest.raises(SelfCheckError):
+        linear_candidates(RingId.GAUSSIAN, 1)
 
 
 def stepwise_order(endo: TorusEndo, bound: int = 24) -> int | None:
