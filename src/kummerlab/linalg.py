@@ -551,15 +551,47 @@ def elementary_divisors_via_minors(a: IntMatrix) -> list[int]:
     all ``k x k`` minors and ``d_k = D_k / D_{k-1}``.  It shares no code with
     :func:`smith_normal_form`, which makes it usable as an independent
     cross-check (at exponential cost, so keep the inputs small).
+
+    Each ``k x k`` minor is expanded along its first row, from the
+    ``(k-1) x (k-1)`` minors of the rows below it.  A per-call table keeps
+    every minor of size 3 or more, so each of the ``C(rows, k) C(cols, k)``
+    minors of size ``k`` is computed at most once, from at most ``k``
+    products of an entry and a smaller minor; an entry is read off and a
+    ``2 x 2`` minor costs two products, so those are not stored.  No
+    :class:`IntMatrix` is built and no determinant taken per minor.  The
+    scan of size ``k`` stops at ``gcd = 1``; a minor it skipped is
+    computed when a larger one needs it.
     """
+    entries = a.entries
+    table: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+    def minor(rows_sel: tuple[int, ...], cols_sel: tuple[int, ...]) -> int:
+        top = entries[rows_sel[0]]
+        if len(rows_sel) == 1:
+            return top[cols_sel[0]]
+        if len(rows_sel) == 2:
+            low = entries[rows_sel[1]]
+            i, j = cols_sel
+            return top[i] * low[j] - top[j] * low[i]
+        key = (rows_sel, cols_sel)
+        value = table.get(key)
+        if value is None:
+            below = rows_sel[1:]
+            value = 0
+            for t, j in enumerate(cols_sel):
+                if top[j]:
+                    term = top[j] * minor(below, cols_sel[:t] + cols_sel[t + 1 :])
+                    value += -term if t % 2 else term
+            table[key] = value
+        return value
+
     divisors = []
     prev = 1
     for k in range(1, min(a.rows, a.cols) + 1):
         g = 0
         for rows_sel in combinations(range(a.rows), k):
             for cols_sel in combinations(range(a.cols), k):
-                sub = IntMatrix._of([[a[i][j] for j in cols_sel] for i in rows_sel])
-                g = gcd(g, sub.det())
+                g = gcd(g, minor(rows_sel, cols_sel))
                 if g == 1:
                     break
             if g == 1:

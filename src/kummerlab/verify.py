@@ -10,7 +10,13 @@ and the tested values cannot drift apart.
 Several checks are cross-validations rather than single numbers: they run
 an independently coded oracle (exhaustive enumeration, direct symmetric-
 algebra expansion, grid search) against the production route and expect
-zero mismatches.
+zero mismatches.  The oracles compute each value once: the sampled
+solvability check reads its divisors from
+:func:`~kummerlab.linalg.elementary_divisors_via_minors`, which keeps a
+table of minors per call, and :func:`supertrace_by_expansion` expands the
+trace of each symmetric and exterior power once per degree, dropping the
+monomials that cannot reach the one it reads.  Neither calls the code it
+checks.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import le
 from typing import Callable
 
 from .enriques import FactorDecomposition, classify_free_quotient, decomposition_search
@@ -223,17 +230,24 @@ def fixed_point_oracle_mismatches(level: int = 12) -> int:
     return mismatches
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
+def _poly_mul(a: dict, b: dict, bound: tuple[int, ...]) -> dict:
+    """Product of two polynomials, keeping only monomials that divide ``bound``."""
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
+            if all(map(le, key, bound)):
+                out[key] = out.get(key, 0) + ca * cb
     return out
 
 
 def _sym_power_trace(rows: list[list[int]], degree: int) -> int:
-    """Trace on the degree-``degree`` symmetric power, by monomial expansion."""
+    """Trace on the degree-``degree`` symmetric power, by monomial expansion.
+
+    Each basis monomial ``x^e`` maps to the product of the images of its
+    variables; the trace sums the coefficient of ``x^e`` in that product,
+    with the monomials that do not divide ``x^e`` dropped on the way.
+    """
     if degree == 0:
         return 1
     size = len(rows)
@@ -252,10 +266,11 @@ def _sym_power_trace(rows: list[list[int]], degree: int) -> int:
         exponent = [0] * size
         for j in combo:
             exponent[j] += 1
+        target = tuple(exponent)
         product = {tuple([0] * size): 1}
         for j in combo:
-            product = _poly_mul(product, images[j])
-        total += product.get(tuple(exponent), 0)
+            product = _poly_mul(product, images[j], target)
+        total += product.get(target, 0)
     return total
 
 
@@ -273,16 +288,22 @@ def supertrace_by_expansion(even, odd, truncation: int) -> list[int]:
     """Degree-by-degree supertrace on Sym(even) tensor Lambda(odd).
 
     ``even`` and ``odd`` are square integer matrices given as lists of rows.
+    The trace on each ``Sym^i(even)`` and each ``Lambda^j(odd)`` is expanded
+    once, for every degree up to ``truncation``; degree ``k`` is then the
+    signed convolution ``sum_(i+j=k) (-1)^j tr Sym^i tr Lambda^j``.  The
+    symmetric traces read one coefficient, that of a basis monomial ``x^e``,
+    from a product of linear forms.  Multiplying in a factor never lowers
+    an exponent, so a partial monomial above ``e`` in some variable cannot
+    reach ``x^e`` and is dropped as soon as it appears; the coefficient read
+    is the unpruned one.  Nothing here calls :func:`supertrace_sym_series`
+    or a series exponential.
     """
-    out = []
-    for k in range(truncation + 1):
-        acc = 0
-        for i in range(k + 1):
-            j = k - i
-            sign = -1 if j % 2 else 1
-            acc += sign * _sym_power_trace(even, i) * _exterior_power_trace(odd, j)
-        out.append(acc)
-    return out
+    sym = [_sym_power_trace(even, i) for i in range(truncation + 1)]
+    ext = [_exterior_power_trace(odd, j) for j in range(truncation + 1)]
+    return [
+        sum((-1) ** (k - i) * sym[i] * ext[k - i] for i in range(k + 1))
+        for k in range(truncation + 1)
+    ]
 
 
 def sampled_supertrace_mismatches(

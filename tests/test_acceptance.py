@@ -10,11 +10,14 @@ ten seconds.
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 
 import pytest
 
 import kummerlab.cli as cli
+import kummerlab.verify as verify
+from kummerlab.lattice import EnumerationTooLargeError
 from kummerlab.verify import (
     CheckResult,
     PanelItem,
@@ -144,6 +147,41 @@ def test_criterion_10_oracle_equivalence(panel) -> None:
         inspect.signature(sampled_solvability_mismatches).parameters["cases"].default
         >= 1000
     )
+
+
+# The sampled oracle's draws: 1,008 systems asked, 8 of them redrawn for
+# exceeding ENUMERATION_CAP, and the sha256 of the repr of the 1,000 kept
+# ``(system.entries, constants, modulus)`` triples, of which 851 are
+# solvable.  A resized or re-seeded sample changes these.
+SAMPLED_DRAWS = (
+    1008,
+    8,
+    "c8f7ff16ff77b239d4f67c986be5a034c057743790c3c0185f87ff954f3882d3",
+    851,
+)
+
+
+def test_sampled_oracle_draws_are_pinned(monkeypatch) -> None:
+    asked = []
+    verdicts = []
+    decide = verify.solvable_by_enumeration
+
+    def recording(system, constants, modulus):
+        asked.append((system.entries, tuple(constants), modulus))
+        try:
+            verdict = decide(system, constants, modulus)
+        except EnumerationTooLargeError:
+            verdicts.append(None)
+            raise
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(verify, "solvable_by_enumeration", recording)
+    assert sampled_solvability_mismatches() == 0
+    kept = [draw for draw, verdict in zip(asked, verdicts) if verdict is not None]
+    digest = hashlib.sha256(repr(kept).encode()).hexdigest()
+    counts = (len(asked), verdicts.count(None), digest, verdicts.count(True))
+    assert counts == SAMPLED_DRAWS
 
 
 def test_criterion_11_supertrace_identities(panel) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from kummerlab import fixedpoint, lattice
+from kummerlab import fixedpoint, lattice, linalg
 from kummerlab.lattice import (
     ENUMERATION_CAP,
     DimensionMismatchError,
@@ -187,6 +187,26 @@ def test_split_enumeration_matches_the_unsplit_closure(monkeypatch) -> None:
         assert solvable_by_enumeration(system, constants, modulus) == (target in group)
         outcomes.append(target in group)
     assert set(outcomes) == {True, False}
+
+
+def test_minor_oracles_share_no_code_with_the_normal_form(monkeypatch) -> None:
+    # With the Smith form, the determinant and the matrix product all
+    # refusing, the minors still give the frozen divisors and the
+    # enumeration still decides a system whose closure modulus splits.
+    def refuse(*args):
+        raise AssertionError("the oracle called code it cross-checks")
+
+    monkeypatch.setattr(linalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    monkeypatch.setattr(IntMatrix, "det", refuse)
+    monkeypatch.setattr(IntMatrix, "__matmul__", refuse)
+    frozen = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    assert elementary_divisors_via_minors(frozen) == [2, 2, 156]
+    system = IntMatrix([[2, 4], [1, 2], [0, 6]])
+    assert elementary_divisors_via_minors(system) == [1, 6]
+    assert solvable_by_enumeration(system, (2, 1, 0), 3) is True
+    assert solvable_by_enumeration(system, (1, 1, 0), 3) is False
+    assert solvable_by_enumeration(system, (1, 2, 3), 12) is False
 
 
 def test_enumeration_is_capped() -> None:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import kummerlab.lefschetz as lefschetz
+import kummerlab.verify as verify
 from kummerlab.lefschetz import (
     DegenerateActionError,
     companion_matrix,
@@ -275,6 +276,63 @@ def test_supertrace_expansion_is_integral_and_matches_series() -> None:
         assert all(type(c) is int for c in expansion)
         series = supertrace_sym_series(even, odd, 6)
         assert expansion == list(series.coefficients)
+
+
+def unpruned_supertrace(even, odd, truncation: int) -> list[int]:
+    """The reference: every monomial of every product kept, and both traces
+    expanded again for each degree ``k``."""
+
+    def sym_trace(rows, degree: int) -> int:
+        if degree == 0:
+            return 1
+        size = len(rows)
+        total = 0
+        for combo in itertools.combinations_with_replacement(range(size), degree):
+            product = {(0,) * size: 1}
+            for j in combo:
+                grown: dict = {}
+                for exponent, c in product.items():
+                    for i in range(size):
+                        key = tuple(e + (k == i) for k, e in enumerate(exponent))
+                        grown[key] = grown.get(key, 0) + c * rows[i][j]
+                product = grown
+            target = tuple(combo.count(i) for i in range(size))
+            total += product.get(target, 0)
+        return total
+
+    def ext_trace(rows, degree: int) -> int:
+        if degree == 0:
+            return 1
+        return sum(
+            IntMatrix([[rows[i][j] for j in subset] for i in subset]).det()
+            for subset in itertools.combinations(range(len(rows)), degree)
+        )
+
+    return [
+        sum((-1) ** (k - i) * sym_trace(even, i) * ext_trace(odd, k - i)
+            for i in range(k + 1))
+        for k in range(truncation + 1)
+    ]
+
+
+@pytest.mark.parametrize("truncation", [0, 1, 6])
+def test_supertrace_expansion_matches_the_unpruned_expansion(truncation: int) -> None:
+    rng = random.Random(1618 + truncation)
+    for d_even, d_odd in itertools.product(range(4), repeat=2):
+        even = [[rng.randint(-2, 2) for _ in range(d_even)] for _ in range(d_even)]
+        odd = [[rng.randint(-2, 2) for _ in range(d_odd)] for _ in range(d_odd)]
+        expected = unpruned_supertrace(even, odd, truncation)
+        assert supertrace_by_expansion(even, odd, truncation) == expected
+
+
+def test_supertrace_expansion_takes_no_series_route(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("the expansion oracle took the series route")
+
+    monkeypatch.setattr(TruncatedSeries, "exp", refuse)
+    monkeypatch.setattr(lefschetz, "supertrace_sym_series", refuse)
+    monkeypatch.setattr(verify, "supertrace_sym_series", refuse)
+    assert supertrace_by_expansion([[2]], [], 6) == [1, 2, 4, 8, 16, 32, 64]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])

@@ -347,6 +347,54 @@ def test_smith_form_zero_matrix() -> None:
     assert elementary_divisors_via_minors(a) == []
 
 
+def divisors_by_determinants(a: IntMatrix) -> list[int]:
+    """The reference: ``D_k`` is the gcd of ``IntMatrix.det`` over every
+    ``k x k`` minor, with no table and no early exit."""
+    divisors = []
+    prev = 1
+    for k in range(1, min(a.rows, a.cols) + 1):
+        g = 0
+        for rows_sel in itertools.combinations(range(a.rows), k):
+            for cols_sel in itertools.combinations(range(a.cols), k):
+                minor = IntMatrix([[a[i][j] for j in cols_sel] for i in rows_sel])
+                g = math.gcd(g, minor.det())
+        if g == 0:
+            break
+        divisors.append(g // prev)
+        prev = g
+    return divisors
+
+
+def test_minor_table_matches_determinants_of_every_minor() -> None:
+    # Every shape of 1-5 rows and 1-8 columns, entries in [-4, 4]: a dense
+    # draw, twice a draw from [-2, 2] (so D_1 is even), one with a zero row
+    # and a zero column, one with a row repeated up to sign (rank-deficient)
+    # and the zero matrix.
+    rng = random.Random(2027)
+    kinds = {"zero": 0, "deficient": 0, "nontrivial": 0}
+    for rows in range(1, 6):
+        for cols in range(1, 9):
+            dense = random_matrix(rng, rows, cols, 4)
+            doubled = random_matrix(rng, rows, cols, 2).scale(2)
+            holes = [list(row) for row in random_matrix(rng, rows, cols, 4).entries]
+            holes[rng.randrange(rows)] = [0] * cols
+            zero_col = rng.randrange(cols)
+            for row in holes:
+                row[zero_col] = 0
+            repeated = [list(row) for row in random_matrix(rng, rows, cols, 4).entries]
+            repeated[-1] = [rng.choice([-1, 1]) * x for x in repeated[0]]
+            zero = IntMatrix.zeros(rows, cols)
+            for a in (dense, doubled, IntMatrix(holes), IntMatrix(repeated), zero):
+                expected = divisors_by_determinants(a)
+                assert elementary_divisors_via_minors(a) == expected
+                kinds["zero"] += not expected
+                kinds["deficient"] += len(expected) < min(rows, cols)
+                kinds["nontrivial"] += any(d > 1 for d in expected)
+    assert kinds["zero"] >= 40
+    assert kinds["deficient"] >= 80
+    assert kinds["nontrivial"] >= 40
+
+
 def test_determinant_matches_cofactor_expansion() -> None:
     rng = random.Random(909)
 
