@@ -13,18 +13,21 @@ cyclotomic polynomials means infinite order after that one product;
 otherwise the order is the lcm ``L`` of their indices if ``M^L = I``,
 and infinite if not.
 
-A Smith form certifies itself exactly, with inverse pairs in place of
-determinants, the transform checked as ``U * A = D * V^-1`` by a
-zero-skipping product, and ``D`` checked to be a non-negative diagonal
-divisor chain; :func:`smith_normal_form` says how.
+The Smith form is eliminated over sparse rows, ``{column: entry}`` dicts,
+so a step costs about the nonzeros it touches, not the size of the
+matrix.  It certifies itself exactly, with inverse pairs in place of
+determinants, the transform checked as ``U * A = D * V^-1``, and ``D``
+checked to be a non-negative diagonal divisor chain.  Each check is a set
+of sparse row combinations, about O(nnz) of its factors, and forms no
+:class:`IntMatrix` product; :func:`smith_normal_form` says how.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
-from operator import add, matmul, mul, sub
+from operator import add, itemgetter, matmul, mul, sub
 
 
 # Entries kept by each memo of translation-independent work: the
@@ -125,9 +128,11 @@ class IntMatrix:
 
         Each row of the result is accumulated as a combination of the rows
         of ``other``, weighted by the nonzero entries of the matching row of
-        ``self``, so sparse factors cost in proportion to their nonzeros.
-        Weights of ``+-1``, the common case in unimodular transforms, add or
-        subtract a row without multiplying.
+        ``self``, so a sparse left factor costs in proportion to its
+        nonzeros.  Weights of ``+-1``, the common case in the integer
+        matrices of maps and their powers, add or subtract a row without
+        multiplying.  The Smith form's self-check does not use it; it
+        combines sparse rows itself.
         """
         if self.cols != other.rows:
             raise ValueError(
@@ -382,64 +387,78 @@ def _identity_rows(n: int) -> list[list[int]]:
     return rows
 
 
+def _axpy(dst: dict[int, int], src: dict[int, int], k: int) -> None:
+    """``dst += k * src`` over the nonzeros of ``src``; zeros are dropped."""
+    for j, y in src.items():
+        x = dst.get(j, 0) + k * y
+        if x:
+            dst[j] = x
+        else:
+            dst.pop(j, None)
+
+
+def _sparse_rows(a: IntMatrix) -> list[dict[int, int]]:
+    """The rows of ``a`` as ``{column: entry}`` dicts of their nonzeros."""
+    return [dict(filter(itemgetter(1), enumerate(row))) for row in a.entries]
+
+
 def _smith_elimination(a: IntMatrix):
     """Diagonalize ``a`` by elementary operations, tracking the inverses.
 
-    Returns ``(u, d, v, u_inv_t, v_inv)`` as lists of rows, with
-    ``u @ a @ v == d``.  Every row operation on ``u`` is mirrored by the
-    inverse column operation on ``u^-1`` and every column operation on
-    ``v`` by the inverse row operation on ``v^-1``.  ``u^-1`` is kept
-    transposed, so that its column operations are row operations too.
+    Every matrix is a list of sparse rows, ``{column: entry}`` dicts that
+    hold no zeros.  Returns ``(u, d, v_cols, u_inv_t, v_inv)``, with
+    ``u @ a @ v == d`` and ``v_cols`` the columns of ``v``.  Every row
+    operation on ``u`` is mirrored by the inverse column operation on
+    ``u^-1`` and every column operation on ``v`` by the inverse row
+    operation on ``v^-1``.  ``u^-1`` is kept transposed and ``v`` by its
+    columns, so that all of these are row operations, each an axpy over
+    the nonzeros of its source row.
+
+    At stage ``t`` the rows and columns before ``t`` are zero outside the
+    diagonal, so only rows from ``t`` on can hold an entry in a column
+    from ``t`` on.
     """
     rows, cols = a.rows, a.cols
-    d = [list(row) for row in a.entries]
-    u = _identity_rows(rows)
-    u_inv_t = _identity_rows(rows)
-    v = _identity_rows(cols)
-    v_inv = _identity_rows(cols)
+    d = _sparse_rows(a)
+    u = [{i: 1} for i in range(rows)]
+    u_inv_t = [{i: 1} for i in range(rows)]
+    v_cols = [{j: 1} for j in range(cols)]
+    v_inv = [{j: 1} for j in range(cols)]
 
     def swap_rows(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
         u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
 
-    def swap_cols(i: int, j: int) -> None:
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+    def swap_cols(t: int, j: int) -> None:
+        for row in d[t:]:
+            if t in row or j in row:
+                x, y = row.pop(t, 0), row.pop(j, 0)
+                if x:
+                    row[j] = x
+                if y:
+                    row[t] = y
+        v_cols[t], v_cols[j] = v_cols[j], v_cols[t]
+        v_inv[t], v_inv[j] = v_inv[j], v_inv[t]
 
     def add_row(src: int, dst: int, k: int) -> None:
-        d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-        u_inv_t[src] = [x - k * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
-
-    def add_col(src: int, dst: int, k: int) -> None:
-        # Only rows with a nonzero entry in ``src`` change; after the row
-        # step that is usually the pivot row of ``d`` alone.
-        for row in d:
-            if row[src]:
-                row[dst] += k * row[src]
-        for row in v:
-            if row[src]:
-                row[dst] += k * row[src]
-        v_inv[src] = [x - k * y for x, y in zip(v_inv[src], v_inv[dst])]
+        _axpy(d[dst], d[src], k)
+        _axpy(u[dst], u[src], k)
+        _axpy(u_inv_t[src], u_inv_t[dst], -k)
 
     def find_pivot(t: int) -> tuple[int, int] | None:
-        # The first entry of least absolute value in row-major order; no
-        # entry beats a unit, so the scan stops at the first one.
+        # The first entry of least absolute value in row-major order: the
+        # least (|entry|, column) of a row, kept only if it beats every
+        # earlier row.  No entry beats a unit, so the scan stops at the
+        # first row that holds one.
         best = None
         best_abs = 0
         for i in range(t, rows):
-            row = d[i]
-            if not any(row[t:]):
-                continue
-            for j in range(t, cols):
-                e = row[j]
-                if e and (not best_abs or abs(e) < best_abs):
-                    best, best_abs = (i, j), abs(e)
-                    if best_abs == 1:
+            if d[i]:
+                e, j = min((abs(e), j) for j, e in d[i].items())
+                if not best_abs or e < best_abs:
+                    best, best_abs = (i, j), e
+                    if e == 1:
                         return best
         return best
 
@@ -448,45 +467,90 @@ def _smith_elimination(a: IntMatrix):
             pos = find_pivot(t)
             if pos is None:
                 break
-            swap_rows(t, pos[0])
-            swap_cols(t, pos[1])
-            pivot = d[t][t]
+            if pos[0] != t:
+                swap_rows(t, pos[0])
+            if pos[1] != t:
+                swap_cols(t, pos[1])
+            pivot_row = d[t]
+            pivot = pivot_row[t]
             dirty = False
             for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    add_row(t, i, -(d[i][t] // pivot))
-                    if d[i][t] != 0:
+                x = d[i].get(t)
+                if x:
+                    add_row(t, i, -(x // pivot))
+                    if t in d[i]:
                         dirty = True
             if dirty:
                 continue
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    add_col(t, j, -(d[t][j] // pivot))
-                    if d[t][j] != 0:
-                        dirty = True
+            # Column t is now zero below the pivot, so a column operation
+            # from it changes the pivot row of ``d`` alone.  The operations
+            # commute: each reads only the pivot, its own entry and the
+            # unchanged column t of ``v`` and rows of ``v^-1``.
+            for j in [j for j in pivot_row if j != t]:
+                k = -(pivot_row[j] // pivot)
+                x = pivot_row[j] + k * pivot
+                if x:
+                    pivot_row[j] = x
+                    dirty = True
+                else:
+                    del pivot_row[j]
+                _axpy(v_cols[j], v_cols[t], k)
+                _axpy(v_inv[t], v_inv[j], -k)
             if dirty:
                 continue
             if pivot in (1, -1):
                 # A unit divides every entry, so there is no offender.
                 break
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if d[i][j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (
+                    i
+                    for i in range(t + 1, rows)
+                    if any(map(pivot.__rmod__, d[i].values()))
+                ),
+                None,
+            )
             if offender is None:
                 break
             add_row(offender, t, 1)
         if pos is None:
             break
         if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-            u_inv_t[t] = [-x for x in u_inv_t[t]]
-    return u, d, v, u_inv_t, v_inv
+            for m in (d, u, u_inv_t):
+                m[t] = {j: -x for j, x in m[t].items()}
+    return u, d, v_cols, u_inv_t, v_inv
+
+
+def _accumulate(
+    acc: dict[int, int], weights: dict[int, int], rows: list[dict[int, int]]
+) -> dict[int, int]:
+    """Add ``sum_j weights[j] * rows[j]`` to the sparse row ``acc``; return it.
+
+    Zeros are not dropped, so test the result with ``any(acc.values())``.
+    """
+    get = acc.get
+    for j, w in weights.items():
+        for k, x in rows[j].items():
+            acc[k] = get(k, 0) + w * x
+    return acc
+
+
+def _transpose(rows: list[dict[int, int]], width: int) -> list[dict[int, int]]:
+    """The ``width`` columns of a matrix given by sparse rows, as sparse rows."""
+    out: list[dict[int, int]] = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _dense(rows: list[dict[int, int]], width: int) -> IntMatrix:
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    return IntMatrix._of(out)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -502,46 +566,67 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     The pivot at each stage is the nonzero entry of minimal absolute value in
     the remaining block, ties broken in row-major order, which makes the
-    output deterministic.
+    output deterministic.  The elimination works on sparse rows, so a row
+    operation, a pivot scan or a column operation costs in proportion to
+    the nonzeros it reads, not to the width of the matrix.
 
-    The output certifies itself before it is returned, exactly and at about
-    the cost of the elimination, and raises :class:`SelfCheckError` on a
-    mismatch.  The checks are not ``assert`` statements, so they also run
-    under ``python -O``.  They run in this order, each with its own message:
+    The output certifies itself before it is returned, exactly and at
+    about the cost of the elimination, and raises :class:`SelfCheckError`
+    on a mismatch.  The checks are not ``assert`` statements, so they also
+    run under ``python -O``.  Each is a set of sparse row combinations that
+    costs about the nonzeros of its factors, and they run in this order,
+    each with its own message:
 
+    * every row is a row of a matrix of the right shape: a column index
+      outside the matrix is a failure, not an ``IndexError``;
     * unimodularity, without determinants: the elimination also builds
       ``U^-1`` and ``V^-1`` by the inverse elementary operations, and
-      ``U @ U^-1 == I`` and ``V @ V^-1 == I`` are checked with the matrix
-      product, which skips zero entries.  Integer matrices ``X`` and ``Y``
-      with ``X @ Y == I`` both have determinant ``+-1``, so this is an
-      exact proof;
+      ``U @ U^-1 == I`` (as ``U^-T @ U^T == I``, a combination of the
+      columns of ``U`` for each row of ``U^-T``) and ``V @ V^-1 == I`` are
+      checked.  Integer matrices ``X`` and ``Y`` with ``X @ Y == I`` both
+      have determinant ``+-1``, so this is an exact proof;
     * the transform, as ``U @ a == D @ V^-1``.  Multiplying on the right by
       ``V`` and using ``V^-1 @ V == I``, which follows from the checked
       ``V @ V^-1 == I`` for square matrices, gives ``U @ a @ V == D``
-      exactly.  ``D @ V^-1`` costs about ``nnz(D) * cols``, so no dense
-      product with ``V`` is formed;
-    * ``D`` is diagonal with non-negative entries;
+      exactly, and no product with ``V`` is formed;
+    * ``D`` is diagonal with non-negative entries, its nonzeros counted by
+      value, so a stored zero is a zero;
     * the diagonal is a divisor chain.
     """
-    u, d, v, u_inv_t, v_inv = _smith_elimination(a)
-    mu, md, mv = IntMatrix._of(u), IntMatrix._of(d), IntMatrix._of(v)
-    mv_inv = IntMatrix._of(v_inv)
-    # U @ U^-1 == I is checked in its transposed form U^-T @ U^T == I.
-    if IntMatrix._of(u_inv_t) @ mu.transpose() != IntMatrix.identity(a.rows) or (
-        mv @ mv_inv != IntMatrix.identity(a.cols)
+    rows, cols = a.rows, a.cols
+    u, d, v_cols, u_inv_t, v_inv = _smith_elimination(a)
+    row_keys, col_keys = set(range(rows)), set(range(cols))
+    for matrix, height, keys in (
+        (u, rows, row_keys),
+        (d, rows, col_keys),
+        (v_cols, cols, col_keys),
+        (u_inv_t, rows, row_keys),
+        (v_inv, cols, col_keys),
     ):
-        raise SelfCheckError("Smith normal form transforms are not unimodular")
-    if mu @ a != md @ mv_inv:
-        raise SelfCheckError("Smith normal form transform check failed")
-    diag = [md[i][i] for i in range(min(a.rows, a.cols))]
+        if len(matrix) != height or not keys.issuperset(chain.from_iterable(matrix)):
+            raise SelfCheckError("Smith normal form rows do not fit the matrix")
+    # Row i of U^-T @ U^T - I and of V @ V^-1 - I must be zero.
+    u_cols = _transpose(u, rows)
+    v_rows = _transpose(v_cols, cols)
+    for left, right in ((u_inv_t, u_cols), (v_rows, v_inv)):
+        if any(any(_accumulate({i: -1}, row, right).values()) for i, row in enumerate(left)):
+            raise SelfCheckError("Smith normal form transforms are not unimodular")
+    # Row i of U @ a - D @ V^-1 must be zero; ``a`` is read afresh, not
+    # through anything the elimination built.
+    a_rows = _sparse_rows(a)
+    for u_row, d_row in zip(u, d):
+        acc = _accumulate({}, u_row, a_rows)
+        if any(_accumulate(acc, {j: -x for j, x in d_row.items()}, v_inv).values()):
+            raise SelfCheckError("Smith normal form transform check failed")
+    diag = [d[i].get(i, 0) for i in range(min(rows, cols))]
     # D is diagonal when its only nonzero entries are those of the diagonal.
-    nonzeros = sum(a.cols - row.count(0) for row in md.entries)
+    nonzeros = sum(1 for row in d for x in row.values() if x)
     if nonzeros != len(diag) - diag.count(0) or min(diag) < 0:
         raise SelfCheckError("Smith normal form D is not a non-negative diagonal")
     for x, y in zip(diag, diag[1:]):
         if not ((x == 0 and y == 0) or (x != 0 and y % x == 0)):
             raise SelfCheckError("Smith normal form diagonal is not a divisor chain")
-    return mu, md, mv
+    return _dense(u, rows), _dense(d, cols), _dense(v_rows, cols)
 
 
 def elementary_divisors_via_minors(a: IntMatrix) -> list[int]:

@@ -160,13 +160,14 @@ class TorusEndo:
     blocks come from ring entries.
     """
 
-    __slots__ = ("_matrix", "_order_cache")
+    __slots__ = ("_matrix", "_order_cache", "_multiplier_cache")
 
     def __init__(self, matrix: IntMatrix) -> None:
         if not isinstance(matrix, IntMatrix) or (matrix.rows, matrix.cols) != (4, 4):
             raise TypeError("a linear part is a 4x4 IntMatrix")
         self._matrix = matrix
         self._order_cache: int | None = None
+        self._multiplier_cache: int | None = None
 
     @classmethod
     def identity(cls) -> "TorusEndo":
@@ -222,8 +223,12 @@ class TorusEndo:
         """The order of ``det h``, the map's multiplier on the symplectic form.
 
         Over the 2x2 blocks ``[[A, B], [C, D]]`` of the induced matrix,
-        ``A D - B C`` is the regular representation of ``det h``.
+        ``A D - B C`` is the regular representation of ``det h``.  Computed
+        once per map; a multiplier that is not a unit of finite order is not
+        memoised and raises :class:`SelfCheckError` on every call.
         """
+        if self._multiplier_cache is not None:
+            return self._multiplier_cache
         m = self._matrix.entries
         a, b, c, d = (
             IntMatrix._of((m[i][j : j + 2], m[i + 1][j : j + 2]))
@@ -232,11 +237,12 @@ class TorusEndo:
         )
         det = a @ d - b @ c
         try:
-            return matrix_order(det)
+            self._multiplier_cache = matrix_order(det)
         except ValueError:
             raise SelfCheckError(
                 f"multiplier {det!r} is not a unit of finite order"
             ) from None
+        return self._multiplier_cache
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusEndo):

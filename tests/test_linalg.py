@@ -17,6 +17,7 @@ import pytest
 import kummerlab.lattice as lattice
 import kummerlab.search as search
 from kummerlab.cli import main
+from kummerlab.fixedpoint import has_fixed_point
 from kummerlab.lefschetz import companion_matrix
 from kummerlab.linalg import (
     CYCLOTOMIC,
@@ -39,7 +40,7 @@ from kummerlab.rings import (
     units,
 )
 from kummerlab.search import run_search
-from kummerlab.verify import matrix_catalog
+from kummerlab.verify import matrix_catalog, panel_map
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 7) -> IntMatrix:
@@ -232,6 +233,126 @@ def test_smith_forms_of_random_systems_are_pinned() -> None:
     assert digest == RANDOM_SMITH_DIGEST
 
 
+def dense_elimination(a: IntMatrix):
+    """The elimination over dense rows, kept as the reference.
+
+    The same pivot rule and operations as ``linalg._smith_elimination``,
+    each one a pass over whole rows and columns.  Returns ``(U, D, V)``.
+    """
+    rows, cols = a.rows, a.cols
+    d = [list(row) for row in a.entries]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def add_row(src: int, dst: int, k: int) -> None:
+        d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src: int, dst: int, k: int) -> None:
+        for row in d + v:
+            row[dst] += k * row[src]
+
+    def find_pivot(t: int) -> tuple[int, int] | None:
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                e = d[i][j]
+                if e and (best is None or abs(e) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    for t in range(min(rows, cols)):
+        while True:
+            pos = find_pivot(t)
+            if pos is None:
+                break
+            d[t], d[pos[0]] = d[pos[0]], d[t]
+            u[t], u[pos[0]] = u[pos[0]], u[t]
+            for row in d + v:
+                row[t], row[pos[1]] = row[pos[1]], row[t]
+            pivot = d[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if d[i][t] != 0:
+                    add_row(t, i, -(d[i][t] // pivot))
+                    dirty = dirty or d[i][t] != 0
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if d[t][j] != 0:
+                    add_col(t, j, -(d[t][j] // pivot))
+                    dirty = dirty or d[t][j] != 0
+            if dirty:
+                continue
+            offender = next(
+                (
+                    i
+                    for i in range(t + 1, rows)
+                    for j in range(t + 1, cols)
+                    if d[i][j] % pivot != 0
+                ),
+                None,
+            )
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+        if pos is None:
+            break
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+    return IntMatrix(u), IntMatrix(d), IntMatrix(v)
+
+
+def block_sparse_matrix(rng: random.Random, blocks: int) -> IntMatrix:
+    """A ``(4 blocks + 4) x 4 blocks`` draw shaped like an orbit system:
+    a band of random 4x4 blocks and a full last block row."""
+    grid = []
+    for bi in range(blocks + 1):
+        row = []
+        for bj in range(blocks):
+            full = bi == blocks or bj in (bi, bi - 1)
+            bound = 3 if full and rng.random() < 0.7 else 0
+            row.append(random_matrix(rng, 4, 4, bound) if bound else IntMatrix.zeros(4, 4))
+        grid.append(row)
+    return IntMatrix.block(grid)
+
+
+# sha256 of repr(has_fixed_point(panel_map("order6"), 24)), computed with the
+# dense elimination.
+ORDER6_REPORT_DIGEST = "df3f3337d01bace9ef14706dc6533b35df363aecb998d042ba522939310eb550"
+
+
+def test_smith_forms_match_the_dense_reference(monkeypatch, capsys, clear_memos) -> None:
+    # Every orbit system of the two freeness-deep anchors and of the
+    # panel's order-6 map at n=24, from cold memos, then seeded dense and
+    # block-sparse draws: the sparse elimination returns the dense one's
+    # (U, D, V) exactly.
+    systems = []
+
+    def recording(a: IntMatrix):
+        systems.append(a)
+        return smith_normal_form(a)
+
+    clear_memos()
+    monkeypatch.setattr(lattice, "smith_normal_form", recording)
+    for ring, point in (("eisenstein", "(1/3,1/3)"), ("gaussian", "(1/4,1/4)")):
+        argv = ["freeness", "--ring", ring, "--h", "[[z,0],[0,1]]", "--a", point]
+        assert main([*argv, "--n", "12"]) == 0
+    capsys.readouterr()
+    anchors = len(systems)
+    report = repr(has_fixed_point(panel_map("order6"), 24))
+    assert hashlib.sha256(report.encode()).hexdigest() == ORDER6_REPORT_DIGEST
+    assert (anchors, len(systems) - anchors) == (ANCHOR_SMITH_FORMS, 125)
+    rng = random.Random(2028)
+    for _ in range(40):
+        systems.append(random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), 9))
+    for blocks in (1, 2, 3, 4) * 5:
+        systems.append(block_sparse_matrix(rng, blocks))
+    for a in systems:
+        assert smith_normal_form(a) == dense_elimination(a), a
+
+
 _MUTATION_SCRIPT = """
 import sys
 import kummerlab.linalg as linalg
@@ -239,48 +360,81 @@ from kummerlab.linalg import IntMatrix, SelfCheckError, smith_normal_form
 
 elimination = linalg._smith_elimination
 
-
-def corrupt_u_inverse(u, d, v, u_inv_t, v_inv):
-    u_inv_t[0][-1] += 1
-
-
-def corrupt_v_inverse(u, d, v, u_inv_t, v_inv):
-    v_inv[-1][0] -= 1
+# The elimination returns sparse rows, {column: entry} dicts: U, D, the
+# columns of V, the rows of U^-T and of V^-1.
 
 
-def scale_u_row(u, d, v, u_inv_t, v_inv):
+def axpy(dst, src, k):
+    for j, y in src.items():
+        dst[j] = dst.get(j, 0) + k * y
+
+
+def corrupt_u_inverse(u, d, v_cols, u_inv_t, v_inv):
+    last = len(u_inv_t) - 1
+    u_inv_t[0][last] = u_inv_t[0].get(last, 0) + 1
+
+
+def corrupt_v_inverse(u, d, v_cols, u_inv_t, v_inv):
+    v_inv[-1][0] = v_inv[-1].get(0, 0) - 1
+
+
+def scale_u_row(u, d, v_cols, u_inv_t, v_inv):
     # U @ A @ V == D still holds and the diagonal is still a divisor
     # chain, but det U is now +-2.
-    u[-1] = [2 * x for x in u[-1]]
-    d[-1] = [2 * x for x in d[-1]]
+    u[-1] = {j: 2 * x for j, x in u[-1].items()}
+    d[-1] = {j: 2 * x for j, x in d[-1].items()}
 
 
-def scale_v_column(u, d, v, u_inv_t, v_inv):
-    for row in v:
-        row[-1] *= 2
+def scale_v_column(u, d, v_cols, u_inv_t, v_inv):
+    last = len(v_cols) - 1
+    v_cols[last] = {i: 2 * x for i, x in v_cols[last].items()}
     for row in d:
-        row[-1] *= 2
+        if last in row:
+            row[last] *= 2
 
 
-def corrupt_d(u, d, v, u_inv_t, v_inv):
+def corrupt_d(u, d, v_cols, u_inv_t, v_inv):
     # Transforms and inverses stay consistent, D no longer matches them.
-    d[-1][-1] += d[0][0]
+    last = len(v_cols) - 1
+    d[-1][last] = d[-1].get(last, 0) + d[0][0]
 
 
-def leave_off_diagonal(u, d, v, u_inv_t, v_inv):
+def leave_off_diagonal(u, d, v_cols, u_inv_t, v_inv):
     # The row operation "add row 0 to row 1", mirrored in U and U^-1:
     # U @ A @ V == D and both inverse pairs still hold, the diagonal is
     # unchanged, but D[1][0] is now D[0][0], which is nonzero.
-    d[1] = [x + y for x, y in zip(d[1], d[0])]
-    u[1] = [x + y for x, y in zip(u[1], u[0])]
-    u_inv_t[0] = [x - y for x, y in zip(u_inv_t[0], u_inv_t[1])]
+    axpy(d[1], d[0], 1)
+    axpy(u[1], u[0], 1)
+    axpy(u_inv_t[0], u_inv_t[1], -1)
 
 
-def negate_row(u, d, v, u_inv_t, v_inv):
+def negate_row(u, d, v_cols, u_inv_t, v_inv):
     # Row 0 of D, U and U^-T negated together: everything stays consistent
     # and -d1 still divides every later diagonal entry.
     for rows in (d, u, u_inv_t):
-        rows[0] = [-x for x in rows[0]]
+        rows[0] = {j: -x for j, x in rows[0].items()}
+
+
+def store_zeros(u, d, v_cols, u_inv_t, v_inv):
+    # An explicit 0 at an empty position of every matrix, off the diagonal
+    # of D too: the same matrices, so the same certified output.
+    for rows, width in (
+        (u, len(u)), (d, len(v_cols)), (v_cols, len(v_cols)),
+        (u_inv_t, len(u)), (v_inv, len(v_cols)),
+    ):
+        for row in rows:
+            j = next((j for j in range(width) if j not in row), None)
+            if j is not None:
+                row[j] = 0
+
+
+def key_outside(which, key):
+    def corrupt(u, d, v_cols, u_inv_t, v_inv):
+        rows = (u, d, v_cols, u_inv_t, v_inv)[which]
+        width = len(v_cols) if which in (1, 2, 4) else len(u)
+        rows[0][width if key == "width" else -1] = 1
+    corrupt.__name__ = f"key_outside_{which}_{key}"
+    return corrupt
 
 
 matrices = [
@@ -296,7 +450,25 @@ corruptions = [
     (corrupt_d, "transform check failed"),
     (leave_off_diagonal, "not a non-negative diagonal"),
     (negate_row, "not a non-negative diagonal"),
+] + [
+    (key_outside(which, key), "do not fit the matrix")
+    for which in range(5)
+    for key in ("width", "negative")
 ]
+for a in matrices:
+    expected = smith_normal_form(a)
+
+    def patched(a):
+        out = elimination(a)
+        store_zeros(*out)
+        return out
+
+    linalg._smith_elimination = patched
+    try:
+        if smith_normal_form(a) != expected:
+            sys.exit(f"stored zeros changed the output on {a!r}")
+    finally:
+        linalg._smith_elimination = elimination
 for corrupt, expected in corruptions:
     for a in matrices:
         def patched(a, corrupt=corrupt):
@@ -323,8 +495,10 @@ def test_corrupted_transforms_raise_self_check_error(flags) -> None:
     # so that U @ A @ V == D still holds, must both fail the unimodularity
     # check; a wrong D must fail the transform check; an off-diagonal or
     # negative entry that keeps everything else consistent must fail the
-    # diagonal check.  All of this holds also when ``python -O`` strips the
-    # asserts.
+    # diagonal check.  Explicit zeros stored in the sparse rows leave the
+    # output as it was, and a column index outside the matrix fails the
+    # shape check rather than raising IndexError.  All of this holds also
+    # when ``python -O`` strips the asserts.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p

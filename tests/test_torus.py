@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from kummerlab.linalg import IntMatrix, matrix_order
+import kummerlab.torus as torus
+from kummerlab.linalg import IntMatrix, SelfCheckError, matrix_order
 from kummerlab.rings import RingElem, RingId, induced_matrix, ring_elements_up_to_norm
-from kummerlab.search import linear_candidates, torsion_points
+from kummerlab.search import linear_candidates, run_search, torsion_points
 from kummerlab.torus import (
     TorusAuto,
     TorusEndo,
@@ -476,3 +477,47 @@ def test_multiplier_from_blocks_matches_ring_route(ring: RingId, max_norm: int) 
         det = ring_det(rows)
         reference = matrix_order(IntMatrix(det.regular_representation()))
         assert linear.multiplier_order() == reference
+
+
+def test_multiplier_order_is_memoised(monkeypatch) -> None:
+    # The second call on the same map reads the memo and runs no
+    # matrix_order; a multiplier of infinite order is not memoised and
+    # raises on every call.
+    calls = []
+
+    def counting(m: IntMatrix) -> int:
+        calls.append(m)
+        return matrix_order(m)
+
+    monkeypatch.setattr(torus, "matrix_order", counting)
+
+    def diagonal(ring: RingId, x: int, y: int) -> TorusEndo:
+        zero, one = RingElem.zero(ring), RingElem.one(ring)
+        return TorusEndo(induced_matrix([[RingElem(ring, x, y), zero], [zero, one]]))
+
+    linear = diagonal(RingId.EISENSTEIN, 0, 1)
+    assert linear.multiplier_order() == 3
+    assert len(calls) == 1
+    assert linear.multiplier_order() == 3
+    assert len(calls) == 1
+    unbounded = diagonal(RingId.GAUSSIAN, 1, 1)
+    for expected in (2, 3):
+        with pytest.raises(SelfCheckError, match="not a unit of finite order"):
+            unbounded.multiplier_order()
+        assert len(calls) == expected
+
+
+def test_sweep_computes_each_multiplier_once(monkeypatch) -> None:
+    # run_search(3) reads the multiplier of the 116 order-3 parts, and
+    # group_acts_freely reads it again for each of the 64 free verdicts;
+    # only the first read of each part runs matrix_order.
+    computed = []
+
+    def counting(m: IntMatrix) -> int:
+        if m.rows == 2:
+            computed.append(m)
+        return matrix_order(m)
+
+    monkeypatch.setattr(torus, "matrix_order", counting)
+    assert len(run_search(3, RingId.EISENSTEIN)) == 64
+    assert len(computed) == 116
