@@ -161,8 +161,19 @@ def translation_classes(m: IntMatrix, n: int):
 
 
 def verify_witness(system: IntMatrix, constants, modulus: int, witness) -> bool:
-    """Check that ``system @ w / D - constants / modulus`` is an integer vector."""
+    """Check that ``system @ w / D - constants / modulus`` is an integer vector.
+
+    Malformed input is rejected, not raised on: constants or a witness of
+    the wrong length, or a modulus or denominator below 1.
+    """
     w, denominator = witness
+    if (
+        len(constants) != system.rows
+        or len(w) != system.cols
+        or modulus < 1
+        or denominator < 1
+    ):
+        return False
     common = lcm(modulus, denominator)
     image = system.apply_int(w)
     return all(
@@ -172,9 +183,13 @@ def verify_witness(system: IntMatrix, constants, modulus: int, witness) -> bool:
 
 
 def verify_obstruction(system: IntMatrix, constants, modulus: int, functional) -> bool:
-    """Check that ``functional`` kills the columns but not ``constants / modulus``."""
+    """Check that ``functional`` kills the columns but not ``constants / modulus``.
+
+    Malformed input is rejected, not raised on: a functional or constants
+    of the wrong length, or a modulus below 1.
+    """
     f = tuple(int(e) for e in functional)
-    if len(f) != system.rows:
+    if len(f) != system.rows or len(constants) != system.rows or modulus < 1:
         return False
     if any(sum(map(mul, f, column)) for column in zip(*system.entries)):
         return False

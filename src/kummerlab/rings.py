@@ -13,7 +13,8 @@ A ring element (:class:`RingElem`) carries integer coordinates, so
 structural equality is semantic equality in all three rings.  A 2x2
 matrix of ring elements enters the torus only through
 :func:`induced_matrix`, its 4x4 integer matrix on first homology; maps
-carry no ring.
+carry no ring.  :func:`block_matrix` assembles that matrix from the
+entries' regular representations, for callers that already hold them.
 """
 
 from __future__ import annotations
@@ -189,7 +190,16 @@ def induced_matrix(rows) -> IntMatrix:
         raise TypeError("matrix entries must be ring elements")
     for e in flat[1:]:
         _check_same_ring(flat[0], e)
-    (a, b), (c, d) = ([e.regular_representation() for e in row] for row in rows)
+    return block_matrix(*(e.regular_representation() for e in flat))
+
+
+def block_matrix(a, b, c, d) -> IntMatrix:
+    """The 4x4 integer matrix with 2x2 blocks ``[[a, b], [c, d]]``.
+
+    The blocks are regular representations, as
+    :meth:`RingElem.regular_representation` returns them, of the entries
+    of a 2x2 matrix in row-major order.
+    """
     return IntMatrix._of((a[0] + b[0], a[1] + b[1], c[0] + d[0], c[1] + d[1]))
 
 

@@ -12,17 +12,22 @@ the translation ``a`` is ``vector / n`` and the orbit is the coset of the
 subgroup ``(I - M) (Z/n)^4`` with ``M`` the induced 4x4 integer matrix.
 One Smith form of ``I - M`` keys the cosets (:func:`translation_classes`);
 the scan keeps the keys it has met and stops once it has met every class
-its candidates reach.  What never depends on the translation, the power
-tables behind the tested powers and the orbit systems, the systems'
-matrices and their Smith normal forms, is memoised where it is computed,
-so each pair computes only its constants and its solves.
+its candidates reach.  It walks the candidate vectors and keeps no list
+of points: it tests the order of ``t_a h`` on the vector
+(:func:`~kummerlab.torus.affine_order`) and builds a point only for a
+class it goes on to decide.  What never depends on the translation, the
+power tables behind the tested powers and the orbit systems, the
+systems' matrices and their Smith normal forms, is memoised where it is
+computed, so each pair computes only its constants and its solves.
 
 Each question is asked of the cheapest fact that settles it.  The catalog
 decides finite order in the ring (:func:`linear_candidates`): the pair
 ``(tr h, det h)`` fixes the characteristic polynomial of the induced
 matrix, and with it the order ``L`` if there is one and whether ``h`` has
 a repeated eigenvalue; a tuple of such a pair has finite order only when
-``h`` is scalar.  ``matrix_order`` re-checks one tuple per pair.
+``h`` is scalar.  ``matrix_order`` re-checks one tuple per pair.  The
+catalog loop reads entries, traces and determinants as integer coordinate
+pairs and builds a part only for a tuple it accepts.
 The sweep skips the identity, then a part whose order ``d`` does not divide
 ``n``, and only then takes ``ord(det h)`` for :func:`symplectic_screen`;
 parts that fail it give no free pair and are never keyed.
@@ -44,8 +49,8 @@ from .linalg import (
     characteristic_polynomial,
     matrix_order,
 )
-from .rings import RingElem, RingId, induced_matrix, ring_elements_up_to_norm, units
-from .torus import TorusAuto, TorusEndo, TorusPoint
+from .rings import RingElem, RingId, block_matrix, ring_elements_up_to_norm, units
+from .torus import TorusAuto, TorusEndo, TorusPoint, affine_order
 
 MAX_NORM_CAP = 4
 
@@ -95,9 +100,16 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     ``L`` or ``None``, and whether its eigenvalue repeats.  The first tuple
     a pair accepts goes through ``matrix_order``, which confirms
     ``M^L = I``; any other answer raises :class:`SelfCheckError`.  Every
-    accepted part carries ``L`` in its order memo.  The entries' pairwise
-    sums and products are formed once, so ``tr h`` is a lookup, ``det h``
-    one subtraction, and the unit test a set lookup.
+    accepted part carries ``L`` in its order memo.
+
+    The entries' pairwise sums and products are formed once in the ring
+    and read as coordinate pairs ``(x, y)``: ``tr h`` is a lookup,
+    ``det h`` one subtraction of integer pairs, the unit test and the pair
+    key lookups of integer tuples.  Only a new pair goes back to the ring,
+    for its repeated-eigenvalue test.  Each entry's regular representation
+    is computed once, and :func:`~kummerlab.rings.block_matrix` assembles
+    the 4x4 matrix of a new pair or an accepted tuple from them, as
+    :func:`~kummerlab.rings.induced_matrix` does.
 
     In the Eisenstein norm-1 catalog, 1,368 tuples have unit determinant
     and 78 pairs ``(tr h, det h)``, 24 of them cyclotomic: 720 tuples are
@@ -108,25 +120,30 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     if max_norm > MAX_NORM_CAP:
         raise ValueError(f"max_norm is capped at {MAX_NORM_CAP}")
     entries = ring_elements_up_to_norm(ring, max_norm)
-    unit_set = set(units(ring))
+    unit_set = {(u.x, u.y) for u in units(ring)}
     zero = entries.index(RingElem.zero(ring))
+    blocks = [e.regular_representation() for e in entries]
     sums = [[e + f for f in entries] for e in entries]
     products = [[e * f for f in entries] for e in entries]
-    # (tr h, det h) -> (L or None, whether the eigenvalue repeats)
-    decided: dict[tuple[RingElem, RingElem], tuple[int | None, bool]] = {}
-    checked: set[tuple[RingElem, RingElem]] = set()
+    sum_pairs = [[(e.x, e.y) for e in row] for row in sums]
+    product_pairs = [[(e.x, e.y) for e in row] for row in products]
+    # (tr h, det h) as coordinate pairs -> (L or None, whether the
+    # eigenvalue repeats)
+    decided: dict[tuple, tuple[int | None, bool]] = {}
+    checked: set[tuple] = set()
     accepted = []
     for i, j, k, l in itertools.product(range(len(entries)), repeat=4):
-        det = products[i][l] - products[j][k]
+        (px, py), (qx, qy) = product_pairs[i][l], product_pairs[j][k]
+        det = (px - qx, py - qy)
         if det not in unit_set:
             continue
-        rows = ((entries[i], entries[j]), (entries[k], entries[l]))
-        trace = sums[i][l]
-        pair = (trace, det)
+        pair = (sum_pairs[i][l], det)
         if pair not in decided:
-            matrix = induced_matrix(rows)
+            matrix = block_matrix(blocks[i], blocks[j], blocks[k], blocks[l])
             chi = characteristic_polynomial(matrix, matrix @ matrix)
-            double = det + det
+            trace = sums[i][l]
+            det_h = products[i][l] - products[j][k]
+            double = det_h + det_h
             repeated = trace * trace == double + double
             decided[pair] = (CYCLOTOMIC_ORDERS.get(chi), repeated)
         order, repeated = decided[pair]
@@ -134,7 +151,7 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
             continue
         if repeated and not (j == k == zero and i == l):
             continue
-        matrix = induced_matrix(rows)
+        matrix = block_matrix(blocks[i], blocks[j], blocks[k], blocks[l])
         if pair not in checked:
             checked.add(pair)
             _check_order(matrix, order)
@@ -182,6 +199,14 @@ def run_search(
     excluded: it generates the trivial group, which acts freely but
     yields no quotient of interest.  Every other linear part must pass
     :func:`symplectic_screen` before its translations are keyed.
+
+    The translations are the integer vectors over ``n`` with entries that
+    are multiples of ``n // level``, the vectors of
+    :func:`torsion_points` at ``level`` over ``n`` in the same order; no
+    point list is built.  A vector is keyed, and only the first of its
+    class, other than the origin's, is tested: first the order of ``t_a h``
+    from the vector, and then, with a :class:`TorusPoint` built for it,
+    freeness.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -196,8 +221,7 @@ def run_search(
     else:
         for endo in linears:
             TorusAuto.check_linear(endo)
-    candidates = torsion_points(level)
-    vectors = [a.vector(n) for a in candidates]
+    step = n // level
     results = []
     for linear in linears:
         order = linear.multiplicative_order()
@@ -207,28 +231,30 @@ def run_search(
             continue
         if not symplectic_screen(order, linear.multiplier_order(), n):
             continue
-        key, moduli = translation_classes(linear.induced_matrix(), n)
+        matrix = linear.induced_matrix()
+        key, moduli = translation_classes(matrix, n)
         # Candidates are multiples of n // level, so they reach this many
         # of the prod(moduli) classes.
-        reachable = prod(g // gcd(g, n // level) for g in moduli)
+        reachable = prod(g // gcd(g, step) for g in moduli)
         seen: set[tuple[int, ...]] = set()
-        for a, vector in zip(candidates, vectors):
+        # The vectors of torsion_points(level) over n, in the same order.
+        for vector in itertools.product(range(0, n, step), repeat=4):
             if len(seen) == reachable:
                 break
             k = key(vector)
             if k in seen:
                 continue
             seen.add(k)
-            if a.is_origin():
+            if not any(vector):
                 # The class of pure linear maps: these fix the zero
                 # configuration (the origin taken n times), so they are
                 # never free.
                 continue
-            auto = TorusAuto(linear, a)
-            if auto.order() != order:
+            if affine_order(matrix, order, n, vector) != order:
                 # ord(omega) divides the linear order, so the screen fails.
                 continue
-            report = group_acts_freely(auto, n, stop_at_first=True)
+            a = TorusPoint.from_integers(n, vector)
+            report = group_acts_freely(TorusAuto(linear, a), n, stop_at_first=True)
             if not report.free:
                 continue
             results.append(

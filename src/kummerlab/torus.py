@@ -351,11 +351,12 @@ class TorusAuto:
         full order is ``m`` times the torsion level of ``P_m a``.
         """
         if self._order_cache is None:
-            m = self._linear_order
-            _, period, _ = power_sums(self._linear.induced_matrix(), m)
-            level = self._translation.torsion_level()
-            residue = period.apply_int(self._translation.vector())
-            self._order_cache = m * (level // gcd(level, *residue))
+            self._order_cache = affine_order(
+                self._linear.induced_matrix(),
+                self._linear_order,
+                self._translation.torsion_level(),
+                self._translation.vector(),
+            )
         return self._order_cache
 
     def __eq__(self, other: object) -> bool:
@@ -394,6 +395,19 @@ def power_sums(
         partial = partial + power
         power = power @ matrix
     return power, partial, total
+
+
+def affine_order(matrix: IntMatrix, linear_order: int, level: int, vector) -> int:
+    """The order of ``t_a h`` from integers: :meth:`TorusAuto.order`.
+
+    ``matrix`` is the induced matrix of ``h``, of order ``m =
+    linear_order``, and ``a = vector / level`` for any multiple ``level``
+    of the torsion level of ``a``.  The order is ``m`` times the torsion
+    level of ``P_m a``, whatever ``level`` the vector is given over.
+    """
+    _, period, _ = power_sums(matrix, linear_order)
+    residue = period.apply_int(vector)
+    return linear_order * (level // gcd(level, *residue))
 
 
 def orbit_sum_data(auto: TorusAuto, length: int) -> tuple[TorusEndo, TorusPoint]:

@@ -259,6 +259,33 @@ def test_certificate_checkers_reject_nonsense() -> None:
     assert not verify_obstruction(system, (1, 1), 2, (1, -1))
 
 
+def test_checkers_reject_constants_of_the_wrong_length() -> None:
+    # zip would stop at the shorter vector and accept both.
+    assert not verify_obstruction(IntMatrix([[1, 1], [1, 1]]), (1,), 2, (1, -1))
+    system = IntMatrix([[2, 0], [0, 2]])
+    assert verify_witness(system, (1, 1), 2, ((1, 1), 4))
+    assert not verify_witness(system, (1, 1, 1), 2, ((1, 1), 4))
+    assert not verify_witness(system, (1,), 2, ((1, 1), 4))
+
+
+def test_checkers_reject_a_modulus_or_denominator_below_one() -> None:
+    system = IntMatrix([[2, 0], [0, 2]])
+    for bad in (0, -2):
+        assert not verify_witness(system, (1, 1), bad, ((1, 1), 4))
+        assert not verify_witness(system, (1, 1), 2, ((1, 1), bad))
+    assert verify_obstruction(IntMatrix([[1, 1], [1, 1]]), (1, 0), 2, (1, -1))
+    for bad in (0, -2):
+        assert not verify_obstruction(IntMatrix([[1, 1], [1, 1]]), (1, 0), bad, (1, -1))
+
+
+def test_checkers_reject_a_witness_of_the_wrong_length() -> None:
+    system = IntMatrix([[2, 0], [0, 2]])
+    assert not verify_witness(system, (1, 1), 2, ((1, 1, 1), 4))
+    assert not verify_witness(system, (1, 1), 2, ((1,), 4))
+    # As a functional of the wrong length already was.
+    assert not verify_obstruction(system, (1, 0), 2, (1, 0, 0))
+
+
 _SELF_CHECK_SCRIPT = """
 import contextlib, io, sys
 import kummerlab.cli as cli

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from kummerlab.rings import (
     RingElem,
     RingId,
     RingMismatchError,
+    block_matrix,
     induced_matrix,
     ring_elements_up_to_norm,
     units,
@@ -122,6 +124,22 @@ def test_regular_representation_is_multiplicative(ring: RingId) -> None:
         assert (a * b).regular_representation() == matmul(ra, rb)
         det = ra[0][0] * ra[1][1] - ra[0][1] * ra[1][0]
         assert det == a.norm()
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_block_matrix_is_induced_matrix(ring: RingId) -> None:
+    # The search catalog assembles each part from its entries' regular
+    # representations with block_matrix; induced_matrix gives the same
+    # matrix on every tuple of the norm-1 entries, and entry (i, j) reads
+    # back from the first column of block (i, j).
+    entries = ring_elements_up_to_norm(ring, 1)
+    blocks = {e: e.regular_representation() for e in entries}
+    for p, q, r, s in itertools.product(entries, repeat=4):
+        m = block_matrix(blocks[p], blocks[q], blocks[r], blocks[s])
+        assert m == induced_matrix(((p, q), (r, s)))
+        for i, row in enumerate(((p, q), (r, s))):
+            for j, e in enumerate(row):
+                assert (m[2 * i][2 * j], m[2 * i + 1][2 * j]) == (e.x, e.y)
 
 
 def test_integer_ring_has_no_generator() -> None:

@@ -553,6 +553,30 @@ def test_full_sweep_eisenstein_order3_fibre() -> None:
         assert count == 16
 
 
+def test_scan_builds_no_point_list(monkeypatch) -> None:
+    # run_search walks the integer vectors of the translations and builds a
+    # point only for a class it decides: 264 at n=3, not the 24 * 81 points
+    # of torsion_points(3).
+    def refuse(level):
+        raise AssertionError("run_search built the point list")
+
+    built = 0
+    from_integers = TorusPoint.from_integers.__func__
+
+    def counted(cls, level, vector):
+        nonlocal built
+        if sys._getframe(1).f_code is run_search.__code__:
+            built += 1
+        return from_integers(cls, level, vector)
+
+    monkeypatch.setattr(search, "torsion_points", refuse)
+    monkeypatch.setattr(TorusPoint, "from_integers", classmethod(counted))
+    results = run_search(3, RingId.EISENSTEIN)
+    assert len(results) == 64
+    assert row_digest(results) == EISENSTEIN_ORDER3_DIGEST
+    assert built == 264
+
+
 # Row digests, in the format of EISENSTEIN_ORDER3_DIGEST, of sweeps that
 # exercise the scan's early stop, translations of level below n and the
 # integer ring.
