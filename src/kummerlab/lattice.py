@@ -37,6 +37,7 @@ from .linalg import (
     SelfCheckError,
     elementary_divisors_via_minors,
     factorize,
+    smith_form_rows,
     smith_normal_form,
 )
 
@@ -80,8 +81,14 @@ def _check_constants(system: IntMatrix, constants, modulus: int) -> None:
         raise DimensionMismatchError(
             f"system has {system.rows} rows but {len(constants)} constants were given"
         )
+    if not _integers((modulus, *constants)):
+        raise ValueError("the constants and the modulus must be integers")
     if modulus < 1:
         raise ValueError("the modulus must be positive")
+
+
+def _integers(values) -> bool:
+    return all(isinstance(x, int) for x in values)
 
 
 def torus_system_solvable(
@@ -94,7 +101,8 @@ def torus_system_solvable(
     ``(U @ b)_i = 0 mod q`` on every row outside the diagonal rank.  Witness
     and obstruction both fall out of the transform data and are re-checked
     before returning; a failed re-check raises :class:`SelfCheckError`.
-    The normal form of each distinct system is memoised.
+    The form stays sparse, as :func:`smith_form_rows` returns it, and the
+    form of each distinct system is memoised.
     """
     _check_constants(system, constants, modulus)
     return _decide(system, constants, modulus, _normal_form(system))
@@ -103,41 +111,56 @@ def torus_system_solvable(
 def _decide(system: IntMatrix, constants, modulus: int, form) -> SolvabilityResult:
     """The decision of :func:`torus_system_solvable` from a given normal form.
 
-    ``form`` is ``(U, diagonal of D, V)`` as :func:`_smith_form` returns it.
+    ``form`` is ``(U by sparse rows, diagonal of D, V by sparse columns)``
+    as :func:`_smith_form` returns it.  Each ``(U b)_i`` is a sum over the
+    nonzeros of row ``i`` of ``U``, and only the returned obstruction
+    functional is made dense.  The witness ``V y`` combines the first
+    ``rank`` columns of ``V``, the only ones ``y`` weights.
     """
-    u, diagonal, v = form
+    u, diagonal, v_cols = form
     rank = sum(1 for x in diagonal if x != 0)
-    ub = u.apply_int(constants)
+
+    def ub(i: int) -> int:
+        return sum(x * constants[j] for j, x in u[i].items())
+
     for i in range(rank, system.rows):
-        if ub[i] % modulus:
-            functional = u[i]
+        pairing = ub(i)
+        if pairing % modulus:
+            dense = [0] * system.rows
+            for j, x in u[i].items():
+                dense[j] = x
+            functional = tuple(dense)
             if not verify_obstruction(system, constants, modulus, functional):
                 raise SelfCheckError("obstruction failed its re-check")
-            return SolvabilityResult(None, (functional, ub[i]))
+            return SolvabilityResult(None, (functional, pairing))
     # y_i = ub_i / (q d_i) over the common denominator q * lcm(d_i).
     scale = lcm(1, *diagonal[:rank])
-    y = [ub[i] * (scale // diagonal[i]) for i in range(rank)]
-    y += [0] * (system.cols - rank)
     denominator = modulus * scale
-    witness = (tuple(x % denominator for x in v.apply_int(y)), denominator)
+    w = [0] * system.cols
+    for i in range(rank):
+        y = ub(i) * (scale // diagonal[i])
+        if y:
+            for j, x in v_cols[i].items():
+                w[j] += y * x
+    witness = (tuple(x % denominator for x in w), denominator)
     if not verify_witness(system, constants, modulus, witness):
         raise SelfCheckError("witness failed its re-check")
     return SolvabilityResult(witness, None)
 
 
-def _smith_form(system: IntMatrix) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
-    """``U``, the diagonal of ``D`` and ``V`` of a system's Smith form.
+def _smith_form(system: IntMatrix):
+    """The sparse Smith form of a system, as :func:`smith_form_rows` returns it.
 
-    :func:`smith_normal_form` is looked up at each call, so a replaced one
-    is the one that runs.
+    :func:`smith_form_rows` is looked up at each call, so a replaced one is
+    the one that runs.
     """
-    u, d, v = smith_normal_form(system)
-    return u, tuple(d[i][i] for i in range(min(d.rows, d.cols))), v
+    return smith_form_rows(system)
 
 
-# The memo of :func:`_smith_form` behind :func:`torus_system_solvable`.
-# One-off systems, such as the random draws of the solvability oracle, go
-# to :func:`_decide` with their own :func:`_smith_form` and stay out of it.
+# The memo of :func:`_smith_form` behind :func:`torus_system_solvable`; it
+# holds sparse forms.  One-off systems, such as the random draws of the
+# solvability oracle, go to :func:`_decide` with their own
+# :func:`_smith_form` and stay out of it.
 _normal_form = lru_cache(maxsize=MEMO_SIZE)(_smith_form)
 
 
@@ -163,35 +186,59 @@ def translation_classes(m: IntMatrix, n: int):
 def verify_witness(system: IntMatrix, constants, modulus: int, witness) -> bool:
     """Check that ``system @ w / D - constants / modulus`` is an integer vector.
 
-    Malformed input is rejected, not raised on: constants or a witness of
-    the wrong length, or a modulus or denominator below 1.
+    ``system @ w`` is summed over the nonzero rows of ``system``; nothing
+    of its normal form is read.  Malformed input is rejected, not raised
+    on: a witness that is not a pair ``(w, D)``, constants or a witness of
+    the wrong length, an entry, modulus or denominator that is not an
+    ``int``, or a modulus or denominator below 1.
     """
-    w, denominator = witness
+    try:
+        w, denominator = witness
+        w = tuple(w)
+    except (TypeError, ValueError):
+        return False
     if (
         len(constants) != system.rows
         or len(w) != system.cols
+        or not _integers((modulus, denominator, *constants, *w))
         or modulus < 1
         or denominator < 1
     ):
         return False
     common = lcm(modulus, denominator)
-    image = system.apply_int(w)
+    up, down = common // denominator, common // modulus
     return all(
-        (a * (common // denominator) - b * (common // modulus)) % common == 0
-        for a, b in zip(image, constants)
+        (sum(x * w[j] for j, x in row.items()) * up - b * down) % common == 0
+        for row, b in zip(system.nonzero_rows(), constants)
     )
 
 
 def verify_obstruction(system: IntMatrix, constants, modulus: int, functional) -> bool:
     """Check that ``functional`` kills the columns but not ``constants / modulus``.
 
-    Malformed input is rejected, not raised on: a functional or constants
-    of the wrong length, or a modulus below 1.
+    ``functional @ system`` is accumulated over the nonzero rows of
+    ``system`` whose functional entry is nonzero; nothing of its normal
+    form is read.  Malformed input is rejected, not raised on: a
+    functional or constants of the wrong length, an entry or modulus that
+    is not an ``int``, or a modulus below 1.
     """
-    f = tuple(int(e) for e in functional)
-    if len(f) != system.rows or len(constants) != system.rows or modulus < 1:
+    try:
+        f = tuple(functional)
+    except TypeError:
         return False
-    if any(sum(map(mul, f, column)) for column in zip(*system.entries)):
+    if (
+        len(f) != system.rows
+        or len(constants) != system.rows
+        or not _integers((modulus, *constants, *f))
+        or modulus < 1
+    ):
+        return False
+    image: dict[int, int] = {}
+    for weight, row in zip(f, system.nonzero_rows()):
+        if weight:
+            for j, x in row.items():
+                image[j] = image.get(j, 0) + weight * x
+    if any(image.values()):
         return False
     return sum(map(mul, f, constants)) % modulus != 0
 

@@ -15,11 +15,17 @@ and infinite if not.
 
 The Smith form is eliminated over sparse rows, ``{column: entry}`` dicts,
 so a step costs about the nonzeros it touches, not the size of the
-matrix.  It certifies itself exactly, with inverse pairs in place of
-determinants, the transform checked as ``U * A = D * V^-1``, and ``D``
-checked to be a non-negative diagonal divisor chain.  Each check is a set
-of sparse row combinations, about O(nnz) of its factors, and forms no
-:class:`IntMatrix` product; :func:`smith_normal_form` says how.
+matrix.  It starts from :meth:`IntMatrix.nonzero_rows`, each matrix's
+nonzeros found once and kept.  It certifies itself exactly, with inverse
+pairs in place of determinants, the transform checked as
+``U * A = D * V^-1``, and ``D`` checked to be a non-negative diagonal
+divisor chain.  Each check is a set of sparse row combinations, about
+O(nnz) of its factors, and forms no :class:`IntMatrix` product.
+
+:func:`smith_form_rows` is the certified core: it returns ``U`` by its
+sparse rows, the diagonal of ``D`` and ``V`` by its sparse columns, and
+its docstring says how each check works.  :func:`smith_normal_form` only
+makes those three dense.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, lcm
 from operator import add, itemgetter, matmul, mul, sub
+from types import MappingProxyType
 
 
 # Entries kept by each memo of translation-independent work: the
@@ -46,7 +53,8 @@ class SelfCheckError(ArithmeticError):
 class IntMatrix:
     """An immutable rectangular matrix with integer entries."""
 
-    __slots__ = ("_rows",)
+    # ``_nonzero`` is filled by the first call of :meth:`nonzero_rows`.
+    __slots__ = ("_rows", "_nonzero")
 
     def __init__(self, entries) -> None:
         given = [tuple(row) for row in entries]
@@ -105,6 +113,21 @@ class IntMatrix:
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self._rows[i]
+
+    def nonzero_rows(self) -> tuple[MappingProxyType, ...]:
+        """Each row's nonzeros as a read-only ``{column: entry}`` mapping.
+
+        The rows are scanned once per matrix; later calls return the same
+        tuple of the same mappings.
+        """
+        try:
+            return self._nonzero
+        except AttributeError:
+            self._nonzero = tuple(
+                MappingProxyType(dict(filter(itemgetter(1), enumerate(row))))
+                for row in self._rows
+            )
+            return self._nonzero
 
     def _entrywise(self, other: "IntMatrix", op) -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -397,11 +420,6 @@ def _axpy(dst: dict[int, int], src: dict[int, int], k: int) -> None:
             dst.pop(j, None)
 
 
-def _sparse_rows(a: IntMatrix) -> list[dict[int, int]]:
-    """The rows of ``a`` as ``{column: entry}`` dicts of their nonzeros."""
-    return [dict(filter(itemgetter(1), enumerate(row))) for row in a.entries]
-
-
 def _smith_elimination(a: IntMatrix):
     """Diagonalize ``a`` by elementary operations, tracking the inverses.
 
@@ -419,7 +437,8 @@ def _smith_elimination(a: IntMatrix):
     from ``t`` on.
     """
     rows, cols = a.rows, a.cols
-    d = _sparse_rows(a)
+    # Mutable copies of the read-only nonzero rows that ``a`` keeps.
+    d = [row.copy() for row in a.nonzero_rows()]
     u = [{i: 1} for i in range(rows)]
     u_inv_t = [{i: 1} for i in range(rows)]
     v_cols = [{j: 1} for j in range(cols)]
@@ -553,22 +572,28 @@ def _dense(rows: list[dict[int, int]], width: int) -> IntMatrix:
     return IntMatrix._of(out)
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms.
+def smith_form_rows(
+    a: IntMatrix,
+) -> tuple[list[dict[int, int]], tuple[int, ...], list[dict[int, int]]]:
+    """The certified Smith normal form, kept sparse.
 
     Args:
         a: any integer matrix.
 
     Returns:
-        ``(U, D, V)`` with ``U @ a @ V == D``, ``U`` and ``V`` unimodular and
-        ``D`` diagonal with non-negative entries ``d1 | d2 | ...`` followed by
-        zeros.
+        ``(u, diagonal, v_cols)``: the rows of ``U`` as ``{column: entry}``
+        dicts, the ``min(rows, cols)`` diagonal entries of ``D``, and the
+        columns of ``V`` as ``{row: entry}`` dicts, with ``U @ a @ V == D``,
+        ``U`` and ``V`` unimodular and ``D`` diagonal with non-negative
+        entries ``d1 | d2 | ...`` followed by zeros.  The dicts are fresh
+        on every call.
 
     The pivot at each stage is the nonzero entry of minimal absolute value in
     the remaining block, ties broken in row-major order, which makes the
-    output deterministic.  The elimination works on sparse rows, so a row
-    operation, a pivot scan or a column operation costs in proportion to
-    the nonzeros it reads, not to the width of the matrix.
+    output deterministic.  The elimination works on sparse rows, copied
+    from :meth:`IntMatrix.nonzero_rows`, so a row operation, a pivot scan
+    or a column operation costs in proportion to the nonzeros it reads,
+    not to the width of the matrix.
 
     The output certifies itself before it is returned, exactly and at
     about the cost of the elimination, and raises :class:`SelfCheckError`
@@ -585,10 +610,12 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
       columns of ``U`` for each row of ``U^-T``) and ``V @ V^-1 == I`` are
       checked.  Integer matrices ``X`` and ``Y`` with ``X @ Y == I`` both
       have determinant ``+-1``, so this is an exact proof;
-    * the transform, as ``U @ a == D @ V^-1``.  Multiplying on the right by
-      ``V`` and using ``V^-1 @ V == I``, which follows from the checked
-      ``V @ V^-1 == I`` for square matrices, gives ``U @ a @ V == D``
-      exactly, and no product with ``V`` is formed;
+    * the transform, as ``U @ a == D @ V^-1``, with ``a`` read from its
+      nonzero rows and not from anything the elimination built.
+      Multiplying on the right by ``V`` and using ``V^-1 @ V == I``, which
+      follows from the checked ``V @ V^-1 == I`` for square matrices,
+      gives ``U @ a @ V == D`` exactly, and no product with ``V`` is
+      formed;
     * ``D`` is diagonal with non-negative entries, its nonzeros counted by
       value, so a stored zero is a zero;
     * the diagonal is a divisor chain.
@@ -611,9 +638,8 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     for left, right in ((u_inv_t, u_cols), (v_rows, v_inv)):
         if any(any(_accumulate({i: -1}, row, right).values()) for i, row in enumerate(left)):
             raise SelfCheckError("Smith normal form transforms are not unimodular")
-    # Row i of U @ a - D @ V^-1 must be zero; ``a`` is read afresh, not
-    # through anything the elimination built.
-    a_rows = _sparse_rows(a)
+    # Row i of U @ a - D @ V^-1 must be zero.
+    a_rows = a.nonzero_rows()
     for u_row, d_row in zip(u, d):
         acc = _accumulate({}, u_row, a_rows)
         if any(_accumulate(acc, {j: -x for j, x in d_row.items()}, v_inv).values()):
@@ -626,7 +652,21 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     for x, y in zip(diag, diag[1:]):
         if not ((x == 0 and y == 0) or (x != 0 and y % x == 0)):
             raise SelfCheckError("Smith normal form diagonal is not a divisor chain")
-    return _dense(u, rows), _dense(d, cols), _dense(v_rows, cols)
+    return u, tuple(diag), v_cols
+
+
+def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form with transforms, as dense matrices.
+
+    Returns ``(U, D, V)`` with ``U @ a @ V == D``, ``U`` and ``V``
+    unimodular and ``D`` diagonal with non-negative entries
+    ``d1 | d2 | ...`` followed by zeros.  This is :func:`smith_form_rows`,
+    which computes and certifies the form, with its three parts made
+    dense and nothing else done.
+    """
+    u, diagonal, v_cols = smith_form_rows(a)
+    d = [{i: x} for i, x in enumerate(diagonal)] + [{}] * (a.rows - len(diagonal))
+    return _dense(u, a.rows), _dense(d, a.cols), _dense(v_cols, a.cols).transpose()
 
 
 def elementary_divisors_via_minors(a: IntMatrix) -> list[int]:

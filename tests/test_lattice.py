@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from kummerlab import fixedpoint, lattice, linalg
+from kummerlab.cli import main
 from kummerlab.lattice import (
     ENUMERATION_CAP,
     DimensionMismatchError,
@@ -29,6 +30,7 @@ from kummerlab.linalg import (
     IntMatrix,
     elementary_divisors_via_minors,
     factorize,
+    smith_normal_form,
 )
 from kummerlab.verify import panel_passed, run_panel
 
@@ -147,15 +149,27 @@ def test_translation_classes_match_the_closed_subgroup() -> None:
             assert (keys[v] == keys[w]) == (delta in group)
 
 
-def test_split_enumeration_matches_the_unsplit_closure(monkeypatch) -> None:
+def refuse_smith_forms(monkeypatch, clear_memos, *modules) -> None:
+    """Make every Smith form in ``modules`` raise, and show that it does:
+    a fresh system sent to ``torus_system_solvable`` now fails."""
+
+    def refuse(*args):
+        raise AssertionError("the oracle took a Smith normal form")
+
+    for module in modules:
+        monkeypatch.setattr(module, "smith_form_rows", refuse)
+        monkeypatch.setattr(module, "smith_normal_form", refuse)
+    clear_memos()
+    with pytest.raises(AssertionError, match="Smith normal form"):
+        torus_system_solvable(IntMatrix([[2, 4], [1, 2], [0, 6]]), (2, 1, 0), 3)
+
+
+def test_split_enumeration_matches_the_unsplit_closure(monkeypatch, clear_memos) -> None:
     # Draws whose closure modulus q = modulus * (largest elementary divisor)
     # has two distinct primes.  The oracle closes the columns mod each prime
     # power of q; the reference closes them mod q in one piece.  Neither
     # takes a Smith form.
-    def refuse(*args):
-        raise AssertionError("the oracle took a Smith normal form")
-
-    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    refuse_smith_forms(monkeypatch, clear_memos, lattice)
     rng = random.Random(2718)
     outcomes = []
     while len(outcomes) < 40:
@@ -189,15 +203,14 @@ def test_split_enumeration_matches_the_unsplit_closure(monkeypatch) -> None:
     assert set(outcomes) == {True, False}
 
 
-def test_minor_oracles_share_no_code_with_the_normal_form(monkeypatch) -> None:
+def test_minor_oracles_share_no_code_with_the_normal_form(monkeypatch, clear_memos) -> None:
     # With the Smith form, the determinant and the matrix product all
     # refusing, the minors still give the frozen divisors and the
     # enumeration still decides a system whose closure modulus splits.
     def refuse(*args):
         raise AssertionError("the oracle called code it cross-checks")
 
-    monkeypatch.setattr(linalg, "smith_normal_form", refuse)
-    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    refuse_smith_forms(monkeypatch, clear_memos, linalg, lattice)
     monkeypatch.setattr(IntMatrix, "det", refuse)
     monkeypatch.setattr(IntMatrix, "__matmul__", refuse)
     frozen = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -286,6 +299,35 @@ def test_checkers_reject_a_witness_of_the_wrong_length() -> None:
     assert not verify_obstruction(system, (1, 0), 2, (1, 0, 0))
 
 
+def test_checkers_reject_entries_that_are_not_integers() -> None:
+    # int() would truncate (1.9, -1.2) to (1, -1), which kills the columns.
+    system = IntMatrix([[1, 1], [1, 1]])
+    assert verify_obstruction(system, (1, 0), 2, (1, -1))
+    assert not verify_obstruction(system, (1, 0), 2, (1.9, -1.2))
+    assert not verify_obstruction(system, (1, 0), 2.0, (1, -1))
+    assert not verify_obstruction(system, (1, Fraction(1, 2)), 2, (1, -1))
+    # 2 * 0.5 / 2 - 1 / 2 is an integer, but 0.5 is no witness entry.
+    assert verify_witness(IntMatrix([[2]]), (1,), 2, ((1,), 4))
+    assert not verify_witness(IntMatrix([[2]]), (1,), 2, ((0.5,), 2))
+    assert not verify_witness(IntMatrix([[2]]), (1,), 2, ((1,), 4.0))
+    assert not verify_witness(IntMatrix([[2]]), (1.0,), 2, ((1,), 4))
+
+
+def test_witness_checker_rejects_a_witness_that_is_not_a_pair() -> None:
+    system = IntMatrix([[2, 0], [0, 2]])
+    assert verify_witness(system, (1, 1), 2, ((1, 1), 4))
+    for bad in (((1, 1),), ((1, 1), 4, 4), (), 4, None, (4, (1, 1))):
+        assert not verify_witness(system, (1, 1), 2, bad)
+    assert not verify_obstruction(system, (1, 1), 2, None)
+
+
+def test_solver_refuses_constants_that_are_not_integers() -> None:
+    system = IntMatrix([[2, 1], [1, 1]])
+    for constants, modulus in (((0.5, 0), 1), ((1, 0), 3.0), ((Fraction(1, 2), 0), 1)):
+        with pytest.raises(ValueError, match="integers"):
+            torus_system_solvable(system, constants, modulus)
+
+
 _SELF_CHECK_SCRIPT = """
 import contextlib, io, sys
 import kummerlab.cli as cli
@@ -349,3 +391,64 @@ def test_panel_memoises_only_orbit_systems(clear_memos, monkeypatch) -> None:
     for system in orbit_systems:
         lattice._normal_form(system)
     assert lattice._normal_form.cache_info().hits - hits == held
+
+
+def dense_decide(system: IntMatrix, constants, modulus: int):
+    """The decision over the dense ``(U, D, V)``, kept as the reference.
+
+    The body of ``lattice._decide`` before the form stayed sparse, without
+    its re-checks.  Returns ``(witness, obstruction)``.
+    """
+    u, d, v = smith_normal_form(system)
+    diagonal = tuple(d[i][i] for i in range(min(d.rows, d.cols)))
+    rank = sum(1 for x in diagonal if x != 0)
+    ub = u.apply_int(constants)
+    for i in range(rank, system.rows):
+        if ub[i] % modulus:
+            return None, (u[i], ub[i])
+    scale = lcm(1, *diagonal[:rank])
+    y = [ub[i] * (scale // diagonal[i]) for i in range(rank)]
+    y += [0] * (system.cols - rank)
+    denominator = modulus * scale
+    return (tuple(x % denominator for x in v.apply_int(y)), denominator), None
+
+
+def test_sparse_decision_matches_the_dense_route(monkeypatch, capsys) -> None:
+    # 300 seeded dense and sparse draws of up to 8x8 with random constants
+    # and moduli, then every orbit system of the two free n=12 freeness
+    # anchors: the decision from the sparse form returns the dense route's
+    # witness and denominator, or its functional and pairing, exactly.
+    rng = random.Random(3030)
+    cases = []
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.choice([0.3, 0.7, 1.0])
+        system = IntMatrix(
+            [
+                [rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        )
+        constants = tuple(rng.randint(-20, 20) for _ in range(rows))
+        cases.append((system, constants, rng.randint(1, 12)))
+    solve = fixedpoint.torus_system_solvable
+
+    def recording(system, constants, level):
+        cases.append((system, constants, level))
+        return solve(system, constants, level)
+
+    monkeypatch.setattr(fixedpoint, "torus_system_solvable", recording)
+    for ring, point in (("eisenstein", "(1/3,1/3)"), ("gaussian", "(1/4,1/4)")):
+        argv = ["freeness", "--ring", ring, "--h", "[[z,0],[0,1]]", "--a", point]
+        assert main([*argv, "--n", "12"]) == 0
+    capsys.readouterr()
+    assert len({system for system, _, _ in cases[300:]}) == 12
+    outcomes = []
+    for system, constants, modulus in cases:
+        result = lattice._decide(system, constants, modulus, lattice._smith_form(system))
+        expected = dense_decide(system, constants, modulus)
+        assert (result.witness, result.obstruction) == expected, system
+        outcomes.append(result.solvable)
+    assert 50 < sum(outcomes[:300]) < 250
+    # The anchors are free: each of their orbit systems is obstructed.
+    assert not any(outcomes[300:])

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import kummerlab.lattice as lattice
-import kummerlab.search as search
 from kummerlab.cli import main
 from kummerlab.fixedpoint import has_fixed_point
 from kummerlab.lefschetz import companion_matrix
@@ -30,6 +29,7 @@ from kummerlab.linalg import (
     elementary_divisors_via_minors,
     factorize,
     matrix_order,
+    smith_form_rows,
     smith_normal_form,
 )
 from kummerlab.rings import (
@@ -97,6 +97,26 @@ def test_sparse_product_matches_dense_reference() -> None:
         IntMatrix.zeros(2, 3) @ IntMatrix.zeros(2, 3)
 
 
+def test_nonzero_rows_are_the_nonzeros_of_the_entries() -> None:
+    rng = random.Random(1212)
+    for _ in range(60):
+        make = rng.choice([random_matrix, sparse_matrix])
+        a = make(rng, rng.randint(1, 8), rng.randint(1, 8))
+        view = a.nonzero_rows()
+        assert [dict(row) for row in view] == [
+            {j: x for j, x in enumerate(row) if x} for row in a.entries
+        ]
+        assert a.nonzero_rows() is view
+        # The elimination works on copies: a second form of the same
+        # object, which reads the same view, is the first one again.
+        assert smith_normal_form(a) == smith_normal_form(a)
+        assert [dict(row) for row in view] == [
+            {j: x for j, x in enumerate(row) if x} for row in a.entries
+        ]
+        with pytest.raises(TypeError):
+            view[0][0] = 1
+
+
 def test_smith_form_random_properties() -> None:
     # Dense, sparse and rank-deficient inputs, square, wide and tall.  The
     # transforms are re-checked with the dense reference product and with
@@ -134,12 +154,13 @@ def test_smith_form_random_properties() -> None:
 
 # Every Smith form of an orbit system computed by the full Eisenstein n=3
 # sweep from cold memos, in call order: their count and the sha256 of their
-# reprs, one per line.  The memo normalises each distinct system once, so
-# the count is the number of distinct systems the sweep solves.  The digest
-# is that of a pivot search that scans every row to the end, so it holds
-# the early-stopping search to the same transforms.  The sweep also takes
-# one form of I - M per linear part that passes the symplectic screen, for
-# its translation classes; those are counted apart.
+# reprs as dense (U, D, V), one per line.  The memo normalises each
+# distinct system once, so the count is the number of distinct systems the
+# sweep solves.  The digest is that of a pivot search that scans every row
+# to the end, so it holds the early-stopping search to the same transforms.
+# The sweep also takes one dense form of I - M per linear part that passes
+# the symplectic screen, for its translation classes; those are counted
+# apart.
 SWEEP_SMITH_FORMS = 45
 SWEEP_SMITH_DIGEST = "e4b7ca50769d0cf39a3cbfd6649f1e2303fabe3ac127a76d201b88d0484f71ce"
 SWEEP_CLASS_FORMS = 78
@@ -151,26 +172,20 @@ def test_smith_forms_of_the_eisenstein_sweep_are_pinned(
     systems = []
     forms = []
     class_forms = []
-    target = forms
 
     def recording(a: IntMatrix):
+        systems.append(a)
+        forms.append(smith_normal_form(a))
+        return smith_form_rows(a)
+
+    def recording_dense(a: IntMatrix):
         form = smith_normal_form(a)
-        if target is forms:
-            systems.append(a)
-        target.append(form)
+        class_forms.append(form)
         return form
 
-    def classes(m: IntMatrix, n: int):
-        nonlocal target
-        target = class_forms
-        try:
-            return lattice.translation_classes(m, n)
-        finally:
-            target = forms
-
     clear_memos()
-    monkeypatch.setattr(lattice, "smith_normal_form", recording)
-    monkeypatch.setattr(search, "translation_classes", classes)
+    monkeypatch.setattr(lattice, "smith_form_rows", recording)
+    monkeypatch.setattr(lattice, "smith_normal_form", recording_dense)
     assert len(run_search(3, RingId.EISENSTEIN)) == 64
     assert len(forms) == SWEEP_SMITH_FORMS
     assert len(set(systems)) == len(systems), "a system was normalised twice"
@@ -193,12 +208,11 @@ def test_smith_forms_of_the_freeness_anchors_are_pinned(
     forms = []
 
     def recording(a: IntMatrix):
-        form = smith_normal_form(a)
-        forms.append(form)
-        return form
+        forms.append(smith_normal_form(a))
+        return smith_form_rows(a)
 
     clear_memos()
-    monkeypatch.setattr(lattice, "smith_normal_form", recording)
+    monkeypatch.setattr(lattice, "smith_form_rows", recording)
     for ring, point in (("eisenstein", "(1/3,1/3)"), ("gaussian", "(1/4,1/4)")):
         argv = ["freeness", "--ring", ring, "--h", "[[z,0],[0,1]]", "--a", point]
         assert main([*argv, "--n", "12"]) == 0
@@ -332,10 +346,10 @@ def test_smith_forms_match_the_dense_reference(monkeypatch, capsys, clear_memos)
 
     def recording(a: IntMatrix):
         systems.append(a)
-        return smith_normal_form(a)
+        return smith_form_rows(a)
 
     clear_memos()
-    monkeypatch.setattr(lattice, "smith_normal_form", recording)
+    monkeypatch.setattr(lattice, "smith_form_rows", recording)
     for ring, point in (("eisenstein", "(1/3,1/3)"), ("gaussian", "(1/4,1/4)")):
         argv = ["freeness", "--ring", ring, "--h", "[[z,0],[0,1]]", "--a", point]
         assert main([*argv, "--n", "12"]) == 0
