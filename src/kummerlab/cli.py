@@ -27,6 +27,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .enriques import (
@@ -52,7 +53,8 @@ from .linalg import SelfCheckError
 from .rings import RingElem, RingId, induced_matrix
 from .search import run_search
 from .torus import TorusAuto, TorusEndo, TorusPoint
-from .verify import classification_payload, decomposition_labels, run_panel
+from .verify import classification_payload, decomposition_labels
+from .verify import panel_passed, run_panel
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -497,16 +499,8 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
     results = run_panel()
     payload = {
         "command": "verify-paper",
-        "checks": [
-            {
-                "name": r.name,
-                "expected": r.expected,
-                "actual": r.actual,
-                "passed": r.passed,
-            }
-            for r in results
-        ],
-        "passed": all(r.passed for r in results),
+        "checks": [asdict(r) for r in results],
+        "passed": panel_passed(results),
     }
     return payload, EXIT_OK if payload["passed"] else EXIT_MATH
 
@@ -558,6 +552,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         payload, code = _HANDLERS[args.command](args)
+        # Rendering can fail too: an integer too long to print is a ValueError.
+        text = render_json(payload) if args.fmt == "json" else render_text(payload)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except ValueError as exc:
@@ -567,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     try:
-        print(render_json(payload) if args.fmt == "json" else render_text(payload))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed early.  Point stdout at devnull, so that the

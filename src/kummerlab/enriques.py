@@ -33,13 +33,39 @@ class QuotientVerdict(Enum):
 
 @dataclass(frozen=True)
 class QuotientClassification:
+    """The free quotient of the ``2(n-1)``-fold by a cyclic group of order ``d``.
+
+    Every invariant is read from ``(n, d)``, as the module docstring derives.
+    """
+
     n: int
     d: int
-    verdict: QuotientVerdict
-    index: int | None = None
-    dimension: int | None = None
-    chi: int | None = None
-    reason: str | None = None
+
+    @property
+    def verdict(self) -> QuotientVerdict:
+        if self.n % self.d:
+            return QuotientVerdict.INVALID
+        if self.chi == 1:
+            return QuotientVerdict.ENRIQUES
+        return QuotientVerdict.WEAK_ENRIQUES
+
+    @property
+    def index(self) -> int | None:
+        return self.d if self.chi == 1 else None
+
+    @property
+    def dimension(self) -> int | None:
+        return None if self.n % self.d else 2 * self.n - 2
+
+    @property
+    def chi(self) -> int | None:
+        return None if self.n % self.d else self.n // self.d
+
+    @property
+    def reason(self) -> str | None:
+        if self.n % self.d:
+            return f"group order {self.d} does not divide {self.n}"
+        return None
 
 
 def holomorphic_euler_ihs(dimension: int) -> int:
@@ -70,29 +96,7 @@ def classify_free_quotient(n: int, d: int) -> QuotientClassification:
         raise ValueError("the variety parameter must be at least 2")
     if d < 2:
         raise ValueError("the group order must be at least 2")
-    if n % d != 0:
-        return QuotientClassification(
-            n,
-            d,
-            QuotientVerdict.INVALID,
-            reason=f"group order {d} does not divide {n}",
-        )
-    if d == n:
-        return QuotientClassification(
-            n,
-            d,
-            QuotientVerdict.ENRIQUES,
-            index=d,
-            dimension=2 * n - 2,
-            chi=1,
-        )
-    return QuotientClassification(
-        n,
-        d,
-        QuotientVerdict.WEAK_ENRIQUES,
-        dimension=2 * n - 2,
-        chi=n // d,
-    )
+    return QuotientClassification(n, d)
 
 
 class FactorKind(Enum):

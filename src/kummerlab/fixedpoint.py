@@ -1,12 +1,17 @@
 """Fixed-point decisions for induced automorphisms on length-``n`` fibers.
 
-A natural automorphism of the abelian surface induces an automorphism of
-the generalized Kummer variety, the fiber over zero of the summation map on
-length-``n`` configurations.  A fixed point of the induced map is modeled by
-an invariant configuration: a multiset of full orbits of the map whose
-lengths add up to ``n`` and whose points sum to the origin.  Existence of
-such a configuration is taken as the defining criterion throughout this
-module.
+A natural automorphism ``g`` of the abelian surface ``A`` induces one of
+the generalized Kummer variety ``K_{n-1}(A)``, the fiber over zero of the
+sum map on length-``n`` subschemes.  The induced map has a fixed point
+exactly when there is an invariant configuration: a multiset of full
+orbits of ``g`` whose lengths add up to ``n`` and whose points sum to the
+origin.  The Hilbert-Chow morphism ``A^[n] -> A^(n)`` commutes with ``g``
+and the sum map factors through it, so a fixed point lies over one.
+Conversely, take a base point ``x`` of multiplicity ``m`` in each orbit,
+of length ``l``.  ``g^l`` fixes ``x`` and acts near it by ``h^l``, of
+finite order and so diagonalisable: in its eigen-coordinates ``(u, v)``
+the ideal ``(u^m, v)`` has colength ``m`` and is ``g^l``-invariant.
+Carried along the orbit by ``g``, these ideals make a fixed subscheme.
 
 Every shape such a configuration can have is an *orbit type*: a descending
 tuple of orbit lengths, each dividing the order of the map, that sum to
@@ -270,22 +275,26 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
     certificate that carries both or neither is rejected, and so is one
     whose power is negative or a multiple of the order: that power is the
     identity, which fixes every configuration.  A fixed point of any other
-    power still shows that the group does not act freely.
+    power still shows that the group does not act freely.  A malformed
+    certificate is rejected, not raised on: a power, orbit type or witness
+    not of its declared type, or an obstruction that is not a triple.
     """
-    power = certificate.element_power
+    power, lengths = certificate.element_power, certificate.orbit_type
+    witness, obstruction = certificate.witness, certificate.obstruction
+    if not (isinstance(power, int) and _tuple_of(lengths, int)):
+        return False
     if power < 0 or power % auto.order() == 0:
         return False
     element = auto**power
-    lengths = certificate.orbit_type
     if sum(lengths) != n or any(l < 1 for l in lengths):
         return False
-    if (certificate.witness is None) == (certificate.obstruction is None):
+    if (witness is None) == (obstruction is None):
         return False
-    if certificate.witness is not None:
-        if len(certificate.witness) != len(lengths):
+    if witness is not None:
+        if not _tuple_of(witness, TorusPoint) or len(witness) != len(lengths):
             return False
         total = TorusPoint.origin()
-        for l, base in zip(lengths, certificate.witness):
+        for l, base in zip(lengths, witness):
             point = base
             for _ in range(l):
                 total = total + point
@@ -293,11 +302,17 @@ def verify_certificate(auto: TorusAuto, n: int, certificate: FreenessCertificate
             if point != base:
                 return False
         return total.is_origin()
-    functional, pairing, modulus = certificate.obstruction
+    if not (isinstance(obstruction, tuple) and len(obstruction) == 3):
+        return False
+    functional, pairing, modulus = obstruction
     system, constants, level = orbit_system(element, lengths)
     if modulus != level or pairing != sum(map(mul, functional, constants)):
         return False
     return verify_obstruction(system, constants, level, functional)
+
+
+def _tuple_of(value, kind) -> bool:
+    return isinstance(value, tuple) and all(isinstance(x, kind) for x in value)
 
 
 def _grid_coins(entries, shift, q: int, step: int) -> set[tuple[int, tuple[int, ...]]]:

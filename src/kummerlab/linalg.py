@@ -4,8 +4,8 @@ Everything here is plain arbitrary-precision integer arithmetic.  The
 workhorse is :func:`smith_normal_form`, which returns the full transform
 data ``U * A * V = D`` with unimodular ``U`` and ``V``; the fraction-free
 Bareiss determinant serves the Lefschetz numbers and the cross-checks.
-The package's one binary power, factorisation and multiplicative order
-live here too.
+The package's one binary power, factorisation, multiplicative order and
+Newton recurrence (:func:`newton_exponential`) live here too.
 
 :func:`matrix_order` reads the characteristic polynomial from ``M @ M``
 by Newton's identities.  A polynomial that is not a product of
@@ -309,31 +309,42 @@ def _cyclotomic_orders() -> dict[tuple[int, ...], int]:
 CYCLOTOMIC_ORDERS = _cyclotomic_orders()
 
 
+def newton_exponential(sums) -> tuple[int, ...]:
+    """``f_0..f_N`` of ``exp(sum_k c_k t^k / k)`` for ``sums = (c_0, ..., c_N)``.
+
+    The package's one Newton loop: ``k f_k = c_1 f_(k-1) + ... + c_k f_0``
+    from ``f_0 = 1``, with ``c_0`` unread.  A division with a remainder
+    raises :class:`SelfCheckError`, so an integer result proves integrality.
+    """
+    c = sums[1:]
+    out = [1]
+    for k in range(1, len(sums)):
+        f, r = divmod(sum(map(mul, c, reversed(out))), k)
+        if r:
+            raise SelfCheckError("Newton's recurrence: coefficients must be integers")
+        out.append(f)
+    return tuple(out)
+
+
 def characteristic_polynomial(m: IntMatrix, square: IntMatrix) -> tuple[int, ...]:
     """``det(x I - m)`` of a matrix up to 4x4, leading coefficient first.
 
     ``square`` is ``m @ m``.  The power sums ``p_k = tr m^k`` for ``k <= 4``
     are read from ``m`` and ``square`` alone, as ``tr m^3 = sum S_ij m_ji``
-    and ``tr m^4 = sum S_ij S_ji``.  Newton's identities
-    ``k c_k = -(c_(k-1) p_1 + ... + c_0 p_k)`` then give the coefficients;
-    each division is exact for an integer matrix and checked with
-    ``divmod``, so a remainder raises :class:`SelfCheckError`.
+    and ``tr m^4 = sum S_ij S_ji``.  By Newton's identities the coefficients
+    are :func:`newton_exponential` of ``(0, -p_1, ..., -p_n)``, and for an
+    integer matrix its checked divisions are exact.
     """
     a, s = m.entries, square.entries
     n = m.rows
-    traces = (
-        sum(a[i][i] for i in range(n)),
-        sum(s[i][i] for i in range(n)),
-        sum(sum(map(mul, row, col)) for row, col in zip(s, zip(*a))),
-        sum(sum(map(mul, row, col)) for row, col in zip(s, zip(*s))),
+    sums = (
+        0,
+        -sum(a[i][i] for i in range(n)),
+        -sum(s[i][i] for i in range(n)),
+        -sum(sum(map(mul, row, col)) for row, col in zip(s, zip(*a))),
+        -sum(sum(map(mul, row, col)) for row, col in zip(s, zip(*s))),
     )
-    chi = [1]
-    for k in range(1, n + 1):
-        c, r = divmod(-sum(map(mul, reversed(chi), traces)), k)
-        if r:
-            raise SelfCheckError("Newton's identities left a remainder")
-        chi.append(c)
-    return tuple(chi)
+    return newton_exponential(sums[: n + 1])
 
 
 def matrix_order(m: IntMatrix) -> int:

@@ -220,7 +220,7 @@ def run_search(
         linears = linear_candidates(ring, max_norm)
     else:
         for endo in linears:
-            TorusAuto.check_linear(endo)
+            endo.multiplicative_order()
     step = n // level
     results = []
     for linear in linears:
@@ -250,7 +250,7 @@ def run_search(
                 # configuration (the origin taken n times), so they are
                 # never free.
                 continue
-            if affine_order(matrix, order, n, vector) != order:
+            if affine_order(linear, n, vector) != order:
                 # ord(omega) divides the linear order, so the screen fails.
                 continue
             a = TorusPoint.from_integers(n, vector)

@@ -1,16 +1,15 @@
 """Truncated power series with integer coefficients.
 
 A series carries its truncation order ``N`` and coefficients ``c_0..c_N``.
-Its one operation is Newton's exponential: ``exp`` returns the series
-``F = exp(sum_k c_k t^k / k)``, whose coefficients are integers exactly
-when every division in Newton's recurrence ``k f_k = sum_j c_j f_{k-j}``
-is exact.  Each one is checked, so an integer result is also a proof that
-the expansion is integral.
+Its one operation is Newton's exponential ``exp(sum_k c_k t^k / k)``,
+through :func:`kummerlab.linalg.newton_exponential`, the recurrence that
+also gives characteristic polynomials.  Its divisions are checked, so an
+integer result is also a proof that the expansion is integral.
 """
 
 from __future__ import annotations
 
-from .linalg import SelfCheckError
+from .linalg import newton_exponential
 
 
 class TruncatedSeries:
@@ -40,19 +39,12 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """The series ``F`` with ``F(0) = 1`` and ``t F' = self * F``.
 
-        That is ``exp(sum_k c_k t^k / k)``; it needs ``c_0 == 0``.  A
+        That is ``exp(sum_k c_k t^k / k)``; it needs ``c_0 == 0``, and a
         coefficient that is not an integer raises :class:`SelfCheckError`.
         """
-        c = self._coeffs
-        if c[0] != 0:
+        if self._coeffs[0] != 0:
             raise ValueError("exp needs a zero constant term")
-        out = [1]
-        for k in range(1, len(c)):
-            f, r = divmod(sum(c[j] * out[k - j] for j in range(1, k + 1)), k)
-            if r:
-                raise SelfCheckError("series coefficients must be integers")
-            out.append(f)
-        return TruncatedSeries(out)
+        return TruncatedSeries(newton_exponential(self._coeffs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):

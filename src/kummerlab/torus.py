@@ -205,18 +205,21 @@ class TorusEndo:
         return self._matrix
 
     def multiplicative_order(self) -> int:
-        """The order of the map: :func:`matrix_order` of the induced matrix.
+        """The order of the map, :func:`matrix_order` of its matrix, or its refusal.
 
-        Computed once per map.  Raises
-        :class:`UnsupportedAutomorphismError` for infinite order.
+        Memoised on success.  Otherwise it raises
+        :class:`UnsupportedAutomorphismError` on every call: for a non-unit
+        determinant (``|det M| != 1``, as ``det M`` is the norm of ``det h``
+        or its square), then for infinite order.  The determinant is taken
+        only when the order fails, since finite order implies ``|det M| = 1``.
         """
         if self._order_cache is None:
             try:
                 self._order_cache = matrix_order(self._matrix)
             except ValueError:
-                self._order_cache = 0
-        if self._order_cache == 0:
-            raise UnsupportedAutomorphismError("linear part has infinite order")
+                unit = abs(self._matrix.det()) == 1
+                reason = "has infinite order" if unit else "must have unit determinant"
+                raise UnsupportedAutomorphismError(f"linear part {reason}") from None
         return self._order_cache
 
     def multiplier_order(self) -> int:
@@ -259,34 +262,13 @@ class TorusEndo:
 class TorusAuto:
     """A natural automorphism: unit-determinant linear part, then a translation."""
 
-    __slots__ = ("_linear", "_translation", "_linear_order", "_order_cache")
+    __slots__ = ("_linear", "_translation", "_order_cache")
 
     def __init__(self, linear: TorusEndo, translation: TorusPoint) -> None:
-        self._linear_order = TorusAuto.check_linear(linear)
+        linear.multiplicative_order()  # refuses an unsupported linear part
         self._linear = linear
         self._translation = translation
         self._order_cache: int | None = None
-
-    @staticmethod
-    def check_linear(linear: TorusEndo) -> int:
-        """The order of a linear part, or the reason it is refused.
-
-        Raises :class:`UnsupportedAutomorphismError` for a non-unit
-        determinant, then for infinite order.  ``det M`` is the norm of
-        ``det h`` in the Gaussian and Eisenstein rings and ``(det h)^2`` in
-        the integer ring, so ``det h`` is a unit exactly when
-        ``|det M| = 1``.  A matrix of finite order has ``det M = +-1``, so
-        the order, memoised on the linear part, is checked first and the
-        determinant only on failure.
-        """
-        try:
-            return linear.multiplicative_order()
-        except UnsupportedAutomorphismError:
-            if abs(linear.induced_matrix().det()) != 1:
-                raise UnsupportedAutomorphismError(
-                    "linear part must have unit determinant"
-                ) from None
-            raise
 
     @classmethod
     def identity(cls) -> "TorusAuto":
@@ -319,11 +301,11 @@ class TorusAuto:
         iterate is ``M^r`` followed by ``q P_m a + P_r a``, from the
         :func:`power_sums` tables of lengths ``m`` and ``r``.  A power of a
         valid map is valid, so the constructor's checks are skipped, and
-        its orders follow from this map's: ``o / gcd(o, e)``.
+        its orders and its linear part's are memoised as ``o / gcd(o, e)``.
         """
         if exponent < 0:
             raise ValueError("negative automorphism powers are not supported")
-        m = self._linear_order
+        m = self._linear.multiplicative_order()
         quotient, rest = divmod(exponent, m)
         matrix = self._linear.induced_matrix()
         a = self._translation.vector()
@@ -333,11 +315,10 @@ class TorusAuto:
             _, period, _ = power_sums(matrix, m)
             shift = map(add, shift, (quotient * x for x in period.apply_int(a)))
         power = TorusAuto.__new__(TorusAuto)
-        power._linear = TorusEndo(linear)
+        power._linear = TorusEndo._with_order(linear, m // gcd(m, exponent))
         power._translation = TorusPoint.from_integers(
             self._translation.torsion_level(), shift
         )
-        power._linear_order = m // gcd(m, exponent)
         order = self._order_cache
         power._order_cache = None if order is None else order // gcd(order, exponent)
         return power
@@ -351,11 +332,9 @@ class TorusAuto:
         full order is ``m`` times the torsion level of ``P_m a``.
         """
         if self._order_cache is None:
+            a = self._translation
             self._order_cache = affine_order(
-                self._linear.induced_matrix(),
-                self._linear_order,
-                self._translation.torsion_level(),
-                self._translation.vector(),
+                self._linear, a.torsion_level(), a.vector()
             )
         return self._order_cache
 
@@ -397,17 +376,16 @@ def power_sums(
     return power, partial, total
 
 
-def affine_order(matrix: IntMatrix, linear_order: int, level: int, vector) -> int:
+def affine_order(linear: TorusEndo, level: int, vector) -> int:
     """The order of ``t_a h`` from integers: :meth:`TorusAuto.order`.
 
-    ``matrix`` is the induced matrix of ``h``, of order ``m =
-    linear_order``, and ``a = vector / level`` for any multiple ``level``
-    of the torsion level of ``a``.  The order is ``m`` times the torsion
-    level of ``P_m a``, whatever ``level`` the vector is given over.
+    ``h`` is ``linear`` and ``a = vector / level``, for any multiple
+    ``level`` of the torsion level of ``a``.  The order is ``m = ord h``
+    times the torsion level of ``P_m a``.
     """
-    _, period, _ = power_sums(matrix, linear_order)
-    residue = period.apply_int(vector)
-    return linear_order * (level // gcd(level, *residue))
+    m = linear.multiplicative_order()
+    _, period, _ = power_sums(linear.induced_matrix(), m)
+    return m * (level // gcd(level, *period.apply_int(vector)))
 
 
 def orbit_sum_data(auto: TorusAuto, length: int) -> tuple[TorusEndo, TorusPoint]:

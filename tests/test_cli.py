@@ -181,6 +181,22 @@ def test_numerals_above_the_digit_cap_exit_two_at_once(capsys, command, entry) -
     assert captured.err == f"error: cannot parse element {quoted}\n"
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python has no limit on int-to-text conversion",
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_payload_too_long_to_print_exits_two(capsys, fmt: str) -> None:
+    # 2n - 2 for n of 4,300 nines has 4,301 digits, past Python's limit on
+    # int-to-text conversion: the rendering fails inside main's guard.
+    argv = ["classify", "--n", NINES, "--d", "3", "--format", fmt]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 POINT_SHAPE = "point must look like (e1,e2), got"
 MATRIX_SHAPE = "matrix must look like [[a,b],[c,d]], got"
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -10,6 +11,7 @@ import kummerlab.enriques as enriques
 from kummerlab.enriques import (
     FactorDecomposition,
     FactorKind,
+    QuotientClassification,
     QuotientVerdict,
     _factor_chi,
     classify_free_quotient,
@@ -17,6 +19,27 @@ from kummerlab.enriques import (
     holomorphic_euler_ihs,
     is_irreducible_feasible,
 )
+
+
+def classification_branches(n: int, d: int) -> tuple:
+    """``(verdict, index, dimension, chi, reason)`` as ``classify_free_quotient``
+    stored them before they became properties; kept as the reference."""
+    if n % d != 0:
+        reason = f"group order {d} does not divide {n}"
+        return QuotientVerdict.INVALID, None, None, None, reason
+    if d == n:
+        return QuotientVerdict.ENRIQUES, d, 2 * n - 2, 1, None
+    return QuotientVerdict.WEAK_ENRIQUES, None, 2 * n - 2, n // d, None
+
+
+def test_classification_properties_match_the_stored_branches() -> None:
+    fields = [f.name for f in dataclasses.fields(QuotientClassification)]
+    assert fields == ["n", "d"]
+    for n, d in itertools.product(range(2, 61), repeat=2):
+        c = classify_free_quotient(n, d)
+        assert (c.verdict, c.index, c.dimension, c.chi, c.reason) == (
+            classification_branches(n, d)
+        ), (n, d)
 
 
 def test_full_index_quotients() -> None:

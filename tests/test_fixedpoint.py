@@ -422,6 +422,32 @@ def test_obstruction_tampering_is_rejected() -> None:
     assert not verify_certificate(psi, 3, both)
 
 
+MALFORMED_CERTIFICATES = {
+    "obstruction_pair": lambda cert: {"obstruction": cert.obstruction[:2]},
+    "power_float": lambda cert: {"element_power": 1.0},
+    "power_text": lambda cert: {"element_power": "1"},
+    "orbit_type_floats": lambda cert: {"orbit_type": (1.5, 1.5)},
+    "orbit_type_text": lambda cert: {"orbit_type": "3"},
+    "witness_tuples": lambda cert: {
+        "obstruction": None, "witness": ((0, 0, 0, 0),) * len(cert.orbit_type)
+    },
+    "witness_none": lambda cert: {
+        "obstruction": None, "witness": (None,) * len(cert.orbit_type)
+    },
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CERTIFICATES)
+def test_malformed_certificates_are_rejected_not_raised_on(case: str) -> None:
+    # Each alteration of the free order-3 map's first obstruction once
+    # raised ValueError or TypeError from inside the re-check.
+    psi = panel_map("order3")
+    cert = group_acts_freely(psi, 3).tested[0].report.certificates[0]
+    assert verify_certificate(psi, 3, cert)
+    altered = dataclasses.replace(cert, **MALFORMED_CERTIFICATES[case](cert))
+    assert verify_certificate(psi, 3, altered) is False
+
+
 def test_identity_powers_are_rejected() -> None:
     # Power 0, or a multiple of the order, is the identity, which fixes
     # every configuration: the origin taken three times would "witness" a

@@ -130,6 +130,22 @@ def test_involution_count_matches_k3_euler_number() -> None:
     assert lefschetz_kummer(NEGATIVE_IDENTITY, 2) == 24
 
 
+# Values taken from the literature, not computed here first; the
+# Lefschetz number of an involution is the Euler number of its fixed locus.
+# - n = 2: -1 acts trivially on the Kummer K3 surface K_1(A), so L = e(K3)
+#   = 24 (Barth, Hulek, Peters and Van de Ven, Compact Complex Surfaces,
+#   on Kummer surfaces).
+# - n = 3: the fixed locus of -1 on the generalized Kummer fourfold K_2(A)
+#   is a K3 surface and 36 isolated points, so L = 24 + 36 = 60
+#   (B. Hassett and Y. Tschinkel, "Hodge theory and Lagrangian planes on
+#   generalized Kummer fourfolds", Moscow Math. J. 13, 2013; L. Kamenova,
+#   G. Mongardi and A. Oblomkov, "Symplectic involutions of K3^[n] type
+#   and Kummer n type manifolds").
+@pytest.mark.parametrize("n, expected", [(2, 24), (3, 60)])
+def test_negative_identity_matches_the_literature(n: int, expected: int) -> None:
+    assert lefschetz_kummer(NEGATIVE_IDENTITY, n) == expected
+
+
 def test_rotation_count_frozen() -> None:
     assert lefschetz_kummer(ROTATION_ORDER_3, 3) == 36
 

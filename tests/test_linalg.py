@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from kummerlab.linalg import (
     elementary_divisors_via_minors,
     factorize,
     matrix_order,
+    newton_exponential,
     smith_form_rows,
     smith_normal_form,
 )
@@ -40,6 +42,7 @@ from kummerlab.rings import (
     units,
 )
 from kummerlab.search import run_search
+from kummerlab.series import TruncatedSeries
 from kummerlab.verify import matrix_catalog, panel_map
 
 
@@ -792,6 +795,73 @@ def test_characteristic_polynomial_checks_its_divisions() -> None:
     wrong = IntMatrix([[1, 0], [0, 0]])
     with pytest.raises(SelfCheckError):
         characteristic_polynomial(IntMatrix.identity(2), wrong)
+
+
+def characteristic_loop(traces, size: int) -> tuple[int, ...]:
+    """Newton's identities as ``characteristic_polynomial`` ran them on its
+    own, before it called ``newton_exponential``; kept as the reference."""
+    chi = [1]
+    for k in range(1, size + 1):
+        c, r = divmod(-sum(map(mul, reversed(chi), traces)), k)
+        if r:
+            raise SelfCheckError("Newton's identities left a remainder")
+        chi.append(c)
+    return tuple(chi)
+
+
+def exp_loop(c) -> tuple[int, ...]:
+    """Newton's recurrence as ``TruncatedSeries.exp`` ran it on its own,
+    before it called ``newton_exponential``; kept as the reference."""
+    out = [1]
+    for k in range(1, len(c)):
+        f, r = divmod(sum(c[j] * out[k - j] for j in range(1, k + 1)), k)
+        if r:
+            raise SelfCheckError("series coefficients must be integers")
+        out.append(f)
+    return tuple(out)
+
+
+def newton_outcome(routine, *args):
+    """The routine's coefficients, or ``SelfCheckError`` if it raised one."""
+    try:
+        return tuple(routine(*args))
+    except SelfCheckError:
+        return SelfCheckError
+
+
+def test_newton_exponential_matches_the_loops_it_replaced() -> None:
+    # A wrong square makes traces that no integer matrix has, so about half
+    # of the characteristic polynomials leave a remainder; random series
+    # do too, and power sums of integers never do.
+    rng = random.Random(2024)
+    outcomes = []
+    for _ in range(300):
+        size = rng.randint(1, 4)
+        m = random_matrix(rng, size, size, 4)
+        square = m @ m if rng.random() < 0.5 else random_matrix(rng, size, size, 4)
+        traces = [
+            sum(x[i][i] for i in range(size))
+            for x in (m, square, square @ m, square @ square)
+        ]
+        expected = newton_outcome(characteristic_loop, traces, size)
+        assert newton_outcome(characteristic_polynomial, m, square) == expected
+        sums = (0, *(-p for p in traces[:size]))
+        assert newton_outcome(newton_exponential, sums) == expected
+        outcomes.append(expected)
+    for _ in range(300):
+        length = rng.randint(1, 12)
+        if rng.random() < 0.5:
+            roots = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+            c = [0] + [sum(a**k for a in roots) for k in range(1, length)]
+        else:
+            c = [0] + [rng.randint(-9, 9) for _ in range(1, length)]
+        expected = newton_outcome(exp_loop, c)
+        assert newton_outcome(newton_exponential, c) == expected
+        series = newton_outcome(lambda: TruncatedSeries(c).exp().coefficients)
+        assert series == expected
+        outcomes.append(expected)
+    failures = outcomes.count(SelfCheckError)
+    assert 100 < failures < len(outcomes) - 100
 
 
 def test_non_semisimple_matrices_with_cyclotomic_chi_have_infinite_order() -> None:

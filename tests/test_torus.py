@@ -409,6 +409,34 @@ def test_powers_inherit_the_orders_of_fresh_maps(ring: RingId) -> None:
             )
 
 
+@pytest.mark.parametrize("ring", [RingId.EISENSTEIN, RingId.GAUSSIAN])
+def test_powers_carry_the_order_of_their_linear_part(ring: RingId) -> None:
+    # Every norm-1 catalog part and every exponent below twice its order:
+    # the power's linear part has its order memo filled, with the value
+    # matrix_order gives.
+    origin = TorusPoint.origin()
+    for linear in linear_candidates(ring, 1):
+        auto = TorusAuto(linear, origin)
+        for e in range(2 * linear.multiplicative_order()):
+            power = (auto**e).linear
+            assert power._order_cache == matrix_order(power.induced_matrix())
+
+
+def test_refusals_are_not_memoised() -> None:
+    # A refused linear part raises its reason on every call and keeps no
+    # order; a non-unit determinant is named before infinite order.
+    ring = RingId.EISENSTEIN
+    one, zero = RingElem.one(ring), RingElem.zero(ring)
+    for linear, reason in (
+        (diag(RingElem(ring, 2), one), "linear part must have unit determinant"),
+        (endo([[one, one], [zero, one]]), "linear part has infinite order"),
+    ):
+        for _ in range(2):
+            with pytest.raises(UnsupportedAutomorphismError, match=reason):
+                linear.multiplicative_order()
+            assert linear._order_cache is None
+
+
 def test_constructor_names_the_reason_for_rejection() -> None:
     ring = RingId.EISENSTEIN
     one, zero = RingElem.one(ring), RingElem.zero(ring)
