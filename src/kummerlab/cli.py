@@ -68,7 +68,7 @@ EXIT_USAGE = 2
 # and 1.0 s at 72, and Eisenstein [[z,0],[0,1]] with (1/3,1/3) 1.6 s at
 # n = 120.  ``search`` decides freeness at its n, so the cap bounds
 # ``search --n`` too; its slowest sweep at the cap, Eisenstein --level 24,
-# took 25.6 s.
+# took 1.9 s.
 FREENESS_N_CAP = 48
 
 
@@ -80,7 +80,9 @@ class GrammarError(ValueError):
 # most 10**NUMERAL_DIGIT_CAP, so the integers printed from a matrix entry
 # (its echo and its induced-matrix entries, sums of a few coordinates) have
 # about NUMERAL_DIGIT_CAP digits: reaching Python's 4,300-digit limit on
-# int-to-text conversion would take 10**3000 terms.
+# int-to-text conversion would take 10**3000 terms.  ``classify --n`` and
+# ``--d`` have the same cap, so the largest number it prints, 2n - 2, has
+# at most one digit more.
 NUMERAL_DIGIT_CAP = 1000
 _NUMERAL = rf"[0-9]{{1,{NUMERAL_DIGIT_CAP}}}"
 _TERM = rf"(?:({_NUMERAL})(?:/({_NUMERAL}))?(\*z)?|z)"
@@ -434,6 +436,9 @@ def _run_characters(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _run_classify(args: argparse.Namespace) -> tuple[dict, int]:
+    for flag, value in (("--n", args.n), ("--d", args.d)):
+        if abs(value) >= 10**NUMERAL_DIGIT_CAP:
+            raise GrammarError(f"{flag} is capped at {NUMERAL_DIGIT_CAP} digits")
     classification = classify_free_quotient(args.n, args.d)
     payload = {
         "command": "classify",

@@ -44,9 +44,12 @@ from .lattice import torus_system_solvable, verify_obstruction
 from .linalg import MEMO_SIZE, IntMatrix, SelfCheckError, divisors, factorize
 from .torus import TorusAuto, TorusPoint, power_sums
 
-# One cap bounds the level of the search sweep, which scans level**4
-# points, and of the grid oracle, which walks gcd(level, p^e)**4 starts per
-# prime power p^e of its modulus.
+# One cap bounds the level of the search sweep and of the grid oracle, which
+# walks gcd(level, p^e)**4 starts per prime power p^e of its modulus.  The
+# sweep no longer scans level**4 points: it lists one cell per translation
+# class from a Hermite box (lattice.translation_box).  The cap still bounds
+# both; splitting it, and bounding the oracle by its largest prime power
+# instead, is open hardening work listed in ROADMAP.md.
 GRID_LEVEL_CAP = 24
 
 

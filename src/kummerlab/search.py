@@ -7,18 +7,23 @@ differ by conjugation with a translation ``t_b`` induce conjugate maps on
 the fibre ``K_n``, so freeness only depends on the orbit of ``a`` under
 ``a -> a + (I - h) b`` with ``b`` ranging over the ``n``-torsion subgroup.
 The search reports one representative per orbit (the first one in scan
-order) and skips the rest.  The scan runs on integer vectors mod ``n``:
-the translation ``a`` is ``vector / n`` and the orbit is the coset of the
-subgroup ``(I - M) (Z/n)^4`` with ``M`` the induced 4x4 integer matrix.
-One Smith form of ``I - M`` keys the cosets (:func:`translation_classes`);
-the scan keeps the keys it has met and stops once it has met every class
-its candidates reach.  It walks the candidate vectors and keeps no list
-of points: it tests the order of ``t_a h`` on the vector
-(:func:`~kummerlab.torus.affine_order`) and builds a point only for a
-class it goes on to decide.  What never depends on the translation, the
-power tables behind the tested powers and the orbit systems, the
-systems' matrices and their Smith normal forms, is memoised where it is
-computed, so each pair computes only its constants and its solves.
+order) and skips the rest.  The translations are integer vectors mod
+``n``: ``a`` is ``vector / n`` and its orbit is the coset of the subgroup
+``(I - M)(Z/n)^4``, with ``M`` the induced 4x4 integer matrix.  The
+search lists the cosets without scanning for them:
+:func:`~kummerlab.lattice.translation_box` puts the lattice of vectors
+that differ by a member of the subgroup in Hermite form, and its pivots
+``d_c`` bound a box ``[0, d_0) x ... x [0, d_3)`` whose cells are the
+least members of the cosets, one each.  A least member in lexicographic
+order is the first one a scan in that order meets, and the box lists the
+cells in that order, so the representatives and their order are those
+of the scan over every candidate vector, which the box replaces.  No
+point list is built, and a point is made only for a class that passes
+the order screen of :func:`run_search`.  What never depends on the
+translation, the power tables behind the screen and the tested powers,
+the orbit systems, the systems' matrices and their Smith normal forms,
+is memoised where it is computed, so each pair computes only its
+constants and its solves.
 
 Each question is asked of the cheapest fact that settles it.  The catalog
 decides finite order in the ring (:func:`linear_candidates`): the pair
@@ -30,18 +35,18 @@ catalog loop reads entries, traces and determinants as integer coordinate
 pairs and builds a part only for a tuple it accepts.
 The sweep skips the identity, then a part whose order ``d`` does not divide
 ``n``, and only then takes ``ord(det h)`` for :func:`symplectic_screen`;
-parts that fail it give no free pair and are never keyed.
+parts that fail it give no free pair, and their classes are never listed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, prod
+from operator import mul
 
 from .enriques import QuotientClassification, classify_free_quotient, symplectic_screen
 from .fixedpoint import GRID_LEVEL_CAP, FreenessReport, group_acts_freely
-from .lattice import translation_classes
+from .lattice import translation_box
 from .linalg import (
     CYCLOTOMIC_ORDERS,
     IntMatrix,
@@ -50,7 +55,7 @@ from .linalg import (
     matrix_order,
 )
 from .rings import RingElem, RingId, block_matrix, ring_elements_up_to_norm, units
-from .torus import TorusAuto, TorusEndo, TorusPoint, affine_order
+from .torus import TorusAuto, TorusEndo, TorusPoint, power_sums
 
 MAX_NORM_CAP = 4
 
@@ -198,15 +203,29 @@ def run_search(
     not read: a linear part carries no ring.  The identity map is
     excluded: it generates the trivial group, which acts freely but
     yields no quotient of interest.  Every other linear part must pass
-    :func:`symplectic_screen` before its translations are keyed.
+    :func:`symplectic_screen` before its classes are listed.
 
     The translations are the integer vectors over ``n`` with entries that
-    are multiples of ``n // level``, the vectors of
+    are multiples of ``s = n // level``, the vectors of
     :func:`torsion_points` at ``level`` over ``n`` in the same order; no
-    point list is built.  A vector is keyed, and only the first of its
-    class, other than the origin's, is tested: first the order of ``t_a h``
-    from the vector, and then, with a :class:`TorusPoint` built for it,
-    freeness.
+    point list is built.  Each class of a linear part is listed once, by
+    its first vector in that order, as a cell ``w`` of
+    :func:`~kummerlab.lattice.translation_box`, whose docstring derives
+    why a cell is the least member of its class and why the box's
+    lexicographic order is the scan's; the translation is ``s w``.  The
+    first cell, ``w = 0``, is the class of the pure linear map, which
+    fixes the zero configuration and is skipped.
+
+    The order screen: with ``m`` the order of ``h`` and
+    ``P_m = I + M + ... + M^(m-1)``, the pair ``(h, a)`` with
+    ``a = v / n`` has order ``m`` exactly when ``P_m v = 0 (mod n)``, since
+    ``(t_a h)^m`` is the translation by ``P_m a``.  A larger order gives
+    no free pair: :func:`symplectic_screen` needs ``ord(det h)`` to be the
+    order of the group, and ``ord(det h)`` divides ``m``.  The condition
+    holds on whole classes, as ``P_m (I - M) = I - M^m = 0``.  ``P_m`` is
+    read once per linear part from :func:`~kummerlab.torus.power_sums`,
+    each cell is screened before a :class:`TorusPoint` is built for it,
+    and a cell that passes goes to :func:`group_acts_freely`.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -232,28 +251,16 @@ def run_search(
         if not symplectic_screen(order, linear.multiplier_order(), n):
             continue
         matrix = linear.induced_matrix()
-        key, moduli = translation_classes(matrix, n)
-        # Candidates are multiples of n // level, so they reach this many
-        # of the prod(moduli) classes.
-        reachable = prod(g // gcd(g, step) for g in moduli)
-        seen: set[tuple[int, ...]] = set()
-        # The vectors of torsion_points(level) over n, in the same order.
-        for vector in itertools.product(range(0, n, step), repeat=4):
-            if len(seen) == reachable:
-                break
-            k = key(vector)
-            if k in seen:
+        _, period, _ = power_sums(matrix, order)
+        # The nonzero rows of step * P_m mod n, which act on a cell w.
+        scaled = (tuple(step * x % n for x in row) for row in period.entries)
+        screen = [row for row in scaled if any(row)]
+        cells = itertools.product(*map(range, translation_box(matrix, n, level)))
+        next(cells)  # w = 0, the pure linear map
+        for cell in cells:
+            if any(sum(map(mul, row, cell)) % n for row in screen):
                 continue
-            seen.add(k)
-            if not any(vector):
-                # The class of pure linear maps: these fix the zero
-                # configuration (the origin taken n times), so they are
-                # never free.
-                continue
-            if affine_order(linear, n, vector) != order:
-                # ord(omega) divides the linear order, so the screen fails.
-                continue
-            a = TorusPoint.from_integers(n, vector)
+            a = TorusPoint.from_integers(n, [step * x for x in cell])
             report = group_acts_freely(TorusAuto(linear, a), n, stop_at_first=True)
             if not report.free:
                 continue

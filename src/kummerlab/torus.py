@@ -332,10 +332,11 @@ class TorusAuto:
         full order is ``m`` times the torsion level of ``P_m a``.
         """
         if self._order_cache is None:
-            a = self._translation
-            self._order_cache = affine_order(
-                self._linear, a.torsion_level(), a.vector()
-            )
+            m = self._linear.multiplicative_order()
+            _, period, _ = power_sums(self._linear.induced_matrix(), m)
+            level = self._translation.torsion_level()
+            shift = period.apply_int(self._translation.vector())
+            self._order_cache = m * (level // gcd(level, *shift))
         return self._order_cache
 
     def __eq__(self, other: object) -> bool:
@@ -374,18 +375,6 @@ def power_sums(
         partial = partial + power
         power = power @ matrix
     return power, partial, total
-
-
-def affine_order(linear: TorusEndo, level: int, vector) -> int:
-    """The order of ``t_a h`` from integers: :meth:`TorusAuto.order`.
-
-    ``h`` is ``linear`` and ``a = vector / level``, for any multiple
-    ``level`` of the torsion level of ``a``.  The order is ``m = ord h``
-    times the torsion level of ``P_m a``.
-    """
-    m = linear.multiplicative_order()
-    _, period, _ = power_sums(linear.induced_matrix(), m)
-    return m * (level // gcd(level, *period.apply_int(vector)))
 
 
 def orbit_sum_data(auto: TorusAuto, length: int) -> tuple[TorusEndo, TorusPoint]:

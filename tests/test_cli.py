@@ -187,14 +187,38 @@ def test_numerals_above_the_digit_cap_exit_two_at_once(capsys, command, entry) -
 )
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_payload_too_long_to_print_exits_two(capsys, fmt: str) -> None:
-    # 2n - 2 for n of 4,300 nines has 4,301 digits, past Python's limit on
-    # int-to-text conversion: the rendering fails inside main's guard.
+    # 2n - 2 for n of 4,300 nines would have 4,301 digits, past Python's
+    # limit on int-to-text conversion.  The digit cap refuses such an n
+    # before classifying (see the next test); main also renders inside its
+    # guard, so a payload too long to print would exit 2 in the same way.
     argv = ["classify", "--n", NINES, "--d", "3", "--format", fmt]
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("flag", ["--n", "--d"])
+def test_classify_refuses_numbers_above_the_digit_cap(capsys, flag, fmt) -> None:
+    # classify bounds its numbers by the numeral cap before classifying, and
+    # says so in its own terms; NUMERAL_DIGIT_CAP digits are accepted.
+    smallest_refused = "1" + "0" * NUMERAL_DIGIT_CAP
+    for text, code in ((smallest_refused, EXIT_USAGE), (NINES, EXIT_USAGE),
+                       ("9" * NUMERAL_DIGIT_CAP, 0)):
+        values = {"--n": "6", "--d": "3", flag: text}
+        argv = ["classify", "--n", values["--n"], "--d", values["--d"], "--format", fmt]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {flag} is capped at {NUMERAL_DIGIT_CAP} digits\n"
+            )
+        else:
+            assert captured.err == ""
+            assert "9" * NUMERAL_DIGIT_CAP in captured.out
 
 
 POINT_SHAPE = "point must look like (e1,e2), got"

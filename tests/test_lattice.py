@@ -8,7 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from kummerlab.lattice import (
     EnumerationTooLargeError,
     solvable_by_enumeration,
     torus_system_solvable,
+    translation_box,
     translation_classes,
     verify_obstruction,
     verify_witness,
@@ -32,6 +33,8 @@ from kummerlab.linalg import (
     factorize,
     smith_normal_form,
 )
+from kummerlab.rings import RingElem, RingId, induced_matrix
+from kummerlab.search import linear_candidates
 from kummerlab.verify import panel_passed, run_panel
 
 
@@ -147,6 +150,119 @@ def test_translation_classes_match_the_closed_subgroup() -> None:
         for v in vectors:
             delta = tuple((x - y) % n for x, y in zip(v, w))
             assert (keys[v] == keys[w]) == (delta in group)
+
+
+def key_scan(key, moduli, n: int, level: int) -> list[tuple[int, ...]]:
+    """The reference for the box: the first cell ``w`` of each class, in scan order.
+
+    The scan the search ran before the box: the candidates ``(n / level) w``
+    in lexicographic order of ``w``, keyed by :func:`translation_classes`,
+    keeping the first of each key, until every reachable class is seen.
+    """
+    step = n // level
+    reachable = prod(g // gcd(g, step) for g in moduli)
+    seen: set[tuple[int, ...]] = set()
+    cells = []
+    for w in itertools.product(range(level), repeat=len(moduli)):
+        if len(seen) == reachable:
+            break
+        k = key(tuple(step * x for x in w))
+        if k not in seen:
+            seen.add(k)
+            cells.append(w)
+    return cells
+
+
+def box_cells(m: IntMatrix, n: int, level: int) -> list[tuple[int, ...]]:
+    return list(itertools.product(*map(range, translation_box(m, n, level))))
+
+
+def test_translation_box_matches_the_key_scan_on_the_catalog() -> None:
+    # Every norm-1 catalog part of the three rings, every n in
+    # {2, 3, 4, 6, 8, 12} and every level dividing n: the box lists the
+    # classes by the same representatives, in the same order, as the scan.
+    # A key is additive, so it is fixed by its values on the vectors
+    # x e_j; parts whose keys agree there share one reference scan.
+    catalog = [
+        linear.induced_matrix()
+        for ring in RingId
+        for linear in linear_candidates(ring, 1)
+    ]
+    scans: dict[tuple, list[tuple[int, ...]]] = {}
+    levels_seen = 0
+    for n in (2, 3, 4, 6, 8, 12):
+        levels = [level for level in range(1, n + 1) if n % level == 0]
+        levels_seen += len(levels)
+        for m in catalog:
+            key, moduli = translation_classes(m, n)
+            table = tuple(
+                key(tuple(x * (i == j) for i in range(4)))
+                for j in range(4)
+                for x in range(n)
+            )
+            for level in levels:
+                reference = scans.get((n, level, moduli, table))
+                if reference is None:
+                    reference = key_scan(key, moduli, n, level)
+                    scans[n, level, moduli, table] = reference
+                assert box_cells(m, n, level) == reference, (m, n, level)
+    assert len(catalog) == 760
+    assert levels_seen == 21
+
+
+def test_translation_box_matches_the_key_scan_on_random_matrices() -> None:
+    # Random 2x2 and 3x3 matrices, singular ones and entries beyond the
+    # catalog's included, at every level dividing n.
+    rng = random.Random(8642)
+    for _ in range(150):
+        r = rng.choice((2, 3))
+        n = rng.randint(2, 9)
+        m = IntMatrix([[rng.randint(-4, 4) for _ in range(r)] for _ in range(r)])
+        key, moduli = translation_classes(m, n)
+        for level in (level for level in range(1, n + 1) if n % level == 0):
+            assert box_cells(m, n, level) == key_scan(key, moduli, n, level)
+
+
+@pytest.mark.parametrize("n, level", [(3, 3), (6, 6), (6, 3), (12, 4)])
+def test_tampered_box_forms_are_refused(n: int, level: int) -> None:
+    # The box checks itself before it is used, with SelfCheckError, not a
+    # bare assert, so the checks also run under python -O.  A dropped row,
+    # a changed pivot and a wrong witness are each refused.  The map is
+    # Eisenstein diag(z, 1), whose box has pivots 1, level and level.
+    ring = RingId.EISENSTEIN
+    zero = RingElem.zero(ring)
+    m = induced_matrix([[RingElem.zeta(ring), zero], [zero, RingElem.one(ring)]])
+    one_minus = [
+        [int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(m.entries)
+    ]
+    step = n // level
+    rows = lattice._box_form(one_minus, n, step)
+    pivots = lattice._check_box(one_minus, n, step, rows)
+    assert pivots == translation_box(m, n, level)
+    assert sorted(pivots) == [1, gcd(3, level), level, level]
+
+    def refused(tampered) -> bool:
+        try:
+            lattice._check_box(one_minus, n, step, tampered)
+        except linalg.SelfCheckError:
+            return True
+        return False
+
+    size = len(one_minus)
+    for c in range(size):
+        assert refused(rows[:c] + rows[c + 1 :]), f"row {c} dropped"
+        # A pivot moved by level keeps its witness; the reduction of the
+        # generators (level n) or the index (level below n) refuses it.
+        for delta in (level, pivots[c], -1):
+            tampered = [list(row) for row in rows]
+            tampered[c][c] += delta
+            assert refused(tampered), f"pivot {c} moved by {delta}"
+        for j in range(size):
+            if any(line[j] % n for line in one_minus):
+                tampered = [list(row) for row in rows]
+                tampered[c][size + j] += 1
+                assert refused(tampered), f"witness {c} moved along {j}"
+    assert not refused(rows)
 
 
 def refuse_smith_forms(monkeypatch, clear_memos, *modules) -> None:

@@ -161,12 +161,12 @@ def test_smith_form_random_properties() -> None:
 # distinct system once, so the count is the number of distinct systems the
 # sweep solves.  The digest is that of a pivot search that scans every row
 # to the end, so it holds the early-stopping search to the same transforms.
-# The sweep also takes one dense form of I - M per linear part that passes
-# the symplectic screen, for its translation classes; those are counted
-# apart.
+# The sweep lists its translation classes from a Hermite box
+# (lattice.translation_box), so it takes no dense Smith form of I - M;
+# the dense forms are counted apart.
 SWEEP_SMITH_FORMS = 45
 SWEEP_SMITH_DIGEST = "e4b7ca50769d0cf39a3cbfd6649f1e2303fabe3ac127a76d201b88d0484f71ce"
-SWEEP_CLASS_FORMS = 78
+SWEEP_CLASS_FORMS = 0
 
 
 def test_smith_forms_of_the_eisenstein_sweep_are_pinned(
