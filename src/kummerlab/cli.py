@@ -62,10 +62,10 @@ EXIT_USAGE = 2
 
 # The largest ``freeness --n``.  A tested power of prime order p has types
 # up to ``n`` parts, and the system of the all-ones type is (4n+4) x 4n.
-# At n = 48 the command took 0.3-0.8 s raw on eight Eisenstein, Gaussian
+# At n = 48 the command took 0.15-0.6 s raw on eight Eisenstein, Gaussian
 # and integer maps of orders 2 to 12 (Python 3.11, one core of a shared
-# 2-vCPU Xeon); the panel's order-6 map took 0.5-0.7 s at 48, 0.6 s at 60
-# and 1.0 s at 72, and Eisenstein [[z,0],[0,1]] with (1/3,1/3) 1.6 s at
+# 2-vCPU Xeon); the panel's order-6 map took 0.3 s at 48, 0.5 s at 60
+# and 0.7 s at 72, and Eisenstein [[z,0],[0,1]] with (1/3,1/3) 0.9 s at
 # n = 120.  ``search`` decides freeness at its n, so the cap bounds
 # ``search --n`` too; its slowest sweep at the cap, Eisenstein --level 24,
 # took 1.9 s.

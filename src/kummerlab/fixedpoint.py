@@ -150,8 +150,10 @@ def orbit_system(
     level and ``b`` the numerators over it.  The blocks come from
     :func:`power_sums`: ``M^l - I`` for closure, ``P_l`` for the zero-sum
     rows, and ``P_l a`` and ``Q_l a`` for the constants.  ``T`` is
-    memoised under ``(M, orbit_type)``, so a repeated call for any
-    translation builds only ``b``.
+    assembled row by row from the nonzeros of its blocks, which it keeps
+    as its :meth:`~kummerlab.linalg.IntMatrix.nonzero_rows` for the
+    solver, and is memoised under ``(M, orbit_type)``, so a repeated call
+    for any translation builds only ``b``.
     """
     matrix = auto.linear.induced_matrix()
     level = auto.translation.torsion_level()
@@ -168,16 +170,36 @@ def orbit_system(
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _orbit_matrix(matrix: IntMatrix, orbit_type: tuple[int, ...]) -> IntMatrix:
-    """The matrix ``T`` of :func:`orbit_system`, memoised."""
-    identity, zero4 = IntMatrix.identity(4), IntMatrix.zeros(4, 4)
-    parts = [power_sums(matrix, l) for l in orbit_type]
-    block_rows: list[list[IntMatrix]] = []
-    for i, (power, _, _) in enumerate(parts):
-        row = [zero4] * len(parts)
-        row[i] = power - identity
-        block_rows.append(row)
-    block_rows.append([partial for _, partial, _ in parts])
-    return IntMatrix.block(block_rows)
+    """The matrix ``T`` of :func:`orbit_system`, memoised, built from its nonzeros.
+
+    Block ``(i, i)`` is ``M^l - I`` for the ``i``-th length ``l`` and the
+    last block row holds the ``P_l`` side by side; every other block is
+    zero.  Each row is written as the ``{column: entry}`` dict of its
+    nonzeros, read from ``M^l`` and ``P_l`` at their block offsets with
+    the identity subtracted on the diagonal, and the dicts become the
+    matrix's :meth:`~kummerlab.linalg.IntMatrix.nonzero_rows`.
+    """
+    closure_rows, sum_rows = {}, {}
+    for l in set(orbit_type):
+        power, partial, _ = power_sums(matrix, l)
+        # Row r of M^l - I: the identity's entry (c == r) comes off the diagonal.
+        closure_rows[l] = [
+            [(c, x - (c == r)) for c, x in enumerate(line) if x != (c == r)]
+            for r, line in enumerate(power.entries)
+        ]
+        sum_rows[l] = [
+            [(c, x) for c, x in enumerate(line) if x] for line in partial.entries
+        ]
+    rows = [
+        {4 * i + c: x for c, x in line}
+        for i, l in enumerate(orbit_type)
+        for line in closure_rows[l]
+    ]
+    rows += (
+        {4 * i + c: x for i, l in enumerate(orbit_type) for c, x in sum_rows[l][r]}
+        for r in range(4)
+    )
+    return IntMatrix.from_nonzero_rows(rows, 4 * len(orbit_type))
 
 
 def _require_descends(auto: TorusAuto, n: int) -> None:

@@ -16,11 +16,16 @@ and infinite if not.
 The Smith form is eliminated over sparse rows, ``{column: entry}`` dicts,
 so a step costs about the nonzeros it touches, not the size of the
 matrix.  It starts from :meth:`IntMatrix.nonzero_rows`, each matrix's
-nonzeros found once and kept.  It certifies itself exactly, with inverse
-pairs in place of determinants, the transform checked as
-``U * A = D * V^-1``, and ``D`` checked to be a non-negative diagonal
-divisor chain.  Each check is a set of sparse row combinations, about
-O(nnz) of its factors, and forms no :class:`IntMatrix` product.
+nonzeros found once and kept, or handed over at construction by
+:meth:`IntMatrix.from_nonzero_rows`, as the orbit systems are.  The pivot
+search keeps each row's least ``(|entry|, column)`` and recomputes it
+only for the rows an operation changed, and a row holds an entry the
+pivot does not divide exactly when the pivot does not divide the gcd of
+its entries.  The form certifies itself exactly, with inverse pairs in
+place of determinants, the transform checked as ``U * A = D * V^-1``,
+and ``D`` checked to be a non-negative diagonal divisor chain.  Each
+check is a set of sparse row combinations, about O(nnz) of its factors,
+and forms no :class:`IntMatrix` product.
 
 :func:`smith_form_rows` is the certified core: it returns ``U`` by its
 sparse rows, the diagonal of ``D`` and ``V`` by its sparse columns, and
@@ -88,16 +93,19 @@ class IntMatrix:
         return cls._of([[0] * cols] * rows)
 
     @classmethod
-    def block(cls, grid) -> "IntMatrix":
-        """Assemble a matrix from a 2-d grid of IntMatrix blocks."""
-        out: list[list[int]] = []
-        for block_row in grid:
-            height = block_row[0].rows
-            if any(b.rows != height for b in block_row):
-                raise ValueError("block heights disagree")
-            for i in range(height):
-                out.append([e for b in block_row for e in b._rows[i]])
-        return cls._of(out)
+    def from_nonzero_rows(cls, rows: list[dict[int, int]], cols: int) -> "IntMatrix":
+        """The ``len(rows) x cols`` matrix whose row ``i`` has the nonzeros ``rows[i]``.
+
+        Each row is a ``{column: entry}`` dict of nonzero integers at
+        columns in ``range(cols)``, its keys ascending, as
+        :meth:`nonzero_rows` would find them; the caller guarantees this.
+        The dicts become the matrix's :meth:`nonzero_rows`, behind
+        read-only views, so no row is scanned for its nonzeros, and the
+        dense rows are written from them.
+        """
+        matrix = _dense(rows, cols)
+        matrix._nonzero = tuple(map(MappingProxyType, rows))
+        return matrix
 
     @property
     def rows(self) -> int:
@@ -446,6 +454,16 @@ def _smith_elimination(a: IntMatrix):
     At stage ``t`` the rows and columns before ``t`` are zero outside the
     diagonal, so only rows from ``t`` on can hold an entry in a column
     from ``t`` on.
+
+    The pivot search reads one cached fact per row of ``d``: its least
+    ``(|entry|, column)``.  A fact is dropped when an operation changes
+    its row (the target of a row addition, a row whose columns a swap
+    relabels, the pivot row after its column operations), moves with its
+    row in a row swap, and is recomputed when the search next reads the
+    row, so a search costs one comparison per remaining row and a scan
+    only of the rows changed since the last one.  A row holds an entry the
+    pivot does not divide exactly when the gcd of its entries is not a
+    multiple of the pivot.
     """
     rows, cols = a.rows, a.cols
     # Mutable copies of the read-only nonzero rows that ``a`` keeps.
@@ -454,20 +472,25 @@ def _smith_elimination(a: IntMatrix):
     u_inv_t = [{i: 1} for i in range(rows)]
     v_cols = [{j: 1} for j in range(cols)]
     v_inv = [{j: 1} for j in range(cols)]
+    # ``least[i]`` is the least ``(|entry|, column)`` of ``d[i]``, or None
+    # when it must be recomputed.
+    least: list[tuple[int, int] | None] = [None] * rows
 
     def swap_rows(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
         u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
+        least[i], least[j] = least[j], least[i]
 
     def swap_cols(t: int, j: int) -> None:
-        for row in d[t:]:
+        for i, row in enumerate(d[t:], t):
             if t in row or j in row:
                 x, y = row.pop(t, 0), row.pop(j, 0)
                 if x:
                     row[j] = x
                 if y:
                     row[t] = y
+                least[i] = None
         v_cols[t], v_cols[j] = v_cols[j], v_cols[t]
         v_inv[t], v_inv[j] = v_inv[j], v_inv[t]
 
@@ -475,6 +498,7 @@ def _smith_elimination(a: IntMatrix):
         _axpy(d[dst], d[src], k)
         _axpy(u[dst], u[src], k)
         _axpy(u_inv_t[src], u_inv_t[dst], -k)
+        least[dst] = None
 
     def find_pivot(t: int) -> tuple[int, int] | None:
         # The first entry of least absolute value in row-major order: the
@@ -484,10 +508,14 @@ def _smith_elimination(a: IntMatrix):
         best = None
         best_abs = 0
         for i in range(t, rows):
-            if d[i]:
-                e, j = min((abs(e), j) for j, e in d[i].items())
+            row = d[i]
+            if row:
+                fact = least[i]
+                if fact is None:
+                    fact = least[i] = min((abs(e), j) for j, e in row.items())
+                e = fact[0]
                 if not best_abs or e < best_abs:
-                    best, best_abs = (i, j), e
+                    best, best_abs = (i, fact[1]), e
                     if e == 1:
                         return best
         return best
@@ -526,17 +554,14 @@ def _smith_elimination(a: IntMatrix):
                     del pivot_row[j]
                 _axpy(v_cols[j], v_cols[t], k)
                 _axpy(v_inv[t], v_inv[j], -k)
+            least[t] = None
             if dirty:
                 continue
             if pivot in (1, -1):
                 # A unit divides every entry, so there is no offender.
                 break
             offender = next(
-                (
-                    i
-                    for i in range(t + 1, rows)
-                    if any(map(pivot.__rmod__, d[i].values()))
-                ),
+                (i for i in range(t + 1, rows) if gcd(*d[i].values()) % pivot),
                 None,
             )
             if offender is None:
@@ -602,9 +627,10 @@ def smith_form_rows(
     The pivot at each stage is the nonzero entry of minimal absolute value in
     the remaining block, ties broken in row-major order, which makes the
     output deterministic.  The elimination works on sparse rows, copied
-    from :meth:`IntMatrix.nonzero_rows`, so a row operation, a pivot scan
-    or a column operation costs in proportion to the nonzeros it reads,
-    not to the width of the matrix.
+    from :meth:`IntMatrix.nonzero_rows`, so a row or column operation
+    costs in proportion to the nonzeros it reads, not to the width of the
+    matrix, and the pivot search reads one cached least entry per row,
+    rescanning only the rows that changed since it last read them.
 
     The output certifies itself before it is returned, exactly and at
     about the cost of the elimination, and raises :class:`SelfCheckError`

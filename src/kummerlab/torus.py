@@ -226,19 +226,32 @@ class TorusEndo:
         """The order of ``det h``, the map's multiplier on the symplectic form.
 
         Over the 2x2 blocks ``[[A, B], [C, D]]`` of the induced matrix,
-        ``A D - B C`` is the regular representation of ``det h``.  Computed
-        once per map; a multiplier that is not a unit of finite order is not
-        memoised and raises :class:`SelfCheckError` on every call.
+        ``A D - B C`` is the regular representation of ``det h``; its four
+        entries are written out over the entries of the 4x4 matrix.
+        Computed once per map; a multiplier that is not a unit of finite
+        order is not memoised and raises :class:`SelfCheckError` on every
+        call.
         """
         if self._multiplier_cache is not None:
             return self._multiplier_cache
-        m = self._matrix.entries
-        a, b, c, d = (
-            IntMatrix._of((m[i][j : j + 2], m[i + 1][j : j + 2]))
-            for i in (0, 2)
-            for j in (0, 2)
+        (
+            (a00, a01, b00, b01),
+            (a10, a11, b10, b11),
+            (c00, c01, d00, d01),
+            (c10, c11, d10, d11),
+        ) = self._matrix.entries
+        det = IntMatrix._of(
+            (
+                (
+                    a00 * d00 + a01 * d10 - b00 * c00 - b01 * c10,
+                    a00 * d01 + a01 * d11 - b00 * c01 - b01 * c11,
+                ),
+                (
+                    a10 * d00 + a11 * d10 - b10 * c00 - b11 * c10,
+                    a10 * d01 + a11 * d11 - b10 * c01 - b11 * c11,
+                ),
+            )
         )
-        det = a @ d - b @ c
         try:
             self._multiplier_cache = matrix_order(det)
         except ValueError:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from kummerlab import fixedpoint
+from kummerlab.cli import parse_matrix
 from kummerlab.fixedpoint import (
     GRID_LEVEL_CAP,
     FixedPointReport,
@@ -43,8 +44,8 @@ from kummerlab.search import (
     run_search,
     torsion_points,
 )
-from kummerlab.torus import TorusAuto, TorusEndo, TorusPoint, orbit_sum_data
-from kummerlab.verify import freeness_instances, panel_map
+from kummerlab.torus import TorusAuto, TorusEndo, TorusPoint, orbit_sum_data, power_sums
+from kummerlab.verify import PANEL_MAPS, freeness_instances, panel_map
 
 
 def diag(d1: RingElem, d2: RingElem) -> TorusEndo:
@@ -570,6 +571,76 @@ def test_orbit_system_matches_point_level_definitions() -> None:
                         total[j] += v
                 expected.extend(-v for v in total)
                 assert tuple(Fraction(b, level) for b in constants) == tuple(expected)
+
+
+def dense_orbit_matrix(m: IntMatrix, orbit_type: tuple[int, ...]) -> IntMatrix:
+    """The dense block assembly of an orbit system's ``T``, kept as the
+    reference: ``M^l - I`` on the block diagonal, the ``P_l`` in the last
+    block row, zero blocks elsewhere, each block row written out row by
+    row."""
+    identity, zero = IntMatrix.identity(4), IntMatrix.zeros(4, 4)
+    parts = [power_sums(m, l) for l in orbit_type]
+    grid = [
+        [power - identity if j == i else zero for j in range(len(parts))]
+        for i, (power, _, _) in enumerate(parts)
+    ]
+    grid.append([partial for _, partial, _ in parts])
+    return IntMatrix(
+        [[x for block in blocks for x in block[r]] for blocks in grid for r in range(4)]
+    )
+
+
+# The linear parts of the freeness benchmark's seeded cells, by ring.
+FREENESS_CELL_MATRICES = {
+    "eisenstein": (
+        "[[1+z,0],[1+z,-z]]",
+        "[[-z,0],[0,z]]",
+        "[[0,1],[-1-z,0]]",
+        "[[1+z,1+z],[0,-z]]",
+        "[[z,0],[-1,-1-z]]",
+        "[[z,-1],[0,-1-z]]",
+        "[[-1-z,0],[0,z]]",
+    ),
+    "gaussian": (
+        "[[0,-z],[z,-z]]",
+        "[[z,z],[-z,0]]",
+        "[[0,-1],[-1,-z]]",
+        "[[0,1],[1,-z]]",
+    ),
+}
+
+
+def test_orbit_matrices_from_nonzeros_match_the_dense_assembly(clear_memos) -> None:
+    # Every orbit type at n <= 12 of the panel's maps, of the freeness
+    # benchmark's cell maps and of the powers that freeness tests: the
+    # matrix built from nonzeros is the dense assembly, and its nonzero
+    # rows are a fresh scan of its rows, keys ascending, with no stored
+    # zero.
+    autos = [panel_map(name) for name in PANEL_MAPS]
+    for ring, texts in FREENESS_CELL_MATRICES.items():
+        linears = [parse_matrix(text, RingId.from_token(ring)) for text in texts]
+        autos += [TorusAuto(linear, TorusPoint.origin()) for linear in linears]
+    clear_memos()
+    seen = set()
+    for auto in autos:
+        order = auto.order()
+        for power in [1] + [order // p for p, _ in factorize(order)]:
+            element = auto**power
+            m = element.linear.induced_matrix()
+            for n in range(2, 13):
+                for orbit_type in orbit_types(n, element.order()):
+                    if (m, orbit_type) in seen:
+                        continue
+                    seen.add((m, orbit_type))
+                    system, _, _ = orbit_system(element, orbit_type)
+                    assert system == dense_orbit_matrix(m, orbit_type)
+                    rows = system.nonzero_rows()
+                    assert [dict(row) for row in rows] == [
+                        {j: x for j, x in enumerate(row) if x} for row in system.entries
+                    ]
+                    assert all(list(row) == sorted(row) for row in rows)
+                    assert all(all(row.values()) for row in rows)
+    assert len(seen) == 1934
 
 
 @pytest.mark.parametrize("ring, n", [(RingId.EISENSTEIN, 3), (RingId.GAUSSIAN, 4)])

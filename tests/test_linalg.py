@@ -52,6 +52,18 @@ def random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 7) -> I
     )
 
 
+def stack_blocks(grid) -> IntMatrix:
+    """The matrix with the 2-d grid of :class:`IntMatrix` blocks ``grid``,
+    each block row of one height."""
+    return IntMatrix(
+        [
+            [x for block in block_row for x in block[i]]
+            for block_row in grid
+            for i in range(block_row[0].rows)
+        ]
+    )
+
+
 def test_smith_form_frozen_example() -> None:
     a = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     u, d, v = smith_normal_form(a)
@@ -118,6 +130,14 @@ def test_nonzero_rows_are_the_nonzeros_of_the_entries() -> None:
         ]
         with pytest.raises(TypeError):
             view[0][0] = 1
+        # Handed the same dicts, the sparse constructor writes the same rows
+        # and serves the dicts as its nonzero rows.
+        rows = [dict(row) for row in view]
+        b = IntMatrix.from_nonzero_rows(rows, a.cols)
+        assert b.entries == a.entries
+        assert [dict(row) for row in b.nonzero_rows()] == rows
+        with pytest.raises(TypeError):
+            b.nonzero_rows()[0][0] = 1
 
 
 def test_smith_form_random_properties() -> None:
@@ -250,11 +270,13 @@ def test_smith_forms_of_random_systems_are_pinned() -> None:
     assert digest == RANDOM_SMITH_DIGEST
 
 
-def dense_elimination(a: IntMatrix):
+def dense_elimination(a: IntMatrix, repairs: list[int] | None = None):
     """The elimination over dense rows, kept as the reference.
 
     The same pivot rule and operations as ``linalg._smith_elimination``,
     each one a pass over whole rows and columns.  Returns ``(U, D, V)``.
+    Each repair of a pivot that does not divide the rest of its block
+    appends its stage to ``repairs``, when given.
     """
     rows, cols = a.rows, a.cols
     d = [list(row) for row in a.entries]
@@ -312,6 +334,8 @@ def dense_elimination(a: IntMatrix):
             )
             if offender is None:
                 break
+            if repairs is not None:
+                repairs.append(t)
             add_row(offender, t, 1)
         if pos is None:
             break
@@ -321,18 +345,23 @@ def dense_elimination(a: IntMatrix):
     return IntMatrix(u), IntMatrix(d), IntMatrix(v)
 
 
-def block_sparse_matrix(rng: random.Random, blocks: int) -> IntMatrix:
+def block_sparse_matrix(
+    rng: random.Random,
+    blocks: int,
+    draw=lambda rng: random_matrix(rng, 4, 4, 3),
+) -> IntMatrix:
     """A ``(4 blocks + 4) x 4 blocks`` draw shaped like an orbit system:
-    a band of random 4x4 blocks and a full last block row."""
+    a band of random 4x4 blocks, each from ``draw``, and a full last block
+    row."""
     grid = []
     for bi in range(blocks + 1):
         row = []
         for bj in range(blocks):
             full = bi == blocks or bj in (bi, bi - 1)
-            bound = 3 if full and rng.random() < 0.7 else 0
-            row.append(random_matrix(rng, 4, 4, bound) if bound else IntMatrix.zeros(4, 4))
+            filled = full and rng.random() < 0.7
+            row.append(draw(rng) if filled else IntMatrix.zeros(4, 4))
         grid.append(row)
-    return IntMatrix.block(grid)
+    return stack_blocks(grid)
 
 
 # sha256 of repr(has_fixed_point(panel_map("order6"), 24)), computed with the
@@ -368,6 +397,41 @@ def test_smith_forms_match_the_dense_reference(monkeypatch, capsys, clear_memos)
         systems.append(block_sparse_matrix(rng, blocks))
     for a in systems:
         assert smith_normal_form(a) == dense_elimination(a), a
+
+
+# Entries whose gcds are often 2 or 3 while single entries are not
+# multiples of each other, so that a least pivot often fails to divide the
+# rest of its block.
+REPAIR_ENTRIES = (0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9)
+
+
+def repair_matrix(rng: random.Random, rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(
+        [[rng.choice(REPAIR_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def test_smith_forms_match_the_dense_reference_when_pivots_are_repaired() -> None:
+    # The branch that adds to the pivot row a row holding an entry the
+    # pivot does not divide.  Of the orbit systems in the test above, only
+    # the order-6 map's take it.  Seeded dense draws and tall block-sparse
+    # draws from REPAIR_ENTRIES take it many times, and the sparse
+    # elimination still returns the dense one's (U, D, V).
+    rng = random.Random(2033)
+    systems = [
+        repair_matrix(rng, rng.randint(3, 8), rng.randint(3, 8)) for _ in range(300)
+    ]
+    for blocks in (1, 2, 3, 4) * 10:
+        systems.append(
+            block_sparse_matrix(rng, blocks, lambda rng: repair_matrix(rng, 4, 4))
+        )
+    repaired = {"dense": 0, "block-sparse": 0}
+    for index, a in enumerate(systems):
+        repairs: list[int] = []
+        assert smith_normal_form(a) == dense_elimination(a, repairs), a
+        repaired["dense" if index < 300 else "block-sparse"] += len(repairs)
+    assert repaired["dense"] >= 50
+    assert repaired["block-sparse"] >= 15
 
 
 _MUTATION_SCRIPT = """
@@ -625,7 +689,7 @@ def test_matrix_ring_operations() -> None:
 def test_block_assembly() -> None:
     a = IntMatrix([[1, 2], [3, 4]])
     b = IntMatrix.zeros(2, 2)
-    stacked = IntMatrix.block([[a, b], [b, a]])
+    stacked = stack_blocks([[a, b], [b, a]])
     assert stacked.rows == 4
     assert stacked.cols == 4
     assert stacked[0][1] == 2
@@ -735,7 +799,7 @@ def test_cyclotomic_table() -> None:
 
 
 def block_diagonal(blocks) -> IntMatrix:
-    return IntMatrix.block(
+    return stack_blocks(
         [
             [
                 b if j == i else IntMatrix.zeros(b.rows, c.cols)
@@ -869,7 +933,7 @@ def test_non_semisimple_matrices_with_cyclotomic_chi_have_infinite_order() -> No
     for tail in ((1, 1), (1, 0), (1, -1)):  # Phi_3, Phi_4, Phi_6
         c = companion_matrix(tail)
         i, o = IntMatrix.identity(2), IntMatrix.zeros(2, 2)
-        blocks.append(IntMatrix.block([[c, i], [o, c]]))
+        blocks.append(stack_blocks([[c, i], [o, c]]))
     for m in blocks:
         assert characteristic_polynomial(m, m @ m) in CYCLOTOMIC_ORDERS
         assert least_power_to_identity(m) is None
