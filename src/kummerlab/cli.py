@@ -41,9 +41,8 @@ from .fixedpoint import (
     group_acts_freely,
     verify_certificate,
 )
-from .lattice import translation_classes
+from .lattice import image_contains
 from .lefschetz import (
-    character_census,
     invariant_character_counts,
     kummer_series,
     lefschetz_from_census,
@@ -328,10 +327,9 @@ def _run_lefschetz(args: argparse.Namespace) -> tuple[dict, int]:
     torus = lefschetz_torus(matrix)
     if torus:
         # The number computed is h's.  It is (h, a)'s too when a = (I - h)b
-        # with b in E[n], that is when a has key zero: translation by b
-        # keeps the fibre and conjugates h to (h, a).
-        key, moduli = translation_classes(matrix, args.n)
-        if any(key(auto.translation.vector(args.n))):
+        # with b in E[n]: translation by b keeps the fibre and conjugates h
+        # to (h, a).
+        if not image_contains(matrix, auto.translation.vector(args.n), args.n):
             raise GrammarError(f"--a is not in (I - h)E[{args.n}]")
     series = kummer_series(matrix, args.n)
     payload = _auto_payload(args, auto)
@@ -340,7 +338,7 @@ def _run_lefschetz(args: argparse.Namespace) -> tuple[dict, int]:
     payload["torus_lefschetz"] = torus
     payload["series"] = list(series.coefficients)
     if torus:
-        census = character_census(moduli, args.n)
+        census = invariant_character_counts(matrix, args.n)
         payload["kummer_lefschetz"] = lefschetz_from_census(series, census, torus)
         payload["status"] = "ok"
     else:

@@ -18,20 +18,22 @@ of ``T``.  Constants, witness and pairing are all integers over stated
 moduli, so the decision and the re-checks of witness and obstruction are
 integer congruences.
 
-:func:`translation_classes` keys the classes of ``(Z/n)^r`` modulo
-``(I - M)(Z/n)^r`` from one Smith form, for ``lefschetz`` and the
-character census.  The search lists the same classes without keying a
-vector: :func:`translation_box` puts the lattice of vectors that differ
-by a member of the subgroup, ``(I - M) Z^r + n Z^r`` (or, for
-candidates of a lower torsion level, the vectors whose multiple by
-``n / level`` lies in it), in Hermite form by 2x2 unimodular row
-operations.  Its pivots ``d_c`` bound a box ``[0, d_0) x ... x
-[0, d_(r-1))`` whose cells are the lexicographically least members of
-the classes, one each, in lexicographic order, which is the order in
-which a scan over the candidates first meets them.  The form checks
-itself: each row has a witness that puts it in the lattice, and the
-number of cells is the lattice's index, read from two more Hermite forms
-whose generators reduce to zero against them.
+The translation classes of a linear part ``M`` are the cosets of
+``(I - M)(Z/q)^r`` in ``(Z/q)^r``, and one routine reads them: the
+lattice ``L_q = (I - M) Z^r + q Z^r`` in Hermite form, built by 2x2
+unimodular row operations (:func:`_echelon`).  The form checks itself:
+each row carries a witness that puts it in ``L_q``, and the generators of
+``L_q`` reduce to zero against the rows, so they span it.  Three readings
+of it serve the rest of the package: :func:`cokernel_order`, the index
+``[Z^r : L_q]``, for the character census; :func:`image_contains`, a
+vector's reduction to zero, for the ``lefschetz`` translation test; and
+:func:`translation_box`, for the search.  The box reads the lattice of
+vectors that differ by a member of ``L_n`` (or, for candidates of a lower
+torsion level, the vectors whose multiple by ``n / level`` lies in it).
+Its pivots ``d_c`` bound a box ``[0, d_0) x ... x [0, d_(r-1))`` whose
+cells are the lexicographically least members of the classes, one each,
+in lexicographic order, which is the order in which a scan over the
+candidates first meets them.  No Smith form of ``I - M`` is taken.
 :func:`solvable_by_enumeration` re-decides solvability by finite
 enumeration alone and exists to cross-validate the normal-form route.
 """
@@ -50,7 +52,6 @@ from .linalg import (
     elementary_divisors_via_minors,
     factorize,
     smith_form_rows,
-    smith_normal_form,
 )
 
 
@@ -176,25 +177,6 @@ def _smith_form(system: IntMatrix):
 _normal_form = lru_cache(maxsize=MEMO_SIZE)(_smith_form)
 
 
-def translation_classes(m: IntMatrix, n: int):
-    """``(key, moduli)`` for the classes of ``(Z/n)^r`` mod ``(I - M)(Z/n)^r``.
-
-    With ``U (I - M) V = D`` in Smith form, ``U`` maps the subgroup onto the
-    product of the ``g_i (Z/n)``, ``moduli = (g_i) = (gcd(d_i, n))``.  So
-    ``key(v) = ((U v)_i mod g_i)_i`` (entries with ``g_i = 1`` left out)
-    agrees on two vectors exactly when they share a class, there are
-    ``prod g_i`` classes, and the subgroup is the class of key zero.
-    """
-    u, d, _ = smith_normal_form(IntMatrix.identity(m.rows) - m)
-    moduli = tuple(gcd(d[i][i], n) for i in range(m.rows))
-    rows = tuple((row, g) for row, g in zip(u.entries, moduli) if g > 1)
-
-    def key(vector) -> tuple[int, ...]:
-        return tuple(sum(map(mul, row, vector)) % g for row, g in rows)
-
-    return key, moduli
-
-
 def translation_box(m: IntMatrix, n: int, level: int) -> tuple[int, ...]:
     """The pivots ``(d_c)`` of the box that lists the classes reached at ``level``.
 
@@ -230,11 +212,37 @@ def translation_box(m: IntMatrix, n: int, level: int) -> tuple[int, ...]:
     """
     if level < 1 or n % level:
         raise ValueError("level must divide n")
-    one_minus = [[-x for x in row] for row in m.entries]
-    for i, row in enumerate(one_minus):
-        row[i] += 1
+    one_minus = _one_minus(m)
     step = n // level
-    return _check_box(one_minus, n, step, _box_form(one_minus, n, step))
+    return _check_box(one_minus, n, step, *_box_form(one_minus, n, step))
+
+
+def cokernel_order(m: IntMatrix, modulus: int) -> int:
+    """``[Z^r : L_q]``, the order of ``(Z/q)^r / (I - M)(Z/q)^r``, ``q = modulus``.
+
+    ``L_q = (I - M) Z^r + q Z^r``; the index is the product of the pivots
+    of its checked Hermite form (:func:`_lattice_form`).
+    """
+    return prod(_lattice_form(_one_minus(m), modulus)[1])
+
+
+def image_contains(m: IntMatrix, vector, modulus: int) -> bool:
+    """Whether ``vector`` mod ``q = modulus`` lies in ``(I - M)(Z/q)^r``.
+
+    That is, whether ``vector`` lies in ``L_q = (I - M) Z^r + q Z^r``.  A
+    member of ``L_q`` whose first ``c`` entries vanish is a combination of
+    the rows ``c``, ``c + 1``, ... of its Hermite form
+    (:func:`_lattice_form`), so its entry ``c`` is a multiple of the pivot
+    ``d_c``.  Hence ``vector`` lies in ``L_q`` exactly when subtracting
+    multiples of the rows, column by column, clears it
+    (:func:`_reduces_to_zero`).
+    """
+    return _reduces_to_zero(_lattice_form(_one_minus(m), modulus)[0], vector)
+
+
+def _one_minus(m: IntMatrix) -> list[list[int]]:
+    """The rows of ``I - M``."""
+    return [[(i == j) - x for j, x in enumerate(r)] for i, r in enumerate(m.entries)]
 
 
 def _columns(one_minus) -> list[tuple[int, ...]]:
@@ -330,32 +338,40 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
 
 
-def _box_form(one_minus, n: int, step: int) -> list[list[int]]:
-    """Rows ``(b_c | z_c)``: the Hermite form of ``L'`` with its witnesses.
+def _box_form(one_minus, n: int, step: int):
+    """``(rows, coarse)``: Hermite forms of ``L'`` and, for ``step > 1``, of ``L_s``.
 
-    ``(I - M) z_c = step b_c (mod n)``.  For ``step = 1``, ``L' = L`` is
-    the echelon of the columns of ``I - M`` and ``n e_i``.  Otherwise
+    ``rows`` are ``(b_c | z_c)`` with ``(I - M) z_c = step b_c (mod n)``.
+    For ``step = 1``, ``L' = L`` is the echelon of the columns of
+    ``I - M`` and ``n e_i``, and ``coarse`` is ``None``.  Otherwise
     ``step L'`` is the intersection of ``L`` and ``step Z^r``, read from
     one echelon of the rows ``(g | g | z)`` for the columns ``g`` and
     ``(step e_i | 0 | 0)``, with ``n e_c`` in every column: a combination
     is zero in its first block exactly when its second block lies in both
     lattices, and the rows with pivots past the first block span those
-    combinations.
+    combinations.  The rows with pivots in the first block span the
+    projection on it, ``L + step Z^r = L_s``; kept as ``(b | z)``, they
+    are ``coarse``.  Each stacked row ``(b | c | z)``, and each ``n e_c``,
+    has ``(I - M) z = c (mod n)`` and ``b = c (mod step)``, so ``z`` is a
+    witness of ``b`` mod ``step``.
     """
     size = len(one_minus)
     columns = _columns(one_minus)
     if step == 1:
-        return _echelon(columns, size, n)
+        return _echelon(columns, size, n), None
     stacked = [g[:size] + g for g in columns] + [
         tuple(step * (i == j) for i in range(3 * size)) for j in range(size)
     ]
-    return [
+    form = _echelon(stacked, 2 * size, n)
+    rows = [
         [x // step for x in row[size : 2 * size]] + row[2 * size :]
-        for row in _echelon(stacked, 2 * size, n)[size:]
+        for row in form[size:]
     ]
+    coarse = [row[:size] + row[2 * size :] for row in form[:size]]
+    return rows, coarse
 
 
-def _check_box(one_minus, n: int, step: int, rows) -> tuple[int, ...]:
+def _check_box(one_minus, n: int, step: int, rows, coarse) -> tuple[int, ...]:
     """The pivots of a box form, once it is shown to be a Hermite form of ``L'``.
 
     Raises :class:`SelfCheckError` unless:
@@ -369,37 +385,52 @@ def _check_box(one_minus, n: int, step: int, rows) -> tuple[int, ...]:
       ``(L + step Z^r) / L`` with kernel ``L'``.  So the rows span all of
       ``L'``.
 
-    Both indices come from checked Hermite forms of :func:`_generators`
-    (:func:`_lattice_index`).  For ``step = 1`` the box form is the form
-    of ``L`` and ``L + Z^r = Z^r``, so the box is the form checked: its
-    generators reduce to zero against it.
+    ``[Z^r : L]`` is read from the checked form of ``L``
+    (:func:`_lattice_form`), and ``[Z^r : L + step Z^r]`` from ``coarse``
+    under the same checks with modulus ``step`` (:func:`_check_form`).
+    For ``step = 1`` the box form is the form of ``L`` and
+    ``L + Z^r = Z^r``, so the box is the form checked, and ``coarse`` is
+    not read.
     """
+    if step == 1:
+        return _check_form(one_minus, n, rows)
     pivots = _pivots(rows, len(one_minus))
     _check_witnesses(rows, one_minus, n, step)
-    if step == 1:
-        _check_spans(rows, _generators(one_minus, n))
-        return pivots
-    fine = _lattice_index(one_minus, n)
-    coarse = _lattice_index(one_minus, step)
-    if prod(pivots) * coarse != fine:
+    fine = prod(_lattice_form(one_minus, n)[1])
+    index = prod(_check_form(one_minus, step, coarse))
+    if prod(pivots) * index != fine:
         raise SelfCheckError(
-            f"box of {prod(pivots)} cells, but L' has index {fine}/{coarse}"
+            f"box of {prod(pivots)} cells, but L' has index {fine}/{index}"
         )
     return pivots
 
 
-def _lattice_index(one_minus, modulus: int) -> int:
-    """``[Z^r : (I - M) Z^r + modulus Z^r]``, from a checked Hermite form.
+def _lattice_form(one_minus, modulus: int):
+    """``(rows, pivots)``: the Hermite form of ``L_q``, ``q = modulus``, checked.
 
-    The form's rows lie in the lattice (their witnesses) and its
-    generators reduce to zero against them, so they span it, and the index
-    is the product of the pivots.
+    The rows ``(b | z)`` are the echelon of the columns of ``I - M`` and
+    the ``q e_c``, each with its witness, and pass :func:`_check_form`.
     """
     rows = _echelon(_columns(one_minus), len(one_minus), modulus)
+    return rows, _check_form(one_minus, modulus, rows)
+
+
+def _check_form(one_minus, modulus: int, rows) -> tuple[int, ...]:
+    """The pivots of ``rows``, once they are shown to be a Hermite form of ``L_q``.
+
+    ``q = modulus``.  Raises :class:`SelfCheckError` unless the rows are
+    upper triangular with positive pivots, each row ``(b | z)`` has
+    ``(I - M) z = b (mod q)``, so the rows span a part of ``L_q``, and the
+    generators of ``L_q`` (:func:`_generators`) reduce to zero against
+    them, so they span all of it.  The index ``[Z^r : L_q]`` is then the
+    product of the pivots.
+    """
     pivots = _pivots(rows, len(one_minus))
     _check_witnesses(rows, one_minus, modulus, 1)
-    _check_spans(rows, _generators(one_minus, modulus))
-    return prod(pivots)
+    for generator in _generators(one_minus, modulus):
+        if not _reduces_to_zero(rows, generator):
+            raise SelfCheckError(f"{generator[:len(rows)]} is outside the form")
+    return pivots
 
 
 def _pivots(rows, size: int) -> tuple[int, ...]:
@@ -423,18 +454,22 @@ def _check_witnesses(rows, one_minus, modulus: int, step: int) -> None:
                 raise SelfCheckError(f"row {row[:size]} fails its witness")
 
 
-def _check_spans(rows, generators) -> None:
-    """Each generator reduces to zero against the triangular ``rows``."""
+def _reduces_to_zero(rows, vector) -> bool:
+    """Whether subtracting multiples of the triangular ``rows`` clears ``vector``.
+
+    Column by column, the entry ``c`` must be a multiple of the pivot of
+    row ``c``; entries past the ``len(rows)`` columns are not read.
+    """
     size = len(rows)
-    for generator in generators:
-        g = list(generator[:size])
-        for c, row in enumerate(rows):
-            if g[c]:
-                q, r = divmod(g[c], row[c])
-                if r:
-                    raise SelfCheckError(f"{generator[:size]} is outside the form")
-                for j in range(c + 1, size):
-                    g[j] -= q * row[j]
+    g = list(vector[:size])
+    for c, row in enumerate(rows):
+        if g[c]:
+            q, r = divmod(g[c], row[c])
+            if r:
+                return False
+            for j in range(c + 1, size):
+                g[j] -= q * row[j]
+    return True
 
 
 def verify_witness(system: IntMatrix, constants, modulus: int, witness) -> bool:

@@ -9,7 +9,9 @@ surface acts on first homology, the machinery below packages
   integer Newton exponential ``exp(sum_k sigma_k t^k / k)`` with
   ``sigma_k = sum_{nu s = k} nu det(I - M^s)``, every division checked,
 * the census of torsion characters fixed by the dual action, graded by
-  exact order, and
+  exact order: the characters of order dividing ``e`` that it fixes are
+  as many as the cosets of ``(I - M)(Z/e)^4``, counted from one checked
+  Hermite form per prime power dividing ``n`` (the ``lattice`` module), and
 * the resulting Lefschetz number on the ``2(n-1)``-dimensional variety:
   the character-weighted sum of series coefficients divided by the torus
   Lefschetz number ``det(I - M)``.
@@ -17,13 +19,18 @@ surface acts on first homology, the machinery below packages
 The division is exact whenever ``det(I - M)`` is nonzero; a zero value means
 the automorphism has no isolated torus fixed points and the formula does not
 apply (the fixed-point-free regime), which raises :class:`DegenerateActionError`.
+
+The number is that of ``h``.  It is that of ``(h, a)`` too when ``a`` lies
+in ``(I - h)E[n]``: translation by ``b`` with ``a = (I - h)b`` keeps the
+fibre and conjugates ``h`` to ``(h, a)``.  The ``lefschetz`` command tests
+that membership with :func:`~kummerlab.lattice.image_contains`.
 """
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import prod
 
-from .lattice import translation_classes
+from .lattice import cokernel_order
 from .linalg import IntMatrix, SelfCheckError, divisors, factorize, matrix_order
 from .series import TruncatedSeries
 
@@ -107,40 +114,34 @@ def _mobius(n: int) -> int:
 def invariant_character_counts(m: IntMatrix, n: int) -> dict[int, int]:
     """Census of ``n``-torsion characters fixed by the transposed action.
 
-    A character ``chi`` in ``(Z/n)^4`` is invariant when
-    ``(M^T - I) chi == 0 (mod n)``.  ``M^T - I`` has the Smith diagonal of
-    ``I - M``, so the census is :func:`character_census` of the moduli of
-    :func:`translation_classes`.
+    The census maps each divisor ``d`` of ``n``, in ascending order, to the
+    number of characters of exact order ``d``; the trivial character
+    always gives ``{1: 1}``.  The characters of order dividing ``e`` form
+    ``(Z/e)^4``, and the invariant ones the kernel of ``M^T - I`` there.
+    An endomorphism of a finite group has a kernel as large as its
+    cokernel, and ``M^T - I`` has the Smith diagonal of ``I - M``, so
+    there are ``[Z^4 : L_e]`` of them, ``L_e = (I - M) Z^4 + e Z^4``
+    (:func:`~kummerlab.lattice.cokernel_order`).  By the Chinese remainder
+    theorem that index is the product of ``[Z^4 : L_(p^j)]`` over the
+    prime powers ``p^j`` exactly dividing ``e``, so one checked form per
+    prime power dividing ``n`` serves every ``e``.  Exact-order counts
+    follow by Moebius inversion over the divisors of ``n``.  The cap on
+    ``n`` is checked before ``n`` is factored.
     """
     if m.rows != m.cols or m.rows != 4:
         raise ValueError("a 4x4 homology action is required")
-    _, moduli = translation_classes(m, n)
-    return character_census(moduli, n)
-
-
-def character_census(moduli, n: int) -> dict[int, int]:
-    """Exact-order counts of the elements of ``prod Z/g_i``, each ``g_i | n``.
-
-    The census maps each divisor ``d`` of ``n``, in ascending order, to the
-    number of elements of exact order ``d``; the trivial element always
-    gives ``{1: 1}``.  ``prod gcd(g_i, e)`` elements have order dividing
-    ``e``, and exact-order counts follow by Moebius inversion over the
-    divisors of ``n``.
-    """
     if n < 1:
         raise ValueError("the torsion modulus must be positive")
     _check_n_cap(n)
-
-    def dividing(e: int) -> int:
-        return prod(gcd(g, e) for g in moduli)
-
+    index = {q: cokernel_order(m, q) for q in divisors(n) if len(factorize(q)) == 1}
+    dividing = {e: prod(index[p**j] for p, j in factorize(e)) for e in divisors(n)}
     result = {
-        div: sum(_mobius(div // e) * dividing(e) for e in divisors(div))
+        div: sum(_mobius(div // e) * dividing[e] for e in divisors(div))
         for div in divisors(n)
     }
     if result[1] != 1:
         raise SelfCheckError("the trivial character must be counted once")
-    if sum(result.values()) != dividing(n):
+    if sum(result.values()) != dividing[n]:
         raise SelfCheckError("exact-order counts must sum to the invariant total")
     return result
 

@@ -1,9 +1,10 @@
 """Integer matrices with exact normal forms.
 
 Everything here is plain arbitrary-precision integer arithmetic.  The
-workhorse is :func:`smith_normal_form`, which returns the full transform
-data ``U * A * V = D`` with unimodular ``U`` and ``V``; the fraction-free
-Bareiss determinant serves the Lefschetz numbers and the cross-checks.
+certified core is :func:`smith_form_rows`, the Smith form
+``U * A * V = D`` with unimodular ``U`` and ``V`` behind every orbit
+system's decision; the fraction-free Bareiss determinant serves the
+Lefschetz numbers and the cross-checks.
 The package's one binary power, factorisation, multiplicative order and
 Newton recurrence (:func:`newton_exponential`) live here too.
 
@@ -30,7 +31,8 @@ and forms no :class:`IntMatrix` product.
 :func:`smith_form_rows` is the certified core: it returns ``U`` by its
 sparse rows, the diagonal of ``D`` and ``V`` by its sparse columns, and
 its docstring says how each check works.  :func:`smith_normal_form` only
-makes those three dense.
+makes those three dense; no code in the package calls it, and it is kept
+as the dense form that tests and the benchmark's tracing read.
 """
 
 from __future__ import annotations

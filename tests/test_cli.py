@@ -447,14 +447,17 @@ def test_lefschetz_accepts_translations_conjugated_away(capsys) -> None:
 
 
 def test_lefschetz_computes_each_part_once(capsys, monkeypatch) -> None:
-    # One request expands the series once, takes one Smith form of I - M
-    # (for the translation check and the character census) and one torus
-    # Lefschetz number.
+    # One request expands the series once, tests the translation once,
+    # takes the character census once and one torus Lefschetz number.  The
+    # test and the census read the checked Hermite form of L_q =
+    # (I - M) Z^4 + q Z^4 once for each q they need: q = n = 6 for the
+    # translation, q = 2 and 3 for the census.
     calls: Counter = Counter()
     for home, name in (
         (lefschetz, "kummer_series"),
         (lefschetz, "lefschetz_torus"),
-        (lattice, "translation_classes"),
+        (lefschetz, "invariant_character_counts"),
+        (lattice, "image_contains"),
     ):
         def counted(*args, original=getattr(home, name), name=name, **kwargs):
             calls[name] += 1
@@ -463,12 +466,26 @@ def test_lefschetz_computes_each_part_once(capsys, monkeypatch) -> None:
         for module in (cli, lefschetz, lattice):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
+    forms: Counter = Counter()
+    lattice_form = lattice._lattice_form
+
+    def counted_form(one_minus, modulus):
+        forms[modulus] += 1
+        return lattice_form(one_minus, modulus)
+
+    monkeypatch.setattr(lattice, "_lattice_form", counted_form)
     code, payload = run_json(
         capsys, lefschetz_argv("eisenstein", "[[z,0],[0,z]]", "(0,0)", 6)
     )
     assert code == EXIT_OK
     assert payload["kummer_lefschetz"] == 1350
-    assert calls == {"kummer_series": 1, "lefschetz_torus": 1, "translation_classes": 1}
+    assert calls == {
+        "kummer_series": 1,
+        "lefschetz_torus": 1,
+        "invariant_character_counts": 1,
+        "image_contains": 1,
+    }
+    assert forms == {6: 1, 2: 1, 3: 1}
 
 
 def test_a_non_integral_lefschetz_number_exits_one_with_no_payload(
@@ -772,6 +789,64 @@ def test_characters_at_n_cap_runs(capsys) -> None:
             "--a", "(0,0)", "--n", str(KUMMER_N_CAP)]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["n"] == KUMMER_N_CAP
+
+
+def patch_everywhere(monkeypatch, name: str, replacement) -> list[str]:
+    """Replace ``name`` in every loaded kummerlab module that holds it."""
+    holders = sorted(
+        key
+        for key, module in sys.modules.items()
+        if key.split(".")[0] == "kummerlab" and hasattr(module, name)
+    )
+    for key in holders:
+        monkeypatch.setattr(sys.modules[key], name, replacement)
+    return holders
+
+
+def test_characters_checks_the_n_cap_before_factoring(capsys, monkeypatch) -> None:
+    # Trial division of a large prime n runs for minutes, so the census
+    # refuses n above the cap before anything factors it.
+    def refuse(*args):
+        raise AssertionError("n was factored before the cap was checked")
+
+    assert "kummerlab.lefschetz" in patch_everywhere(monkeypatch, "factorize", refuse)
+    argv = ["characters", "--ring", "eisenstein", "--h", "[[z,0],[0,z]]",
+            "--a", "(0,0)", "--n", str(KUMMER_N_CAP + 1)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n is capped at {KUMMER_N_CAP}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lefschetz_argv("eisenstein", "[[z,0],[0,z]]", "(1/12-1/12*z,0)", 12),
+        lefschetz_argv("gaussian", "[[z,0],[0,z]]", "(1/4+1/4*z,0)", 360),
+        ["characters", "--ring", "eisenstein", "--h", "[[z,0],[0,z]]",
+         "--a", "(0,0)", "--n", "360"],
+        ["characters", "--ring", "gaussian", "--h", "[[z,0],[0,1]]",
+         "--a", "(0,0)", "--n", "12"],
+    ],
+    ids=["lefschetz-eisenstein-12", "lefschetz-gaussian-360",
+         "characters-eisenstein-360", "characters-gaussian-12"],
+)
+def test_lefschetz_and_characters_take_no_smith_form(capsys, monkeypatch, argv) -> None:
+    # The translation test and the census read checked Hermite forms: with
+    # every Smith form refusing, wherever the package holds one, the
+    # output is the one computed without the refusal.
+    code, expected = run_cli(capsys, argv)
+    assert code == EXIT_OK
+
+    def refuse(*args):
+        raise AssertionError("a Smith normal form was taken")
+
+    for name in ("smith_normal_form", "smith_form_rows"):
+        assert "kummerlab.linalg" in patch_everywhere(monkeypatch, name, refuse)
+    assert run_cli(capsys, argv) == (EXIT_OK, expected)
+    refused = lefschetz_argv("eisenstein", "[[z,0],[0,z]]", "(1/12,0)", 12)
+    assert main(refused) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --a is not in (I - h)E[12]\n"
 
 
 @pytest.mark.parametrize("n, level", [(FREENESS_N_CAP + 1, "3"), (96, "3"), (49, "0")])

@@ -34,7 +34,6 @@ from kummerlab import lattice
 from kummerlab.lattice import (
     SolvabilityResult,
     torus_system_solvable,
-    translation_classes,
 )
 from kummerlab.linalg import IntMatrix, SelfCheckError, factorize
 from kummerlab.rings import RingElem, RingId, induced_matrix
@@ -645,7 +644,7 @@ def test_orbit_matrices_from_nonzeros_match_the_dense_assembly(clear_memos) -> N
 
 @pytest.mark.parametrize("ring, n", [(RingId.EISENSTEIN, 3), (RingId.GAUSSIAN, 4)])
 def test_catalog_cache_changes_no_report_or_system(
-    ring: RingId, n: int, clear_memos
+    ring: RingId, n: int, clear_memos, translation_classes
 ) -> None:
     # Every linear part of the norm-1 catalog with one translation per
     # class: the memos, warm from the pair before, give the reports and

@@ -22,7 +22,6 @@ from kummerlab.lattice import (
     solvable_by_enumeration,
     torus_system_solvable,
     translation_box,
-    translation_classes,
     verify_obstruction,
     verify_witness,
 )
@@ -118,7 +117,7 @@ def test_agreement_with_enumeration() -> None:
     assert unsolvable_seen > 0
 
 
-def test_translation_classes_match_the_closed_subgroup() -> None:
+def test_translation_classes_match_the_closed_subgroup(translation_classes) -> None:
     # Random 2x2 and 3x3 matrices, singular ones included: two vectors share
     # a key exactly when their difference lies in the subgroup closed from
     # the columns of I - M mod n, and there are prod(moduli) keys.
@@ -156,8 +155,9 @@ def key_scan(key, moduli, n: int, level: int) -> list[tuple[int, ...]]:
     """The reference for the box: the first cell ``w`` of each class, in scan order.
 
     The scan the search ran before the box: the candidates ``(n / level) w``
-    in lexicographic order of ``w``, keyed by :func:`translation_classes`,
-    keeping the first of each key, until every reachable class is seen.
+    in lexicographic order of ``w``, keyed by the Smith-key reference
+    (``translation_classes`` in ``conftest.py``), keeping the first of
+    each key, until every reachable class is seen.
     """
     step = n // level
     reachable = prod(g // gcd(g, step) for g in moduli)
@@ -177,7 +177,9 @@ def box_cells(m: IntMatrix, n: int, level: int) -> list[tuple[int, ...]]:
     return list(itertools.product(*map(range, translation_box(m, n, level))))
 
 
-def test_translation_box_matches_the_key_scan_on_the_catalog() -> None:
+def test_translation_box_matches_the_key_scan_on_the_catalog(
+    translation_classes,
+) -> None:
     # Every norm-1 catalog part of the three rings, every n in
     # {2, 3, 4, 6, 8, 12} and every level dividing n: the box lists the
     # classes by the same representatives, in the same order, as the scan.
@@ -210,7 +212,9 @@ def test_translation_box_matches_the_key_scan_on_the_catalog() -> None:
     assert levels_seen == 21
 
 
-def test_translation_box_matches_the_key_scan_on_random_matrices() -> None:
+def test_translation_box_matches_the_key_scan_on_random_matrices(
+    translation_classes,
+) -> None:
     # Random 2x2 and 3x3 matrices, singular ones and entries beyond the
     # catalog's included, at every level dividing n.
     rng = random.Random(8642)
@@ -236,14 +240,14 @@ def test_tampered_box_forms_are_refused(n: int, level: int) -> None:
         [int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(m.entries)
     ]
     step = n // level
-    rows = lattice._box_form(one_minus, n, step)
-    pivots = lattice._check_box(one_minus, n, step, rows)
+    rows, coarse = lattice._box_form(one_minus, n, step)
+    pivots = lattice._check_box(one_minus, n, step, rows, coarse)
     assert pivots == translation_box(m, n, level)
     assert sorted(pivots) == [1, gcd(3, level), level, level]
 
     def refused(tampered) -> bool:
         try:
-            lattice._check_box(one_minus, n, step, tampered)
+            lattice._check_box(one_minus, n, step, tampered, coarse)
         except linalg.SelfCheckError:
             return True
         return False
@@ -263,6 +267,55 @@ def test_tampered_box_forms_are_refused(n: int, level: int) -> None:
                 tampered[c][size + j] += 1
                 assert refused(tampered), f"witness {c} moved along {j}"
     assert not refused(rows)
+    # Below level n the index of L + sZ^4 is read from the stacked
+    # echelon's top rows, under the checks of a form of L_s: a corrupted
+    # row there is refused too.
+    if step > 1:
+        assert_corrupted_forms_refused(
+            one_minus,
+            step,
+            coarse,
+            lambda tampered: lattice._check_box(one_minus, n, step, rows, tampered),
+        )
+    # The census reads one checked form of L_q per prime power q dividing n.
+    for p, e in factorize(n):
+        for q in (p**j for j in range(1, e + 1)):
+            form, form_pivots = lattice._lattice_form(one_minus, q)
+            assert form_pivots == tuple(row[c] for c, row in enumerate(form))
+            assert_corrupted_forms_refused(
+                one_minus,
+                q,
+                form,
+                lambda tampered, q=q: lattice._check_form(one_minus, q, tampered),
+            )
+
+
+def assert_corrupted_forms_refused(one_minus, modulus: int, rows, check) -> None:
+    """``check`` passes ``rows``, a Hermite form of ``L_q`` with witnesses,
+    and raises :class:`SelfCheckError` on each corruption of it: a dropped
+    row, a pivot moved by ``q``, by itself or by -1, and a witness moved
+    along a column of ``I - M`` that is nonzero mod ``q``."""
+
+    def refused(tampered) -> bool:
+        try:
+            check(tampered)
+        except linalg.SelfCheckError:
+            return True
+        return False
+
+    size = len(one_minus)
+    assert not refused(rows)
+    for c in range(size):
+        assert refused(rows[:c] + rows[c + 1 :]), f"row {c} dropped mod {modulus}"
+        for delta in (modulus, rows[c][c], -1):
+            tampered = [list(row) for row in rows]
+            tampered[c][c] += delta
+            assert refused(tampered), f"pivot {c} moved by {delta} mod {modulus}"
+        for j in range(size):
+            if any(line[j] % modulus for line in one_minus):
+                tampered = [list(row) for row in rows]
+                tampered[c][size + j] += 1
+                assert refused(tampered), f"witness {c} moved along {j} mod {modulus}"
 
 
 def refuse_smith_forms(monkeypatch, clear_memos, *modules) -> None:
@@ -273,8 +326,14 @@ def refuse_smith_forms(monkeypatch, clear_memos, *modules) -> None:
         raise AssertionError("the oracle took a Smith normal form")
 
     for module in modules:
-        monkeypatch.setattr(module, "smith_form_rows", refuse)
-        monkeypatch.setattr(module, "smith_normal_form", refuse)
+        held = [
+            name
+            for name in ("smith_form_rows", "smith_normal_form")
+            if hasattr(module, name)
+        ]
+        assert held, f"{module.__name__} holds no Smith form"
+        for name in held:
+            monkeypatch.setattr(module, name, refuse)
     clear_memos()
     with pytest.raises(AssertionError, match="Smith normal form"):
         torus_system_solvable(IntMatrix([[2, 4], [1, 2], [0, 6]]), (2, 1, 0), 3)

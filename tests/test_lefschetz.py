@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,10 @@ from kummerlab.lefschetz import (
     lefschetz_torus,
     supertrace_sym_series,
 )
-from kummerlab.lattice import translation_classes
+from kummerlab.lattice import image_contains
 from kummerlab.linalg import IntMatrix, SelfCheckError, matrix_order
+from kummerlab.rings import RingId
+from kummerlab.search import linear_candidates
 from kummerlab.series import TruncatedSeries
 from kummerlab.verify import closed_form_order5, order5_matrix, supertrace_by_expansion
 
@@ -192,6 +195,45 @@ def test_character_counts_against_enumeration(matrix: IntMatrix, n: int) -> None
     assert counts[1] == 1
 
 
+# The census's moduli: n = 1 to 12, 24, 60 and 360.
+CENSUS_MODULI = (*range(1, 13), 24, 60, 360)
+
+
+def census_matrices() -> list[IntMatrix]:
+    """The integrality catalog and the norm-1 catalogs of the three rings."""
+    return [m for _, m in verify.matrix_catalog()] + [
+        linear.induced_matrix()
+        for ring in RingId
+        for linear in linear_candidates(ring, 1)
+    ]
+
+
+def test_character_counts_match_the_smith_census(
+    translation_classes, character_census
+) -> None:
+    # The census from one checked Hermite form per prime power equals the
+    # census from the Smith moduli gcd(d_i, n) of I - M, on all 11,580
+    # cases.  gcd(d, 0) = d, so the moduli at n = 0 are the diagonal.
+    cases = 0
+    for m in census_matrices():
+        _, diagonal = translation_classes(m, 0)
+        for n in CENSUS_MODULI:
+            moduli = tuple(gcd(d, n) for d in diagonal)
+            assert invariant_character_counts(m, n) == character_census(moduli, n)
+            cases += 1
+    assert cases == 11580
+
+
+def test_character_counts_match_the_enumeration_on_the_catalog() -> None:
+    # The panel's enumeration lists only the orders it meets.
+    for name, m in verify.matrix_catalog():
+        for n in range(1, 7):
+            counts = invariant_character_counts(m, n)
+            assert {d: c for d, c in counts.items() if c} == (
+                verify.counts_by_enumeration(m, n)
+            ), (name, n)
+
+
 def test_character_counts_container() -> None:
     # A plain dict over the divisors of n, ascending.
     counts = invariant_character_counts(IntMatrix.identity(4), 12)
@@ -349,7 +391,7 @@ def test_supertrace_expansion_takes_no_series_route(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
-def test_absorbed_translations_match_the_image_of_i_minus_m(n: int) -> None:
+def test_absorbed_translations_match_the_image_of_i_minus_m(n: int, translation_classes) -> None:
     # The Smith-form test against the set (I - M)(Z/n)^4 built pointwise.
     matrices = [NEGATIVE_IDENTITY, ROTATION_ORDER_3, companion_matrix((1, 1, 1, 1)),
                 companion_matrix((1, 0, -1, 0)), companion_matrix((1, 0, 0, 0))]
@@ -362,6 +404,21 @@ def test_absorbed_translations_match_the_image_of_i_minus_m(n: int) -> None:
         }
         for v in itertools.product(range(n), repeat=4):
             assert (not any(key(v))) == (v in image)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_image_membership_matches_the_smith_key(n: int, translation_classes) -> None:
+    # The reduction against the checked Hermite form of L_n accepts
+    # exactly the vectors of key zero, on every vector of (Z/n)^4, for the
+    # integrality catalog and two maps with eigenvalue 1.
+    half_trivial = IntMatrix(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+    )
+    matrices = [m for _, m in verify.matrix_catalog()]
+    for m in [*matrices, IntMatrix.identity(4), half_trivial]:
+        key, _ = translation_classes(m, n)
+        for v in itertools.product(range(n), repeat=4):
+            assert image_contains(m, v, n) == (not any(key(v))), (m, v)
 
 
 def test_character_count_self_check_rejects_broken_inversion(monkeypatch) -> None:

@@ -14,7 +14,6 @@ from kummerlab import search
 from kummerlab.cli import format_matrix, format_point
 from kummerlab.enriques import QuotientVerdict, symplectic_screen
 from kummerlab.fixedpoint import group_acts_freely
-from kummerlab.lattice import translation_classes
 from kummerlab.rings import (
     RingElem,
     RingId,
@@ -402,7 +401,9 @@ def test_unbounded_unit_order_is_a_self_check_error() -> None:
     [(RingId.RATIONAL_INT, 2), (RingId.RATIONAL_INT, 6), (RingId.GAUSSIAN, 4),
      (RingId.EISENSTEIN, 3), (RingId.EISENSTEIN, 6)],
 )
-def test_translation_classes_match_pointwise_cosets(ring: RingId, level: int) -> None:
+def test_translation_classes_match_pointwise_cosets(
+    ring: RingId, level: int, translation_classes
+) -> None:
     # Keying the candidate vectors by translation_classes partitions them
     # exactly as the pointwise cosets a + (I - h)p over every level-torsion
     # p, and there are prod(moduli) of them, in every ring.
@@ -606,7 +607,7 @@ def test_sweep_rows_are_pinned(
 
 
 @pytest.mark.parametrize("ring", list(RingId), ids=lambda ring: ring.value)
-def test_symplectic_screen_changes_no_sweep(ring: RingId) -> None:
+def test_symplectic_screen_changes_no_sweep(ring: RingId, translation_classes) -> None:
     # The screen only skips linear parts that give no free pair: for
     # n <= 8, every translation class of every catalog part the screen
     # rejects is decided without it, in the sweep's own scan, and none is
