@@ -27,13 +27,15 @@ each row carries a witness that puts it in ``L_q``, and the generators of
 of it serve the rest of the package: :func:`cokernel_order`, the index
 ``[Z^r : L_q]``, for the character census; :func:`image_contains`, a
 vector's reduction to zero, for the ``lefschetz`` translation test; and
-:func:`translation_box`, for the search.  The box reads the lattice of
-vectors that differ by a member of ``L_n`` (or, for candidates of a lower
-torsion level, the vectors whose multiple by ``n / level`` lies in it).
-Its pivots ``d_c`` bound a box ``[0, d_0) x ... x [0, d_(r-1))`` whose
-cells are the lexicographically least members of the classes, one each,
-in lexicographic order, which is the order in which a scan over the
-candidates first meets them.  No Smith form of ``I - M`` is taken.
+:func:`translation_box`, for the search.  The first two read one
+memoised checked form per ``(M, q)`` (:func:`_lattice_form`).  The box
+reads the lattice of vectors that differ by a member of ``L_n`` (or, for
+candidates of a lower torsion level, the vectors whose multiple by
+``n / level`` lies in it).  Its pivots ``d_c`` bound a box
+``[0, d_0) x ... x [0, d_(r-1))`` whose cells are the lexicographically
+least members of the classes, one each, in lexicographic order, which is
+the order in which a scan over the candidates first meets them.  No Smith
+form of ``I - M`` is taken.
 :func:`solvable_by_enumeration` re-decides solvability by finite
 enumeration alone and exists to cross-validate the normal-form route.
 """
@@ -206,14 +208,17 @@ def translation_box(m: IntMatrix, n: int, level: int) -> tuple[int, ...]:
     over ``range(d_c)`` lists every class once, by the candidate a scan in
     lexicographic order meets first, in the order the scan meets them.
 
-    The form is found by :func:`_box_form` and checks itself before its
-    pivots are returned; any failed check raises :class:`SelfCheckError`
-    (:func:`_check_box`).
+    At ``level = n``, ``L' = L`` and the box is the checked form of ``L``
+    (:func:`_hermite_form`).  Below it the form is found by
+    :func:`_box_form` and checks itself before its pivots are returned;
+    any failed check raises :class:`SelfCheckError` (:func:`_check_box`).
     """
     if level < 1 or n % level:
         raise ValueError("level must divide n")
     one_minus = _one_minus(m)
     step = n // level
+    if step == 1:
+        return _hermite_form(one_minus, n)[1]
     return _check_box(one_minus, n, step, *_box_form(one_minus, n, step))
 
 
@@ -240,9 +245,11 @@ def image_contains(m: IntMatrix, vector, modulus: int) -> bool:
     return _reduces_to_zero(_lattice_form(_one_minus(m), modulus)[0], vector)
 
 
-def _one_minus(m: IntMatrix) -> list[list[int]]:
-    """The rows of ``I - M``."""
-    return [[(i == j) - x for j, x in enumerate(r)] for i, r in enumerate(m.entries)]
+def _one_minus(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``I - M``, as tuples, so that they can key a memo."""
+    return tuple(
+        tuple((i == j) - x for j, x in enumerate(r)) for i, r in enumerate(m.entries)
+    )
 
 
 def _columns(one_minus) -> list[tuple[int, ...]]:
@@ -255,14 +262,14 @@ def _columns(one_minus) -> list[tuple[int, ...]]:
 
 
 def _generators(one_minus, modulus: int) -> list[tuple[int, ...]]:
-    """Rows ``(w | z)`` whose ``w`` span ``(I - M) Z^r + modulus Z^r``.
+    """The columns of ``I - M`` and the ``modulus e_j``, which span ``L_q``.
 
-    Each carries a witness ``z`` with ``(I - M) z = w (mod modulus)``: the
-    columns of ``I - M`` with the unit vectors, and ``modulus e_j`` with 0.
+    They carry no witnesses: :func:`_reduces_to_zero` reads only the first
+    ``r`` entries.
     """
     size = len(one_minus)
-    return _columns(one_minus) + [
-        tuple(modulus * (i == j) for i in range(2 * size)) for j in range(size)
+    return [*zip(*one_minus)] + [
+        tuple(modulus * (i == j) for i in range(size)) for j in range(size)
     ]
 
 
@@ -339,11 +346,9 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _box_form(one_minus, n: int, step: int):
-    """``(rows, coarse)``: Hermite forms of ``L'`` and, for ``step > 1``, of ``L_s``.
+    """``(rows, coarse)``: Hermite forms of ``L'`` and of ``L_s``, ``step > 1``.
 
     ``rows`` are ``(b_c | z_c)`` with ``(I - M) z_c = step b_c (mod n)``.
-    For ``step = 1``, ``L' = L`` is the echelon of the columns of
-    ``I - M`` and ``n e_i``, and ``coarse`` is ``None``.  Otherwise
     ``step L'`` is the intersection of ``L`` and ``step Z^r``, read from
     one echelon of the rows ``(g | g | z)`` for the columns ``g`` and
     ``(step e_i | 0 | 0)``, with ``n e_c`` in every column: a combination
@@ -356,10 +361,7 @@ def _box_form(one_minus, n: int, step: int):
     witness of ``b`` mod ``step``.
     """
     size = len(one_minus)
-    columns = _columns(one_minus)
-    if step == 1:
-        return _echelon(columns, size, n), None
-    stacked = [g[:size] + g for g in columns] + [
+    stacked = [g[:size] + g for g in _columns(one_minus)] + [
         tuple(step * (i == j) for i in range(3 * size)) for j in range(size)
     ]
     form = _echelon(stacked, 2 * size, n)
@@ -386,17 +388,12 @@ def _check_box(one_minus, n: int, step: int, rows, coarse) -> tuple[int, ...]:
       ``L'``.
 
     ``[Z^r : L]`` is read from the checked form of ``L``
-    (:func:`_lattice_form`), and ``[Z^r : L + step Z^r]`` from ``coarse``
+    (:func:`_hermite_form`), and ``[Z^r : L + step Z^r]`` from ``coarse``
     under the same checks with modulus ``step`` (:func:`_check_form`).
-    For ``step = 1`` the box form is the form of ``L`` and
-    ``L + Z^r = Z^r``, so the box is the form checked, and ``coarse`` is
-    not read.
     """
-    if step == 1:
-        return _check_form(one_minus, n, rows)
     pivots = _pivots(rows, len(one_minus))
     _check_witnesses(rows, one_minus, n, step)
-    fine = prod(_lattice_form(one_minus, n)[1])
+    fine = prod(_hermite_form(one_minus, n)[1])
     index = prod(_check_form(one_minus, step, coarse))
     if prod(pivots) * index != fine:
         raise SelfCheckError(
@@ -405,14 +402,24 @@ def _check_box(one_minus, n: int, step: int, rows, coarse) -> tuple[int, ...]:
     return pivots
 
 
-def _lattice_form(one_minus, modulus: int):
+def _hermite_form(one_minus, modulus: int):
     """``(rows, pivots)``: the Hermite form of ``L_q``, ``q = modulus``, checked.
 
     The rows ``(b | z)`` are the echelon of the columns of ``I - M`` and
     the ``q e_c``, each with its witness, and pass :func:`_check_form`.
+    They are tuples, so that no caller can change a memoised form.
     """
-    rows = _echelon(_columns(one_minus), len(one_minus), modulus)
+    rows = tuple(map(tuple, _echelon(_columns(one_minus), len(one_minus), modulus)))
     return rows, _check_form(one_minus, modulus, rows)
+
+
+# The memo of :func:`_hermite_form` behind :func:`cokernel_order` and
+# :func:`image_contains`: one checked form per ``(M, q)``, keyed by the
+# rows of ``I - M`` as tuples (:func:`_one_minus`).  At a prime-power
+# ``n`` the ``lefschetz`` translation test and the census share the form
+# of ``L_n``.  A form that fails its checks raises and is not kept.  The
+# search's boxes, each built once in a sweep, stay out of it.
+_lattice_form = lru_cache(maxsize=MEMO_SIZE)(_hermite_form)
 
 
 def _check_form(one_minus, modulus: int, rows) -> tuple[int, ...]:
@@ -429,7 +436,7 @@ def _check_form(one_minus, modulus: int, rows) -> tuple[int, ...]:
     _check_witnesses(rows, one_minus, modulus, 1)
     for generator in _generators(one_minus, modulus):
         if not _reduces_to_zero(rows, generator):
-            raise SelfCheckError(f"{generator[:len(rows)]} is outside the form")
+            raise SelfCheckError(f"{generator} is outside the form")
     return pivots
 
 

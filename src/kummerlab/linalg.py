@@ -45,8 +45,9 @@ from types import MappingProxyType
 
 
 # Entries kept by each memo of translation-independent work: the
-# ``torus.power_sums`` tables, the orbit-system matrices of ``fixedpoint``
-# and their Smith forms in ``lattice``.  At ``freeness --n 48``, the cap,
+# ``torus.power_sums`` tables, the orbit-system matrices of ``fixedpoint``,
+# their Smith forms in ``lattice`` and the checked Hermite forms of
+# ``(I - M) Z^4 + q Z^4`` there, one per ``(M, q)``.  At ``freeness --n 48``, the cap,
 # the tested powers of orders 2 and 3 of one order-6 linear part have
 # 25 + 17 orbit types, so 256 entries hold the systems of six such linear
 # parts; the Eisenstein n=3 sweep solves 45 distinct systems, n=12 149.

@@ -14,9 +14,11 @@ zero mismatches.  The oracles compute each value once: the sampled
 solvability check reads its divisors from
 :func:`~kummerlab.linalg.elementary_divisors_via_minors`, which keeps a
 table of minors per call, and :func:`supertrace_by_expansion` expands the
-trace of each symmetric and exterior power once per degree, dropping the
-monomials that cannot reach the one it reads.  Neither calls the code it
-checks.
+symmetric traces of every degree in one walk over the basis monomials,
+one product of linear forms per monomial, each its parent's times one
+form, dropping the monomials that cannot reach one it reads.  Neither
+calls the code it checks.  The integrality sweep takes one Kummer series
+per catalog matrix and reads every ``n`` from it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import le
+from operator import gt
 from typing import Callable
 
 from .enriques import FactorDecomposition, classify_free_quotient, decomposition_search
@@ -37,12 +39,13 @@ from .lattice import (
     solvable_by_enumeration,
 )
 from .lefschetz import (
-    DegenerateActionError,
     companion_matrix,
     det_one_minus_power,
     invariant_character_counts,
     kummer_series,
+    lefschetz_from_census,
     lefschetz_kummer,
+    lefschetz_torus,
     supertrace_sym_series,
 )
 from .linalg import IntMatrix, SelfCheckError
@@ -230,48 +233,48 @@ def fixed_point_oracle_mismatches(level: int = 12) -> int:
     return mismatches
 
 
-def _poly_mul(a: dict, b: dict, bound: tuple[int, ...]) -> dict:
-    """Product of two polynomials, keeping only monomials that divide ``bound``."""
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            if all(map(le, key, bound)):
-                out[key] = out.get(key, 0) + ca * cb
-    return out
+def _sym_power_traces(rows: list[list[int]], truncation: int) -> list[int]:
+    """Traces on ``Sym^0`` to ``Sym^truncation``, by monomial expansion.
 
-
-def _sym_power_trace(rows: list[list[int]], degree: int) -> int:
-    """Trace on the degree-``degree`` symmetric power, by monomial expansion.
-
-    Each basis monomial ``x^e`` maps to the product of the images of its
-    variables; the trace sums the coefficient of ``x^e`` in that product,
-    with the monomials that do not divide ``x^e`` dropped on the way.
+    A basis monomial ``x^e`` of degree ``k`` is a multiset of ``k``
+    variables; it maps to the product of the images of its variables, and
+    the trace on ``Sym^k`` sums the coefficient of ``x^e`` in that product
+    over the multisets.  They are walked depth first, each extended only
+    by its last variable or a later one, which meets the multisets of
+    each degree in ``itertools.combinations_with_replacement`` order, and
+    each product is its parent's times one linear form.  Below a multiset
+    whose last variable is ``j``, no variable before ``j`` gains exponent,
+    so those exponents are final: a monomial above one of them can reach
+    no monomial read further down and is dropped as soon as it appears.
+    The coefficients read are the unpruned ones.
     """
-    if degree == 0:
-        return 1
     size = len(rows)
-    if size == 0:
-        return 0
-    images = []
-    for j in range(size):
-        poly = {}
-        for i in range(size):
-            if rows[i][j]:
-                exponent = tuple(1 if k == i else 0 for k in range(size))
-                poly[exponent] = rows[i][j]
-        images.append(poly)
-    total = 0
-    for combo in itertools.combinations_with_replacement(range(size), degree):
-        exponent = [0] * size
-        for j in combo:
-            exponent[j] += 1
-        target = tuple(exponent)
-        product = {tuple([0] * size): 1}
-        for j in combo:
-            product = _poly_mul(product, images[j], target)
-        total += product.get(target, 0)
-    return total
+    traces = [1] + [0] * truncation
+    images = [
+        [(i, rows[i][j]) for i in range(size) if rows[i][j]] for j in range(size)
+    ]
+
+    def walk(product: dict, exponent: tuple[int, ...], last: int, degree: int):
+        for j in range(last, size):
+            # Exponents before `last` were bounded at the parent; those from
+            # `last` to j become final here.
+            child: dict = {}
+            for key, c in product.items():
+                if any(map(gt, key[last:j], exponent[last:j])):
+                    continue
+                for i, a in images[j]:
+                    if i < j and key[i] == exponent[i]:
+                        continue
+                    grown = key[:i] + (key[i] + 1,) + key[i + 1 :]
+                    child[grown] = child.get(grown, 0) + c * a
+            grown = exponent[:j] + (exponent[j] + 1,) + exponent[j + 1 :]
+            traces[degree + 1] += child.get(grown, 0)
+            if degree + 1 < truncation:
+                walk(child, grown, j, degree + 1)
+
+    if truncation:
+        walk({(0,) * size: 1}, (0,) * size, 0, 0)
+    return traces
 
 
 def _exterior_power_trace(rows: list[list[int]], degree: int) -> int:
@@ -291,14 +294,12 @@ def supertrace_by_expansion(even, odd, truncation: int) -> list[int]:
     The trace on each ``Sym^i(even)`` and each ``Lambda^j(odd)`` is expanded
     once, for every degree up to ``truncation``; degree ``k`` is then the
     signed convolution ``sum_(i+j=k) (-1)^j tr Sym^i tr Lambda^j``.  The
-    symmetric traces read one coefficient, that of a basis monomial ``x^e``,
-    from a product of linear forms.  Multiplying in a factor never lowers
-    an exponent, so a partial monomial above ``e`` in some variable cannot
-    reach ``x^e`` and is dropped as soon as it appears; the coefficient read
-    is the unpruned one.  Nothing here calls :func:`supertrace_sym_series`
-    or a series exponential.
+    symmetric traces of all degrees come from one walk over the basis
+    monomials with one product of linear forms each, pruned by the
+    exponents already final (:func:`_sym_power_traces`).  Nothing here
+    calls :func:`supertrace_sym_series` or a series exponential.
     """
-    sym = [_sym_power_trace(even, i) for i in range(truncation + 1)]
+    sym = _sym_power_traces(even, truncation)
     ext = [_exterior_power_trace(odd, j) for j in range(truncation + 1)]
     return [
         sum((-1) ** (k - i) * sym[i] * ext[k - i] for i in range(k + 1))
@@ -323,15 +324,29 @@ def sampled_supertrace_mismatches(
 
 
 def integrality_failures(max_n: int = 8) -> int:
-    """Count the (matrix, n) pairs of the catalog whose Lefschetz number
-    fails a re-check; degenerate matrices are skipped."""
+    """Count the (matrix, n) pairs of the catalog, ``2 <= n <= max_n``, whose
+    Lefschetz number fails a re-check; degenerate matrices are skipped.
+
+    Truncation does not change the lower coefficients of the Kummer series,
+    so one series to ``max_n`` per matrix serves every ``n``: each number
+    is :func:`lefschetz_from_census` of it, as in :func:`lefschetz_kummer`.
+    A series that fails its own check fails every ``n``.
+    """
     failures = 0
+    ns = range(2, max_n + 1)
     for _, matrix in matrix_catalog():
-        for n in range(2, max_n + 1):
+        base = lefschetz_torus(matrix)
+        if base == 0:
+            continue
+        try:
+            series = kummer_series(matrix, max_n)
+        except SelfCheckError:
+            failures += len(ns)
+            continue
+        for n in ns:
             try:
-                lefschetz_kummer(matrix, n)
-            except DegenerateActionError:
-                break
+                census = invariant_character_counts(matrix, n)
+                lefschetz_from_census(series, census, base)
             except SelfCheckError:
                 failures += 1
     return failures

@@ -14,7 +14,12 @@ from kummerlab.linalg import IntMatrix, divisors, factorize, smith_normal_form
 from kummerlab.verify import CheckResult, run_panel
 
 # Every memo of translation-independent work in the package.
-MEMOS = (torus.power_sums, fixedpoint._orbit_matrix, lattice._normal_form)
+MEMOS = (
+    torus.power_sums,
+    fixedpoint._orbit_matrix,
+    lattice._normal_form,
+    lattice._lattice_form,
+)
 
 
 @dataclass(frozen=True)

@@ -488,6 +488,33 @@ def test_lefschetz_computes_each_part_once(capsys, monkeypatch) -> None:
     assert forms == {6: 1, 2: 1, 3: 1}
 
 
+@pytest.mark.parametrize(
+    "n, built", [(3, {3: 1}), (8, {8: 1, 2: 1, 4: 1}), (9, {9: 1, 3: 1})]
+)
+def test_lefschetz_builds_each_checked_form_once(
+    n: int, built: dict, capsys, monkeypatch, clear_memos
+) -> None:
+    # The translation test reads the form of L_n, and the census the form
+    # of L_q for each prime power q dividing n, n itself among them when n
+    # is a prime power.  One memoised form per (M, q) means one echelon per
+    # modulus, counted cold.
+    forms: Counter = Counter()
+    echelon = lattice._echelon
+
+    def counted_echelon(rows, width, modulus):
+        forms[modulus] += 1
+        return echelon(rows, width, modulus)
+
+    monkeypatch.setattr(lattice, "_echelon", counted_echelon)
+    clear_memos()
+    code, payload = run_json(
+        capsys, lefschetz_argv("eisenstein", "[[z,0],[0,z]]", "(0,0)", n)
+    )
+    assert code == EXIT_OK
+    assert payload["status"] == "ok"
+    assert forms == built
+
+
 def test_a_non_integral_lefschetz_number_exits_one_with_no_payload(
     capsys, monkeypatch
 ) -> None:

@@ -236,18 +236,31 @@ def test_tampered_box_forms_are_refused(n: int, level: int) -> None:
     ring = RingId.EISENSTEIN
     zero = RingElem.zero(ring)
     m = induced_matrix([[RingElem.zeta(ring), zero], [zero, RingElem.one(ring)]])
-    one_minus = [
-        [int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(m.entries)
-    ]
+    one_minus = tuple(
+        tuple(int(i == j) - x for j, x in enumerate(row))
+        for i, row in enumerate(m.entries)
+    )
     step = n // level
-    rows, coarse = lattice._box_form(one_minus, n, step)
-    pivots = lattice._check_box(one_minus, n, step, rows, coarse)
+    if step == 1:
+        # At level n the box is the checked form of L_n itself.
+        rows, pivots = lattice._hermite_form(one_minus, n)
+
+        def check(tampered):
+            return lattice._check_form(one_minus, n, tampered)
+
+    else:
+        rows, coarse = lattice._box_form(one_minus, n, step)
+        pivots = lattice._check_box(one_minus, n, step, rows, coarse)
+
+        def check(tampered):
+            return lattice._check_box(one_minus, n, step, tampered, coarse)
+
     assert pivots == translation_box(m, n, level)
     assert sorted(pivots) == [1, gcd(3, level), level, level]
 
     def refused(tampered) -> bool:
         try:
-            lattice._check_box(one_minus, n, step, tampered, coarse)
+            check(tampered)
         except linalg.SelfCheckError:
             return True
         return False
@@ -288,6 +301,32 @@ def test_tampered_box_forms_are_refused(n: int, level: int) -> None:
                 form,
                 lambda tampered, q=q: lattice._check_form(one_minus, q, tampered),
             )
+
+
+def test_a_corrupted_echelon_is_refused_once_the_memo_is_cleared(
+    monkeypatch, clear_memos
+) -> None:
+    # cokernel_order and image_contains read one memoised checked form per
+    # (M, q).  A form already held is not built again, so an echelon that
+    # drops its last row goes unseen until the memo is cleared; then both
+    # readings refuse it, and the refused form is not kept.
+    ring = RingId.EISENSTEIN
+    zero = RingElem.zero(ring)
+    m = induced_matrix([[RingElem.zeta(ring), zero], [zero, RingElem.one(ring)]])
+    clear_memos()
+    assert lattice.cokernel_order(m, 3) == 27
+    echelon = lattice._echelon
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice, "_echelon", lambda *args: echelon(*args)[:-1])
+        assert lattice.cokernel_order(m, 3) == 27
+        clear_memos()
+        with pytest.raises(linalg.SelfCheckError):
+            lattice.cokernel_order(m, 3)
+        with pytest.raises(linalg.SelfCheckError):
+            lattice.image_contains(m, (0, 0, 0, 0), 3)
+    assert lattice._lattice_form.cache_info().currsize == 0
+    assert lattice.cokernel_order(m, 3) == 27
+    assert lattice.image_contains(m, (1, 2, 0, 0), 3)
 
 
 def assert_corrupted_forms_refused(one_minus, modulus: int, rows, check) -> None:

@@ -21,6 +21,7 @@ from kummerlab.lefschetz import (
     det_one_minus_power,
     invariant_character_counts,
     kummer_series,
+    lefschetz_from_census,
     lefschetz_kummer,
     lefschetz_torus,
     supertrace_sym_series,
@@ -256,6 +257,34 @@ def test_quotient_count_equals_weighted_series_sum() -> None:
         assert lefschetz_kummer(matrix, n) == weighted // torus_count
 
 
+def test_one_series_per_matrix_gives_every_lefschetz_number() -> None:
+    # Truncation does not change the lower coefficients of the Kummer
+    # series, so the integrality sweep reads every n <= 8 from one series
+    # to 8: the numbers equal lefschetz_kummer's at each n.
+    checked = 0
+    for name, m in verify.matrix_catalog():
+        base = lefschetz_torus(m)
+        if base == 0:
+            continue
+        series = kummer_series(m, 8)
+        for n in range(2, 9):
+            census = invariant_character_counts(m, n)
+            assert lefschetz_from_census(series, census, base) == (
+                lefschetz_kummer(m, n)
+            ), (name, n)
+            checked += 1
+    assert checked == 70
+    assert verify.integrality_failures() == 0
+
+
+def test_the_integrality_sweep_counts_an_inexact_division(monkeypatch) -> None:
+    # Offsetting the torus number by one makes some divisions inexact, and
+    # the sweep counts them.
+    torus = lefschetz.lefschetz_torus
+    monkeypatch.setattr(verify, "lefschetz_torus", lambda m: torus(m) + 1)
+    assert verify.integrality_failures() > 0
+
+
 def test_degenerate_action_raises() -> None:
     with pytest.raises(DegenerateActionError):
         lefschetz_kummer(IntMatrix.identity(4), 2)
@@ -370,7 +399,7 @@ def unpruned_supertrace(even, odd, truncation: int) -> list[int]:
     ]
 
 
-@pytest.mark.parametrize("truncation", [0, 1, 6])
+@pytest.mark.parametrize("truncation", [0, 1, 6, 8])
 def test_supertrace_expansion_matches_the_unpruned_expansion(truncation: int) -> None:
     rng = random.Random(1618 + truncation)
     for d_even, d_odd in itertools.product(range(4), repeat=2):
