@@ -28,7 +28,7 @@ Certificates are self-contained: a witness lists the base points of a
 solving configuration, an obstruction carries an integer functional that
 kills the system's column span but pairs non-integrally with the constants.
 Both re-verify through :func:`verify_certificate` without re-running the
-normal-form machinery.
+row echelon that found them.
 """
 
 from __future__ import annotations
@@ -44,12 +44,11 @@ from .lattice import torus_system_solvable, verify_obstruction
 from .linalg import MEMO_SIZE, IntMatrix, SelfCheckError, divisors, factorize
 from .torus import TorusAuto, TorusPoint, power_sums
 
-# One cap bounds the level of the search sweep and of the grid oracle, which
+# The cap on the level of the grid oracle (``freeness --level``), which
 # walks gcd(level, p^e)**4 starts per prime power p^e of its modulus.  The
-# sweep no longer scans level**4 points: it lists one cell per translation
-# class from a Hermite box (lattice.translation_box).  The cap still bounds
-# both; splitting it, and bounding the oracle by its largest prime power
-# instead, is open hardening work listed in ROADMAP.md.
+# search's level is bounded by its n alone: it lists one cell per
+# translation class from a Hermite box (lattice.translation_box) and scans
+# no grid.
 GRID_LEVEL_CAP = 24
 
 
@@ -219,13 +218,16 @@ def has_fixed_point(
 ) -> FixedPointReport:
     """Decide whether the induced automorphism fixes some configuration.
 
-    Runs the solvability decision for every orbit type in canonical order
-    and returns one certificate per type; ``element_power`` only labels the
+    Decides each orbit type in canonical order from the row echelon of its
+    system (:func:`~kummerlab.lattice.torus_system_solvable`): a left
+    kernel row that pairs non-integrally with the constants is an
+    obstruction, and otherwise back-substitution gives a witness.  Returns
+    one certificate per type; ``element_power`` only labels the
     certificates when the map under test is a power of another one.  With
     ``stop_at_first`` the scan stops at the first solvable type, so a
     positive report may carry fewer certificates than there are types; a
     negative one always carries all of them.  What does not depend on the
-    translation, the systems' matrices and their Smith forms, is memoised
+    translation, the systems' matrices and their row echelons, is memoised
     by :func:`orbit_system` and :func:`torus_system_solvable`.
     """
     _require_descends(auto, n)
@@ -393,7 +395,7 @@ def brute_force_fixed_point(auto: TorusAuto, n: int, level: int) -> bool:
     pair of part coins arises.  So the coin set is the one the unsplit walk
     gives, and the walk starts from ``gcd(level, p^e)**4`` points per part
     instead of ``level**4`` in all.  ``level`` is capped at
-    :data:`GRID_LEVEL_CAP`.  This shares no code with the normal-form
+    :data:`GRID_LEVEL_CAP`.  This shares no code with the echelon
     decision and serves as its oracle.
     """
     _require_descends(auto, n)

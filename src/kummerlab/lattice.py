@@ -12,11 +12,16 @@ comes with a checkable artifact either way:
   pairing ``f @ b`` is not divisible by ``q``, which is impossible for any
   member of the span plus the lattice.
 
-Because the constants are rational, a solvable system always has a rational
-(torsion) witness: denominators can be cleared through the Smith normal form
-of ``T``.  Constants, witness and pairing are all integers over stated
+The decision reads one row echelon ``U T = [E; 0]``, ``U`` unimodular
+(:func:`~kummerlab.linalg.row_echelon`), memoised per system.  By
+Pontryagin duality the image of ``T`` on the torus is the annihilator of
+its left kernel, which the rows of ``U`` below the rank span: a row whose
+pairing with ``b`` is not a multiple of ``q`` is the obstruction, and
+when there is none, back-substitution in ``E`` gives a rational (torsion)
+witness.  Constants, witness and pairing are all integers over stated
 moduli, so the decision and the re-checks of witness and obstruction are
-integer congruences.
+integer congruences, and each verdict is proved by its re-checked
+certificate alone.
 
 The translation classes of a linear part ``M`` are the cosets of
 ``(I - M)(Z/q)^r`` in ``(Z/q)^r``, and one routine reads them: the
@@ -37,7 +42,7 @@ least members of the classes, one each, in lexicographic order, which is
 the order in which a scan over the candidates first meets them.  No Smith
 form of ``I - M`` is taken.
 :func:`solvable_by_enumeration` re-decides solvability by finite
-enumeration alone and exists to cross-validate the normal-form route.
+enumeration alone and exists to cross-validate the echelon route.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .linalg import (
     SelfCheckError,
     elementary_divisors_via_minors,
     factorize,
-    smith_form_rows,
+    row_echelon,
 )
 
 
@@ -111,72 +116,81 @@ def torus_system_solvable(
 ) -> SolvabilityResult:
     """Decide ``system @ z = constants / modulus`` modulo the integer lattice.
 
-    The Smith normal form ``U @ system @ V = D`` turns the question into a
-    diagonal one: with ``q = modulus``, the transformed constants must read
-    ``(U @ b)_i = 0 mod q`` on every row outside the diagonal rank.  Witness
-    and obstruction both fall out of the transform data and are re-checked
-    before returning; a failed re-check raises :class:`SelfCheckError`.
-    The form stays sparse, as :func:`smith_form_rows` returns it, and the
-    form of each distinct system is memoised.
+    With ``q = modulus``, a row echelon ``U @ system = [E; 0]``, ``U``
+    unimodular (:func:`~kummerlab.linalg.row_echelon`), turns the question
+    into a triangular one, decided by :func:`_decide`.  Witness and
+    obstruction are re-checked against ``system`` before returning; a
+    failed re-check raises :class:`SelfCheckError`.  The echelon of each
+    distinct system is memoised.
     """
     _check_constants(system, constants, modulus)
-    return _decide(system, constants, modulus, _normal_form(system))
+    return _decide(system, constants, modulus, _echelon_form(system))
 
 
 def _decide(system: IntMatrix, constants, modulus: int, form) -> SolvabilityResult:
-    """The decision of :func:`torus_system_solvable` from a given normal form.
+    """The decision of :func:`torus_system_solvable` from a given echelon.
 
-    ``form`` is ``(U by sparse rows, diagonal of D, V by sparse columns)``
-    as :func:`_smith_form` returns it.  Each ``(U b)_i`` is a sum over the
-    nonzeros of row ``i`` of ``U``, and only the returned obstruction
-    functional is made dense.  The witness ``V y`` combines the first
-    ``rank`` columns of ``V``, the only ones ``y`` weights.
+    ``form`` is ``(u, pivots, echelon)`` as :func:`_row_echelon` returns
+    it, and ``q = modulus``.  The image of ``system`` on the torus is a
+    closed connected subgroup, so by Pontryagin duality it is the
+    annihilator of the left kernel ``{f : f @ system = 0}``, which the
+    rows of ``U`` below the rank span.  The system is therefore solvable
+    exactly when each of them pairs with ``b = constants`` to a multiple
+    of ``q``; the first that does not is the obstruction.  Otherwise
+    ``E z = (U b)_top / q`` is solved by back-substitution, from the last
+    pivot up, with the free unknowns at zero: ``z = w / D`` over a
+    denominator ``D``, a multiple of ``q`` that grows by ``e / gcd`` only
+    when a pivot ``e`` does not divide its numerator.  Then ``U system z``
+    is ``U b / q`` up to the integer rows below the rank, and ``U^-1`` is
+    integral, so ``system z = b / q`` modulo ``Z^rows``.
     """
-    u, diagonal, v_cols = form
-    rank = sum(1 for x in diagonal if x != 0)
+    u, pivots, echelon = form
+    rank = len(pivots)
 
-    def ub(i: int) -> int:
-        return sum(x * constants[j] for j, x in u[i].items())
+    def ub(row: dict[int, int]) -> int:
+        return sum(x * constants[j] for j, x in row.items())
 
-    for i in range(rank, system.rows):
-        pairing = ub(i)
+    for row in u[rank:]:
+        pairing = ub(row)
         if pairing % modulus:
-            dense = [0] * system.rows
-            for j, x in u[i].items():
-                dense[j] = x
-            functional = tuple(dense)
+            functional = tuple(row.get(j, 0) for j in range(system.rows))
             if not verify_obstruction(system, constants, modulus, functional):
                 raise SelfCheckError("obstruction failed its re-check")
             return SolvabilityResult(None, (functional, pairing))
-    # y_i = ub_i / (q d_i) over the common denominator q * lcm(d_i).
-    scale = lcm(1, *diagonal[:rank])
-    denominator = modulus * scale
     w = [0] * system.cols
-    for i in range(rank):
-        y = ub(i) * (scale // diagonal[i])
-        if y:
-            for j, x in v_cols[i].items():
-                w[j] += y * x
+    denominator = modulus
+    for k in reversed(range(rank)):
+        c, row = pivots[k], echelon[k]
+        pivot = row[c]
+        # w[c] is still zero, so the sum reads only the columns after c.
+        numerator = ub(u[k]) * (denominator // modulus) - sum(
+            x * w[j] for j, x in row.items()
+        )
+        scale = pivot // gcd(numerator, pivot)
+        if scale > 1:
+            w = [x * scale for x in w]
+            denominator *= scale
+            numerator *= scale
+        w[c] = numerator // pivot
     witness = (tuple(x % denominator for x in w), denominator)
     if not verify_witness(system, constants, modulus, witness):
         raise SelfCheckError("witness failed its re-check")
     return SolvabilityResult(witness, None)
 
 
-def _smith_form(system: IntMatrix):
-    """The sparse Smith form of a system, as :func:`smith_form_rows` returns it.
+def _row_echelon(system: IntMatrix):
+    """The echelon of a system, as :func:`~kummerlab.linalg.row_echelon` returns it.
 
-    :func:`smith_form_rows` is looked up at each call, so a replaced one is
+    :func:`row_echelon` is looked up at each call, so a replaced one is
     the one that runs.
     """
-    return smith_form_rows(system)
+    return row_echelon(system)
 
 
-# The memo of :func:`_smith_form` behind :func:`torus_system_solvable`; it
-# holds sparse forms.  One-off systems, such as the random draws of the
-# solvability oracle, go to :func:`_decide` with their own
-# :func:`_smith_form` and stay out of it.
-_normal_form = lru_cache(maxsize=MEMO_SIZE)(_smith_form)
+# The memo of :func:`_row_echelon` behind :func:`torus_system_solvable`.
+# One-off systems, such as the random draws of the solvability oracle, go
+# to :func:`_decide` with their own :func:`_row_echelon` and stay out of it.
+_echelon_form = lru_cache(maxsize=MEMO_SIZE)(_row_echelon)
 
 
 def translation_box(m: IntMatrix, n: int, level: int) -> tuple[int, ...]:
@@ -483,7 +497,7 @@ def verify_witness(system: IntMatrix, constants, modulus: int, witness) -> bool:
     """Check that ``system @ w / D - constants / modulus`` is an integer vector.
 
     ``system @ w`` is summed over the nonzero rows of ``system``; nothing
-    of its normal form is read.  Malformed input is rejected, not raised
+    of its echelon is read.  Malformed input is rejected, not raised
     on: a witness that is not a pair ``(w, D)``, constants or a witness of
     the wrong length, an entry, modulus or denominator that is not an
     ``int``, or a modulus or denominator below 1.
@@ -513,8 +527,8 @@ def verify_obstruction(system: IntMatrix, constants, modulus: int, functional) -
     """Check that ``functional`` kills the columns but not ``constants / modulus``.
 
     ``functional @ system`` is accumulated over the nonzero rows of
-    ``system`` whose functional entry is nonzero; nothing of its normal
-    form is read.  Malformed input is rejected, not raised on: a
+    ``system`` whose functional entry is nonzero; nothing of its echelon
+    is read.  Malformed input is rejected, not raised on: a
     functional or constants of the wrong length, an entry or modulus that
     is not an ``int``, or a modulus below 1.
     """
@@ -546,11 +560,11 @@ def solvable_by_enumeration(system: IntMatrix, constants, modulus: int) -> bool:
     ``q = modulus * (largest elementary divisor of T)``, so solvability is
     equivalent to ``q * constants / modulus mod q`` lying in the subgroup
     of ``(Z/q)^rows`` generated by the columns of ``T``.  The elementary
-    divisors come from gcds of minors, not from the Smith normal form under
-    test.  By the Chinese remainder theorem that subgroup is the product of
-    its images mod the prime powers ``p^e`` of ``q``, so the target lies in
-    it exactly when it lies in each image, and each is closed on its own
-    by :func:`_in_closure`.  The whole subgroup has ``prod q / gcd(d_i, q)``
+    divisors come from gcds of minors, not from the echelon under test.
+    By the Chinese remainder theorem that subgroup is the product of its
+    images mod the prime powers ``p^e`` of ``q``, so the target lies in it
+    exactly when it lies in each image, and each is closed on its own by
+    :func:`_in_closure`.  The whole subgroup has ``prod q / gcd(d_i, q)``
     elements; above ``ENUMERATION_CAP`` the call raises
     :class:`EnumerationTooLargeError` before deciding anything.
     """

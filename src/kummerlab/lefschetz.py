@@ -28,10 +28,11 @@ that membership with :func:`~kummerlab.lattice.image_contains`.
 
 from __future__ import annotations
 
+from itertools import product
 from math import prod
 
 from .lattice import cokernel_order
-from .linalg import IntMatrix, SelfCheckError, divisors, factorize, matrix_order
+from .linalg import IntMatrix, SelfCheckError, factorize, matrix_order
 from .series import TruncatedSeries
 
 
@@ -106,9 +107,9 @@ def kummer_series(m: IntMatrix, truncation: int) -> TruncatedSeries:
     return result
 
 
-def _mobius(n: int) -> int:
-    factors = factorize(n)
-    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
+def _mobius(drop: tuple[int, ...]) -> int:
+    """``mu`` of a product of distinct primes, flagged 1 in ``drop``."""
+    return (-1) ** sum(drop)
 
 
 def invariant_character_counts(m: IntMatrix, n: int) -> dict[int, int]:
@@ -125,20 +126,34 @@ def invariant_character_counts(m: IntMatrix, n: int) -> dict[int, int]:
     theorem that index is the product of ``[Z^4 : L_(p^j)]`` over the
     prime powers ``p^j`` exactly dividing ``e``, so one checked form per
     prime power dividing ``n`` serves every ``e``.  Exact-order counts
-    follow by Moebius inversion over the divisors of ``n``.  The cap on
-    ``n`` is checked before ``n`` is factored.
+    follow by Moebius inversion over the divisors of ``n``.  ``n`` is
+    factored once, after its cap is checked, and every divisor, prime
+    power and Moebius value is read from that factorisation: a divisor is
+    a tuple of exponents, and ``mu(d / e)`` is nonzero only when ``e`` is
+    ``d`` divided by a product of distinct primes of ``d``.
     """
     if m.rows != m.cols or m.rows != 4:
         raise ValueError("a 4x4 homology action is required")
     if n < 1:
         raise ValueError("the torsion modulus must be positive")
     _check_n_cap(n)
-    index = {q: cokernel_order(m, q) for q in divisors(n) if len(factorize(q)) == 1}
-    dividing = {e: prod(index[p**j] for p, j in factorize(e)) for e in divisors(n)}
-    result = {
-        div: sum(_mobius(div // e) * dividing[e] for e in divisors(div))
-        for div in divisors(n)
+    factors = factorize(n)
+    primes = [p for p, _ in factors]
+    index = {p**j: cokernel_order(m, p**j) for p, e in factors for j in range(1, e + 1)}
+    # Each divisor of n, ascending, with its exponent of each prime of n.
+    shapes = sorted(
+        (prod(map(pow, primes, js)), js)
+        for js in product(*(range(e + 1) for _, e in factors))
+    )
+    dividing = {
+        d: prod(index[p**j] for p, j in zip(primes, js) if j) for d, js in shapes
     }
+    result = {}
+    for d, js in shapes:
+        result[d] = 0
+        for drop in product(*((0, 1) if j else (0,) for j in js)):
+            e = d // prod(map(pow, primes, drop))
+            result[d] += _mobius(drop) * dividing[e]
     if result[1] != 1:
         raise SelfCheckError("the trivial character must be counted once")
     if sum(result.values()) != dividing[n]:

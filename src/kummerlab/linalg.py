@@ -1,10 +1,11 @@
-"""Integer matrices with exact normal forms.
+"""Integer matrices, their row echelon and Smith forms.
 
-Everything here is plain arbitrary-precision integer arithmetic.  The
-certified core is :func:`smith_form_rows`, the Smith form
-``U * A * V = D`` with unimodular ``U`` and ``V`` behind every orbit
-system's decision; the fraction-free Bareiss determinant serves the
-Lefschetz numbers and the cross-checks.
+Everything here is plain arbitrary-precision integer arithmetic.  Every
+orbit system is decided from :func:`row_echelon`, a unimodular ``U`` with
+``U * A = [E; 0]``, kept by sparse rows with no inverse and no column
+transform; the decision re-checks its own witness or obstruction, so the
+echelon needs no certificate of its own.  The fraction-free Bareiss
+determinant serves the Lefschetz numbers and the cross-checks.
 The package's one binary power, factorisation, multiplicative order and
 Newton recurrence (:func:`newton_exponential`) live here too.
 
@@ -14,25 +15,16 @@ cyclotomic polynomials means infinite order after that one product;
 otherwise the order is the lcm ``L`` of their indices if ``M^L = I``,
 and infinite if not.
 
-The Smith form is eliminated over sparse rows, ``{column: entry}`` dicts,
-so a step costs about the nonzeros it touches, not the size of the
-matrix.  It starts from :meth:`IntMatrix.nonzero_rows`, each matrix's
-nonzeros found once and kept, or handed over at construction by
-:meth:`IntMatrix.from_nonzero_rows`, as the orbit systems are.  The pivot
-search keeps each row's least ``(|entry|, column)`` and recomputes it
-only for the rows an operation changed, and a row holds an entry the
-pivot does not divide exactly when the pivot does not divide the gcd of
-its entries.  The form certifies itself exactly, with inverse pairs in
-place of determinants, the transform checked as ``U * A = D * V^-1``,
-and ``D`` checked to be a non-negative diagonal divisor chain.  Each
-check is a set of sparse row combinations, about O(nnz) of its factors,
-and forms no :class:`IntMatrix` product.
+The echelon is eliminated over sparse rows, ``{column: entry}`` dicts,
+with an index from each column to the rows that hold it, so a step costs
+about the nonzeros it touches, not the size of the matrix.  It starts
+from :meth:`IntMatrix.nonzero_rows`, each matrix's nonzeros found once
+and kept, or handed over at construction by
+:meth:`IntMatrix.from_nonzero_rows`, as the orbit systems are.
 
-:func:`smith_form_rows` is the certified core: it returns ``U`` by its
-sparse rows, the diagonal of ``D`` and ``V`` by its sparse columns, and
-its docstring says how each check works.  :func:`smith_normal_form` only
-makes those three dense; no code in the package calls it, and it is kept
-as the dense form that tests and the benchmark's tracing read.
+:func:`smith_normal_form` is the dense Smith form ``U * A * V = D``,
+checked by determinants and one product; no decision reads it, and it
+is kept as the form that tests and the benchmark's tracing read.
 """
 
 from __future__ import annotations
@@ -46,11 +38,13 @@ from types import MappingProxyType
 
 # Entries kept by each memo of translation-independent work: the
 # ``torus.power_sums`` tables, the orbit-system matrices of ``fixedpoint``,
-# their Smith forms in ``lattice`` and the checked Hermite forms of
-# ``(I - M) Z^4 + q Z^4`` there, one per ``(M, q)``.  At ``freeness --n 48``, the cap,
-# the tested powers of orders 2 and 3 of one order-6 linear part have
-# 25 + 17 orbit types, so 256 entries hold the systems of six such linear
-# parts; the Eisenstein n=3 sweep solves 45 distinct systems, n=12 149.
+# their row echelons in ``lattice`` (``U`` and ``E`` by sparse rows, no
+# inverse and no column transform) and the checked Hermite forms of
+# ``(I - M) Z^4 + q Z^4`` there, one per ``(M, q)``.  At
+# ``freeness --n 48``, the cap, the tested powers of orders 2 and 3 of one
+# order-6 linear part have 25 + 17 orbit types, so 256 entries hold the
+# systems of six such linear parts; the Eisenstein n=3 sweep solves 45
+# distinct systems, n=12 149.
 MEMO_SIZE = 256
 
 
@@ -165,8 +159,7 @@ class IntMatrix:
         ``self``, so a sparse left factor costs in proportion to its
         nonzeros.  Weights of ``+-1``, the common case in the integer
         matrices of maps and their powers, add or subtract a row without
-        multiplying.  The Smith form's self-check does not use it; it
-        combines sparse rows itself.
+        multiplying.
         """
         if self.cols != other.rows:
             raise ValueError(
@@ -213,7 +206,12 @@ class IntMatrix:
         return tuple(sum(map(mul, row, vector)) for row in self._rows)
 
     def det(self) -> int:
-        """Exact determinant by fraction-free Bareiss elimination."""
+        """Exact determinant by fraction-free Bareiss elimination.
+
+        A row with a zero in the pivot column is left as it is when the
+        pivot equals the previous one, since its update would be
+        ``x * pivot // prev = x``.
+        """
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         n = self.rows
@@ -229,11 +227,16 @@ class IntMatrix:
                         break
                 else:
                     return 0
+            top = m[k]
+            a = top[k]
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
+                row = m[i]
+                b = row[k]
+                if b or a != prev:
+                    # Entries before k are zero in both rows, and entry k
+                    # becomes b * a - b * a = 0.
+                    m[i] = [(x * a - b * y) // prev for x, y in zip(row, top)]
+            prev = a
         return sign * m[n - 1][n - 1]
 
     def __eq__(self, other: object) -> bool:
@@ -432,175 +435,6 @@ def _identity_rows(n: int) -> list[list[int]]:
     return rows
 
 
-def _axpy(dst: dict[int, int], src: dict[int, int], k: int) -> None:
-    """``dst += k * src`` over the nonzeros of ``src``; zeros are dropped."""
-    for j, y in src.items():
-        x = dst.get(j, 0) + k * y
-        if x:
-            dst[j] = x
-        else:
-            dst.pop(j, None)
-
-
-def _smith_elimination(a: IntMatrix):
-    """Diagonalize ``a`` by elementary operations, tracking the inverses.
-
-    Every matrix is a list of sparse rows, ``{column: entry}`` dicts that
-    hold no zeros.  Returns ``(u, d, v_cols, u_inv_t, v_inv)``, with
-    ``u @ a @ v == d`` and ``v_cols`` the columns of ``v``.  Every row
-    operation on ``u`` is mirrored by the inverse column operation on
-    ``u^-1`` and every column operation on ``v`` by the inverse row
-    operation on ``v^-1``.  ``u^-1`` is kept transposed and ``v`` by its
-    columns, so that all of these are row operations, each an axpy over
-    the nonzeros of its source row.
-
-    At stage ``t`` the rows and columns before ``t`` are zero outside the
-    diagonal, so only rows from ``t`` on can hold an entry in a column
-    from ``t`` on.
-
-    The pivot search reads one cached fact per row of ``d``: its least
-    ``(|entry|, column)``.  A fact is dropped when an operation changes
-    its row (the target of a row addition, a row whose columns a swap
-    relabels, the pivot row after its column operations), moves with its
-    row in a row swap, and is recomputed when the search next reads the
-    row, so a search costs one comparison per remaining row and a scan
-    only of the rows changed since the last one.  A row holds an entry the
-    pivot does not divide exactly when the gcd of its entries is not a
-    multiple of the pivot.
-    """
-    rows, cols = a.rows, a.cols
-    # Mutable copies of the read-only nonzero rows that ``a`` keeps.
-    d = [row.copy() for row in a.nonzero_rows()]
-    u = [{i: 1} for i in range(rows)]
-    u_inv_t = [{i: 1} for i in range(rows)]
-    v_cols = [{j: 1} for j in range(cols)]
-    v_inv = [{j: 1} for j in range(cols)]
-    # ``least[i]`` is the least ``(|entry|, column)`` of ``d[i]``, or None
-    # when it must be recomputed.
-    least: list[tuple[int, int] | None] = [None] * rows
-
-    def swap_rows(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
-        least[i], least[j] = least[j], least[i]
-
-    def swap_cols(t: int, j: int) -> None:
-        for i, row in enumerate(d[t:], t):
-            if t in row or j in row:
-                x, y = row.pop(t, 0), row.pop(j, 0)
-                if x:
-                    row[j] = x
-                if y:
-                    row[t] = y
-                least[i] = None
-        v_cols[t], v_cols[j] = v_cols[j], v_cols[t]
-        v_inv[t], v_inv[j] = v_inv[j], v_inv[t]
-
-    def add_row(src: int, dst: int, k: int) -> None:
-        _axpy(d[dst], d[src], k)
-        _axpy(u[dst], u[src], k)
-        _axpy(u_inv_t[src], u_inv_t[dst], -k)
-        least[dst] = None
-
-    def find_pivot(t: int) -> tuple[int, int] | None:
-        # The first entry of least absolute value in row-major order: the
-        # least (|entry|, column) of a row, kept only if it beats every
-        # earlier row.  No entry beats a unit, so the scan stops at the
-        # first row that holds one.
-        best = None
-        best_abs = 0
-        for i in range(t, rows):
-            row = d[i]
-            if row:
-                fact = least[i]
-                if fact is None:
-                    fact = least[i] = min((abs(e), j) for j, e in row.items())
-                e = fact[0]
-                if not best_abs or e < best_abs:
-                    best, best_abs = (i, fact[1]), e
-                    if e == 1:
-                        return best
-        return best
-
-    for t in range(min(rows, cols)):
-        while True:
-            pos = find_pivot(t)
-            if pos is None:
-                break
-            if pos[0] != t:
-                swap_rows(t, pos[0])
-            if pos[1] != t:
-                swap_cols(t, pos[1])
-            pivot_row = d[t]
-            pivot = pivot_row[t]
-            dirty = False
-            for i in range(t + 1, rows):
-                x = d[i].get(t)
-                if x:
-                    add_row(t, i, -(x // pivot))
-                    if t in d[i]:
-                        dirty = True
-            if dirty:
-                continue
-            # Column t is now zero below the pivot, so a column operation
-            # from it changes the pivot row of ``d`` alone.  The operations
-            # commute: each reads only the pivot, its own entry and the
-            # unchanged column t of ``v`` and rows of ``v^-1``.
-            for j in [j for j in pivot_row if j != t]:
-                k = -(pivot_row[j] // pivot)
-                x = pivot_row[j] + k * pivot
-                if x:
-                    pivot_row[j] = x
-                    dirty = True
-                else:
-                    del pivot_row[j]
-                _axpy(v_cols[j], v_cols[t], k)
-                _axpy(v_inv[t], v_inv[j], -k)
-            least[t] = None
-            if dirty:
-                continue
-            if pivot in (1, -1):
-                # A unit divides every entry, so there is no offender.
-                break
-            offender = next(
-                (i for i in range(t + 1, rows) if gcd(*d[i].values()) % pivot),
-                None,
-            )
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if pos is None:
-            break
-        if d[t][t] < 0:
-            for m in (d, u, u_inv_t):
-                m[t] = {j: -x for j, x in m[t].items()}
-    return u, d, v_cols, u_inv_t, v_inv
-
-
-def _accumulate(
-    acc: dict[int, int], weights: dict[int, int], rows: list[dict[int, int]]
-) -> dict[int, int]:
-    """Add ``sum_j weights[j] * rows[j]`` to the sparse row ``acc``; return it.
-
-    Zeros are not dropped, so test the result with ``any(acc.values())``.
-    """
-    get = acc.get
-    for j, w in weights.items():
-        for k, x in rows[j].items():
-            acc[k] = get(k, 0) + w * x
-    return acc
-
-
-def _transpose(rows: list[dict[int, int]], width: int) -> list[dict[int, int]]:
-    """The ``width`` columns of a matrix given by sparse rows, as sparse rows."""
-    out: list[dict[int, int]] = [{} for _ in range(width)]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            out[j][i] = x
-    return out
-
-
 def _dense(rows: list[dict[int, int]], width: int) -> IntMatrix:
     out = []
     for row in rows:
@@ -611,102 +445,186 @@ def _dense(rows: list[dict[int, int]], width: int) -> IntMatrix:
     return IntMatrix._of(out)
 
 
-def smith_form_rows(
+def _axpy(dst: dict[int, int], src: dict[int, int], k: int) -> None:
+    """``dst += k * src`` over the nonzeros of ``src``; zeros are dropped."""
+    for j, y in src.items():
+        x = dst.get(j, 0) + k * y
+        if x:
+            dst[j] = x
+        else:
+            dst.pop(j, None)
+
+
+def row_echelon(
     a: IntMatrix,
-) -> tuple[list[dict[int, int]], tuple[int, ...], list[dict[int, int]]]:
-    """The certified Smith normal form, kept sparse.
+) -> tuple[list[dict[int, int]], list[int], list[dict[int, int]]]:
+    """A unimodular ``U`` with ``U @ a = [E; 0]`` and ``E`` in row echelon form.
 
-    Args:
-        a: any integer matrix.
+    Returns ``(u, pivots, echelon)``: the rows of ``U`` as sparse
+    ``{column: entry}`` dicts, and for each of the ``rank`` rows of ``E``
+    its pivot column, ascending, and its nonzeros.  ``u[k] @ a`` is
+    ``echelon[k]`` for ``k < rank``, whose first nonzero is a positive
+    entry at ``pivots[k]``; the rows ``u[rank:]`` map ``a`` to zero.  The
+    dicts are fresh on every call.
 
-    Returns:
-        ``(u, diagonal, v_cols)``: the rows of ``U`` as ``{column: entry}``
-        dicts, the ``min(rows, cols)`` diagonal entries of ``D``, and the
-        columns of ``V`` as ``{row: entry}`` dicts, with ``U @ a @ V == D``,
-        ``U`` and ``V`` unimodular and ``D`` diagonal with non-negative
-        entries ``d1 | d2 | ...`` followed by zeros.  The dicts are fresh
-        on every call.
+    Column by column, the rows not yet taken as pivots that hold the
+    column are reduced against the one of least ``(|entry|, row)`` by
+    integer row operations, until one row holds it; that row is the
+    column's pivot.  An index from each column to the rows that hold it
+    is kept up to date by every operation, so a column costs only the
+    rows that hold it.  No inverse and no column transform is kept, and
+    nothing is checked here: the decisions that read the form re-check
+    their witnesses and obstructions against ``a`` itself.
+    """
+    d = [row.copy() for row in a.nonzero_rows()]
+    u = [{i: 1} for i in range(a.rows)]
+    # holders[j] is the set of rows, not yet pivots, with a nonzero at j.
+    holders: list[set[int]] = [set() for _ in range(a.cols)]
+    for i, row in enumerate(d):
+        for j in row:
+            holders[j].add(i)
+    top = []
+    for c, held in enumerate(holders):
+        while len(held) > 1:
+            p = min(held, key=lambda i: (abs(d[i][c]), i))
+            pivot_row, pivot = d[p], d[p][c]
+            for i in [i for i in held if i != p]:
+                row = d[i]
+                k = -(row[c] // pivot)
+                for j, y in pivot_row.items():
+                    x = row.get(j, 0) + k * y
+                    if x:
+                        if j not in row:
+                            holders[j].add(i)
+                        row[j] = x
+                    elif j in row:
+                        del row[j]
+                        holders[j].discard(i)
+                _axpy(u[i], u[p], k)
+        if held:
+            (p,) = held
+            for j in d[p]:
+                holders[j].discard(p)
+            if d[p][c] < 0:
+                d[p] = {j: -x for j, x in d[p].items()}
+                u[p] = {j: -x for j, x in u[p].items()}
+            top.append((c, p))
+    kernel = sorted(set(range(a.rows)).difference(p for _, p in top))
+    return (
+        [u[p] for _, p in top] + [u[i] for i in kernel],
+        [c for c, _ in top],
+        [d[p] for _, p in top],
+    )
 
-    The pivot at each stage is the nonzero entry of minimal absolute value in
-    the remaining block, ties broken in row-major order, which makes the
-    output deterministic.  The elimination works on sparse rows, copied
-    from :meth:`IntMatrix.nonzero_rows`, so a row or column operation
-    costs in proportion to the nonzeros it reads, not to the width of the
-    matrix, and the pivot search reads one cached least entry per row,
-    rescanning only the rows that changed since it last read them.
 
-    The output certifies itself before it is returned, exactly and at
-    about the cost of the elimination, and raises :class:`SelfCheckError`
-    on a mismatch.  The checks are not ``assert`` statements, so they also
-    run under ``python -O``.  Each is a set of sparse row combinations that
-    costs about the nonzeros of its factors, and they run in this order,
-    each with its own message:
+def _smith_elimination(a: IntMatrix) -> tuple[list[list[int]], ...]:
+    """The rows of ``(U, D, V)`` with ``U @ a @ V == D``, by dense elimination.
 
-    * every row is a row of a matrix of the right shape: a column index
-      outside the matrix is a failure, not an ``IndexError``;
-    * unimodularity, without determinants: the elimination also builds
-      ``U^-1`` and ``V^-1`` by the inverse elementary operations, and
-      ``U @ U^-1 == I`` (as ``U^-T @ U^T == I``, a combination of the
-      columns of ``U`` for each row of ``U^-T``) and ``V @ V^-1 == I`` are
-      checked.  Integer matrices ``X`` and ``Y`` with ``X @ Y == I`` both
-      have determinant ``+-1``, so this is an exact proof;
-    * the transform, as ``U @ a == D @ V^-1``, with ``a`` read from its
-      nonzero rows and not from anything the elimination built.
-      Multiplying on the right by ``V`` and using ``V^-1 @ V == I``, which
-      follows from the checked ``V @ V^-1 == I`` for square matrices,
-      gives ``U @ a @ V == D`` exactly, and no product with ``V`` is
-      formed;
-    * ``D`` is diagonal with non-negative entries, its nonzeros counted by
-      value, so a stored zero is a zero;
-    * the diagonal is a divisor chain.
+    At stage ``t`` the pivot is the first entry of least absolute value,
+    in row-major order, of the block from ``(t, t)``.  It is moved to
+    ``(t, t)`` and cleared from its column by row operations, then from
+    its row by column operations, until both are clear; a row of the
+    block below that holds an entry the pivot does not divide is then
+    added to the pivot row, and the stage starts again.
     """
     rows, cols = a.rows, a.cols
-    u, d, v_cols, u_inv_t, v_inv = _smith_elimination(a)
-    row_keys, col_keys = set(range(rows)), set(range(cols))
-    for matrix, height, keys in (
-        (u, rows, row_keys),
-        (d, rows, col_keys),
-        (v_cols, cols, col_keys),
-        (u_inv_t, rows, row_keys),
-        (v_inv, cols, col_keys),
-    ):
-        if len(matrix) != height or not keys.issuperset(chain.from_iterable(matrix)):
-            raise SelfCheckError("Smith normal form rows do not fit the matrix")
-    # Row i of U^-T @ U^T - I and of V @ V^-1 - I must be zero.
-    u_cols = _transpose(u, rows)
-    v_rows = _transpose(v_cols, cols)
-    for left, right in ((u_inv_t, u_cols), (v_rows, v_inv)):
-        if any(any(_accumulate({i: -1}, row, right).values()) for i, row in enumerate(left)):
-            raise SelfCheckError("Smith normal form transforms are not unimodular")
-    # Row i of U @ a - D @ V^-1 must be zero.
-    a_rows = a.nonzero_rows()
-    for u_row, d_row in zip(u, d):
-        acc = _accumulate({}, u_row, a_rows)
-        if any(_accumulate(acc, {j: -x for j, x in d_row.items()}, v_inv).values()):
-            raise SelfCheckError("Smith normal form transform check failed")
-    diag = [d[i].get(i, 0) for i in range(min(rows, cols))]
-    # D is diagonal when its only nonzero entries are those of the diagonal.
-    nonzeros = sum(1 for row in d for x in row.values() if x)
+    d = [list(row) for row in a.entries]
+    u = _identity_rows(rows)
+    v = _identity_rows(cols)
+
+    def find_pivot(t: int) -> tuple[int, int] | None:
+        # No entry beats a unit, so the first row that holds one holds the
+        # pivot, and only a block without units is scanned entry by entry.
+        for i in range(t, rows):
+            block = d[i][t:]
+            units = [block.index(x) for x in (1, -1) if x in block]
+            if units:
+                return i, t + min(units)
+        best, best_abs = None, 0
+        for i in range(t, rows):
+            for j in range(t, cols):
+                e = abs(d[i][j])
+                if e and (not best_abs or e < best_abs):
+                    best, best_abs = (i, j), e
+        return best
+
+    def add_row(src: int, dst: int, k: int) -> None:
+        for m in (d, u):
+            m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
+
+    for t in range(min(rows, cols)):
+        while True:
+            pos = find_pivot(t)
+            if pos is None:
+                break
+            i, j = pos
+            d[t], d[i] = d[i], d[t]
+            u[t], u[i] = u[i], u[t]
+            for row in chain(d, v):
+                row[t], row[j] = row[j], row[t]
+            pivot = d[t][t]
+            for i in range(t + 1, rows):
+                if d[i][t]:
+                    add_row(t, i, -(d[i][t] // pivot))
+            if any(d[i][t] for i in range(t + 1, rows)):
+                continue
+            # Column t is zero below the pivot, so a column operation from
+            # it changes only the pivot row of ``d``.
+            for j in range(t + 1, cols):
+                if d[t][j]:
+                    k = -(d[t][j] // pivot)
+                    d[t][j] += k * pivot
+                    for row in v:
+                        row[j] += k * row[t]
+            if any(d[t][t + 1 :]):
+                continue
+            if pivot in (1, -1):
+                # A unit divides every entry, so there is no offender.
+                break
+            offender = next(
+                (i for i in range(t + 1, rows) if any(x % pivot for x in d[i][t + 1 :])),
+                None,
+            )
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+        if pos is None:
+            break
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+    return u, d, v
+
+
+def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form with transforms, certified.
+
+    Returns ``(U, D, V)`` with ``U @ a @ V == D``, ``U`` and ``V``
+    unimodular and ``D`` diagonal with non-negative entries
+    ``d1 | d2 | ...`` followed by zeros; the pivot rule of
+    :func:`_smith_elimination` makes it deterministic.  No decision in
+    the package reads it.  The form is checked before it is returned,
+    densely and not with ``assert``, so also under ``python -O``; a
+    failure raises :class:`SelfCheckError` with its own message:
+
+    * ``|det U| = |det V| = 1``, by the Bareiss :meth:`IntMatrix.det`;
+    * ``U @ a @ V == D``;
+    * ``D`` is a non-negative diagonal;
+    * its diagonal is a divisor chain.
+    """
+    u, d, v = (IntMatrix._of(m) for m in _smith_elimination(a))
+    if abs(u.det()) != 1 or abs(v.det()) != 1:
+        raise SelfCheckError("Smith normal form transforms are not unimodular")
+    if u @ a @ v != d:
+        raise SelfCheckError("Smith normal form transform check failed")
+    diag = [d[i][i] for i in range(min(a.rows, a.cols))]
+    nonzeros = sum(len(row) - row.count(0) for row in d.entries)
     if nonzeros != len(diag) - diag.count(0) or min(diag) < 0:
         raise SelfCheckError("Smith normal form D is not a non-negative diagonal")
     for x, y in zip(diag, diag[1:]):
         if not ((x == 0 and y == 0) or (x != 0 and y % x == 0)):
             raise SelfCheckError("Smith normal form diagonal is not a divisor chain")
-    return u, tuple(diag), v_cols
-
-
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms, as dense matrices.
-
-    Returns ``(U, D, V)`` with ``U @ a @ V == D``, ``U`` and ``V``
-    unimodular and ``D`` diagonal with non-negative entries
-    ``d1 | d2 | ...`` followed by zeros.  This is :func:`smith_form_rows`,
-    which computes and certifies the form, with its three parts made
-    dense and nothing else done.
-    """
-    u, diagonal, v_cols = smith_form_rows(a)
-    d = [{i: x} for i, x in enumerate(diagonal)] + [{}] * (a.rows - len(diagonal))
-    return _dense(u, a.rows), _dense(d, a.cols), _dense(v_cols, a.cols).transpose()
+    return u, d, v
 
 
 def elementary_divisors_via_minors(a: IntMatrix) -> list[int]:

@@ -21,7 +21,7 @@ of the scan over every candidate vector, which the box replaces.  No
 point list is built, and a point is made only for a class that passes
 the order screen of :func:`run_search`.  What never depends on the
 translation, the power tables behind the screen and the tested powers,
-the orbit systems, the systems' matrices and their Smith normal forms,
+the orbit systems, the systems' matrices and their row echelons,
 is memoised where it is computed, so each pair computes only its
 constants and its solves.
 
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .enriques import QuotientClassification, classify_free_quotient, symplectic_screen
-from .fixedpoint import GRID_LEVEL_CAP, FreenessReport, group_acts_freely
+from .fixedpoint import FreenessReport, group_acts_freely
 from .lattice import translation_box
 from .linalg import (
     CYCLOTOMIC_ORDERS,
@@ -231,10 +231,8 @@ def run_search(
         raise ValueError("n must be at least 2")
     if level is None:
         level = n
-    if not 1 <= level <= GRID_LEVEL_CAP:
-        raise ValueError(f"level must lie in 1..{GRID_LEVEL_CAP}")
-    if n % level != 0:
-        raise ValueError("level must divide n")
+    if level < 1 or n % level != 0:
+        raise ValueError("level must be a positive divisor of n")
     if linears is None:
         linears = linear_candidates(ring, max_norm)
     else:

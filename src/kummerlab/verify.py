@@ -35,7 +35,7 @@ from .fixedpoint import brute_force_fixed_point, group_acts_freely, has_fixed_po
 from .lattice import (
     EnumerationTooLargeError,
     _decide,
-    _smith_form,
+    _row_echelon,
     solvable_by_enumeration,
 )
 from .lefschetz import (
@@ -192,7 +192,13 @@ def counts_by_enumeration(m: IntMatrix, n: int) -> dict[int, int]:
 
 
 def sampled_solvability_mismatches(cases: int = 1000, seed: int = 31415) -> int:
-    """Compare the normal-form decision against subgroup enumeration.
+    """Compare the echelon decision against subgroup enumeration.
+
+    Each draw goes to :func:`~kummerlab.lattice._decide` with its own row
+    echelon, as :func:`~kummerlab.lattice.torus_system_solvable` would
+    decide it but without its memo, since a draw is never asked for
+    again.  The enumeration reads its divisors from minors, not from any
+    echelon or normal form.
 
     Systems are up to 4x8 with entries in [-3, 3] and rational constants
     with denominators at most 6, put over the lcm of their reduced
@@ -217,9 +223,7 @@ def sampled_solvability_mismatches(cases: int = 1000, seed: int = 31415) -> int:
         except EnumerationTooLargeError:
             continue
         produced += 1
-        # The decision of torus_system_solvable, without its memo: a draw
-        # is never asked for again.
-        if bool(_decide(system, constants, modulus, _smith_form(system))) != slow:
+        if bool(_decide(system, constants, modulus, _row_echelon(system))) != slow:
             mismatches += 1
     return mismatches
 

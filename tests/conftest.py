@@ -17,7 +17,7 @@ from kummerlab.verify import CheckResult, run_panel
 MEMOS = (
     torus.power_sums,
     fixedpoint._orbit_matrix,
-    lattice._normal_form,
+    lattice._echelon_form,
     lattice._lattice_form,
 )
 

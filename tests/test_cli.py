@@ -308,7 +308,7 @@ TWO_FAULTS = [
     (["search", "--n", "3", "--level", "25", "--h", "[[z,0],[0,1/2]]"],
      "matrix entry '1/2' is not a ring integer"),
     (["search", "--n", "3", "--level", "25", "--h", "[[2,0],[0,1]]"],
-     "level must lie in 1..24"),
+     "level must be a positive divisor of n"),
     (["search", "--n", "1", "--level", "25"], "n must be at least 2"),
     (["freeness", "--h", "[[2,0],[0,1]]", "--a", "(1/5,0)", "--n", "1"],
      "--n must be at least 2"),
@@ -537,13 +537,13 @@ def freeness_argv(ring: str, h: str, a: str, n: int) -> list[str]:
 # points and obstruction pairings keep their bytes.
 FREENESS_DIGESTS = [
     (freeness_argv("eisenstein", "[[z,0],[0,1]]", "(1/3,1/3)", 12),
-     "597fdd044a5a3332c23fc4e68f408e5088f58de54476eadc156a97c9095370b7"),
+     "95a59a304e3e19f83ac7a25556fe626be115c025fd6d806ec1e39f69af599be9"),
     (freeness_argv("gaussian", "[[z,0],[0,1]]", "(1/4,1/4)", 12),
-     "1d4a68bc6ada0ae19439e2e355b5ece4ce63ebacb70346c214b6d199e0344e9e"),
+     "8ca0c01f19a437244adee5393cd4f8874446cc3fb67b3cd0b32c9df59972e872"),
     (freeness_argv("eisenstein", "[[1+z,0],[0,1]]", "(1/6,1/6)", 6),
-     "dbaa36234211e56775360d4d0d61036a1763a4dffd1927afa410af971e83a7b3"),
+     "5dfbb7c370f1b40bda4e70921a860b3b710f455cb128123884bddc861279d5ae"),
     (freeness_argv("gaussian", "[[z,0],[0,1]]", "(1/2,1/4)", 4),
-     "27fa4aa31ebb39cd2928dd16313930762dd523a2aeea80676180b5e94bbd25a1"),
+     "1d4f5b5a12a34027f1e6f0513d4cd4ca108640988c3123d0e8737968e33ae6fb"),
 ]
 
 # The same for the character census and the Lefschetz number.
@@ -860,15 +860,15 @@ def test_characters_checks_the_n_cap_before_factoring(capsys, monkeypatch) -> No
 )
 def test_lefschetz_and_characters_take_no_smith_form(capsys, monkeypatch, argv) -> None:
     # The translation test and the census read checked Hermite forms: with
-    # every Smith form refusing, wherever the package holds one, the
-    # output is the one computed without the refusal.
+    # every Smith form and row echelon refusing, wherever the package holds
+    # one, the output is the one computed without the refusal.
     code, expected = run_cli(capsys, argv)
     assert code == EXIT_OK
 
     def refuse(*args):
-        raise AssertionError("a Smith normal form was taken")
+        raise AssertionError("a normal form was taken")
 
-    for name in ("smith_normal_form", "smith_form_rows"):
+    for name in ("smith_normal_form", "row_echelon"):
         assert "kummerlab.linalg" in patch_everywhere(monkeypatch, name, refuse)
     assert run_cli(capsys, argv) == (EXIT_OK, expected)
     refused = lefschetz_argv("eisenstein", "[[z,0],[0,z]]", "(1/12,0)", 12)
@@ -896,7 +896,21 @@ def test_search_level_outside_cap_exits_two(capsys, level) -> None:
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: level must lie in 1..24")
+    assert captured.err.startswith("error: level must be a positive divisor of n")
+
+
+@pytest.mark.parametrize(
+    "ring, n, count",
+    [("integer", 25, 0), ("gaussian", 25, 0), ("eisenstein", 25, 0), ("integer", 48, 18)],
+)
+def test_search_above_the_grid_level_cap_runs(capsys, ring, n, count) -> None:
+    # The search's level defaults to n and is bounded by n alone, so every
+    # n up to FREENESS_N_CAP runs; GRID_LEVEL_CAP bounds only the grid
+    # oracle.  The other two rings' n=48 counts are pinned in CI.
+    assert n > GRID_LEVEL_CAP
+    code, payload = run_json(capsys, ["search", "--ring", ring, "--n", str(n)])
+    assert code == EXIT_OK
+    assert (payload["level"], payload["count"]) == (n, count)
 
 
 def test_decompose_command(capsys) -> None:

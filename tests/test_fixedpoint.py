@@ -535,9 +535,9 @@ def test_shared_linear_cache_changes_no_report(clear_memos) -> None:
     for a in torsion_points(3):
         auto = TorusAuto(linear, a)
         for stop_at_first in (True, False):
-            hits = lattice._normal_form.cache_info().hits
+            hits = lattice._echelon_form.cache_info().hits
             reused = group_acts_freely(auto, 3, stop_at_first=stop_at_first)
-            served += lattice._normal_form.cache_info().hits > hits
+            served += lattice._echelon_form.cache_info().hits > hits
             clear_memos()
             fresh = group_acts_freely(auto, 3, stop_at_first=stop_at_first)
             assert reused == fresh

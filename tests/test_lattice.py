@@ -8,17 +8,21 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
 
-from kummerlab import fixedpoint, lattice, linalg
+from kummerlab import fixedpoint, lattice, linalg, search
 from kummerlab.cli import main
+from kummerlab.fixedpoint import group_acts_freely, has_fixed_point
 from kummerlab.lattice import (
     ENUMERATION_CAP,
     DimensionMismatchError,
     EnumerationTooLargeError,
+    SolvabilityResult,
     solvable_by_enumeration,
     torus_system_solvable,
     translation_box,
@@ -33,8 +37,9 @@ from kummerlab.linalg import (
     smith_normal_form,
 )
 from kummerlab.rings import RingElem, RingId, induced_matrix
-from kummerlab.search import linear_candidates
-from kummerlab.verify import panel_passed, run_panel
+from kummerlab.search import linear_candidates, run_search
+from kummerlab.torus import TorusAuto
+from kummerlab.verify import freeness_instances, panel_map, panel_passed, run_panel
 
 
 def over_modulus(values) -> tuple[tuple[int, ...], int]:
@@ -358,23 +363,24 @@ def assert_corrupted_forms_refused(one_minus, modulus: int, rows, check) -> None
 
 
 def refuse_smith_forms(monkeypatch, clear_memos, *modules) -> None:
-    """Make every Smith form in ``modules`` raise, and show that it does:
-    a fresh system sent to ``torus_system_solvable`` now fails."""
+    """Make every row echelon and Smith form in ``modules`` raise, and show
+    that it does: a fresh system sent to ``torus_system_solvable`` now
+    fails."""
 
     def refuse(*args):
-        raise AssertionError("the oracle took a Smith normal form")
+        raise AssertionError("the oracle took a normal form")
 
     for module in modules:
         held = [
             name
-            for name in ("smith_form_rows", "smith_normal_form")
+            for name in ("row_echelon", "smith_normal_form")
             if hasattr(module, name)
         ]
-        assert held, f"{module.__name__} holds no Smith form"
+        assert held, f"{module.__name__} holds no normal form"
         for name in held:
             monkeypatch.setattr(module, name, refuse)
     clear_memos()
-    with pytest.raises(AssertionError, match="Smith normal form"):
+    with pytest.raises(AssertionError, match="normal form"):
         torus_system_solvable(IntMatrix([[2, 4], [1, 2], [0, 6]]), (2, 1, 0), 3)
 
 
@@ -583,9 +589,55 @@ def test_self_checks_survive_optimized_mode() -> None:
     assert "Traceback" not in done.stderr
 
 
+def drop_kernel(u, pivots, echelon):
+    # Claims full row rank: every system looks solvable.
+    return u[: len(pivots)], pivots, echelon
+
+
+def shift_pivot(u, pivots, echelon):
+    # A last pivot one larger than the one U produces.
+    row = dict(echelon[-1])
+    row[pivots[-1]] += 1
+    return u, pivots, [*echelon[:-1], row]
+
+
+def swap_kernel(u, pivots, echelon):
+    # A top row of U posing as a kernel row.
+    rank = len(pivots)
+    return [*u[:rank], u[0], *u[rank + 1 :]], pivots, echelon
+
+
+@pytest.mark.parametrize("corrupt", [drop_kernel, shift_pivot, swap_kernel])
+def test_a_corrupted_echelon_raises_and_gives_no_verdict(
+    monkeypatch, clear_memos, corrupt
+) -> None:
+    # Each verdict is proved by its witness or obstruction alone, so an
+    # echelon that is wrong gives a certificate that fails its re-check.
+    # The system is 3x2 of rank 2, with one solvable and one obstructed
+    # right-hand side.
+    system = IntMatrix([[2, 4], [1, 2], [0, 6]])
+    cases = [((2, 1, 3), 3, True), ((1, 1, 0), 3, False)]
+    clear_memos()
+    for constants, modulus, solvable in cases:
+        assert torus_system_solvable(system, constants, modulus).solvable == solvable
+    monkeypatch.setattr(lattice, "row_echelon", lambda a: corrupt(*linalg.row_echelon(a)))
+    clear_memos()
+    raised = 0
+    for constants, modulus, solvable in cases:
+        try:
+            result = torus_system_solvable(system, constants, modulus)
+        except linalg.SelfCheckError:
+            raised += 1
+        else:
+            assert result.solvable == solvable
+    # The memo must not keep the corrupted forms for later calls.
+    clear_memos()
+    assert raised
+
+
 def test_panel_memoises_only_orbit_systems(clear_memos, monkeypatch) -> None:
     # The solvability oracle's random draws are decided without the memo,
-    # so after a cold panel run the normal-form memo holds orbit systems
+    # so after a cold panel run the echelon memo holds orbit systems
     # alone: probing it with every orbit system the run built hits each
     # entry it holds.
     orbit_systems = set()
@@ -599,19 +651,22 @@ def test_panel_memoises_only_orbit_systems(clear_memos, monkeypatch) -> None:
     monkeypatch.setattr(fixedpoint, "_orbit_matrix", recording)
     clear_memos()
     assert panel_passed(run_panel())
-    held = lattice._normal_form.cache_info().currsize
+    held = lattice._echelon_form.cache_info().currsize
     assert 0 < held and held + len(orbit_systems) <= MEMO_SIZE
-    hits = lattice._normal_form.cache_info().hits
+    hits = lattice._echelon_form.cache_info().hits
     for system in orbit_systems:
-        lattice._normal_form(system)
-    assert lattice._normal_form.cache_info().hits - hits == held
+        lattice._echelon_form(system)
+    assert lattice._echelon_form.cache_info().hits - hits == held
 
 
-def dense_decide(system: IntMatrix, constants, modulus: int):
-    """The decision over the dense ``(U, D, V)``, kept as the reference.
+def dense_decide(system: IntMatrix, constants, modulus: int) -> SolvabilityResult:
+    """The test tree's Smith decider, kept as the reference.
 
-    The body of ``lattice._decide`` before the form stayed sparse, without
-    its re-checks.  Returns ``(witness, obstruction)``.
+    It reads the dense ``U @ system @ V = D`` of
+    :func:`~kummerlab.linalg.smith_normal_form`: the system is solvable
+    exactly when ``(U b)_i`` is a multiple of ``q`` on every row ``i``
+    beyond the rank, and then ``V y`` with ``y_i = (U b)_i / (q d_i)`` is
+    a solution.  It re-checks nothing.
     """
     u, d, v = smith_normal_form(system)
     diagonal = tuple(d[i][i] for i in range(min(d.rows, d.cols)))
@@ -619,19 +674,20 @@ def dense_decide(system: IntMatrix, constants, modulus: int):
     ub = u.apply_int(constants)
     for i in range(rank, system.rows):
         if ub[i] % modulus:
-            return None, (u[i], ub[i])
+            return SolvabilityResult(None, (u[i], ub[i]))
     scale = lcm(1, *diagonal[:rank])
     y = [ub[i] * (scale // diagonal[i]) for i in range(rank)]
     y += [0] * (system.cols - rank)
     denominator = modulus * scale
-    return (tuple(x % denominator for x in v.apply_int(y)), denominator), None
+    witness = (tuple(x % denominator for x in v.apply_int(y)), denominator)
+    return SolvabilityResult(witness, None)
 
 
 def test_sparse_decision_matches_the_dense_route(monkeypatch, capsys) -> None:
     # 300 seeded dense and sparse draws of up to 8x8 with random constants
     # and moduli, then every orbit system of the two free n=12 freeness
-    # anchors: the decision from the sparse form returns the dense route's
-    # witness and denominator, or its functional and pairing, exactly.
+    # anchors: the echelon decision gives the Smith decider's verdict, and
+    # its witness or obstruction passes its re-check.
     rng = random.Random(3030)
     cases = []
     for _ in range(300):
@@ -659,10 +715,76 @@ def test_sparse_decision_matches_the_dense_route(monkeypatch, capsys) -> None:
     assert len({system for system, _, _ in cases[300:]}) == 12
     outcomes = []
     for system, constants, modulus in cases:
-        result = lattice._decide(system, constants, modulus, lattice._smith_form(system))
-        expected = dense_decide(system, constants, modulus)
-        assert (result.witness, result.obstruction) == expected, system
+        result = lattice._decide(system, constants, modulus, lattice._row_echelon(system))
+        assert result.solvable == dense_decide(system, constants, modulus).solvable
+        if result:
+            assert verify_witness(system, constants, modulus, result.witness)
+        else:
+            functional, pairing = result.obstruction
+            assert verify_obstruction(system, constants, modulus, functional)
+            assert pairing == sum(map(mul, functional, constants))
         outcomes.append(result.solvable)
     assert 50 < sum(outcomes[:300]) < 250
     # The anchors are free: each of their orbit systems is obstructed.
     assert not any(outcomes[300:])
+
+
+def sweep_pairs(n: int, ring: RingId) -> list[tuple[TorusAuto, int]]:
+    """Every pair ``(auto, n)`` whose freeness ``run_search(n, ring)`` decides."""
+    pairs = []
+    decide = search.group_acts_freely
+
+    def recording(auto, n, **kwargs):
+        pairs.append((auto, n))
+        return decide(auto, n, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "group_acts_freely", recording)
+        run_search(n, ring)
+    return pairs
+
+
+def decisions(instances, solve) -> list[tuple[bool, list[bool], list[bool]]]:
+    """``free``, each tested power's ``found`` and each type's solvability,
+    from :func:`group_acts_freely` on every ``(auto, n)`` with ``solve`` as
+    the decider; every orbit type is decided."""
+    out = []
+    verdicts: list[bool] = []
+
+    def recording(system, constants, modulus):
+        result = solve(system, constants, modulus)
+        verdicts.append(result.solvable)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixedpoint, "torus_system_solvable", recording)
+        for auto, n in instances:
+            verdicts.clear()
+            report = group_acts_freely(auto, n)
+            found = [test.report.found for test in report.tested]
+            out.append((report.free, found, list(verdicts)))
+    return out
+
+
+def test_echelon_verdicts_match_the_smith_decider() -> None:
+    # Every panel instance, every pair the Eisenstein n=3 and Gaussian n=4
+    # sweeps decide, and the order-6 map at n=24: the same ``free``, the
+    # same ``found`` for every tested power and the same solvability for
+    # every orbit type as the test tree's Smith decider.
+    smith = lru_cache(maxsize=None)(dense_decide)
+    order6 = panel_map("order6")
+    instances = [(auto, n) for _, auto, n in freeness_instances()]
+    instances += sweep_pairs(3, RingId.EISENSTEIN) + sweep_pairs(4, RingId.GAUSSIAN)
+    instances.append((order6, 24))
+    package = decisions(instances, fixedpoint.torus_system_solvable)
+    assert package == decisions(instances, smith)
+    assert {free for free, _, _ in package} == {True, False}
+    assert len(instances) > 300
+    report = has_fixed_point(order6, 24)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixedpoint, "torus_system_solvable", smith)
+        expected = has_fixed_point(order6, 24)
+    assert len(report.certificates) == 125
+    assert [c.witness is None for c in report.certificates] == [
+        c.witness is None for c in expected.certificates
+    ]

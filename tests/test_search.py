@@ -675,8 +675,9 @@ def test_parameter_validation() -> None:
         run_search(1, RingId.EISENSTEIN)
     with pytest.raises(ValueError):
         run_search(4, RingId.GAUSSIAN, level=3)
-    with pytest.raises(ValueError):
-        run_search(25, RingId.GAUSSIAN, level=25)
+    for level in (0, -5, 50):
+        with pytest.raises(ValueError, match="positive divisor"):
+            run_search(25, RingId.GAUSSIAN, level=level)
     with pytest.raises(ValueError):
         run_search(2, RingId.RATIONAL_INT, max_norm=MAX_NORM_CAP + 1)
     singular = diag(RingElem(RingId.EISENSTEIN, 2), RingElem.one(RingId.EISENSTEIN))
