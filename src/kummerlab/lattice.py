@@ -25,8 +25,9 @@ certificate alone.
 
 The translation classes of a linear part ``M`` are the cosets of
 ``(I - M)(Z/q)^r`` in ``(Z/q)^r``, and one routine reads them: the
-lattice ``L_q = (I - M) Z^r + q Z^r`` in Hermite form, built by 2x2
-unimodular row operations (:func:`_echelon`).  The form checks itself:
+lattice ``L_q = (I - M) Z^r + q Z^r`` in Hermite form, the row echelon
+of its generators by the same :func:`~kummerlab.linalg.row_echelon`
+(:func:`_full_echelon`).  The form checks itself:
 each row carries a witness that puts it in ``L_q``, and the generators of
 ``L_q`` reduce to zero against the rows, so they span it.  Three readings
 of it serve the rest of the package: :func:`cokernel_order`, the index
@@ -52,6 +53,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
+from . import linalg
 from .linalg import (
     MEMO_SIZE,
     IntMatrix,
@@ -103,6 +105,10 @@ def _check_constants(system: IntMatrix, constants, modulus: int) -> None:
         )
     if not _integers((modulus, *constants)):
         raise ValueError("the constants and the modulus must be integers")
+    _check_modulus(modulus)
+
+
+def _check_modulus(modulus: int) -> None:
     if modulus < 1:
         raise ValueError("the modulus must be positive")
 
@@ -227,6 +233,7 @@ def translation_box(m: IntMatrix, n: int, level: int) -> tuple[int, ...]:
     :func:`_box_form` and checks itself before its pivots are returned;
     any failed check raises :class:`SelfCheckError` (:func:`_check_box`).
     """
+    _check_modulus(n)
     if level < 1 or n % level:
         raise ValueError("level must divide n")
     one_minus = _one_minus(m)
@@ -266,97 +273,37 @@ def _one_minus(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _columns(one_minus) -> list[tuple[int, ...]]:
-    """The columns of ``I - M``, each followed by its witness ``z = e_j``."""
-    size = len(one_minus)
-    return [
-        (*column, *(int(i == j) for i in range(size)))
-        for j, column in enumerate(zip(*one_minus))
-    ]
-
-
 def _generators(one_minus, modulus: int) -> list[tuple[int, ...]]:
-    """The columns of ``I - M`` and the ``modulus e_j``, which span ``L_q``.
-
-    They carry no witnesses: :func:`_reduces_to_zero` reads only the first
-    ``r`` entries.
-    """
+    """The columns of ``I - M`` and the ``modulus e_j``, which span ``L_q``."""
     size = len(one_minus)
     return [*zip(*one_minus)] + [
         tuple(modulus * (i == j) for i in range(size)) for j in range(size)
     ]
 
 
-def _echelon(rows, width: int, modulus: int) -> list[list[int]]:
-    """A Hermite form of ``rows`` and the rows ``modulus e_c``, ``c < width``.
+def _sparse(vector) -> dict[int, int]:
+    """The nonzeros of ``vector`` as a ``{column: entry}`` dict."""
+    return {j: x for j, x in enumerate(vector) if x}
 
-    The pivots lie in the first ``width`` columns.  The rows
-    ``modulus e_c`` (zero beyond ``width``) are not listed:
-    until column ``c`` is reached, ``modulus e_c`` is still among the
-    generators.  Column by column, 2x2 unimodular row operations merge
-    each row with a nonzero entry into the pivot row ``p``, and then
-    ``modulus e_c`` into it: ``x p + y modulus e_c`` with pivot
-    ``g = gcd(p_c, modulus)`` and the remainder ``(modulus / g) p`` without
-    its entry ``c``.  The remainder is a multiple of ``modulus`` beyond
-    ``c``, in the span of the unlisted rows, and kept only when ``g`` does
-    not divide the entries of ``p`` there.  Entries to the right of
-    ``width``, such as witnesses, follow along.  Returns the ``width``
-    pivot rows in column order; each pivot is positive and divides
-    ``modulus``.
+
+def _full_echelon(generators: list[dict[int, int]], width: int, size: int):
+    """The rows ``(b | z)`` of the echelon ``U @ generators = E``.
+
+    ``E`` is :func:`~kummerlab.linalg.row_echelon` of the sparse
+    generators, ``b`` one of its rows, dense, and ``z`` the coefficients of
+    its row of ``U`` on the first ``size`` generators, those built from the
+    columns of ``I - M``.  Generators of rank below ``width`` raise
+    :class:`SelfCheckError`; otherwise the rows are upper triangular with
+    positive pivots.
     """
-    rows = list(rows)
-    length = len(rows[0])
-    form = []
-    for c in range(width):
-        pivot = None
-        rest = []
-        for row in rows:
-            b = row[c]
-            if not b:
-                rest.append(row)
-                continue
-            if pivot is None:
-                pivot = row
-                continue
-            a = pivot[c]
-            if b % a:
-                g, x, y = _extended_gcd(a, b)
-                p, q = a // g, b // g
-                pivot, row = (
-                    [x * u + y * v for u, v in zip(pivot, row)],
-                    [p * v - q * u for u, v in zip(pivot, row)],
-                )
-            else:
-                q = b // a
-                row = [y - q * x for x, y in zip(pivot, row)]
-            # Entries up to c are now zero.
-            if any(row[c + 1 : width]):
-                rest.append(row)
-        if pivot is None:
-            form.append([modulus * (j == c) for j in range(length)])
-        else:
-            a = pivot[c]
-            g, x, _ = _extended_gcd(a, modulus)
-            if any(v % g for v in pivot[c + 1 : width]):
-                remainder = [modulus // g * v for v in pivot]
-                remainder[c] = 0
-                rest.append(remainder)
-            pivot = [x * v for v in pivot]
-            pivot[c] = g
-            form.append(pivot)
-        rows = rest
-    return form
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """``(g, x, y)`` with ``x a + y b = g = gcd(a, b)``."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+    matrix = IntMatrix.from_nonzero_rows(generators, width)
+    u, pivots, echelon = linalg.row_echelon(matrix)
+    if pivots != list(range(width)):
+        raise SelfCheckError(f"generators of rank {len(pivots)} in {width} columns")
+    return [
+        [row.get(j, 0) for j in range(width)] + [w.get(j, 0) for j in range(size)]
+        for row, w in zip(echelon, u)
+    ]
 
 
 def _box_form(one_minus, n: int, step: int):
@@ -364,21 +311,22 @@ def _box_form(one_minus, n: int, step: int):
 
     ``rows`` are ``(b_c | z_c)`` with ``(I - M) z_c = step b_c (mod n)``.
     ``step L'`` is the intersection of ``L`` and ``step Z^r``, read from
-    one echelon of the rows ``(g | g | z)`` for the columns ``g`` and
-    ``(step e_i | 0 | 0)``, with ``n e_c`` in every column: a combination
-    is zero in its first block exactly when its second block lies in both
-    lattices, and the rows with pivots past the first block span those
-    combinations.  The rows with pivots in the first block span the
-    projection on it, ``L + step Z^r = L_s``; kept as ``(b | z)``, they
-    are ``coarse``.  Each stacked row ``(b | c | z)``, and each ``n e_c``,
-    has ``(I - M) z = c (mod n)`` and ``b = c (mod step)``, so ``z`` is a
+    one echelon (:func:`_full_echelon`) of the rows ``(g | g)`` for the
+    columns ``g`` and ``(step e_i | 0)``, with ``n e_c`` in every column:
+    a combination is zero in its first block exactly when its second block
+    lies in both lattices, and the rows with pivots past the first block
+    span those combinations.  The rows with pivots in the first block span
+    the projection on it, ``L + step Z^r = L_s``; kept as ``(b | z)``,
+    they are ``coarse``.  Each echelon row ``(b | c)`` with its witness
+    ``z``, its row of ``U`` on the rows ``(g | g)``, has
+    ``(I - M) z = c (mod n)`` and ``b = c (mod step)``, so ``z`` is a
     witness of ``b`` mod ``step``.
     """
     size = len(one_minus)
-    stacked = [g[:size] + g for g in _columns(one_minus)] + [
-        tuple(step * (i == j) for i in range(3 * size)) for j in range(size)
-    ]
-    form = _echelon(stacked, 2 * size, n)
+    generators = [_sparse(g + g) for g in zip(*one_minus)]
+    generators += [{i: step} for i in range(size)]
+    generators += [{c: n} for c in range(2 * size)]
+    form = _full_echelon(generators, 2 * size, size)
     rows = [
         [x // step for x in row[size : 2 * size]] + row[2 * size :]
         for row in form[size:]
@@ -419,11 +367,16 @@ def _check_box(one_minus, n: int, step: int, rows, coarse) -> tuple[int, ...]:
 def _hermite_form(one_minus, modulus: int):
     """``(rows, pivots)``: the Hermite form of ``L_q``, ``q = modulus``, checked.
 
-    The rows ``(b | z)`` are the echelon of the columns of ``I - M`` and
-    the ``q e_c``, each with its witness, and pass :func:`_check_form`.
-    They are tuples, so that no caller can change a memoised form.
+    The rows ``(b | z)``, each with its witness, are the echelon of the
+    columns of ``I - M`` and the ``q e_c`` (:func:`_full_echelon`) and
+    pass :func:`_check_form`.  They are tuples, so that no caller can
+    change a memoised form.  A modulus below 1 raises ``ValueError``.
     """
-    rows = tuple(map(tuple, _echelon(_columns(one_minus), len(one_minus), modulus)))
+    _check_modulus(modulus)
+    size = len(one_minus)
+    generators = [_sparse(g) for g in zip(*one_minus)]
+    generators += [{c: modulus} for c in range(size)]
+    rows = tuple(map(tuple, _full_echelon(generators, size, size)))
     return rows, _check_form(one_minus, modulus, rows)
 
 

@@ -4,8 +4,11 @@ Everything here is plain arbitrary-precision integer arithmetic.  Every
 orbit system is decided from :func:`row_echelon`, a unimodular ``U`` with
 ``U * A = [E; 0]``, kept by sparse rows with no inverse and no column
 transform; the decision re-checks its own witness or obstruction, so the
-echelon needs no certificate of its own.  The fraction-free Bareiss
-determinant serves the Lefschetz numbers and the cross-checks.
+echelon needs no certificate of its own.  The same routine builds every
+Hermite form of ``lattice``, from the generators of the lattice, each
+row's witness read from its row of ``U``; the forms check themselves.
+The fraction-free Bareiss determinant serves the Lefschetz numbers and
+the cross-checks.
 The package's one binary power, factorisation, multiplicative order and
 Newton recurrence (:func:`newton_exponential`) live here too.
 
@@ -474,7 +477,10 @@ def row_echelon(
     is kept up to date by every operation, so a column costs only the
     rows that hold it.  No inverse and no column transform is kept, and
     nothing is checked here: the decisions that read the form re-check
-    their witnesses and obstructions against ``a`` itself.
+    their witnesses and obstructions against ``a`` itself.  It is also
+    the kernel of every Hermite form of ``lattice``, whose rows are the
+    echelon of the lattice's generators; those forms check themselves
+    with code that shares nothing with it.
     """
     d = [row.copy() for row in a.nonzero_rows()]
     u = [{i: 1} for i in range(a.rows)]

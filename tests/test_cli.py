@@ -17,6 +17,7 @@ import pytest
 import kummerlab.cli as cli
 import kummerlab.lattice as lattice
 import kummerlab.lefschetz as lefschetz
+import kummerlab.linalg as linalg
 from kummerlab.enriques import DECOMPOSITION_DIM_CAP
 from kummerlab.cli import (
     EXIT_MATH,
@@ -497,15 +498,15 @@ def test_lefschetz_builds_each_checked_form_once(
     # The translation test reads the form of L_n, and the census the form
     # of L_q for each prime power q dividing n, n itself among them when n
     # is a prime power.  One memoised form per (M, q) means one echelon per
-    # modulus, counted cold.
+    # modulus, counted cold; the last generator of L_q is q e_(r-1).
     forms: Counter = Counter()
-    echelon = lattice._echelon
+    echelon = linalg.row_echelon
 
-    def counted_echelon(rows, width, modulus):
-        forms[modulus] += 1
-        return echelon(rows, width, modulus)
+    def counted_echelon(a):
+        forms[a[a.rows - 1][a.cols - 1]] += 1
+        return echelon(a)
 
-    monkeypatch.setattr(lattice, "_echelon", counted_echelon)
+    monkeypatch.setattr(linalg, "row_echelon", counted_echelon)
     clear_memos()
     code, payload = run_json(
         capsys, lefschetz_argv("eisenstein", "[[z,0],[0,z]]", "(0,0)", n)
@@ -859,17 +860,21 @@ def test_characters_checks_the_n_cap_before_factoring(capsys, monkeypatch) -> No
          "characters-eisenstein-360", "characters-gaussian-12"],
 )
 def test_lefschetz_and_characters_take_no_smith_form(capsys, monkeypatch, argv) -> None:
-    # The translation test and the census read checked Hermite forms: with
-    # every Smith form and row echelon refusing, wherever the package holds
-    # one, the output is the one computed without the refusal.
+    # The translation test and the census read checked Hermite forms, each
+    # the row echelon of its generators by linalg.row_echelon: with every
+    # Smith form and every other row echelon refusing, wherever the package
+    # holds one, so that no orbit system is decided either, the output is
+    # the one computed without the refusal.
     code, expected = run_cli(capsys, argv)
     assert code == EXIT_OK
 
     def refuse(*args):
         raise AssertionError("a normal form was taken")
 
-    for name in ("smith_normal_form", "row_echelon"):
-        assert "kummerlab.linalg" in patch_everywhere(monkeypatch, name, refuse)
+    echelon = linalg.row_echelon
+    assert "kummerlab.linalg" in patch_everywhere(monkeypatch, "smith_normal_form", refuse)
+    assert "kummerlab.lattice" in patch_everywhere(monkeypatch, "row_echelon", refuse)
+    monkeypatch.setattr(linalg, "row_echelon", echelon)
     assert run_cli(capsys, argv) == (EXIT_OK, expected)
     refused = lefschetz_argv("eisenstein", "[[z,0],[0,z]]", "(1/12,0)", 12)
     assert main(refused) == EXIT_USAGE

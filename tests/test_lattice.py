@@ -308,30 +308,60 @@ def test_tampered_box_forms_are_refused(n: int, level: int) -> None:
             )
 
 
+def test_a_modulus_below_one_is_a_bad_argument() -> None:
+    # A bad modulus is refused before any form is built, as a ValueError:
+    # SelfCheckError would claim that a computed result failed its check.
+    m = IntMatrix.identity(4).scale(-1)
+    for call in (
+        lambda: lattice.cokernel_order(m, 0),
+        lambda: lattice.image_contains(m, (0, 0, 0, 0), 0),
+        lambda: lattice.translation_box(m, -3, 1),
+    ):
+        with pytest.raises(ValueError, match="^the modulus must be positive$"):
+            call()
+
+
 def test_a_corrupted_echelon_is_refused_once_the_memo_is_cleared(
     monkeypatch, clear_memos
 ) -> None:
     # cokernel_order and image_contains read one memoised checked form per
-    # (M, q).  A form already held is not built again, so an echelon that
-    # drops its last row goes unseen until the memo is cleared; then both
-    # readings refuse it, and the refused form is not kept.
+    # (M, q), the row echelon of the generators of L_q.  A form already held
+    # is not built again, so a corrupted echelon goes unseen until the memo
+    # is cleared; then both readings refuse it, and the refused form is not
+    # kept.  One corruption drops the last row, below full rank; the other
+    # doubles it with its row of U, so it stays triangular with a witness,
+    # and only the generator q e_3, which no longer reduces, shows it.
     ring = RingId.EISENSTEIN
     zero = RingElem.zero(ring)
     m = induced_matrix([[RingElem.zeta(ring), zero], [zero, RingElem.one(ring)]])
-    clear_memos()
-    assert lattice.cokernel_order(m, 3) == 27
-    echelon = lattice._echelon
-    with monkeypatch.context() as patch:
-        patch.setattr(lattice, "_echelon", lambda *args: echelon(*args)[:-1])
-        assert lattice.cokernel_order(m, 3) == 27
+
+    def dropped(u, pivots, echelon):
+        return u, pivots[:-1], echelon[:-1]
+
+    def doubled(u, pivots, echelon):
+        k = len(pivots) - 1
+        u[k] = {j: 2 * x for j, x in u[k].items()}
+        echelon[k] = {j: 2 * x for j, x in echelon[k].items()}
+        return u, pivots, echelon
+
+    echelon = linalg.row_echelon
+    for corrupt, message in (
+        (dropped, "^generators of rank 3 in 4 columns$"),
+        (doubled, r"^\(0, 0, 0, 3\) is outside the form$"),
+    ):
         clear_memos()
-        with pytest.raises(linalg.SelfCheckError):
-            lattice.cokernel_order(m, 3)
-        with pytest.raises(linalg.SelfCheckError):
-            lattice.image_contains(m, (0, 0, 0, 0), 3)
-    assert lattice._lattice_form.cache_info().currsize == 0
-    assert lattice.cokernel_order(m, 3) == 27
-    assert lattice.image_contains(m, (1, 2, 0, 0), 3)
+        assert lattice.cokernel_order(m, 3) == 27
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "row_echelon", lambda a: corrupt(*echelon(a)))
+            assert lattice.cokernel_order(m, 3) == 27
+            clear_memos()
+            with pytest.raises(linalg.SelfCheckError, match=message):
+                lattice.cokernel_order(m, 3)
+            with pytest.raises(linalg.SelfCheckError, match=message):
+                lattice.image_contains(m, (0, 0, 0, 0), 3)
+        assert lattice._lattice_form.cache_info().currsize == 0
+        assert lattice.cokernel_order(m, 3) == 27
+        assert lattice.image_contains(m, (1, 2, 0, 0), 3)
 
 
 def assert_corrupted_forms_refused(one_minus, modulus: int, rows, check) -> None:
