@@ -85,6 +85,12 @@ def orbit_types(n: int, m: int) -> list[tuple[int, ...]]:
     return found
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _orbit_types(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`orbit_types` as a tuple, memoised: a sweep asks for few ``(n, m)``."""
+    return tuple(orbit_types(n, m))
+
+
 @dataclass(frozen=True)
 class FreenessCertificate:
     """Re-checkable evidence for one orbit type of one tested power.
@@ -227,13 +233,14 @@ def has_fixed_point(
     ``stop_at_first`` the scan stops at the first solvable type, so a
     positive report may carry fewer certificates than there are types; a
     negative one always carries all of them.  What does not depend on the
-    translation, the systems' matrices and their row echelons, is memoised
-    by :func:`orbit_system` and :func:`torus_system_solvable`.
+    translation, the orbit types of ``(n, order)``, the systems' matrices
+    and their row echelons, is memoised by :func:`_orbit_types`,
+    :func:`orbit_system` and :func:`torus_system_solvable`.
     """
     _require_descends(auto, n)
     order = auto.order()
     certificates: list[FreenessCertificate] = []
-    for orbit_type in orbit_types(n, order):
+    for orbit_type in _orbit_types(n, order):
         system, constants, level = orbit_system(auto, orbit_type)
         result = torus_system_solvable(system, constants, level)
         if result.solvable:

@@ -40,7 +40,8 @@ from types import MappingProxyType
 
 
 # Entries kept by each memo of translation-independent work: the
-# ``torus.power_sums`` tables, the orbit-system matrices of ``fixedpoint``,
+# ``torus.power_sums`` tables, the orbit types of ``fixedpoint`` per
+# ``(n, order)`` (a sweep asks for a handful), its orbit-system matrices,
 # their row echelons in ``lattice`` (``U`` and ``E`` by sparse rows, no
 # inverse and no column transform) and the checked Hermite forms of
 # ``(I - M) Z^4 + q Z^4`` there, one per ``(M, q)``.  At

@@ -21,9 +21,13 @@ of the scan over every candidate vector, which the box replaces.  No
 point list is built, and a point is made only for a class that passes
 the order screen of :func:`run_search`.  What never depends on the
 translation, the power tables behind the screen and the tested powers,
-the orbit systems, the systems' matrices and their row echelons,
-is memoised where it is computed, so each pair computes only its
-constants and its solves.
+the orbit types, the systems' matrices and their row echelons, is
+memoised where it is computed.  What a pair's linear part already
+proved is handed on: the catalog fills each part's multiplier memo with
+the order of its unit ``det h`` (one of the ring's at most six, each
+order found once), the screen fills the pair's order memo, and a pair
+of prime order tests itself, as ``auto**1`` is ``auto``.  So each pair
+computes only its constants and its solves.
 
 Each question is asked of the cheapest fact that settles it.  The catalog
 decides finite order in the ring (:func:`linear_candidates`): the pair
@@ -34,7 +38,7 @@ a repeated eigenvalue; a tuple of such a pair has finite order only when
 catalog loop reads entries, traces and determinants as integer coordinate
 pairs and builds a part only for a tuple it accepts.
 The sweep skips the identity, then a part whose order ``d`` does not divide
-``n``, and only then takes ``ord(det h)`` for :func:`symplectic_screen`;
+``n``, and only then reads ``ord(det h)`` for :func:`symplectic_screen`;
 parts that fail it give no free pair, and their classes are never listed.
 """
 
@@ -82,7 +86,9 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     ring arithmetic and facts of its pair ``(tr h, det h)``, and no tuple
     needs a power of its 4x4 induced matrix;
     :func:`~kummerlab.linalg.matrix_order` runs once per pair, as a
-    self-check.
+    self-check.  Each accepted part also carries the order of its unit
+    ``det h`` in its multiplier memo, from :func:`_unit_orders`, so no
+    multiplier of a catalog part is computed from its matrix.
 
     The characteristic polynomial of the induced matrix ``M`` of
     ``h = [[p, q], [r, s]]`` depends only on ``(tr h, det h)``.  The ring
@@ -125,7 +131,7 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     if max_norm > MAX_NORM_CAP:
         raise ValueError(f"max_norm is capped at {MAX_NORM_CAP}")
     entries = ring_elements_up_to_norm(ring, max_norm)
-    unit_set = {(u.x, u.y) for u in units(ring)}
+    unit_orders = _unit_orders(ring)
     zero = entries.index(RingElem.zero(ring))
     blocks = [e.regular_representation() for e in entries]
     sums = [[e + f for f in entries] for e in entries]
@@ -140,7 +146,7 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     for i, j, k, l in itertools.product(range(len(entries)), repeat=4):
         (px, py), (qx, qy) = product_pairs[i][l], product_pairs[j][k]
         det = (px - qx, py - qy)
-        if det not in unit_set:
+        if det not in unit_orders:
             continue
         pair = (sum_pairs[i][l], det)
         if pair not in decided:
@@ -160,8 +166,27 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
         if pair not in checked:
             checked.add(pair)
             _check_order(matrix, order)
-        accepted.append(TorusEndo._with_order(matrix, order))
+        accepted.append(TorusEndo._with_order(matrix, order, unit_orders[det]))
     return accepted
+
+
+def _unit_orders(ring: RingId) -> dict[tuple[int, int], int]:
+    """The order of each unit of ``ring``, keyed by its coordinate pair.
+
+    The units form a finite group of at most six roots of unity, so the
+    ring products reach one.  A part whose ``det h`` is the unit has that
+    multiplier.  ``matrix_order`` is left to the catalog's self-check, and
+    the unit orders share no code with the multiplier a map computes from
+    its blocks.
+    """
+    one = RingElem.one(ring)
+    orders = {}
+    for unit in units(ring):
+        power, order = unit, 1
+        while power != one:
+            power, order = power * unit, order + 1
+        orders[(unit.x, unit.y)] = order
+    return orders
 
 
 def _check_order(matrix: IntMatrix, order: int) -> None:
@@ -225,7 +250,10 @@ def run_search(
     holds on whole classes, as ``P_m (I - M) = I - M^m = 0``.  ``P_m`` is
     read once per linear part from :func:`~kummerlab.torus.power_sums`,
     each cell is screened before a :class:`TorusPoint` is built for it,
-    and a cell that passes goes to :func:`group_acts_freely`.
+    and a cell that passes goes to :func:`group_acts_freely` with its
+    order ``m`` already in its memo (``TorusAuto._with_order``): the screen
+    proved it.  The multiplier comes from the catalog, whose parts carry
+    it; a part given in ``linears`` computes it from its matrix.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -259,7 +287,8 @@ def run_search(
             if any(sum(map(mul, row, cell)) % n for row in screen):
                 continue
             a = TorusPoint.from_integers(n, [step * x for x in cell])
-            report = group_acts_freely(TorusAuto(linear, a), n, stop_at_first=True)
+            auto = TorusAuto._with_order(linear, a, order)
+            report = group_acts_freely(auto, n, stop_at_first=True)
             if not report.free:
                 continue
             results.append(

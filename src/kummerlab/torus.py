@@ -174,16 +174,21 @@ class TorusEndo:
         return cls(IntMatrix.identity(4))
 
     @classmethod
-    def _with_order(cls, matrix: IntMatrix, order: int) -> "TorusEndo":
+    def _with_order(
+        cls, matrix: IntMatrix, order: int, multiplier: int | None = None
+    ) -> "TorusEndo":
         """The linear part ``matrix`` with its order memo already filled.
 
         The caller must have proved that ``matrix`` is a 4x4 integer matrix
         of multiplicative order exactly ``order``, as
-        :func:`~kummerlab.linalg.matrix_order` would return it; the memo is
-        trusted and never recomputed.
+        :func:`~kummerlab.linalg.matrix_order` would return it, and, when
+        it passes ``multiplier``, that ``det h`` has exactly that order, as
+        :meth:`multiplier_order` would return it.  The memos are trusted
+        and never recomputed; without ``multiplier`` its memo stays empty.
         """
         endo = cls(matrix)
         endo._order_cache = order
+        endo._multiplier_cache = multiplier
         return endo
 
     def __matmul__(self, other: "TorusEndo") -> "TorusEndo":
@@ -284,6 +289,21 @@ class TorusAuto:
         self._order_cache: int | None = None
 
     @classmethod
+    def _with_order(
+        cls, linear: TorusEndo, translation: TorusPoint, order: int
+    ) -> "TorusAuto":
+        """The map ``t_a h`` with its order memo already filled.
+
+        The caller must have proved that the map has order exactly
+        ``order``, as :meth:`order` would return it; the memo is trusted
+        and never recomputed.  The linear part is still refused by the
+        constructor if it is unsupported.
+        """
+        auto = cls(linear, translation)
+        auto._order_cache = order
+        return auto
+
+    @classmethod
     def identity(cls) -> "TorusAuto":
         return cls(TorusEndo.identity(), TorusPoint.origin())
 
@@ -315,9 +335,13 @@ class TorusAuto:
         :func:`power_sums` tables of lengths ``m`` and ``r``.  A power of a
         valid map is valid, so the constructor's checks are skipped, and
         its orders and its linear part's are memoised as ``o / gcd(o, e)``.
+        The exponent 1 returns the map itself, with its memos: a map of
+        prime order tests its first power for freeness.
         """
         if exponent < 0:
             raise ValueError("negative automorphism powers are not supported")
+        if exponent == 1:
+            return self
         m = self._linear.multiplicative_order()
         quotient, rest = divmod(exponent, m)
         matrix = self._linear.induced_matrix()

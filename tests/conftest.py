@@ -16,6 +16,7 @@ from kummerlab.verify import CheckResult, run_panel
 # Every memo of translation-independent work in the package.
 MEMOS = (
     torus.power_sums,
+    fixedpoint._orbit_types,
     fixedpoint._orbit_matrix,
     lattice._echelon_form,
     lattice._lattice_form,

@@ -85,6 +85,41 @@ def test_orbit_types_against_partition_oracle() -> None:
             assert set(produced) == oracle
 
 
+def test_orbit_types_memo_matches_the_list() -> None:
+    # has_fixed_point reads the memo; it holds the same types in the same
+    # order, and the public function still returns a fresh list.
+    for n in range(1, 13):
+        for m in (1, 2, 3, 4, 5, 6, 8, 12, 24):
+            listed = orbit_types(n, m)
+            assert isinstance(listed, list)
+            assert fixedpoint._orbit_types(n, m) == tuple(listed)
+            assert orbit_types(n, m) is not listed
+
+
+def test_sweep_lists_orbit_types_once_per_n_and_order(
+    monkeypatch, clear_memos
+) -> None:
+    # Every pair of the n=3 sweep tests its order-3 map itself, so the 264
+    # decided pairs ask for the orbit types of (3, 3) and list them once.
+    # At n=4 the tested powers have order 2.
+    listed = fixedpoint.orbit_types
+    calls: list[tuple[int, int]] = []
+
+    def counting(n: int, m: int) -> list[tuple[int, ...]]:
+        calls.append((n, m))
+        return listed(n, m)
+
+    monkeypatch.setattr(fixedpoint, "orbit_types", counting)
+    for n, ring, expected in (
+        (3, RingId.EISENSTEIN, [(3, 3)]),
+        (4, RingId.GAUSSIAN, [(4, 2)]),
+    ):
+        clear_memos()
+        calls.clear()
+        run_search(n, ring)
+        assert calls == expected
+
+
 def test_orbit_type_counts() -> None:
     # Partitions of 12 into divisors of 3 and of 6, and of 24 into
     # divisors of 24.

@@ -641,6 +641,31 @@ def test_symplectic_screen_changes_no_sweep(ring: RingId, translation_classes) -
         }
 
 
+@pytest.mark.parametrize(
+    "n, ring, decided", [(3, RingId.EISENSTEIN, 264), (4, RingId.GAUSSIAN, 630)]
+)
+def test_screened_pairs_carry_their_recomputed_order(
+    monkeypatch, n: int, ring: RingId, decided: int
+) -> None:
+    # A cell that passes P_m (s w) = 0 (mod n) has order exactly m, and
+    # run_search hands the pair to group_acts_freely with that order in its
+    # memo.  A map rebuilt from the bare matrix and point computes the same.
+    pairs: list[TorusAuto] = []
+
+    def recording(auto: TorusAuto, n: int, stop_at_first: bool = False):
+        pairs.append(auto)
+        return group_acts_freely(auto, n, stop_at_first=stop_at_first)
+
+    monkeypatch.setattr(search, "group_acts_freely", recording)
+    run_search(n, ring)
+    assert len(pairs) == decided
+    for auto in pairs:
+        memo = auto._order_cache
+        assert memo == auto.linear.multiplicative_order()
+        fresh = TorusEndo(auto.linear.induced_matrix())
+        assert TorusAuto(fresh, auto.translation).order() == memo
+
+
 @pytest.mark.parametrize("n, loop_calls", [(3, 116), (5, 0)])
 def test_multiplier_orders_only_for_orders_dividing_n(
     monkeypatch, n: int, loop_calls: int

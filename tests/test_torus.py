@@ -538,7 +538,8 @@ def test_multiplier_order_is_memoised(monkeypatch) -> None:
 def test_sweep_computes_each_multiplier_once(monkeypatch) -> None:
     # run_search(3) reads the multiplier of the 116 order-3 parts, and
     # group_acts_freely reads it again for each of the 64 free verdicts;
-    # only the first read of each part runs matrix_order.
+    # the catalog filled every part's multiplier memo from the order of
+    # its unit det h, so no read runs matrix_order on a 2x2 matrix.
     computed = []
 
     def counting(m: IntMatrix) -> int:
@@ -548,4 +549,30 @@ def test_sweep_computes_each_multiplier_once(monkeypatch) -> None:
 
     monkeypatch.setattr(torus, "matrix_order", counting)
     assert len(run_search(3, RingId.EISENSTEIN)) == 64
-    assert len(computed) == 116
+    assert len(computed) == 0
+
+
+@pytest.mark.parametrize(
+    "ring, max_norm",
+    [(ring, norm) for ring in ALL_RINGS for norm in (1, 2)],
+)
+def test_catalog_multipliers_match_fresh_maps(ring: RingId, max_norm: int) -> None:
+    # The multiplier the catalog stores, the order of det h by ring
+    # products, is the one a fresh map computes from its 2x2 blocks.
+    parts = linear_candidates(ring, max_norm)
+    assert all(part._multiplier_cache is not None for part in parts)
+    mismatches = [
+        part
+        for part in parts
+        if part.multiplier_order()
+        != TorusEndo(part.induced_matrix()).multiplier_order()
+    ]
+    assert mismatches == []
+
+
+def test_first_power_is_the_map_itself() -> None:
+    rng = random.Random(97)
+    for ring in ALL_RINGS:
+        for linear in linear_candidates(ring, 1)[::7]:
+            auto = TorusAuto(linear, random_point(rng))
+            assert auto**1 is auto
