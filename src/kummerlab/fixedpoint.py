@@ -29,6 +29,13 @@ solving configuration, an obstruction carries an integer functional that
 kills the system's column span but pairs non-integrally with the constants.
 Both re-verify through :func:`verify_certificate` without re-running the
 row echelon that found them.
+
+What depends only on the linear part has two memos here: the orbit types
+per ``(n, order)`` (:func:`orbit_types`) and the matrix of each orbit
+system, keyed by the blocks it is built from (:func:`_orbit_matrix`).  A
+memoised matrix keeps its own row echelon
+(:meth:`~kummerlab.linalg.IntMatrix.echelon`), so the one memo of a
+system serves its assembly and its solve alike.
 """
 
 from __future__ import annotations
@@ -56,39 +63,35 @@ class NotNTorsionError(ValueError):
     """The translation part is not ``n``-torsion, so the map does not descend."""
 
 
-def orbit_types(n: int, m: int) -> list[tuple[int, ...]]:
-    """All orbit types of total length ``n`` for a map of order ``m``.
+@lru_cache(maxsize=MEMO_SIZE)
+def orbit_types(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """All orbit types of total length ``n`` for a map of order ``m``, memoised.
 
     These are the partitions of ``n`` into divisors of ``m``, each written
-    as a descending tuple, in descending lexicographic order.
+    as a descending tuple, in descending lexicographic order.  Each length
+    takes its count from the largest down, so the recursion goes one level
+    per divisor of ``m``, not one per part.  The memo serves a sweep, which
+    asks for few ``(n, m)``.
     """
     if n < 1:
         raise ValueError("total length must be positive")
     if m < 1:
         raise ValueError("the order must be positive")
     lengths = divisors(m)[::-1]
-    found: list[tuple[int, ...]] = []
 
-    def recurse(start: int, remaining: int, acc: list[int]) -> None:
-        if remaining == 0:
-            found.append(tuple(acc))
-            return
-        for index in range(start, len(lengths)):
-            l = lengths[index]
-            if l > remaining:
-                continue
-            acc.append(l)
-            recurse(index, remaining - l, acc)
-            acc.pop()
+    def types(index: int, remaining: int) -> list[tuple[int, ...]]:
+        # The types of ``remaining`` with parts in lengths[index:]; the
+        # last length is 1, which fills any remainder.
+        l = lengths[index]
+        if l == 1:
+            return [(1,) * remaining]
+        return [
+            (l,) * count + rest
+            for count in range(remaining // l, -1, -1)
+            for rest in types(index + 1, remaining - count * l)
+        ]
 
-    recurse(0, n, [])
-    return found
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _orbit_types(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """:func:`orbit_types` as a tuple, memoised: a sweep asks for few ``(n, m)``."""
-    return tuple(orbit_types(n, m))
+    return tuple(types(0, n))
 
 
 @dataclass(frozen=True)
@@ -157,36 +160,45 @@ def orbit_system(
     rows, and ``P_l a`` and ``Q_l a`` for the constants.  ``T`` is
     assembled row by row from the nonzeros of its blocks, which it keeps
     as its :meth:`~kummerlab.linalg.IntMatrix.nonzero_rows` for the
-    solver, and is memoised under ``(M, orbit_type)``, so a repeated call
-    for any translation builds only ``b``.
+    solver, and is memoised under the orbit type and the blocks
+    ``(l, M^l, P_l)`` of its distinct lengths, read here once for the
+    matrix and the constants alike, so a repeated call for any
+    translation builds only ``b``.
     """
     matrix = auto.linear.induced_matrix()
     level = auto.translation.torsion_level()
     a = auto.translation.vector()
-    closures, sums = {}, {}
-    for l in set(orbit_type):
-        _, partial, total = power_sums(matrix, l)
+    blocks, closures, sums = [], {}, {}
+    for l in dict.fromkeys(orbit_type):
+        power, partial, total = power_sums(matrix, l)
+        blocks.append((l, power, partial))
         closures[l] = [-(x % level) for x in partial.apply_int(a)]
         sums[l] = [x % level for x in total.apply_int(a)]
     numerators = [x for l in orbit_type for x in closures[l]]
     numerators += [-sum(column) for column in zip(*(sums[l] for l in orbit_type))]
-    return _orbit_matrix(matrix, orbit_type), tuple(numerators), level
+    return _orbit_matrix(orbit_type, tuple(blocks)), tuple(numerators), level
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _orbit_matrix(matrix: IntMatrix, orbit_type: tuple[int, ...]) -> IntMatrix:
+def _orbit_matrix(
+    orbit_type: tuple[int, ...], blocks: tuple[tuple[int, IntMatrix, IntMatrix], ...]
+) -> IntMatrix:
     """The matrix ``T`` of :func:`orbit_system`, memoised, built from its nonzeros.
 
-    Block ``(i, i)`` is ``M^l - I`` for the ``i``-th length ``l`` and the
-    last block row holds the ``P_l`` side by side; every other block is
-    zero.  Each row is written as the ``{column: entry}`` dict of its
-    nonzeros, read from ``M^l`` and ``P_l`` at their block offsets with
-    the identity subtracted on the diagonal, and the dicts become the
-    matrix's :meth:`~kummerlab.linalg.IntMatrix.nonzero_rows`.
+    ``blocks`` holds ``(l, M^l, P_l)`` for each distinct length ``l`` of
+    the type, so equal systems share one entry: for ``M`` of order 3,
+    ``M`` and ``M^2`` have the same ``M^3 = I`` and ``P_3``.  Block
+    ``(i, i)`` is ``M^l - I`` for the ``i``-th length ``l`` and the last
+    block row holds the ``P_l`` side by side; every other block is zero.
+    Each row is written as the ``{column: entry}`` dict of its nonzeros,
+    read from ``M^l`` and ``P_l`` at their block offsets with the identity
+    subtracted on the diagonal, and the dicts become the matrix's
+    :meth:`~kummerlab.linalg.IntMatrix.nonzero_rows`.  The entry is the
+    one memo of the system: the matrix keeps its own row echelon
+    (:meth:`~kummerlab.linalg.IntMatrix.echelon`), which the solver reads.
     """
     closure_rows, sum_rows = {}, {}
-    for l in set(orbit_type):
-        power, partial, _ = power_sums(matrix, l)
+    for l, power, partial in blocks:
         # Row r of M^l - I: the identity's entry (c == r) comes off the diagonal.
         closure_rows[l] = [
             [(c, x - (c == r)) for c, x in enumerate(line) if x != (c == r)]
@@ -233,14 +245,15 @@ def has_fixed_point(
     ``stop_at_first`` the scan stops at the first solvable type, so a
     positive report may carry fewer certificates than there are types; a
     negative one always carries all of them.  What does not depend on the
-    translation, the orbit types of ``(n, order)``, the systems' matrices
-    and their row echelons, is memoised by :func:`_orbit_types`,
-    :func:`orbit_system` and :func:`torus_system_solvable`.
+    translation is memoised: the orbit types of ``(n, order)`` by
+    :func:`orbit_types`, and each system's matrix by :func:`orbit_system`;
+    the matrix keeps its own row echelon, so a system met again is not
+    eliminated again.
     """
     _require_descends(auto, n)
     order = auto.order()
     certificates: list[FreenessCertificate] = []
-    for orbit_type in _orbit_types(n, order):
+    for orbit_type in orbit_types(n, order):
         system, constants, level = orbit_system(auto, orbit_type)
         result = torus_system_solvable(system, constants, level)
         if result.solvable:

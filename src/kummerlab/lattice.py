@@ -12,16 +12,18 @@ comes with a checkable artifact either way:
   pairing ``f @ b`` is not divisible by ``q``, which is impossible for any
   member of the span plus the lattice.
 
-The decision reads one row echelon ``U T = [E; 0]``, ``U`` unimodular
-(:func:`~kummerlab.linalg.row_echelon`), memoised per system.  By
-Pontryagin duality the image of ``T`` on the torus is the annihilator of
-its left kernel, which the rows of ``U`` below the rank span: a row whose
-pairing with ``b`` is not a multiple of ``q`` is the obstruction, and
-when there is none, back-substitution in ``E`` gives a rational (torsion)
-witness.  Constants, witness and pairing are all integers over stated
-moduli, so the decision and the re-checks of witness and obstruction are
-integer congruences, and each verdict is proved by its re-checked
-certificate alone.
+The one decider, :func:`torus_system_solvable`, reads one row echelon
+``U T = [E; 0]``, ``U`` unimodular (:func:`~kummerlab.linalg.row_echelon`),
+which the matrix ``T`` computes on first request and keeps
+(:meth:`~kummerlab.linalg.IntMatrix.echelon`); this module keeps no memo
+of systems.  By Pontryagin duality the image of ``T`` on the torus is the
+annihilator of its left kernel, which the rows of ``U`` below the rank
+span: a row whose pairing with ``b`` is not a multiple of ``q`` is the
+obstruction, and when there is none, back-substitution in ``E`` gives a
+rational (torsion) witness.  Constants, witness and pairing are all
+integers over stated moduli, so the decision and the re-checks of witness
+and obstruction are integer congruences, and each verdict is proved by
+its re-checked certificate alone.
 
 The translation classes of a linear part ``M`` are the cosets of
 ``(I - M)(Z/q)^r`` in ``(Z/q)^r``, and one routine reads them: the
@@ -60,7 +62,6 @@ from .linalg import (
     SelfCheckError,
     elementary_divisors_via_minors,
     factorize,
-    row_echelon,
 )
 
 
@@ -114,7 +115,7 @@ def _check_modulus(modulus: int) -> None:
 
 
 def _integers(values) -> bool:
-    return all(isinstance(x, int) for x in values)
+    return all(map(int.__instancecheck__, values))
 
 
 def torus_system_solvable(
@@ -122,35 +123,27 @@ def torus_system_solvable(
 ) -> SolvabilityResult:
     """Decide ``system @ z = constants / modulus`` modulo the integer lattice.
 
-    With ``q = modulus``, a row echelon ``U @ system = [E; 0]``, ``U``
-    unimodular (:func:`~kummerlab.linalg.row_echelon`), turns the question
-    into a triangular one, decided by :func:`_decide`.  Witness and
-    obstruction are re-checked against ``system`` before returning; a
-    failed re-check raises :class:`SelfCheckError`.  The echelon of each
-    distinct system is memoised.
+    With ``q = modulus`` and ``b = constants``, the decision reads the row
+    echelon ``U @ system = [E; 0]``, ``U`` unimodular, that the system
+    keeps (:meth:`~kummerlab.linalg.IntMatrix.echelon`), so a system
+    asked again, such as an orbit system held by its memo, is not
+    eliminated again.  The image of ``system`` on the torus is a closed
+    connected subgroup, so by Pontryagin duality it is the annihilator of
+    the left kernel ``{f : f @ system = 0}``, which the rows of ``U``
+    below the rank span.  The system is therefore solvable exactly when
+    each of them pairs with ``b`` to a multiple of ``q``; the first that
+    does not is the obstruction.  Otherwise ``E z = (U b)_top / q`` is
+    solved by back-substitution, from the last pivot up, with the free
+    unknowns at zero: ``z = w / D`` over a denominator ``D``, a multiple
+    of ``q`` that grows by ``e / gcd`` only when a pivot ``e`` does not
+    divide its numerator.  Then ``U system z`` is ``U b / q`` up to the
+    integer rows below the rank, and ``U^-1`` is integral, so
+    ``system z = b / q`` modulo ``Z^rows``.  Witness and obstruction are
+    re-checked against ``system`` before returning; a failed re-check
+    raises :class:`SelfCheckError`.
     """
     _check_constants(system, constants, modulus)
-    return _decide(system, constants, modulus, _echelon_form(system))
-
-
-def _decide(system: IntMatrix, constants, modulus: int, form) -> SolvabilityResult:
-    """The decision of :func:`torus_system_solvable` from a given echelon.
-
-    ``form`` is ``(u, pivots, echelon)`` as :func:`_row_echelon` returns
-    it, and ``q = modulus``.  The image of ``system`` on the torus is a
-    closed connected subgroup, so by Pontryagin duality it is the
-    annihilator of the left kernel ``{f : f @ system = 0}``, which the
-    rows of ``U`` below the rank span.  The system is therefore solvable
-    exactly when each of them pairs with ``b = constants`` to a multiple
-    of ``q``; the first that does not is the obstruction.  Otherwise
-    ``E z = (U b)_top / q`` is solved by back-substitution, from the last
-    pivot up, with the free unknowns at zero: ``z = w / D`` over a
-    denominator ``D``, a multiple of ``q`` that grows by ``e / gcd`` only
-    when a pivot ``e`` does not divide its numerator.  Then ``U system z``
-    is ``U b / q`` up to the integer rows below the rank, and ``U^-1`` is
-    integral, so ``system z = b / q`` modulo ``Z^rows``.
-    """
-    u, pivots, echelon = form
+    u, pivots, echelon = system.echelon()
     rank = len(pivots)
 
     def ub(row: dict[int, int]) -> int:
@@ -182,21 +175,6 @@ def _decide(system: IntMatrix, constants, modulus: int, form) -> SolvabilityResu
     if not verify_witness(system, constants, modulus, witness):
         raise SelfCheckError("witness failed its re-check")
     return SolvabilityResult(witness, None)
-
-
-def _row_echelon(system: IntMatrix):
-    """The echelon of a system, as :func:`~kummerlab.linalg.row_echelon` returns it.
-
-    :func:`row_echelon` is looked up at each call, so a replaced one is
-    the one that runs.
-    """
-    return row_echelon(system)
-
-
-# The memo of :func:`_row_echelon` behind :func:`torus_system_solvable`.
-# One-off systems, such as the random draws of the solvability oracle, go
-# to :func:`_decide` with their own :func:`_row_echelon` and stay out of it.
-_echelon_form = lru_cache(maxsize=MEMO_SIZE)(_row_echelon)
 
 
 def translation_box(m: IntMatrix, n: int, level: int) -> tuple[int, ...]:

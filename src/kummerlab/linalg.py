@@ -4,7 +4,10 @@ Everything here is plain arbitrary-precision integer arithmetic.  Every
 orbit system is decided from :func:`row_echelon`, a unimodular ``U`` with
 ``U * A = [E; 0]``, kept by sparse rows with no inverse and no column
 transform; the decision re-checks its own witness or obstruction, so the
-echelon needs no certificate of its own.  The same routine builds every
+echelon needs no certificate of its own.  :func:`row_echelon` is a pure
+function, and a matrix computes its own echelon once, on first request,
+and keeps it (:meth:`IntMatrix.echelon`), so a memoised orbit system is
+eliminated once however often it is solved.  The same routine builds every
 Hermite form of ``lattice``, from the generators of the lattice, each
 row's witness read from its row of ``U``; the forms check themselves.
 The fraction-free Bareiss determinant serves the Lefschetz numbers and
@@ -39,16 +42,21 @@ from operator import add, itemgetter, matmul, mul, sub
 from types import MappingProxyType
 
 
-# Entries kept by each memo of translation-independent work: the
-# ``torus.power_sums`` tables, the orbit types of ``fixedpoint`` per
-# ``(n, order)`` (a sweep asks for a handful), its orbit-system matrices,
-# their row echelons in ``lattice`` (``U`` and ``E`` by sparse rows, no
-# inverse and no column transform) and the checked Hermite forms of
-# ``(I - M) Z^4 + q Z^4`` there, one per ``(M, q)``.  At
-# ``freeness --n 48``, the cap, the tested powers of orders 2 and 3 of one
-# order-6 linear part have 25 + 17 orbit types, so 256 entries hold the
-# systems of six such linear parts; the Eisenstein n=3 sweep solves 45
-# distinct systems, n=12 149.
+# Entries kept by each of the four memos of translation-independent work:
+# the ``torus.power_sums`` tables per ``(M, l)``, ``fixedpoint.orbit_types``
+# per ``(n, order)``, the orbit-system matrices of ``fixedpoint``, keyed by
+# the blocks they are built from, each keeping its row echelon (``U`` and
+# ``E`` by sparse rows, no inverse and no column transform), and the
+# checked Hermite forms of ``(I - M) Z^4 + q Z^4`` in ``lattice``, one per
+# ``(M, q)``.  Misses/hits of each, in that order, in one cold pass of each
+# benchmark workload:
+#
+#   search-sweep    84/538   1/263   45/435    0/0
+#   freeness-deep   20/84    6/1     29/15     0/0
+#   verify-panel    10/91    5/12    20/35    54/58
+#
+# No workload fills one.  ``has_fixed_point`` of the order-6 panel map at
+# n = 48 builds 729 distinct systems: 729 misses, no hit, 256 held.
 MEMO_SIZE = 256
 
 
@@ -59,8 +67,9 @@ class SelfCheckError(ArithmeticError):
 class IntMatrix:
     """An immutable rectangular matrix with integer entries."""
 
-    # ``_nonzero`` is filled by the first call of :meth:`nonzero_rows`.
-    __slots__ = ("_rows", "_nonzero")
+    # ``_nonzero`` and ``_echelon`` are filled by the first call of
+    # :meth:`nonzero_rows` and :meth:`echelon`.
+    __slots__ = ("_rows", "_nonzero", "_echelon")
 
     def __init__(self, entries) -> None:
         given = [tuple(row) for row in entries]
@@ -137,6 +146,21 @@ class IntMatrix:
                 for row in self._rows
             )
             return self._nonzero
+
+    def echelon(self) -> tuple[list[dict[int, int]], list[int], list[dict[int, int]]]:
+        """The :func:`row_echelon` of this matrix, computed once and kept.
+
+        Later calls return the same ``(u, pivots, echelon)``, whose lists
+        and dicts the caller must not change; they are kept without
+        read-only views, which would slow every one-off decision.
+        :func:`row_echelon` is looked up at the first call, so a replaced
+        one is the one that runs.
+        """
+        try:
+            return self._echelon
+        except AttributeError:
+            self._echelon = row_echelon(self)
+            return self._echelon
 
     def _entrywise(self, other: "IntMatrix", op) -> "IntMatrix":
         if self.rows != other.rows or self.cols != other.cols:

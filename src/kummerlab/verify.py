@@ -10,8 +10,11 @@ and the tested values cannot drift apart.
 Several checks are cross-validations rather than single numbers: they run
 an independently coded oracle (exhaustive enumeration, direct symmetric-
 algebra expansion, grid search) against the production route and expect
-zero mismatches.  The oracles compute each value once: the sampled
-solvability check reads its divisors from
+zero mismatches.  The production route is reached through public
+functions alone: the sampled solvability check hands each random draw to
+:func:`~kummerlab.lattice.torus_system_solvable`, which keeps no memo, so
+the draws leave nothing behind.  The oracles compute each value once:
+the sampled solvability check reads its divisors from
 :func:`~kummerlab.linalg.elementary_divisors_via_minors`, which keeps a
 table of minors per call, and :func:`supertrace_by_expansion` expands the
 symmetric traces of every degree in one walk over the basis monomials,
@@ -34,9 +37,8 @@ from .enriques import FactorDecomposition, classify_free_quotient, decomposition
 from .fixedpoint import brute_force_fixed_point, group_acts_freely, has_fixed_point
 from .lattice import (
     EnumerationTooLargeError,
-    _decide,
-    _row_echelon,
     solvable_by_enumeration,
+    torus_system_solvable,
 )
 from .lefschetz import (
     companion_matrix,
@@ -194,11 +196,10 @@ def counts_by_enumeration(m: IntMatrix, n: int) -> dict[int, int]:
 def sampled_solvability_mismatches(cases: int = 1000, seed: int = 31415) -> int:
     """Compare the echelon decision against subgroup enumeration.
 
-    Each draw goes to :func:`~kummerlab.lattice._decide` with its own row
-    echelon, as :func:`~kummerlab.lattice.torus_system_solvable` would
-    decide it but without its memo, since a draw is never asked for
-    again.  The enumeration reads its divisors from minors, not from any
-    echelon or normal form.
+    Each draw goes to :func:`~kummerlab.lattice.torus_system_solvable`,
+    the one decider, which keeps no memo: the draw's row echelon lives on
+    the draw and goes with it.  The enumeration reads its divisors from
+    minors, not from any echelon or normal form.
 
     Systems are up to 4x8 with entries in [-3, 3] and rational constants
     with denominators at most 6, put over the lcm of their reduced
@@ -223,7 +224,7 @@ def sampled_solvability_mismatches(cases: int = 1000, seed: int = 31415) -> int:
         except EnumerationTooLargeError:
             continue
         produced += 1
-        if bool(_decide(system, constants, modulus, _row_echelon(system))) != slow:
+        if bool(torus_system_solvable(system, constants, modulus)) != slow:
             mismatches += 1
     return mismatches
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from math import gcd, prod
@@ -9,16 +10,15 @@ from operator import mul
 
 import pytest
 
-from kummerlab import fixedpoint, lattice, torus
+from kummerlab import fixedpoint, lattice, linalg, torus
 from kummerlab.linalg import IntMatrix, divisors, factorize, smith_normal_form
 from kummerlab.verify import CheckResult, run_panel
 
 # Every memo of translation-independent work in the package.
 MEMOS = (
     torus.power_sums,
-    fixedpoint._orbit_types,
+    fixedpoint.orbit_types,
     fixedpoint._orbit_matrix,
-    lattice._echelon_form,
     lattice._lattice_form,
 )
 
@@ -48,6 +48,41 @@ def clear_memos():
             memo.cache_clear()
 
     return clear
+
+
+@pytest.fixture
+def memos():
+    """Every memo of translation-independent work, :data:`MEMOS`."""
+    return MEMOS
+
+
+@pytest.fixture
+def orbit_echelons(monkeypatch) -> list[IntMatrix]:
+    """The orbit systems whose row echelon is computed, in call order.
+
+    A call of ``linalg.row_echelon`` is gathered when its matrix is one
+    that ``fixedpoint._orbit_matrix`` returned; the echelons of other
+    matrices, such as the generators of a Hermite form, are not.  The
+    memo stays reachable as ``fixedpoint._orbit_matrix.__wrapped__``.
+    """
+    built: dict[int, IntMatrix] = {}
+    echelons: list[IntMatrix] = []
+    memoised, echelon = fixedpoint._orbit_matrix, linalg.row_echelon
+
+    @functools.wraps(memoised)
+    def building(orbit_type, blocks):
+        system = memoised(orbit_type, blocks)
+        built[id(system)] = system
+        return system
+
+    def recording(a: IntMatrix):
+        if built.get(id(a)) is a:
+            echelons.append(a)
+        return echelon(a)
+
+    monkeypatch.setattr(fixedpoint, "_orbit_matrix", building)
+    monkeypatch.setattr(linalg, "row_echelon", recording)
+    return echelons
 
 
 # The Smith-key reference for the classes of ``(Z/n)^r`` mod

@@ -38,6 +38,7 @@ from kummerlab.cli import (
 )
 from kummerlab.fixedpoint import GRID_LEVEL_CAP, group_acts_freely
 from kummerlab.lefschetz import KUMMER_N_CAP
+from kummerlab.linalg import IntMatrix
 from kummerlab.rings import RingId
 from kummerlab.search import linear_candidates, run_search
 from kummerlab.torus import TORSION_LEVEL_CAP, TorusAuto, TorusPoint
@@ -862,19 +863,19 @@ def test_characters_checks_the_n_cap_before_factoring(capsys, monkeypatch) -> No
 def test_lefschetz_and_characters_take_no_smith_form(capsys, monkeypatch, argv) -> None:
     # The translation test and the census read checked Hermite forms, each
     # the row echelon of its generators by linalg.row_echelon: with every
-    # Smith form and every other row echelon refusing, wherever the package
-    # holds one, so that no orbit system is decided either, the output is
-    # the one computed without the refusal.
+    # Smith form refusing, wherever the package holds one, and every
+    # system's own echelon refusing, so that no system is decided either,
+    # the output is the one computed without the refusal.
     code, expected = run_cli(capsys, argv)
     assert code == EXIT_OK
 
     def refuse(*args):
         raise AssertionError("a normal form was taken")
 
-    echelon = linalg.row_echelon
     assert "kummerlab.linalg" in patch_everywhere(monkeypatch, "smith_normal_form", refuse)
-    assert "kummerlab.lattice" in patch_everywhere(monkeypatch, "row_echelon", refuse)
-    monkeypatch.setattr(linalg, "row_echelon", echelon)
+    monkeypatch.setattr(IntMatrix, "echelon", refuse)
+    with pytest.raises(AssertionError, match="normal form"):
+        lattice.torus_system_solvable(IntMatrix([[2, 4], [1, 2], [0, 6]]), (2, 1, 0), 3)
     assert run_cli(capsys, argv) == (EXIT_OK, expected)
     refused = lefschetz_argv("eisenstein", "[[z,0],[0,z]]", "(1/12,0)", 12)
     assert main(refused) == EXIT_USAGE

@@ -30,7 +30,6 @@ from kummerlab.fixedpoint import (
     orbit_types,
     verify_certificate,
 )
-from kummerlab import lattice
 from kummerlab.lattice import (
     SolvabilityResult,
     torus_system_solvable,
@@ -61,9 +60,9 @@ def diagonal_auto(d1, d2, coords) -> TorusAuto:
 
 
 def test_orbit_types_frozen_lists() -> None:
-    assert orbit_types(2, 2) == [(2,), (1, 1)]
-    assert orbit_types(4, 2) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert orbit_types(2, 1) == [(1, 1)]
+    assert orbit_types(2, 2) == ((2,), (1, 1))
+    assert orbit_types(4, 2) == ((2, 2), (2, 1, 1), (1, 1, 1, 1))
+    assert orbit_types(2, 1) == ((1, 1),)
     with pytest.raises(ValueError):
         orbit_types(0, 2)
     with pytest.raises(ValueError):
@@ -74,7 +73,7 @@ def test_orbit_types_against_partition_oracle() -> None:
     for n in range(1, 7):
         for m in range(1, 9):
             produced = orbit_types(n, m)
-            assert produced == sorted(set(produced), reverse=True)
+            assert produced == tuple(sorted(set(produced), reverse=True))
             lengths = [l for l in range(1, m + 1) if m % l == 0]
             oracle = {
                 tuple(sorted(combo, reverse=True))
@@ -85,39 +84,75 @@ def test_orbit_types_against_partition_oracle() -> None:
             assert set(produced) == oracle
 
 
-def test_orbit_types_memo_matches_the_list() -> None:
-    # has_fixed_point reads the memo; it holds the same types in the same
-    # order, and the public function still returns a fresh list.
-    for n in range(1, 13):
-        for m in (1, 2, 3, 4, 5, 6, 8, 12, 24):
-            listed = orbit_types(n, m)
-            assert isinstance(listed, list)
-            assert fixedpoint._orbit_types(n, m) == tuple(listed)
-            assert orbit_types(n, m) is not listed
+def listed_types(n: int, m: int) -> list[tuple[int, ...]]:
+    """The orbit types of ``(n, m)`` by the reference recursion, one part a level.
+
+    Each level appends one part, the largest first among the divisors of
+    ``m`` up to the last part, so the types come in descending
+    lexicographic order.
+    """
+    lengths = [l for l in range(m, 0, -1) if m % l == 0]
+    found: list[tuple[int, ...]] = []
+
+    def recurse(start: int, remaining: int, acc: list[int]) -> None:
+        if remaining == 0:
+            found.append(tuple(acc))
+            return
+        for index in range(start, len(lengths)):
+            if lengths[index] <= remaining:
+                acc.append(lengths[index])
+                recurse(index, remaining - lengths[index], acc)
+                acc.pop()
+
+    recurse(0, n, [])
+    return found
+
+
+def test_orbit_types_memo_matches_the_list(clear_memos) -> None:
+    # orbit_types is its own memo: a repeated call returns the same tuple,
+    # and each holds the reference recursion's types in the same order.
+    clear_memos()
+    for n in range(1, 40):
+        for m in (1, 2, 3, 4, 5, 6, 8, 10, 12, 24, 60):
+            memoised = orbit_types(n, m)
+            assert isinstance(memoised, tuple)
+            assert memoised == tuple(listed_types(n, m)), (n, m)
+            assert orbit_types(n, m) is memoised
+
+
+def test_orbit_types_recurse_once_per_length() -> None:
+    # One recursion level per divisor of m, not one per part: 1000 parts
+    # of length 1 and the 601 types of 1200 into 2s and 1s stay far below
+    # the interpreter's recursion limit.
+    assert orbit_types(1000, 1) == ((1,) * 1000,)
+    types = orbit_types(1200, 2)
+    assert len(types) == 601
+    assert types[0] == (2,) * 600 and types[-1] == (1,) * 1200
 
 
 def test_sweep_lists_orbit_types_once_per_n_and_order(
     monkeypatch, clear_memos
 ) -> None:
     # Every pair of the n=3 sweep tests its order-3 map itself, so the 264
-    # decided pairs ask for the orbit types of (3, 3) and list them once.
-    # At n=4 the tested powers have order 2.
-    listed = fixedpoint.orbit_types
+    # decided pairs ask for the orbit types of (3, 3), and the memo lists
+    # them once.  At n=4 the 630 decided pairs test powers of order 2.
+    memoised = fixedpoint.orbit_types
     calls: list[tuple[int, int]] = []
 
-    def counting(n: int, m: int) -> list[tuple[int, ...]]:
+    def counting(n: int, m: int) -> tuple[tuple[int, ...], ...]:
         calls.append((n, m))
-        return listed(n, m)
+        return memoised(n, m)
 
     monkeypatch.setattr(fixedpoint, "orbit_types", counting)
     for n, ring, expected in (
-        (3, RingId.EISENSTEIN, [(3, 3)]),
-        (4, RingId.GAUSSIAN, [(4, 2)]),
+        (3, RingId.EISENSTEIN, [(3, 3)] * 264),
+        (4, RingId.GAUSSIAN, [(4, 2)] * 630),
     ):
         clear_memos()
         calls.clear()
         run_search(n, ring)
         assert calls == expected
+        assert memoised.cache_info().misses == 1
 
 
 def test_orbit_type_counts() -> None:
@@ -561,24 +596,41 @@ def test_translation_must_be_fibre_torsion() -> None:
 
 
 def test_shared_linear_cache_changes_no_report(clear_memos) -> None:
-    # Orbit systems and their normal forms depend on the linear part only,
-    # so the memos serve every translation class of that linear part: a
-    # report on warm memos equals the one computed after clearing them.
+    # Orbit systems, and the echelons they keep, depend on the linear part
+    # only, so the memos serve every translation class of that linear
+    # part: a report on warm memos equals the one computed after clearing
+    # them.
     ring = RingId.EISENSTEIN
     linear = diag(RingElem.zeta(ring), RingElem.one(ring))
     decided = served = 0
     for a in torsion_points(3):
         auto = TorusAuto(linear, a)
         for stop_at_first in (True, False):
-            hits = lattice._echelon_form.cache_info().hits
+            hits = fixedpoint._orbit_matrix.cache_info().hits
             reused = group_acts_freely(auto, 3, stop_at_first=stop_at_first)
-            served += lattice._echelon_form.cache_info().hits > hits
+            served += fixedpoint._orbit_matrix.cache_info().hits > hits
             clear_memos()
             fresh = group_acts_freely(auto, 3, stop_at_first=stop_at_first)
             assert reused == fresh
         decided += 1
     assert decided == 81
-    assert served, "the memos hold the normal forms across translations"
+    assert served, "the memos hold the orbit systems across translations"
+
+
+def test_sweep_keeps_one_entry_and_one_echelon_per_distinct_system(
+    clear_memos, orbit_echelons
+) -> None:
+    # The orbit-system memo is keyed by the blocks (l, M^l, P_l) that
+    # build the matrix, so equal systems share one entry: M and M^2 of
+    # order 3 have the same M^3 and P_3.  From cold memos the Eisenstein
+    # n=3 sweep builds 45 distinct systems, and each entry keeps its own
+    # echelon, so the sweep runs the echelon once per system.
+    clear_memos()
+    assert len(run_search(3, RingId.EISENSTEIN)) == 64
+    memo = fixedpoint._orbit_matrix.__wrapped__
+    assert memo.cache_info().currsize == 45
+    assert len(orbit_echelons) == 45
+    assert len(set(orbit_echelons)) == 45
 
 
 def test_orbit_system_matches_point_level_definitions() -> None:

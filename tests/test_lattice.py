@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import os
 import random
@@ -39,7 +40,13 @@ from kummerlab.linalg import (
 from kummerlab.rings import RingElem, RingId, induced_matrix
 from kummerlab.search import linear_candidates, run_search
 from kummerlab.torus import TorusAuto
-from kummerlab.verify import freeness_instances, panel_map, panel_passed, run_panel
+from kummerlab.verify import (
+    freeness_instances,
+    panel_map,
+    panel_passed,
+    run_panel,
+    sampled_solvability_mismatches,
+)
 
 
 def over_modulus(values) -> tuple[tuple[int, ...], int]:
@@ -392,23 +399,21 @@ def assert_corrupted_forms_refused(one_minus, modulus: int, rows, check) -> None
                 assert refused(tampered), f"witness {c} moved along {j} mod {modulus}"
 
 
-def refuse_smith_forms(monkeypatch, clear_memos, *modules) -> None:
-    """Make every row echelon and Smith form in ``modules`` raise, and show
-    that it does: a fresh system sent to ``torus_system_solvable`` now
-    fails."""
+def refuse_normal_forms(monkeypatch, clear_memos) -> None:
+    """Make every row echelon and Smith form the package holds raise, and
+    show that it does: a fresh system sent to ``torus_system_solvable``
+    now fails."""
 
     def refuse(*args):
         raise AssertionError("the oracle took a normal form")
 
-    for module in modules:
-        held = [
-            name
-            for name in ("row_echelon", "smith_normal_form")
-            if hasattr(module, name)
-        ]
-        assert held, f"{module.__name__} holds no normal form"
-        for name in held:
-            monkeypatch.setattr(module, name, refuse)
+    holders = set()
+    for name in ("row_echelon", "smith_normal_form"):
+        for key, module in sorted(sys.modules.items()):
+            if key.split(".")[0] == "kummerlab" and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+                holders.add(key)
+    assert "kummerlab.linalg" in holders
     clear_memos()
     with pytest.raises(AssertionError, match="normal form"):
         torus_system_solvable(IntMatrix([[2, 4], [1, 2], [0, 6]]), (2, 1, 0), 3)
@@ -418,8 +423,8 @@ def test_split_enumeration_matches_the_unsplit_closure(monkeypatch, clear_memos)
     # Draws whose closure modulus q = modulus * (largest elementary divisor)
     # has two distinct primes.  The oracle closes the columns mod each prime
     # power of q; the reference closes them mod q in one piece.  Neither
-    # takes a Smith form.
-    refuse_smith_forms(monkeypatch, clear_memos, lattice)
+    # takes a Smith form or a row echelon.
+    refuse_normal_forms(monkeypatch, clear_memos)
     rng = random.Random(2718)
     outcomes = []
     while len(outcomes) < 40:
@@ -460,7 +465,7 @@ def test_minor_oracles_share_no_code_with_the_normal_form(monkeypatch, clear_mem
     def refuse(*args):
         raise AssertionError("the oracle called code it cross-checks")
 
-    refuse_smith_forms(monkeypatch, clear_memos, linalg, lattice)
+    refuse_normal_forms(monkeypatch, clear_memos)
     monkeypatch.setattr(IntMatrix, "det", refuse)
     monkeypatch.setattr(IntMatrix, "__matmul__", refuse)
     frozen = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -638,55 +643,99 @@ def swap_kernel(u, pivots, echelon):
 
 
 @pytest.mark.parametrize("corrupt", [drop_kernel, shift_pivot, swap_kernel])
-def test_a_corrupted_echelon_raises_and_gives_no_verdict(
-    monkeypatch, clear_memos, corrupt
-) -> None:
+def test_a_corrupted_echelon_raises_and_gives_no_verdict(monkeypatch, corrupt) -> None:
     # Each verdict is proved by its witness or obstruction alone, so an
     # echelon that is wrong gives a certificate that fails its re-check.
     # The system is 3x2 of rank 2, with one solvable and one obstructed
-    # right-hand side.
-    system = IntMatrix([[2, 4], [1, 2], [0, 6]])
+    # right-hand side.  A matrix keeps the echelon it computed first, so
+    # the corruption reaches only a fresh matrix, and only while it runs.
+    def system() -> IntMatrix:
+        return IntMatrix([[2, 4], [1, 2], [0, 6]])
+
     cases = [((2, 1, 3), 3, True), ((1, 1, 0), 3, False)]
-    clear_memos()
+    solved = system()
     for constants, modulus, solvable in cases:
-        assert torus_system_solvable(system, constants, modulus).solvable == solvable
-    monkeypatch.setattr(lattice, "row_echelon", lambda a: corrupt(*linalg.row_echelon(a)))
-    clear_memos()
+        assert torus_system_solvable(solved, constants, modulus).solvable == solvable
+    echelon = linalg.row_echelon
     raised = 0
-    for constants, modulus, solvable in cases:
-        try:
-            result = torus_system_solvable(system, constants, modulus)
-        except linalg.SelfCheckError:
-            raised += 1
-        else:
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "row_echelon", lambda a: corrupt(*echelon(a)))
+        corrupted = system()
+        for constants, modulus, solvable in cases:
+            result = torus_system_solvable(solved, constants, modulus)
             assert result.solvable == solvable
-    # The memo must not keep the corrupted forms for later calls.
-    clear_memos()
+            try:
+                result = torus_system_solvable(corrupted, constants, modulus)
+            except linalg.SelfCheckError:
+                raised += 1
+            else:
+                assert result.solvable == solvable
     assert raised
+    # The corrupted echelon stays with its matrix: a fresh one is right.
+    for constants, modulus, solvable in cases:
+        assert torus_system_solvable(system(), constants, modulus).solvable == solvable
 
 
-def test_panel_memoises_only_orbit_systems(clear_memos, monkeypatch) -> None:
-    # The solvability oracle's random draws are decided without the memo,
-    # so after a cold panel run the echelon memo holds orbit systems
-    # alone: probing it with every orbit system the run built hits each
-    # entry it holds.
-    orbit_systems = set()
-    memoised = fixedpoint._orbit_matrix
+def test_two_solves_of_one_system_take_one_echelon(monkeypatch) -> None:
+    # The system keeps the echelon of its first solve, so a second right-
+    # hand side reuses it; an equal but distinct matrix computes its own.
+    calls: list[IntMatrix] = []
+    echelon = linalg.row_echelon
 
-    def recording(matrix, orbit_type):
-        system = memoised(matrix, orbit_type)
-        orbit_systems.add(system)
-        return system
+    def counting(a: IntMatrix):
+        calls.append(a)
+        return echelon(a)
 
-    monkeypatch.setattr(fixedpoint, "_orbit_matrix", recording)
+    monkeypatch.setattr(linalg, "row_echelon", counting)
+    system = IntMatrix([[2, 4], [1, 2], [0, 6]])
+    assert torus_system_solvable(system, (2, 1, 3), 3).solvable
+    assert not torus_system_solvable(system, (1, 1, 0), 3).solvable
+    assert len(calls) == 1 and calls[0] is system
+    assert system.echelon() is system.echelon()
+    assert torus_system_solvable(IntMatrix(system.entries), (2, 1, 3), 3).solvable
+    assert len(calls) == 2
+
+
+def test_sampled_oracle_leaves_every_memo_empty(clear_memos, memos) -> None:
+    # The oracle's 1,000 draws go to the public decider, which keeps no
+    # memo, so from cold memos they leave every memo empty.
+    clear_memos()
+    assert sampled_solvability_mismatches() == 0
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
+
+
+def test_panel_memoises_only_orbit_systems(clear_memos, orbit_echelons) -> None:
+    # The solvability oracle's random draws go to the same decider, which
+    # keeps no memo, so after a cold panel run the only memo of systems
+    # holds orbit systems alone: its entries are the orbit systems whose
+    # echelons the run computed, one each, and each entry keeps its
+    # echelon, so a later solve computes none.
     clear_memos()
     assert panel_passed(run_panel())
-    held = lattice._echelon_form.cache_info().currsize
-    assert 0 < held and held + len(orbit_systems) <= MEMO_SIZE
-    hits = lattice._echelon_form.cache_info().hits
-    for system in orbit_systems:
-        lattice._echelon_form(system)
-    assert lattice._echelon_form.cache_info().hits - hits == held
+    held = fixedpoint._orbit_matrix.__wrapped__.cache_info().currsize
+    assert 0 < held == len(orbit_echelons) == len(set(orbit_echelons)) <= MEMO_SIZE
+    computed = len(orbit_echelons)
+    for system in orbit_echelons:
+        torus_system_solvable(system, (0,) * system.rows, 1)
+    assert len(orbit_echelons) == computed
+
+
+def test_no_module_imports_a_private_name_of_another() -> None:
+    # The modules of the package reach each other through public names
+    # alone: none has a ``from .module import _name``.
+    package = Path(lattice.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert {"lattice.py", "verify.py", "fixedpoint.py"} <= {p.name for p in modules}
+    private = [
+        f"{path.name}: {'.' * node.level}{node.module or ''} {alias.name}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "kummerlab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def dense_decide(system: IntMatrix, constants, modulus: int) -> SolvabilityResult:
@@ -745,7 +794,7 @@ def test_sparse_decision_matches_the_dense_route(monkeypatch, capsys) -> None:
     assert len({system for system, _, _ in cases[300:]}) == 12
     outcomes = []
     for system, constants, modulus in cases:
-        result = lattice._decide(system, constants, modulus, lattice._row_echelon(system))
+        result = torus_system_solvable(system, constants, modulus)
         assert result.solvable == dense_decide(system, constants, modulus).solvable
         if result:
             assert verify_witness(system, constants, modulus, result.witness)

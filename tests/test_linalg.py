@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-import kummerlab.lattice as lattice
 import kummerlab.linalg as linalg
 from kummerlab.cli import main
 from kummerlab.fixedpoint import has_fixed_point
@@ -177,30 +176,24 @@ def test_smith_form_random_properties() -> None:
 
 
 # The Smith form of every orbit system that the full Eisenstein n=3 sweep
-# hands the decider from cold memos, in call order: their count and the
-# sha256 of their reprs as dense (U, D, V), one per line.  The memo takes
-# the echelon of each distinct system once, so the count is the number of
-# distinct systems the sweep solves.  The digest is that of a pivot search
-# that scans every row to the end, so it holds the early-stopping search to
-# the same transforms.  The sweep lists its translation classes from a
-# Hermite box (lattice.translation_box) and decides from echelons, so it
-# takes no Smith form itself; those it would take are counted apart.
+# hands the decider from cold memos, in the order their echelons are
+# computed: their count and the sha256 of their reprs as dense (U, D, V),
+# one per line.  Each distinct system is one memo entry that keeps its own
+# echelon, so the count is the number of distinct systems the sweep
+# solves.  The digest is that of a pivot search that scans every row to
+# the end, so it holds the early-stopping search to the same transforms.
+# The sweep lists its translation classes from a Hermite box
+# (lattice.translation_box) and decides from echelons, so it takes no
+# Smith form itself; those it would take are counted apart.
 SWEEP_SMITH_FORMS = 45
 SWEEP_SMITH_DIGEST = "e4b7ca50769d0cf39a3cbfd6649f1e2303fabe3ac127a76d201b88d0484f71ce"
 SWEEP_CLASS_FORMS = 0
 
 
 def test_smith_forms_of_the_eisenstein_sweep_are_pinned(
-    monkeypatch, clear_memos
+    monkeypatch, clear_memos, orbit_echelons
 ) -> None:
-    systems = []
-    forms = []
     class_forms = []
-
-    def recording(a: IntMatrix):
-        systems.append(a)
-        forms.append(smith_normal_form(a))
-        return row_echelon(a)
 
     def recording_dense(a: IntMatrix):
         form = smith_normal_form(a)
@@ -208,7 +201,6 @@ def test_smith_forms_of_the_eisenstein_sweep_are_pinned(
         return form
 
     clear_memos()
-    monkeypatch.setattr(lattice, "row_echelon", recording)
     # Wherever the package holds the dense form, it is recorded.
     holders = [
         module
@@ -219,6 +211,8 @@ def test_smith_forms_of_the_eisenstein_sweep_are_pinned(
     for module in holders:
         monkeypatch.setattr(module, "smith_normal_form", recording_dense)
     assert len(run_search(3, RingId.EISENSTEIN)) == 64
+    systems = list(orbit_echelons)
+    forms = [smith_normal_form(a) for a in systems]
     assert len(forms) == SWEEP_SMITH_FORMS
     assert len(set(systems)) == len(systems), "a system was normalised twice"
     digest = hashlib.sha256("\n".join(map(repr, forms)).encode()).hexdigest()
@@ -236,20 +230,14 @@ ANCHOR_SMITH_DIGEST = "42d8509f2e251a77d159c3747acf36e33ad88de277b9606dcfef0b4c4
 
 
 def test_smith_forms_of_the_freeness_anchors_are_pinned(
-    monkeypatch, capsys, clear_memos
+    capsys, clear_memos, orbit_echelons
 ) -> None:
-    forms = []
-
-    def recording(a: IntMatrix):
-        forms.append(smith_normal_form(a))
-        return row_echelon(a)
-
     clear_memos()
-    monkeypatch.setattr(lattice, "row_echelon", recording)
     for ring, point in (("eisenstein", "(1/3,1/3)"), ("gaussian", "(1/4,1/4)")):
         argv = ["freeness", "--ring", ring, "--h", "[[z,0],[0,1]]", "--a", point]
         assert main([*argv, "--n", "12"]) == 0
     capsys.readouterr()
+    forms = [smith_normal_form(a) for a in orbit_echelons]
     assert len(forms) == ANCHOR_SMITH_FORMS
     assert max((d.rows, d.cols) for _, d, _ in forms) == (52, 48)
     digest = hashlib.sha256("\n".join(map(repr, forms)).encode()).hexdigest()
@@ -379,26 +367,22 @@ def block_sparse_matrix(
 ORDER6_REPORT_DIGEST = "2ce39f6231edd9169587a5bcf3a8e415a8c367f7c0377b297b131dc6d86d76d5"
 
 
-def test_smith_forms_match_the_dense_reference(monkeypatch, capsys, clear_memos) -> None:
+def test_smith_forms_match_the_dense_reference(
+    capsys, clear_memos, orbit_echelons
+) -> None:
     # Every orbit system of the two freeness-deep anchors and of the
     # panel's order-6 map at n=24, from cold memos, then seeded dense and
     # block-sparse draws: the Smith form returns the reference's (U, D, V)
     # exactly.
-    systems = []
-
-    def recording(a: IntMatrix):
-        systems.append(a)
-        return row_echelon(a)
-
     clear_memos()
-    monkeypatch.setattr(lattice, "row_echelon", recording)
     for ring, point in (("eisenstein", "(1/3,1/3)"), ("gaussian", "(1/4,1/4)")):
         argv = ["freeness", "--ring", ring, "--h", "[[z,0],[0,1]]", "--a", point]
         assert main([*argv, "--n", "12"]) == 0
     capsys.readouterr()
-    anchors = len(systems)
+    anchors = len(orbit_echelons)
     report = repr(has_fixed_point(panel_map("order6"), 24))
     assert hashlib.sha256(report.encode()).hexdigest() == ORDER6_REPORT_DIGEST
+    systems = list(orbit_echelons)
     assert (anchors, len(systems) - anchors) == (ANCHOR_SMITH_FORMS, 125)
     rng = random.Random(2028)
     for _ in range(40):
