@@ -66,8 +66,10 @@ EXIT_USAGE = 2
 # 2-vCPU Xeon); the panel's order-6 map took 0.3 s at 48, 0.5 s at 60
 # and 0.7 s at 72, and Eisenstein [[z,0],[0,1]] with (1/3,1/3) 0.9 s at
 # n = 120.  ``search`` decides freeness at its n, so the cap bounds
-# ``search --n`` too; its slowest sweep at the cap, Eisenstein --level 24,
-# took 1.9 s.
+# ``search --n`` too.  At the cap the norm-1 sweeps took 0.3-1.9 s under
+# ``python -O``, Eisenstein at level 48 the slowest; at --max-norm 4 the
+# Eisenstein sweep took 17-19 s and peaked at 139 MB, the Gaussian 9-11 s
+# and 152 MB.
 FREENESS_N_CAP = 48
 
 

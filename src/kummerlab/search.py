@@ -23,11 +23,13 @@ the order screen of :func:`run_search`.  What never depends on the
 translation, the power tables behind the screen and the tested powers,
 the orbit types, the systems' matrices and their row echelons, is
 memoised where it is computed.  What a pair's linear part already
-proved is handed on: the catalog fills each part's multiplier memo with
-the order of its unit ``det h`` (one of the ring's at most six, each
-order found once), the screen fills the pair's order memo, and a pair
-of prime order tests itself, as ``auto**1`` is ``auto``.  So each pair
-computes only its constants and its solves.
+proved is handed on: the catalog reads ``ord(det h)`` once per unit
+``det h`` (at most six), from
+:meth:`~kummerlab.torus.TorusEndo.multiplier_order` of the first part
+with it, and fills the multiplier memo of every other part with that
+``det h``; the screen fills the pair's order memo, and a pair of prime
+order tests itself, as ``auto**1`` is ``auto``.  So each pair computes
+only its constants and its solves.
 
 Each question is asked of the cheapest fact that settles it.  The catalog
 decides finite order in the ring (:func:`linear_candidates`): the pair
@@ -86,9 +88,12 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     ring arithmetic and facts of its pair ``(tr h, det h)``, and no tuple
     needs a power of its 4x4 induced matrix;
     :func:`~kummerlab.linalg.matrix_order` runs once per pair, as a
-    self-check.  Each accepted part also carries the order of its unit
-    ``det h`` in its multiplier memo, from :func:`_unit_orders`, so no
-    multiplier of a catalog part is computed from its matrix.
+    self-check.  Each accepted part also carries ``ord(det h)`` in its
+    multiplier memo.  The first part accepted with a given unit ``det h``
+    takes it from :meth:`~kummerlab.torus.TorusEndo.multiplier_order`,
+    the one route to a multiplier, and the later parts with that
+    ``det h`` receive it through ``TorusEndo._with_order``: one read per
+    distinct ``det h``, at most one per unit of the ring.
 
     The characteristic polynomial of the induced matrix ``M`` of
     ``h = [[p, q], [r, s]]`` depends only on ``(tr h, det h)``.  The ring
@@ -115,7 +120,8 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
 
     The entries' pairwise sums and products are formed once in the ring
     and read as coordinate pairs ``(x, y)``: ``tr h`` is a lookup,
-    ``det h`` one subtraction of integer pairs, the unit test and the pair
+    ``det h`` one subtraction of integer pairs, the unit test (against
+    the coordinate pairs of :func:`~kummerlab.rings.units`) and the pair
     key lookups of integer tuples.  Only a new pair goes back to the ring,
     for its repeated-eigenvalue test.  Each entry's regular representation
     is computed once, and :func:`~kummerlab.rings.block_matrix` assembles
@@ -126,12 +132,13 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     and 78 pairs ``(tr h, det h)``, 24 of them cyclotomic: 720 tuples are
     skipped by their pair, 72 are rejected as non-scalar with a repeated
     eigenvalue (exactly those that fail ``M^L = I``), and 576 are
-    accepted, with 24 calls to ``matrix_order``.
+    accepted, with 24 calls to ``matrix_order`` on their matrices and six
+    multiplier reads, one for each unit.
     """
     if max_norm > MAX_NORM_CAP:
         raise ValueError(f"max_norm is capped at {MAX_NORM_CAP}")
     entries = ring_elements_up_to_norm(ring, max_norm)
-    unit_orders = _unit_orders(ring)
+    unit_pairs = {(u.x, u.y) for u in units(ring)}
     zero = entries.index(RingElem.zero(ring))
     blocks = [e.regular_representation() for e in entries]
     sums = [[e + f for f in entries] for e in entries]
@@ -142,11 +149,13 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
     # eigenvalue repeats)
     decided: dict[tuple, tuple[int | None, bool]] = {}
     checked: set[tuple] = set()
+    # det h as a coordinate pair -> ord(det h), from its first part
+    multipliers: dict[tuple[int, int], int] = {}
     accepted = []
     for i, j, k, l in itertools.product(range(len(entries)), repeat=4):
         (px, py), (qx, qy) = product_pairs[i][l], product_pairs[j][k]
         det = (px - qx, py - qy)
-        if det not in unit_orders:
+        if det not in unit_pairs:
             continue
         pair = (sum_pairs[i][l], det)
         if pair not in decided:
@@ -166,27 +175,11 @@ def linear_candidates(ring: RingId, max_norm: int) -> list[TorusEndo]:
         if pair not in checked:
             checked.add(pair)
             _check_order(matrix, order)
-        accepted.append(TorusEndo._with_order(matrix, order, unit_orders[det]))
+        part = TorusEndo._with_order(matrix, order, multipliers.get(det))
+        if det not in multipliers:
+            multipliers[det] = part.multiplier_order()
+        accepted.append(part)
     return accepted
-
-
-def _unit_orders(ring: RingId) -> dict[tuple[int, int], int]:
-    """The order of each unit of ``ring``, keyed by its coordinate pair.
-
-    The units form a finite group of at most six roots of unity, so the
-    ring products reach one.  A part whose ``det h`` is the unit has that
-    multiplier.  ``matrix_order`` is left to the catalog's self-check, and
-    the unit orders share no code with the multiplier a map computes from
-    its blocks.
-    """
-    one = RingElem.one(ring)
-    orders = {}
-    for unit in units(ring):
-        power, order = unit, 1
-        while power != one:
-            power, order = power * unit, order + 1
-        orders[(unit.x, unit.y)] = order
-    return orders
 
 
 def _check_order(matrix: IntMatrix, order: int) -> None:

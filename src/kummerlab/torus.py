@@ -16,7 +16,10 @@ products, powers and orbit sums (:func:`power_sums`) are integer-matrix
 products, and point arithmetic, orbits and orders are plain integer
 arithmetic mod ``N``.  The powers and the order of an automorphism read
 the same memoised ``(M^l, P_l, Q_l)`` tables as the orbit systems, so
-every translation of a linear part shares them.  ``Fraction`` appears
+every translation of a linear part shares them.  The multiplier
+``det h`` is the block product ``A D - B C`` of ``M = [[A, B], [C, D]]``,
+and its order comes only from :meth:`TorusEndo.multiplier_order`.
+``Fraction`` appears
 only where points enter or leave as rational coordinates:
 :meth:`TorusPoint.from_vector` and :meth:`TorusPoint.coords`.
 """
@@ -182,9 +185,11 @@ class TorusEndo:
         The caller must have proved that ``matrix`` is a 4x4 integer matrix
         of multiplicative order exactly ``order``, as
         :func:`~kummerlab.linalg.matrix_order` would return it, and, when
-        it passes ``multiplier``, that ``det h`` has exactly that order, as
-        :meth:`multiplier_order` would return it.  The memos are trusted
-        and never recomputed; without ``multiplier`` its memo stays empty.
+        it passes ``multiplier``, that ``det h`` has exactly that order:
+        the catalog passes the :meth:`multiplier_order` of an earlier part
+        with the same ``det h``.  The memos are trusted and never
+        recomputed; without ``multiplier`` its memo stays empty, as in the
+        powers :meth:`TorusAuto.__pow__` builds.
         """
         endo = cls(matrix)
         endo._order_cache = order
@@ -230,33 +235,24 @@ class TorusEndo:
     def multiplier_order(self) -> int:
         """The order of ``det h``, the map's multiplier on the symplectic form.
 
-        Over the 2x2 blocks ``[[A, B], [C, D]]`` of the induced matrix,
-        ``A D - B C`` is the regular representation of ``det h``; its four
-        entries are written out over the entries of the 4x4 matrix.
-        Computed once per map; a multiplier that is not a unit of finite
-        order is not memoised and raises :class:`SelfCheckError` on every
-        call.
+        The induced matrix is the block matrix ``[[A, B], [C, D]]`` of the
+        2x2 regular representations of the entries of ``h``, so the block
+        product ``A D - B C`` is the regular representation of ``det h``,
+        and :func:`matrix_order` of it is the multiplier's order.  This is
+        the one route to ``ord(det h)``: a catalog part takes it here too,
+        once per distinct ``det h``.  Computed once per map; a multiplier
+        that is not a unit of finite order is not memoised and raises
+        :class:`SelfCheckError` on every call.
         """
         if self._multiplier_cache is not None:
             return self._multiplier_cache
-        (
-            (a00, a01, b00, b01),
-            (a10, a11, b10, b11),
-            (c00, c01, d00, d01),
-            (c10, c11, d10, d11),
-        ) = self._matrix.entries
-        det = IntMatrix._of(
-            (
-                (
-                    a00 * d00 + a01 * d10 - b00 * c00 - b01 * c10,
-                    a00 * d01 + a01 * d11 - b00 * c01 - b01 * c11,
-                ),
-                (
-                    a10 * d00 + a11 * d10 - b10 * c00 - b11 * c10,
-                    a10 * d01 + a11 * d11 - b10 * c01 - b11 * c11,
-                ),
-            )
+        rows = self._matrix.entries
+        a, b, c, d = (
+            IntMatrix._of(row[j : j + 2] for row in rows[i : i + 2])
+            for i in (0, 2)
+            for j in (0, 2)
         )
+        det = a @ d - b @ c
         try:
             self._multiplier_cache = matrix_order(det)
         except ValueError:
@@ -290,14 +286,14 @@ class TorusAuto:
 
     @classmethod
     def _with_order(
-        cls, linear: TorusEndo, translation: TorusPoint, order: int
+        cls, linear: TorusEndo, translation: TorusPoint, order: int | None
     ) -> "TorusAuto":
         """The map ``t_a h`` with its order memo already filled.
 
         The caller must have proved that the map has order exactly
         ``order``, as :meth:`order` would return it; the memo is trusted
-        and never recomputed.  The linear part is still refused by the
-        constructor if it is unsupported.
+        and never recomputed, and ``None`` leaves it empty.  The linear
+        part is still refused by the constructor if it is unsupported.
         """
         auto = cls(linear, translation)
         auto._order_cache = order
@@ -332,11 +328,12 @@ class TorusAuto:
 
         With ``m`` the order of the linear part and ``e = q m + r``, the
         iterate is ``M^r`` followed by ``q P_m a + P_r a``, from the
-        :func:`power_sums` tables of lengths ``m`` and ``r``.  A power of a
-        valid map is valid, so the constructor's checks are skipped, and
-        its orders and its linear part's are memoised as ``o / gcd(o, e)``.
-        The exponent 1 returns the map itself, with its memos: a map of
-        prime order tests its first power for freeness.
+        :func:`power_sums` tables of lengths ``m`` and ``r``.  An order
+        ``o`` of the map or of its linear part gives the power's as
+        ``o / gcd(o, e)``, so the power is built by the two ``_with_order``
+        constructors with those memos; the map's order memo passes on only
+        when it is filled.  The exponent 1 returns the map itself, with its
+        memos: a map of prime order tests its first power for freeness.
         """
         if exponent < 0:
             raise ValueError("negative automorphism powers are not supported")
@@ -351,14 +348,13 @@ class TorusAuto:
         if quotient:
             _, period, _ = power_sums(matrix, m)
             shift = map(add, shift, (quotient * x for x in period.apply_int(a)))
-        power = TorusAuto.__new__(TorusAuto)
-        power._linear = TorusEndo._with_order(linear, m // gcd(m, exponent))
-        power._translation = TorusPoint.from_integers(
-            self._translation.torsion_level(), shift
-        )
+        point = TorusPoint.from_integers(self._translation.torsion_level(), shift)
         order = self._order_cache
-        power._order_cache = None if order is None else order // gcd(order, exponent)
-        return power
+        if order is not None:
+            order //= gcd(order, exponent)
+        return TorusAuto._with_order(
+            TorusEndo._with_order(linear, m // gcd(m, exponent)), point, order
+        )
 
     def order(self) -> int:
         """Order as a group element.

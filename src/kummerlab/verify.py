@@ -21,7 +21,9 @@ symmetric traces of every degree in one walk over the basis monomials,
 one product of linear forms per monomial, each its parent's times one
 form, dropping the monomials that cannot reach one it reads.  Neither
 calls the code it checks.  The integrality sweep takes one Kummer series
-per catalog matrix and reads every ``n`` from it.
+per catalog matrix and reads every ``n`` from it.  The oracles take no
+arguments: their sample sizes, seeds, grid level and bound are module
+constants beside them.
 """
 
 from __future__ import annotations
@@ -193,7 +195,11 @@ def counts_by_enumeration(m: IntMatrix, n: int) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def sampled_solvability_mismatches(cases: int = 1000, seed: int = 31415) -> int:
+SOLVABILITY_CASES = 1000
+SOLVABILITY_SEED = 31415
+
+
+def sampled_solvability_mismatches() -> int:
     """Compare the echelon decision against subgroup enumeration.
 
     Each draw goes to :func:`~kummerlab.lattice.torus_system_solvable`,
@@ -205,12 +211,12 @@ def sampled_solvability_mismatches(cases: int = 1000, seed: int = 31415) -> int:
     with denominators at most 6, put over the lcm of their reduced
     denominators as the modulus.  Draws whose enumeration subgroup would
     exceed ``ENUMERATION_CAP`` are redrawn (the sample stays within the
-    stated bounds either way).
+    stated bounds either way), until :data:`SOLVABILITY_CASES` are kept.
     """
-    rng = random.Random(seed)
+    rng = random.Random(SOLVABILITY_SEED)
     mismatches = 0
     produced = 0
-    while produced < cases:
+    while produced < SOLVABILITY_CASES:
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 8)
         system = IntMatrix(
@@ -229,11 +235,15 @@ def sampled_solvability_mismatches(cases: int = 1000, seed: int = 31415) -> int:
     return mismatches
 
 
-def fixed_point_oracle_mismatches(level: int = 12) -> int:
-    """Grid-search cross-check of the fixed-point decision."""
+FIXED_POINT_ORACLE_LEVEL = 12
+
+
+def fixed_point_oracle_mismatches() -> int:
+    """Grid-search cross-check at :data:`FIXED_POINT_ORACLE_LEVEL`."""
     mismatches = 0
     for _, auto, n in freeness_instances():
-        if has_fixed_point(auto, n).found != brute_force_fixed_point(auto, n, level):
+        found = has_fixed_point(auto, n).found
+        if found != brute_force_fixed_point(auto, n, FIXED_POINT_ORACLE_LEVEL):
             mismatches += 1
     return mismatches
 
@@ -312,39 +322,48 @@ def supertrace_by_expansion(even, odd, truncation: int) -> list[int]:
     ]
 
 
-def sampled_supertrace_mismatches(
-    cases: int = 100, seed: int = 27182, truncation: int = 6
-) -> int:
-    rng = random.Random(seed)
+# Pairs of matrices drawn, their seed, and the degree both routes expand to.
+SUPERTRACE_CASES = 100
+SUPERTRACE_SEED = 27182
+SUPERTRACE_TRUNCATION = 6
+
+
+def sampled_supertrace_mismatches() -> int:
+    rng = random.Random(SUPERTRACE_SEED)
     mismatches = 0
-    for _ in range(cases):
+    for _ in range(SUPERTRACE_CASES):
         d_even = rng.randint(0, 2)
         d_odd = rng.randint(0, 2)
         even = [[rng.randint(-2, 2) for _ in range(d_even)] for _ in range(d_even)]
         odd = [[rng.randint(-2, 2) for _ in range(d_odd)] for _ in range(d_odd)]
-        series = supertrace_sym_series(even, odd, truncation)
-        if list(series.coefficients) != supertrace_by_expansion(even, odd, truncation):
+        series = supertrace_sym_series(even, odd, SUPERTRACE_TRUNCATION)
+        expanded = supertrace_by_expansion(even, odd, SUPERTRACE_TRUNCATION)
+        if list(series.coefficients) != expanded:
             mismatches += 1
     return mismatches
 
 
-def integrality_failures(max_n: int = 8) -> int:
-    """Count the (matrix, n) pairs of the catalog, ``2 <= n <= max_n``, whose
-    Lefschetz number fails a re-check; degenerate matrices are skipped.
+INTEGRALITY_MAX_N = 8
+
+
+def integrality_failures() -> int:
+    """Count the (matrix, n) pairs of the catalog, ``2 <= n <= N`` with
+    ``N =`` :data:`INTEGRALITY_MAX_N`, whose Lefschetz number fails a
+    re-check; degenerate matrices are skipped.
 
     Truncation does not change the lower coefficients of the Kummer series,
-    so one series to ``max_n`` per matrix serves every ``n``: each number
+    so one series to ``N`` per matrix serves every ``n``: each number
     is :func:`lefschetz_from_census` of it, as in :func:`lefschetz_kummer`.
     A series that fails its own check fails every ``n``.
     """
     failures = 0
-    ns = range(2, max_n + 1)
+    ns = range(2, INTEGRALITY_MAX_N + 1)
     for _, matrix in matrix_catalog():
         base = lefschetz_torus(matrix)
         if base == 0:
             continue
         try:
-            series = kummer_series(matrix, max_n)
+            series = kummer_series(matrix, INTEGRALITY_MAX_N)
         except SelfCheckError:
             failures += len(ns)
             continue

@@ -25,7 +25,6 @@ from kummerlab.verify import (
     panel_passed,
     run_panel,
     sampled_solvability_mismatches,
-    sampled_supertrace_mismatches,
 )
 
 
@@ -143,10 +142,7 @@ def test_criterion_10_oracle_equivalence(panel) -> None:
         ["fixed_point_oracle_level12", "solvability_oracle_sampled"],
     )
     # The sampled comparison must cover at least a thousand cases.
-    assert (
-        inspect.signature(sampled_solvability_mismatches).parameters["cases"].default
-        >= 1000
-    )
+    assert verify.SOLVABILITY_CASES >= 1000
 
 
 # The sampled oracle's draws: 1,008 systems asked, 8 of them redrawn for
@@ -195,10 +191,19 @@ def test_criterion_11_supertrace_identities(panel) -> None:
             "supertrace_sign_closed_form",
         ],
     )
-    assert (
-        inspect.signature(sampled_supertrace_mismatches).parameters["cases"].default
-        >= 100
-    )
+    assert verify.SUPERTRACE_CASES >= 100
+
+
+def test_panel_oracles_take_no_options() -> None:
+    # Their sizes, seeds, level and bound are module constants, read by the
+    # panel and the tests alike.
+    oracles = [
+        verify.sampled_solvability_mismatches,
+        verify.fixed_point_oracle_mismatches,
+        verify.sampled_supertrace_mismatches,
+        verify.integrality_failures,
+    ]
+    assert [list(inspect.signature(f).parameters) for f in oracles] == [[]] * 4
 
 
 def test_criterion_12_integrality_catalog(panel) -> None:

@@ -19,6 +19,7 @@ from kummerlab.rings import (
     RingId,
     induced_matrix,
     ring_elements_up_to_norm,
+    units,
     zeta6,
 )
 from kummerlab.linalg import (
@@ -673,16 +674,29 @@ def test_multiplier_orders_only_for_orders_dividing_n(
     # run_search tests d | n before it takes ord(det h): at n=3 only the
     # 116 order-3 parts need the multiplier, and at n=5 no part's order
     # divides n.  group_acts_freely takes it once more per free verdict.
+    # The catalog reads it once per distinct det h, one for each of the
+    # six Eisenstein units, whatever n is.
     calls: list[tuple[str, int]] = []
+    catalog: list[RingElem] = []
     multiplier_order = TorusEndo.multiplier_order
+    ring = RingId.EISENSTEIN
 
     def wrapped(endo: TorusEndo) -> int:
         caller = sys._getframe(1).f_code.co_name
-        calls.append((caller, endo.multiplicative_order()))
+        if caller == "linear_candidates":
+            m = endo.induced_matrix()
+            (a, b), (c, d) = (
+                [RingElem(ring, m[i][j], m[i + 1][j]) for j in (0, 2)] for i in (0, 2)
+            )
+            catalog.append(a * d - b * c)
+        else:
+            calls.append((caller, endo.multiplicative_order()))
         return multiplier_order(endo)
 
     monkeypatch.setattr(TorusEndo, "multiplier_order", wrapped)
-    results = run_search(n, RingId.EISENSTEIN)
+    results = run_search(n, ring)
+    assert len(catalog) == 6
+    assert set(catalog) == set(units(ring))
     from_loop = [order for caller, order in calls if caller == "run_search"]
     assert len(from_loop) == loop_calls
     assert all(n % order == 0 for order in from_loop)

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+import kummerlab.rings as rings
+import kummerlab.search as search
 import kummerlab.torus as torus
 from kummerlab.linalg import IntMatrix, SelfCheckError, matrix_order
 from kummerlab.rings import RingElem, RingId, induced_matrix, ring_elements_up_to_norm
@@ -492,7 +494,7 @@ def test_linear_part_is_a_4x4_integer_matrix() -> None:
 
 @pytest.mark.parametrize(
     "ring, max_norm",
-    [(ring, norm) for ring in ALL_RINGS for norm in (1, 2)],
+    [(ring, norm) for ring in ALL_RINGS for norm in (1, 2, 3, 4)],
 )
 def test_multiplier_from_blocks_matches_ring_route(ring: RingId, max_norm: int) -> None:
     # A D - B C over the blocks of the induced matrix has the order of the
@@ -537,28 +539,40 @@ def test_multiplier_order_is_memoised(monkeypatch) -> None:
 
 def test_sweep_computes_each_multiplier_once(monkeypatch) -> None:
     # run_search(3) reads the multiplier of the 116 order-3 parts, and
-    # group_acts_freely reads it again for each of the 64 free verdicts;
-    # the catalog filled every part's multiplier memo from the order of
-    # its unit det h, so no read runs matrix_order on a 2x2 matrix.
+    # group_acts_freely reads it again for each of the 64 free verdicts.
+    # The catalog computes it once per distinct det h, one for each of the
+    # six Eisenstein units, and hands it to every other part with that
+    # det h, so no read after the catalog runs matrix_order on a 2x2 matrix.
     computed = []
+    after_catalog = []
 
     def counting(m: IntMatrix) -> int:
         if m.rows == 2:
             computed.append(m)
         return matrix_order(m)
 
+    def listing(ring: RingId, max_norm: int) -> list[TorusEndo]:
+        parts = linear_candidates(ring, max_norm)
+        after_catalog.append(len(computed))
+        return parts
+
     monkeypatch.setattr(torus, "matrix_order", counting)
+    monkeypatch.setattr(search, "linear_candidates", listing)
     assert len(run_search(3, RingId.EISENSTEIN)) == 64
-    assert len(computed) == 0
+    assert after_catalog == [6]
+    assert len(computed) == 6
+    units = rings.units(RingId.EISENSTEIN)
+    assert set(computed) == {IntMatrix(u.regular_representation()) for u in units}
 
 
 @pytest.mark.parametrize(
     "ring, max_norm",
-    [(ring, norm) for ring in ALL_RINGS for norm in (1, 2)],
+    [(ring, norm) for ring in ALL_RINGS for norm in (1, 2, 3, 4)],
 )
 def test_catalog_multipliers_match_fresh_maps(ring: RingId, max_norm: int) -> None:
-    # The multiplier the catalog stores, the order of det h by ring
-    # products, is the one a fresh map computes from its 2x2 blocks.
+    # The multiplier the catalog stores, computed once per distinct det h
+    # and handed to the other parts with it, is the one a fresh map
+    # computes from its 2x2 blocks.
     parts = linear_candidates(ring, max_norm)
     assert all(part._multiplier_cache is not None for part in parts)
     mismatches = [
